@@ -12,7 +12,7 @@ from .domain import (
     recommended_eta,
     trial_seed_sequence,
 )
-from .engines import RoundOutcome, Trajectory, run_trial
+from .engines import EngineState, Trajectory, run_trial, step
 from .errors import FairmwError
 from .experts import ErrorProfile, SyntheticEnsemble, FileEnsemble, train_builtin
 from .estimators import RateEstimates, AlphaTracker
@@ -33,9 +33,10 @@ __all__ = [
     "WeightTable",
     "recommended_eta",
     "trial_seed_sequence",
-    "RoundOutcome",
+    "EngineState",
     "Trajectory",
     "run_trial",
+    "step",
     "FairmwError",
     "ErrorProfile",
     "SyntheticEnsemble",

@@ -52,6 +52,7 @@ from .ingest import (
     dataset_stats,
     load_dataset,
     load_preset,
+    parse_pairs,
     reshuffle,
     split_shuffle,
     synth_stream,
@@ -86,15 +87,7 @@ def parse_config(path) -> dict[str, str]:
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in parse_pairs(text, path, ConfigError):
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         if key in out:
@@ -175,13 +168,13 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     eta_raw = take("eta", "auto")
     eta = None if eta_raw == "auto" else _as_float("eta", eta_raw)
     seed = _as_int("seed", take("seed", "0"), minimum=0)
-    trials = _as_int("trials", take("trials", "1"), minimum=1)
+    trials = _as_int("trials", take("trials", "1"))
     lam = tuple(_as_float(k, take(k, "1"))
                 for k in ("lambda.fpr", "lambda.fnr", "lambda.regret"))
     b_tol = tuple(_as_float(k, take(k, "0")) for k in ("b.fpr", "b.fnr", "b.regret"))
     budget = tuple(_as_prob(k, take(k, "0.05")) for k in ("budget.fpr", "budget.fnr"))
     dirichlet_alpha = _as_float("dirichlet_alpha", take("dirichlet_alpha", "1.0"))
-    stride = _as_int("stride", take("stride", "1"), minimum=1)
+    stride = _as_int("stride", take("stride", "1"))
     allow_empty = _as_bool("allow_empty", take("allow_empty", "false"))
     eps_raw = take("epsilon")
     epsilon = None if eps_raw is None else _as_prob("epsilon", eps_raw)
@@ -221,7 +214,7 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     horizon_raw = take("horizon")
     horizon_explicit = horizon_raw is not None
     if horizon_explicit:
-        horizon = _as_int("horizon", horizon_raw, minimum=1)
+        horizon = _as_int("horizon", horizon_raw)
     else:
         horizon = 1000  # dataset mode replaces this with the test length
 
@@ -283,13 +276,17 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
         include_group=include_group, epochs=epochs, epsilon=epsilon)
 
 
-def load_spec(args) -> ExperimentSpec:
+def load_config(args) -> dict[str, str]:
+    """The config file's keys with the --seed / --trials overrides applied."""
     cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = str(args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg["trials"] = str(args.trials)
-    return build_spec(cfg, source=str(args.config))
+    for key in ("seed", "trials"):
+        if getattr(args, key) is not None:
+            cfg[key] = str(getattr(args, key))
+    return cfg
+
+
+def load_spec(args) -> ExperimentSpec:
+    return build_spec(load_config(args), source=str(args.config))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +440,8 @@ def _run_one_trial(trial: int) -> dict:
 def execute_trials(payload: TrialPayload, workers: int) -> list[dict]:
     """Run all trials; results come back in trial order regardless of workers."""
     trials = payload.run.trials
-    if workers <= 1 or trials == 1:
+    workers = min(workers, trials)
+    if workers <= 1:
         _worker_init(payload)
         return [_run_one_trial(i) for i in range(trials)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
@@ -548,15 +546,19 @@ def write_rounds_csv(path: Path, engine: str, results: list[dict], T: int) -> No
 # Subcommands
 
 
+def _write_run(outdir: Path, spec: ExperimentSpec, payload: TrialPayload, info: dict,
+               results: list[dict]) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "summary.json", summary_doc(spec, payload, info, results))
+    write_rounds_csv(outdir / "rounds.csv", payload.run.engine, results, payload.run.horizon)
+
+
 def cmd_run(args) -> int:
     spec = load_spec(args)
     payload, info = prepare_payload(spec)
     results = execute_trials(payload, args.workers)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "summary.json", summary_doc(spec, payload, info, results))
-    write_rounds_csv(outdir / "rounds.csv", payload.run.engine, results, payload.run.horizon)
-    logger.info("wrote %s and rounds.csv", outdir / "summary.json")
+    _write_run(Path(args.out), spec, payload, info, results)
+    logger.info("wrote %s and rounds.csv", Path(args.out) / "summary.json")
     return 0
 
 
@@ -632,11 +634,7 @@ def _parse_sweep_values(param: str, text: str) -> list[tuple[str, dict[str, str]
 
 
 def cmd_sweep(args) -> int:
-    base = parse_config(args.config)
-    if args.seed is not None:
-        base["seed"] = str(args.seed)
-    if args.trials is not None:
-        base["trials"] = str(args.trials)
+    base = load_config(args)
     values = _parse_sweep_values(args.param, args.values)
     outroot = Path(args.out)
     outroot.mkdir(parents=True, exist_ok=True)
@@ -647,9 +645,7 @@ def cmd_sweep(args) -> int:
         payload, info = prepare_payload(spec)
         results = execute_trials(payload, args.workers)
         sub = outroot / f"{args.param}_{i}"
-        sub.mkdir(parents=True, exist_ok=True)
-        _write_json(sub / "summary.json", summary_doc(spec, payload, info, results))
-        write_rounds_csv(sub / "rounds.csv", payload.run.engine, results, payload.run.horizon)
+        _write_run(sub, spec, payload, info, results)
         manifest.append({"index": i, "value": label, "dir": sub.name})
         logger.info("sweep %s=%s done", args.param, label)
     _write_json(outroot / "sweep.json", {"parameter": args.param, "values": manifest})

@@ -38,8 +38,6 @@ __all__ = [
     "RESCALE_THRESHOLD",
     "trial_seed_sequence",
     "recommended_eta",
-    "mw_weight_update",
-    "zero_one_loss",
     "ENGINES",
 ]
 
@@ -98,16 +96,6 @@ def recommended_eta(T: int, d: int) -> float:
     return min(math.sqrt(math.log(d) / T), 0.49)
 
 
-def mw_weight_update(w: float, eta: float, loss: float) -> float:
-    """One multiplicative update w * (1-eta)**loss, floored at 1e-300."""
-    return max(w * (1.0 - eta) ** loss, WEIGHT_FLOOR)
-
-
-def zero_one_loss(prediction: int, label: int) -> float:
-    """Default loss: 1.0 on a wrong prediction, 0.0 otherwise."""
-    return 0.0 if prediction == label else 1.0
-
-
 def _update_slice(w: np.ndarray, eta: float, losses: np.ndarray) -> None:
     """In-place multiplicative update of one weight slice.
 
@@ -126,69 +114,36 @@ def _update_slice(w: np.ndarray, eta: float, losses: np.ndarray) -> None:
 
 
 class WeightTable:
-    """Expert weights, flat (d,), grouped (2, d) or full (2, 2, d).
+    """Expert weights indexed [group, label, expert], shape (2, 2, d).
 
-    The full layout is indexed [group, label, expert].  All engines mutate
-    slices through update(), which shares one code path so that identical
-    loss sequences produce bit-identical weights regardless of which engine
+    Every engine keeps its weights in one such table and reads and updates
+    one (group, label) cell per round; see ``fairmw.engines`` for which
+    cell each engine uses.  All updates go through _update_slice, so
+    identical loss sequences give bit-identical weights whichever engine
     drives them.
     """
 
-    def __init__(self, kind: str, array: np.ndarray):
-        self.kind = kind
-        self.array = array
-
-    @classmethod
-    def flat(cls, d: int) -> "WeightTable":
-        _check_d(d)
-        return cls("flat", np.ones(d))
-
-    @classmethod
-    def grouped(cls, d: int) -> "WeightTable":
-        _check_d(d)
-        return cls("grouped", np.ones((2, d)))
-
-    @classmethod
-    def full(cls, d: int) -> "WeightTable":
-        _check_d(d)
-        return cls("full", np.ones((2, 2, d)))
+    def __init__(self, d: int):
+        if d < 2:
+            raise InvalidExpertCount(f"need at least 2 experts, got {d}")
+        self.array = np.ones((2, 2, d))
 
     @property
     def d(self) -> int:
         return self.array.shape[-1]
 
-    def slice(self, group: Group | None = None, label: int | None = None) -> np.ndarray:
-        """1-D view of the addressed slice (flat: no address needed)."""
-        if self.kind == "flat":
-            return self.array
-        if self.kind == "grouped":
-            return self.array[group]
+    def slice(self, group: Group = Group.A, label: int = NEG) -> np.ndarray:
+        """1-D view of one cell's weights."""
         return self.array[group, label]
 
-    def normalizer(self, group: Group | None = None, label: int | None = None) -> float:
-        return float(self.slice(group, label).sum())
-
-    def pi(self, group: Group | None = None, label: int | None = None) -> np.ndarray:
-        """Selection distribution over experts for one slice."""
+    def pi(self, group: Group = Group.A, label: int = NEG) -> np.ndarray:
+        """Selection distribution over experts for one cell."""
         w = self.slice(group, label)
         return w / w.sum()
 
     def update(self, eta: float, losses: np.ndarray,
-               group: Group | None = None, label: int | None = None) -> None:
+               group: Group = Group.A, label: int = NEG) -> None:
         _update_slice(self.slice(group, label), eta, losses)
-
-    def entries(self) -> dict[tuple, float]:
-        """Map from index tuple to weight, mostly for tests and dumps."""
-        arr = self.array
-        return {idx: float(arr[idx]) for idx in np.ndindex(arr.shape)}
-
-    def copy(self) -> "WeightTable":
-        return WeightTable(self.kind, self.array.copy())
-
-
-def _check_d(d: int) -> None:
-    if d < 2:
-        raise InvalidExpertCount(f"need at least 2 experts, got {d}")
 
 
 @dataclass(frozen=True)

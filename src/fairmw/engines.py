@@ -1,15 +1,18 @@
-"""The three online selection algorithms as sequential state machines.
+"""The three online selection algorithms as one cell-mapped state machine.
 
-* mw: one flat pool of expert weights, updated every round.
-* group_aware: one weight slice per group; the arriving group's slice is
-  used for selection and is the only one updated.
-* fairness_aware: one slice per (group, label); a slice of the arriving
-  group is sampled according to q, the expert comes from that slice, and
-  after the label is revealed only the (group, true label) slice is
-  updated.  Cross-table loss gaps (alpha), arrival-rate estimates and the
-  per-round q* recomputation live here too.
+Every engine keeps its expert weights in one (group, label, expert) table
+and runs the same multiplicative update on it.  The engines differ only in
+which (group, label) cell a round selects from and updates:
 
-Selection sampling is inverse-CDF over the unnormalized slice in declared
+* mw: cell (A,-) on every round, one flat pool of expert weights.
+* group_aware: cell (g,-) on an arrival of group g, one pool per group.
+* fairness_aware: cell (g,y) on an arrival (g, y).  A table label y' is
+  first drawn from q for group g and the expert comes from cell (g,y');
+  the expected loss mixes the group's two cells by q.  Cross-table loss
+  gaps (alpha), arrival-rate estimates and the per-round q* recomputation
+  belong to this engine alone.
+
+Selection sampling is inverse-CDF over the unnormalized cell in declared
 expert order, so identical weights and rng state replay identically.
 
 Randomness layout: each trial derives
@@ -35,74 +38,45 @@ from .domain import (
     WeightTable,
     recommended_eta,
     trial_seed_sequence,
-    zero_one_loss,
 )
 from .errors import EmptyStream, StreamExhausted
 from .estimators import AlphaTracker, RateEstimates
 from .qopt import assemble_constraint_system, solve_q
 
 __all__ = [
-    "MwState",
-    "GroupAwareState",
-    "RmwState",
-    "RoundOutcome",
+    "CELL_MAP",
+    "EngineState",
     "Trajectory",
-    "mw_step",
-    "group_aware_step",
-    "rmw_step",
+    "step",
     "run_trial",
     "trial_seed_sequence",
 ]
 
-
-@dataclass
-class MwState:
-    weights: WeightTable
-    eta: float
-
-    @classmethod
-    def fresh(cls, d: int, eta: float) -> "MwState":
-        return cls(WeightTable.flat(d), eta)
-
-
-@dataclass
-class GroupAwareState:
-    weights: WeightTable
-    eta: float
-
-    @classmethod
-    def fresh(cls, d: int, eta: float) -> "GroupAwareState":
-        return cls(WeightTable.grouped(d), eta)
+# engine -> (keyed on group, keyed on label): which coordinates of the
+# arrival address the cell a round selects from and updates.  A coordinate
+# the engine ignores stays at slot 0, so mw always uses (A,-).
+CELL_MAP = {
+    "mw": (False, False),
+    "group_aware": (True, False),
+    "fairness_aware": (True, True),
+}
 
 
 @dataclass
-class RmwState:
-    weights: WeightTable
+class EngineState:
+    """Weight table, alpha sums and (fairness_aware only) rate estimates."""
+
+    engine: str
     eta: float
-    estimates: RateEstimates
+    weights: WeightTable
     alphas: AlphaTracker = field(default_factory=AlphaTracker)
+    estimates: RateEstimates | None = None
 
     @classmethod
-    def fresh(cls, d: int, eta: float, dirichlet_alpha: float = 1.0) -> "RmwState":
-        return cls(WeightTable.full(d), eta, RateEstimates(dirichlet_alpha))
-
-
-@dataclass
-class RoundOutcome:
-    t: int
-    group: Group
-    label: int
-    table_chosen: tuple[Group, int] | None
-    expert_chosen: int
-    prediction: int
-    realized_loss: float
-    expected_loss: float
-    per_expert_losses: np.ndarray
-    q_used: QDistribution | None = None
-    # fairness_aware bookkeeping: expectation of this round's losses under
-    # the (group, label) slice and under the opposite slice, pre-update.
-    right_table_loss: float = 0.0
-    wrong_table_loss: float = 0.0
+    def fresh(cls, engine: str, d: int, eta: float,
+              dirichlet_alpha: float = 1.0) -> "EngineState":
+        estimates = RateEstimates(dirichlet_alpha) if CELL_MAP[engine][1] else None
+        return cls(engine, eta, WeightTable(d), estimates=estimates)
 
 
 def _sample(w: np.ndarray, rng: np.random.Generator) -> int:
@@ -112,80 +86,37 @@ def _sample(w: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, len(w) - 1)
 
 
-def mw_step(state: MwState, predictions: np.ndarray, true_label: int,
-            rng: np.random.Generator, loss_fn=zero_one_loss) -> RoundOutcome:
-    """One round of plain multiplicative weights."""
-    w = state.weights.slice()
-    losses = _losses(predictions, true_label, loss_fn)
-    expected = float(w @ losses) / float(w.sum())
-    chosen = _sample(w, rng)
-    outcome = RoundOutcome(
-        t=0, group=Group.A, label=true_label, table_chosen=None,
-        expert_chosen=chosen, prediction=int(predictions[chosen]),
-        realized_loss=float(losses[chosen]), expected_loss=expected,
-        per_expert_losses=losses)
-    state.weights.update(state.eta, losses)
-    return outcome
+def step(state: EngineState, predictions: np.ndarray, group: Group, label: int,
+         rng: np.random.Generator, q: QDistribution | None = None):
+    """One round: draw an expert, then update the engine's cell.
 
-
-def group_aware_step(state: GroupAwareState, predictions: np.ndarray, group: Group,
-                     true_label: int, rng: np.random.Generator,
-                     loss_fn=zero_one_loss) -> RoundOutcome:
-    """One round of group-aware MW: selection and update on one group slice."""
-    w = state.weights.slice(group)
-    losses = _losses(predictions, true_label, loss_fn)
-    expected = float(w @ losses) / float(w.sum())
-    chosen = _sample(w, rng)
-    outcome = RoundOutcome(
-        t=0, group=group, label=true_label, table_chosen=None,
-        expert_chosen=chosen, prediction=int(predictions[chosen]),
-        realized_loss=float(losses[chosen]), expected_loss=expected,
-        per_expert_losses=losses)
-    state.weights.update(state.eta, losses, group)
-    return outcome
-
-
-def rmw_step(state: RmwState, predictions: np.ndarray, group: Group, true_label: int,
-             q: QDistribution, rng: np.random.Generator,
-             loss_fn=zero_one_loss) -> RoundOutcome:
-    """One round of fairness-aware MW.
-
-    Draw order: table (negative slice with probability q_{z,-}), then
-    expert from the chosen slice.  Expected loss is the full mixture over
-    both slices of the arriving group.  Alpha contributions and arrival
-    counts are recorded from pre-update state before the (group, label)
-    slice is updated.
+    Returns ``(table, expert, losses, expected, right)``: the table label
+    drawn from q (-1 for engines without a table draw), the chosen expert,
+    the per-expert 0/1 losses, the expected loss of the selection
+    distribution actually used, and the expected loss under the updated
+    cell's own pre-update weights.  fairness_aware needs q; its alpha gap
+    and arrival count come from pre-update state.
     """
-    q_neg, q_pos = q.for_group(group)
-    losses = _losses(predictions, true_label, loss_fn)
-
-    table_label = NEG if rng.random() < q_neg else POS
-    w_table = state.weights.slice(group, table_label)
-    chosen = _sample(w_table, rng)
-
-    w_right = state.weights.slice(group, true_label)
-    w_wrong = state.weights.slice(group, 1 - true_label)
-    e_right = float(w_right @ losses) / float(w_right.sum())
-    e_wrong = float(w_wrong @ losses) / float(w_wrong.sum())
-    q_right = q_pos if true_label == POS else q_neg
-    expected = q_right * e_right + (1.0 - q_right) * e_wrong
-
-    state.alphas.add(group, 1 - true_label, e_wrong - e_right)
-    outcome = RoundOutcome(
-        t=0, group=group, label=true_label, table_chosen=(group, table_label),
-        expert_chosen=chosen, prediction=int(predictions[chosen]),
-        realized_loss=float(losses[chosen]), expected_loss=expected,
-        per_expert_losses=losses, q_used=q,
-        right_table_loss=e_right, wrong_table_loss=e_wrong)
-    state.weights.update(state.eta, losses, group, true_label)
-    state.estimates.update(group, true_label)
-    return outcome
-
-
-def _losses(predictions: np.ndarray, true_label: int, loss_fn) -> np.ndarray:
-    if loss_fn is zero_one_loss:
-        return (predictions != true_label).astype(np.float64)
-    return np.array([loss_fn(int(p), true_label) for p in predictions], dtype=np.float64)
+    by_group, by_label = CELL_MAP[state.engine]
+    cell = (group if by_group else Group.A, label if by_label else NEG)
+    weights = state.weights
+    losses = (predictions != label).astype(np.float64)
+    w = weights.slice(*cell)
+    right = float(w @ losses) / float(w.sum())
+    table, expected, w_draw = -1, right, w
+    if by_label:
+        q_neg, q_pos = q.for_group(group)
+        table = NEG if rng.random() < q_neg else POS
+        w_draw = weights.slice(group, table)
+        w_wrong = weights.slice(group, 1 - label)
+        wrong = float(w_wrong @ losses) / float(w_wrong.sum())
+        q_right = q_pos if label == POS else q_neg
+        expected = q_right * right + (1.0 - q_right) * wrong
+        state.alphas.add(group, 1 - label, wrong - right)
+        state.estimates.update(group, label)
+    chosen = _sample(w_draw, rng)
+    weights.update(state.eta, losses, *cell)
+    return table, chosen, losses, expected, right
 
 
 class Trajectory:
@@ -211,7 +142,6 @@ class Trajectory:
         self.prediction = np.zeros(T, dtype=np.int8)
         self.realized = np.zeros(T)
         self.expected = np.zeros(T)
-        self.per_expert_losses = np.zeros((T, d))
         self.q_used = np.full((T, 4), np.nan) if engine == "fairness_aware" else None
         self.right_step = np.zeros(T) if engine == "fairness_aware" else None
         # Series (running, per round).
@@ -240,35 +170,40 @@ class Trajectory:
     def __len__(self) -> int:
         return self.T
 
-    def record(self, t: int, out: RoundOutcome) -> None:
-        """Append round t (1-based); updates every aggregate and series."""
+    def record(self, t: int, group: Group, label: int, expert: int, prediction: int,
+               realized: float, expected: float, losses: np.ndarray, table: int = -1,
+               right: float = 0.0, q: QDistribution | None = None) -> None:
+        """Append round t (1-based); updates every aggregate and series.
+
+        ``losses`` are the per-expert losses of the round, ``right`` the
+        right-table expected loss and ``q`` the table-selection
+        distribution (both fairness_aware only).
+        """
         i = t - 1
-        g, y = out.group, out.label
+        g, y = group, label
         self.group[i] = g
         self.label[i] = y
-        self.expert[i] = out.expert_chosen
-        self.prediction[i] = out.prediction
-        self.realized[i] = out.realized_loss
-        self.expected[i] = out.expected_loss
-        self.per_expert_losses[i] = out.per_expert_losses
-        if out.table_chosen is not None:
-            self.table[i] = out.table_chosen[1]
-        if self.q_used is not None and out.q_used is not None:
-            self.q_used[i] = out.q_used.as_vector()
+        self.table[i] = table
+        self.expert[i] = expert
+        self.prediction[i] = prediction
+        self.realized[i] = realized
+        self.expected[i] = expected
+        if self.q_used is not None and q is not None:
+            self.q_used[i] = q.as_vector()
         if self.right_step is not None:
-            self.right_step[i] = out.right_table_loss
-            self.right_table_cum[g, y] += out.right_table_loss
+            self.right_step[i] = right
+            self.right_table_cum[g, y] += right
 
-        self.L_realized += out.realized_loss
-        self.L_expected += out.expected_loss
-        self.L_z[g] += out.expected_loss
-        self.L_zy[g, y] += out.expected_loss
-        self.L_f += out.per_expert_losses
-        self.L_fz[g] += out.per_expert_losses
-        self.L_fzy[g, y] += out.per_expert_losses
+        self.L_realized += realized
+        self.L_expected += expected
+        self.L_z[g] += expected
+        self.L_zy[g, y] += expected
+        self.L_f += losses
+        self.L_fz[g] += losses
+        self.L_fzy[g, y] += losses
         self.counts[g, y] += 1
 
-        if out.prediction == 1:
+        if prediction == 1:
             col = 0 if y == 1 else 1  # tp / fp
         else:
             col = 3 if y == 1 else 2  # fn / tn
@@ -292,26 +227,6 @@ class Trajectory:
         if tot[0] > 0 and tot[1] > 0:
             err = (fp + fn) / np.maximum(tot, 1)
             self.eer_gap[i] = abs(err[0] - err[1])
-
-    def outcome(self, t: int) -> RoundOutcome:
-        """Reconstruct round t (1-based) as a RoundOutcome view."""
-        i = t - 1
-        table = None
-        if self.table[i] >= 0:
-            table = (Group(int(self.group[i])), int(self.table[i]))
-        q = None
-        if self.q_used is not None and np.isfinite(self.q_used[i, 0]):
-            q = QDistribution(*(float(v) for v in self.q_used[i]))
-        return RoundOutcome(
-            t=t, group=Group(int(self.group[i])), label=int(self.label[i]),
-            table_chosen=table, expert_chosen=int(self.expert[i]),
-            prediction=int(self.prediction[i]), realized_loss=float(self.realized[i]),
-            expected_loss=float(self.expected[i]),
-            per_expert_losses=self.per_expert_losses[i], q_used=q,
-            right_table_loss=float(self.right_step[i]) if self.right_step is not None else 0.0)
-
-    def __iter__(self):
-        return (self.outcome(t) for t in range(1, self.T + 1))
 
     def error_rate(self) -> float:
         return float(self.realized.sum() / self.T) if self.T else 0.0
@@ -348,8 +263,7 @@ class Trajectory:
         }
 
 
-def run_trial(config: RunConfig, stream, ensemble, trial: int = 0,
-              loss_fn=zero_one_loss) -> Trajectory:
+def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory:
     """Run one trial of config.engine over the stream.
 
     The stream is consumed in order for config.horizon rounds; shorter
@@ -378,50 +292,27 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0,
     engine_rng = np.random.default_rng(engine_ss)
 
     traj = Trajectory(config.engine, eta, ensemble.names, T)
-    engine = config.engine
-
-    if engine == "mw":
-        state = MwState.fresh(d, eta)
-        for t in range(1, T + 1):
-            ex = stream[t - 1]
-            preds = ensemble.round_predictions(t, ex, expert_rng)
-            out = mw_step(state, preds, ex.label, engine_rng, loss_fn)
-            out.t, out.group = t, ex.group
-            traj.record(t, out)
-        return traj
-
-    if engine == "group_aware":
-        state = GroupAwareState.fresh(d, eta)
-        for t in range(1, T + 1):
-            ex = stream[t - 1]
-            preds = ensemble.round_predictions(t, ex, expert_rng)
-            out = group_aware_step(state, preds, ex.group, ex.label, engine_rng, loss_fn)
-            out.t = t
-            traj.record(t, out)
-        return traj
-
-    state = RmwState.fresh(d, eta, config.dirichlet_alpha)
-    q = QDistribution.uniform()
+    state = EngineState.fresh(config.engine, d, eta, config.dirichlet_alpha)
+    est = state.estimates
+    q = None if est is None else QDistribution.uniform()
     stride = config.q_recompute_stride
-    lam = config.lam
-    b_tol = config.b_tolerance
     for t in range(1, T + 1):
         ex = stream[t - 1]
         preds = ensemble.round_predictions(t, ex, expert_rng)
-        if t >= 2 and (t - 1) % stride == 0:
-            est = state.estimates
+        if est is not None and t >= 2 and (t - 1) % stride == 0:
             system = assemble_constraint_system(
                 state.alphas.sums_vector(), est.p_hat,
                 est.mu_hat(Group.A), est.mu_hat(Group.B),
-                t_elapsed=t - 1, b_tolerance=b_tol, lam=lam)
+                t_elapsed=t - 1, b_tolerance=config.b_tolerance, lam=config.lam)
             q = solve_q(system)
-        out = rmw_step(state, preds, ex.group, ex.label, q, engine_rng, loss_fn)
-        out.t = t
-        traj.record(t, out)
+        table, chosen, losses, expected, right = step(
+            state, preds, ex.group, ex.label, engine_rng, q)
+        traj.record(t, ex.group, ex.label, chosen, int(preds[chosen]),
+                    float(losses[chosen]), expected, losses, table, right, q)
 
-    est = state.estimates
-    traj.alpha_sums = state.alphas.sums.copy()
-    traj.q_final = q
-    traj.p_hat_final = est.p_hat
-    traj.mu_hat_final = (est.mu_hat(Group.A), est.mu_hat(Group.B))
+    if est is not None:
+        traj.alpha_sums = state.alphas.sums.copy()
+        traj.q_final = q
+        traj.p_hat_final = est.p_hat
+        traj.mu_hat_final = (est.mu_hat(Group.A), est.mu_hat(Group.B))
     return traj

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from FairmwError so callers can catch
-one base class.  OS-level read failures are left as the builtin OSError;
-IoError is an alias so the documented name exists.
+one base class.  OS-level read failures (missing file, permissions) are
+left as the builtin OSError; the CLI maps them to the data-error exit code.
 """
 
 
@@ -18,7 +18,7 @@ class InvalidExpertCount(FairmwError):
     """Expert count d < 2 (or otherwise unusable)."""
 
 
-class InvalidHorizon(FairmwError):
+class InvalidHorizon(ConfigError):
     """Horizon T < 1."""
 
 
@@ -28,10 +28,6 @@ class NonFiniteInput(FairmwError):
 
 class DomainError(FairmwError):
     """Argument outside the mathematical domain of the function."""
-
-
-class NoObservations(FairmwError):
-    """A frequentist estimate was requested before any data arrived."""
 
 
 class StreamExhausted(FairmwError):
@@ -50,10 +46,6 @@ class DegenerateData(FairmwError):
     """Training data unusable (e.g. all labels identical for a stump)."""
 
 
-class UndefinedGap(FairmwError):
-    """A fairness gap was requested but a defining rate has no observations."""
-
-
 class EmptyTrajectory(FairmwError):
     """A metric was requested on a zero-round trajectory."""
 
@@ -68,8 +60,3 @@ class SchemaError(FairmwError):
 
 class EmptyDataset(FairmwError):
     """No rows survived loading/filtering, or stats requested on nothing."""
-
-
-# Loaders let OS-level failures (missing file, permissions) propagate as the
-# builtin OSError; the CLI maps them to the data-error exit code.
-IoError = OSError

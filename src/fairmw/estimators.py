@@ -1,10 +1,9 @@
-"""Running arrival statistics and cross-table loss-gap (alpha) tracking.
+"""Running arrival statistics and cross-table loss-gap (alpha) sums.
 
-Rates are estimated two ways: plain frequentist counts and a Dirichlet
-posterior predictive with symmetric prior mass ``alpha_prior`` per cell.
-The Dirichlet variant keeps every derived probability strictly inside
-(0, 1), which guarantees positive denominators in the constraint system
-from the very first round.
+Rates are Dirichlet posterior predictives with symmetric prior mass
+``alpha_prior`` per cell.  That keeps every derived probability strictly
+inside (0, 1), which guarantees positive denominators in the constraint
+system from the very first round.
 
 All (2, 2) count/sum arrays are indexed [group, label].
 """
@@ -13,23 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import Group, WeightTable
-from .errors import NoObservations
+from .domain import Group
 
 __all__ = [
-    "frequentist_rate",
     "dirichlet_rate",
     "RateEstimates",
-    "alpha_step",
     "AlphaTracker",
 ]
-
-
-def frequentist_rate(counts: np.ndarray, t: int) -> np.ndarray:
-    """Cell rates c_{z,y}/t.  Raises NoObservations at t = 0."""
-    if t < 1:
-        raise NoObservations("no rounds observed yet")
-    return np.asarray(counts, dtype=float) / t
 
 
 def dirichlet_rate(counts: np.ndarray, t: int, alpha_prior: float) -> np.ndarray:
@@ -57,9 +46,6 @@ class RateEstimates:
     def cell_rates(self) -> np.ndarray:
         return dirichlet_rate(self.counts, self.t, self.alpha)
 
-    def frequentist_rates(self) -> np.ndarray:
-        return frequentist_rate(self.counts, self.t)
-
     @property
     def p_hat(self) -> float:
         a = self.alpha
@@ -70,50 +56,19 @@ class RateEstimates:
         t_z = float(self.counts[group].sum())
         return (float(self.counts[group, 1]) + a) / (t_z + 2.0 * a)
 
-    def snapshot(self) -> "RateEstimates":
-        out = RateEstimates(self.alpha)
-        out.counts = self.counts.copy()
-        out.t = self.t
-        return out
-
-
-def alpha_step(weights: WeightTable, losses: np.ndarray,
-               group: Group, label: int) -> np.ndarray:
-    """Per-round alpha contributions for all four cells, [group, label].
-
-    On a (z, y) arrival the only nonzero cell is (z, 1-y): the expected
-    loss the wrong-label table would have suffered on this round's losses
-    minus the expected loss of the right-label table, both taken from the
-    pre-update weights.
-    """
-    out = np.zeros((2, 2))
-    w_right = weights.slice(group, label)
-    w_wrong = weights.slice(group, 1 - label)
-    e_right = float(w_right @ losses) / float(w_right.sum())
-    e_wrong = float(w_wrong @ losses) / float(w_wrong.sum())
-    out[group, 1 - label] = e_wrong - e_right
-    return out
-
 
 class AlphaTracker:
-    """Running per-cell sums of the alpha loss gaps."""
+    """Running per-cell sums of the alpha loss gaps.
+
+    On a (z, y) arrival the engine adds, to cell (z, 1-y), the expected
+    loss the wrong-label table would have suffered on this round's losses
+    minus that of the right-label table, both from pre-update weights.
+    """
 
     def __init__(self):
         self.sums = np.zeros((2, 2))
-        self.last = np.zeros((2, 2))
-
-    def record(self, weights: WeightTable, losses: np.ndarray,
-               group: Group, label: int) -> np.ndarray:
-        """Compute this round's contributions from pre-update weights and add them."""
-        contrib = alpha_step(weights, losses, group, label)
-        self.sums += contrib
-        self.last = contrib
-        return contrib
 
     def add(self, group: Group, wrong_label: int, value: float) -> None:
-        """Fast path used by the engine, which already has the two expectations."""
-        self.last = np.zeros((2, 2))
-        self.last[group, wrong_label] = value
         self.sums[group, wrong_label] += value
 
     def sums_vector(self) -> np.ndarray:

@@ -23,6 +23,7 @@ the only missing policy is drop_row.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -40,6 +41,7 @@ __all__ = [
     "split_shuffle",
     "reshuffle",
     "load_preset",
+    "parse_pairs",
     "preset_path",
     "BUNDLED_PRESETS",
     "synth_stream",
@@ -48,7 +50,9 @@ __all__ = [
 MISSING = ("", "?")
 BUNDLED_PRESETS = ("adult", "german", "compas")
 
-_FILTER_OPS = (">=", "<=", "!=", "==", ">", "<")
+# Two-character operators come first so that ">=" is not read as ">".
+_FILTER_OPS = {">=": operator.ge, "<=": operator.le, "!=": operator.ne,
+               "==": operator.eq, ">": operator.gt, "<": operator.lt}
 
 
 def _matcher(expr: str):
@@ -76,22 +80,12 @@ def _matcher(expr: str):
                 return lambda cell, _alts=alts: cell in _alts
             return lambda cell, _alts=alts: cell not in _alts
 
-        def cmp(cell: str, _op=op, _thr=threshold) -> bool:
+        def cmp(cell: str, _op=_FILTER_OPS[op], _thr=threshold) -> bool:
             try:
                 v = float(cell)
             except ValueError:
                 return False
-            if _op == ">=":
-                return v >= _thr
-            if _op == "<=":
-                return v <= _thr
-            if _op == ">":
-                return v > _thr
-            if _op == "<":
-                return v < _thr
-            if _op == "==":
-                return v == _thr
-            return v != _thr
+            return _op(v, _thr)
 
         return cmp
     alts = {a.strip() for a in expr.split("|")}
@@ -335,6 +329,25 @@ def synth_stream(p: float, mu_a: float, mu_b: float, T: int,
     return out
 
 
+def parse_pairs(text: str, source, error: type[Exception]) -> list[tuple[int, str, str]]:
+    """Split ``key = value`` lines into (line number, key, value) triples.
+
+    Blank lines and ``#`` comment lines are skipped and both sides are
+    stripped.  A line without ``=`` raises ``error``; every other rule
+    (duplicates, empty keys, known keys) is the caller's.
+    """
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{source}:{lineno}: expected key = value, got {line!r}")
+        out.append((lineno, key.strip(), value.strip()))
+    return out
+
+
 def preset_path(name: str):
     """Filesystem path of a bundled preset (context-free: files ship as data)."""
     return resources.files("fairmw").joinpath("presets", f"{name}.preset")
@@ -351,15 +364,9 @@ def load_preset(name_or_path) -> DatasetSchema:
             text = fh.read()
         source = name
 
-    pairs: list[tuple[str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SchemaError(f"{source}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        pairs.append((key.strip(), value.strip()))
+    # Repeated keys are allowed: note lines accumulate, anything else
+    # keeps its last value.
+    pairs = [(key, value) for _, key, value in parse_pairs(text, source, SchemaError)]
     kv = dict(pairs)
 
     required = ("label.column", "label.positive", "group.column", "group.a")

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Group, RunConfig
-from .errors import DomainError, EmptyTrajectory, EngineMismatch, UndefinedGap
+from .errors import DomainError, EmptyTrajectory, EngineMismatch
 from .engines import Trajectory
 
 __all__ = [
     "gamma",
     "FairnessReport",
     "compute_rates",
-    "epsilon_fairness_check",
     "regret",
     "BoundReport",
     "validate_bounds",
@@ -90,13 +89,6 @@ def compute_rates(confusion) -> FairnessReport:
         fnr_a=vals[Group.A, "fnr"], fnr_b=vals[Group.B, "fnr"],
         err_a=vals[Group.A, "err"], err_b=vals[Group.B, "err"],
         fpr_gap=gap("fpr"), fnr_gap=gap("fnr"), eer_gap=gap("err"))
-
-
-def epsilon_fairness_check(report: FairnessReport, epsilon: float) -> bool:
-    """Two-sided check: both the FPR gap and the FNR gap within epsilon."""
-    if report.fpr_gap is None or report.fnr_gap is None:
-        raise UndefinedGap("a fairness gap is undefined (missing observations)")
-    return report.fpr_gap <= epsilon and report.fnr_gap <= epsilon
 
 
 def regret(traj: Trajectory) -> tuple[float, float]:

@@ -98,10 +98,17 @@ def solve_q(system: ConstraintSystem) -> QDistribution:
 
     candidates = []
     det = P * Q - R * R
-    a0 = (U * R - S * Q) / det
-    b0 = (R * S - P * U) / det
-    if 0.0 <= a0 <= 1.0 and 0.0 <= b0 <= 1.0:
-        candidates.append((a0, b0))
+    if det != 0.0:
+        # A non-finite stationary point fails the box test below.
+        a0 = (U * R - S * Q) / det
+        b0 = (R * S - P * U) / det
+        if 0.0 <= a0 <= 1.0 and 0.0 <= b0 <= 1.0:
+            candidates.append((a0, b0))
+    else:
+        # det rounds to zero when the u and v rows are parallel at this
+        # magnitude; uniform q, the tie-break target, stands in for the
+        # interior point.
+        candidates.append((0.5, 0.5))
     # Edge minimizers of the 1-D restrictions, clamped to the box; these
     # cover the entire boundary including the corners.
     candidates.append((0.0, _clamp(-U / Q)))

@@ -179,6 +179,69 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_range_checks_exit_2(tmp_path, capsys):
+    # horizon, trials and stride are range-checked once, by RunConfig, and
+    # a bad value still exits with the config-error code
+    for key, value in (("horizon", "0"), ("trials", "0"), ("stride", "0"),
+                       ("seed", "-1"), ("experts.epochs", "0")):
+        lines = [line for line in SYNTH_MW.splitlines()
+                 if line.partition("=")[0].strip() != key]
+        text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+        code, _ = run_main(tmp_path, text, "--workers", "1", name=f"{key}.cfg")
+        assert code == 2, key
+        assert "config error" in capsys.readouterr().err
+    code, _ = run_main(tmp_path, SYNTH_MW, "--workers", "1", "--trials", "0")
+    assert code == 2
+
+
+def test_worker_pool_capped_at_trial_count(tmp_path, monkeypatch):
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+    code, _ = run_main(tmp_path, SYNTH_MW, out="default")  # 2 trials, 16 cores
+    assert code == 0 and seen == [2]
+    code, _ = run_main(tmp_path, SYNTH_MW, "--workers", "8", "--trials", "1", out="one")
+    assert code == 0 and seen == [2]  # a single trial runs in-process
+    code, _ = run_main(tmp_path, SYNTH_MW, "--workers", "3", "--trials", "5", out="five")
+    assert code == 0 and seen == [2, 3]
+
+
+def test_fairness_budget_verdicts():
+    # each mean gap is held to its own budget, inclusively; an undefined
+    # gap gets no verdict rather than a pass
+    info = {"eta": 0.2, "d": 2, "experts": ["x", "y"],
+            "ingest_report": None, "data_stats": None}
+
+    def verdict(fpr_gap, fnr_gap, budget="0.05"):
+        spec = build_spec(cfg_dict(**{"budget.fpr": budget, "budget.fnr": budget}))
+        payload = cli.TrialPayload(spec.run, "synthetic", None, None, None, None)
+        summary = dict.fromkeys(cli._AGG_KEYS)
+        summary.update(fpr_gap=fpr_gap, fnr_gap=fnr_gap)
+        doc = cli.summary_doc(spec, payload, info, [{"summary": summary}])
+        return doc["fairness_budget"]["fpr_within"], doc["fairness_budget"]["fnr_within"]
+
+    assert verdict(0.03, 0.04) == (True, True)
+    assert verdict(0.06, 0.01) == (False, True)
+    assert verdict(0.01, 0.06) == (True, False)
+    assert verdict(0.0, 0.0, budget="0") == (True, True)
+    assert verdict(None, 0.01) == (None, True)
+
+
 def test_exit_code_3_on_data_errors(tmp_path, capsys):
     cfg = write(tmp_path, (
         "engine = mw\nhorizon = 10\ntrials = 1\n"

@@ -11,18 +11,8 @@ from fairmw.domain import (
     POS,
     QDistribution,
     RunConfig,
-    WeightTable,
 )
-from fairmw.engines import (
-    GroupAwareState,
-    MwState,
-    RmwState,
-    Trajectory,
-    group_aware_step,
-    mw_step,
-    rmw_step,
-    run_trial,
-)
+from fairmw.engines import CELL_MAP, EngineState, Trajectory, run_trial, step
 from fairmw.errors import EmptyStream, StreamExhausted
 from fairmw.experts import ErrorProfile, FileEnsemble, SyntheticEnsemble
 
@@ -42,39 +32,71 @@ def file_ensemble(rows):
     return FileEnsemble(names, matrix)
 
 
+def preds(*values):
+    return np.array(values, dtype=np.int8)
+
+
 def test_mw_step_hand_example():
-    state = MwState.fresh(2, 0.5)
-    rng = np.random.default_rng(0)
-    out = mw_step(state, np.array([1, 0], dtype=np.int8), POS, rng)
-    assert out.expected_loss == 0.5
-    assert np.array_equal(out.per_expert_losses, [0.0, 1.0])
+    state = EngineState.fresh("mw", 2, 0.5)
+    table, _, losses, expected, right = step(
+        state, preds(1, 0), Group.A, POS, np.random.default_rng(0))
+    assert expected == 0.5 and right == 0.5
+    assert table == -1
+    assert np.array_equal(losses, [0.0, 1.0])
     assert np.array_equal(state.weights.slice(), [1.0, 0.5])
+    assert state.estimates is None
+
+
+def test_step_zero_one_losses():
+    # losses are 1.0 exactly where an expert's prediction misses the label
+    state = EngineState.fresh("mw", 4, 0.3)
+    _, _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, POS,
+                              np.random.default_rng(0))
+    assert losses.dtype == np.float64
+    assert losses.tolist() == [0.0, 1.0, 0.0, 1.0]
+    _, _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, NEG,
+                              np.random.default_rng(0))
+    assert losses.tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_mw_unanimous_correct_round_keeps_weights():
-    state = MwState.fresh(3, 0.3)
-    before = state.weights.slice().copy()
-    mw_step(state, np.array([1, 1, 1], dtype=np.int8), POS, np.random.default_rng(1))
-    assert np.array_equal(state.weights.slice(), before)
+    state = EngineState.fresh("mw", 3, 0.3)
+    before = state.weights.array.copy()
+    step(state, preds(1, 1, 1), Group.B, POS, np.random.default_rng(1))
+    assert np.array_equal(state.weights.array, before)
 
 
 def test_mw_sampling_ignores_floored_expert():
     # with weights (1, 1e-300) the cumulative mass at index 0 already
     # equals the total, so the first expert is drawn
-    state = MwState.fresh(2, 0.1)
+    state = EngineState.fresh("mw", 2, 0.1)
     state.weights.slice()[:] = (1.0, 1e-300)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        out = mw_step(state, np.array([1, 0], dtype=np.int8), POS, rng)
-        assert out.expert_chosen == 0
+        _, chosen, _, _, _ = step(state, preds(1, 0), Group.A, POS, rng)
+        assert chosen == 0
         state.weights.slice()[:] = (1.0, 1e-300)
 
 
+def test_cell_map_addresses_one_cell_per_round():
+    # mw reads and updates (A,-) whatever arrives, group_aware (g,-) and
+    # fairness_aware (g,y); every other cell keeps its bit pattern
+    arrivals = [(Group.A, NEG), (Group.A, POS), (Group.B, NEG), (Group.B, POS)]
+    q = QDistribution.uniform()
+    for engine, (by_group, by_label) in CELL_MAP.items():
+        for g, y in arrivals:
+            state = EngineState.fresh(engine, 2, 0.4)
+            step(state, preds(1 - y, y), g, y, np.random.default_rng(0), q)
+            cell = (g if by_group else Group.A, y if by_label else NEG)
+            moved = {(gg, yy) for gg in (0, 1) for yy in (0, 1)
+                     if not np.array_equal(state.weights.array[gg, yy], [1.0, 1.0])}
+            assert moved == {cell}, (engine, g, y)
+
+
 def test_group_aware_updates_only_arriving_group():
-    state = GroupAwareState.fresh(2, 0.4)
+    state = EngineState.fresh("group_aware", 2, 0.4)
     before_b = state.weights.slice(Group.B).copy()
-    group_aware_step(state, np.array([0, 1], dtype=np.int8), Group.A, POS,
-                     np.random.default_rng(2))
+    step(state, preds(0, 1), Group.A, POS, np.random.default_rng(2))
     assert np.array_equal(state.weights.slice(Group.B), before_b)
     assert not np.array_equal(state.weights.slice(Group.A), [1.0, 1.0])
 
@@ -85,25 +107,24 @@ def test_group_aware_matches_mw_on_filtered_subsequence():
     rng = np.random.default_rng(11)
     rounds = [(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)),
                rng.integers(0, 2, size=3).astype(np.int8)) for _ in range(40)]
-    ga = GroupAwareState.fresh(3, 0.25)
-    mw = MwState.fresh(3, 0.25)
+    ga = EngineState.fresh("group_aware", 3, 0.25)
+    mw = EngineState.fresh("mw", 3, 0.25)
     expected_ga, expected_mw = [], []
-    for g, y, preds in rounds:
-        out = group_aware_step(ga, preds, g, y, np.random.default_rng(0))
+    for g, y, p in rounds:
+        out = step(ga, p, g, y, np.random.default_rng(0))
         if g == Group.A:
-            expected_ga.append(out.expected_loss)
-            expected_mw.append(
-                mw_step(mw, preds, y, np.random.default_rng(0)).expected_loss)
+            expected_ga.append(out[3])
+            expected_mw.append(step(mw, p, g, y, np.random.default_rng(0))[3])
     assert expected_ga == expected_mw
     assert np.array_equal(ga.weights.slice(Group.A), mw.weights.slice())
 
 
 def test_rmw_updates_only_true_label_slice():
-    state = RmwState.fresh(2, 0.5)
+    state = EngineState.fresh("fairness_aware", 2, 0.5)
     before = {(g, y): state.weights.slice(g, y).copy()
               for g in (Group.A, Group.B) for y in (NEG, POS)}
-    rmw_step(state, np.array([1, 0], dtype=np.int8), Group.A, POS,
-             QDistribution.uniform(), np.random.default_rng(3))
+    step(state, preds(1, 0), Group.A, POS, np.random.default_rng(3),
+         QDistribution.uniform())
     for g in (Group.A, Group.B):
         for y in (NEG, POS):
             same = np.array_equal(state.weights.slice(g, y), before[(g, y)])
@@ -111,25 +132,28 @@ def test_rmw_updates_only_true_label_slice():
 
 
 def test_rmw_step_hand_example():
-    state = RmwState.fresh(2, 0.5)
-    out = rmw_step(state, np.array([1, 0], dtype=np.int8), Group.A, POS,
-                   QDistribution.uniform(), np.random.default_rng(4))
+    state = EngineState.fresh("fairness_aware", 2, 0.5)
+    table, _, _, expected, right = step(state, preds(1, 0), Group.A, POS,
+                                        np.random.default_rng(4), QDistribution.uniform())
     # both slices are uniform, so either table gives expected loss 1/2
-    assert out.expected_loss == 0.5
-    assert out.right_table_loss == 0.5 and out.wrong_table_loss == 0.5
+    assert expected == 0.5
+    assert right == 0.5
+    assert table in (NEG, POS)
     assert np.array_equal(state.weights.slice(Group.A, POS), [1.0, 0.5])
+    # the wrong-table loss equals the right-table loss: zero alpha gap
     assert np.array_equal(state.alphas.sums, np.zeros((2, 2)))
+    assert state.estimates.counts.tolist() == [[0, 1], [0, 0]]
 
 
 def test_rmw_alpha_accumulates_cross_table_gap():
-    state = RmwState.fresh(2, 0.5)
+    state = EngineState.fresh("fairness_aware", 2, 0.5)
     rng = np.random.default_rng(5)
-    preds = np.array([1, 0], dtype=np.int8)
-    rmw_step(state, preds, Group.A, POS, QDistribution.uniform(), rng)
-    out = rmw_step(state, preds, Group.A, POS, QDistribution.uniform(), rng)
+    q = QDistribution.uniform()
+    step(state, preds(1, 0), Group.A, POS, rng, q)
+    _, _, _, expected, right = step(state, preds(1, 0), Group.A, POS, rng, q)
     # second round: right slice (1, 0.5) gives 1/3, wrong slice stays 1/2
-    assert abs(out.right_table_loss - 1.0 / 3.0) < 1e-15
-    assert out.wrong_table_loss == 0.5
+    assert abs(right - 1.0 / 3.0) < 1e-15
+    assert expected == 0.5 * right + 0.5 * 0.5
     assert abs(state.alphas.sums[Group.A, NEG] - (0.5 - 1.0 / 3.0)) < 1e-15
     assert state.alphas.sums[Group.A, POS] == 0.0
     assert np.all(state.alphas.sums[Group.B] == 0.0)
@@ -140,23 +164,23 @@ def test_rmw_degenerate_q_reduces_to_mw_on_slice():
     # expected-loss series and final weights equal plain mw
     q = QDistribution(0.0, 0.5, 1.0, 0.5)
     rng = np.random.default_rng(6)
-    rmw = RmwState.fresh(3, 0.2)
-    mw = MwState.fresh(3, 0.2)
+    rmw = EngineState.fresh("fairness_aware", 3, 0.2)
+    mw = EngineState.fresh("mw", 3, 0.2)
     for _ in range(30):
-        preds = rng.integers(0, 2, size=3).astype(np.int8)
-        out_r = rmw_step(rmw, preds, Group.A, POS, q, np.random.default_rng(0))
-        out_m = mw_step(mw, preds, POS, np.random.default_rng(0))
-        assert out_r.expected_loss == out_m.expected_loss
+        p = rng.integers(0, 2, size=3).astype(np.int8)
+        out_r = step(rmw, p, Group.A, POS, np.random.default_rng(0), q)
+        out_m = step(mw, p, Group.A, POS, np.random.default_rng(0))
+        assert out_r[3] == out_m[3]
     assert np.array_equal(rmw.weights.slice(Group.A, POS), mw.weights.slice())
 
 
 def test_rmw_table_draw_follows_q():
     q = QDistribution(1.0, 0.5, 0.0, 0.5)  # group A always draws the negative table
-    state = RmwState.fresh(2, 0.3)
+    state = EngineState.fresh("fairness_aware", 2, 0.3)
     rng = np.random.default_rng(8)
     for _ in range(50):
-        out = rmw_step(state, np.array([0, 1], dtype=np.int8), Group.A, POS, q, rng)
-        assert out.table_chosen == (Group.A, NEG)
+        table, _, _, _, _ = step(state, preds(0, 1), Group.A, POS, rng, q)
+        assert table == NEG
 
 
 def config(**kw):
@@ -263,33 +287,51 @@ def test_trajectory_regret_series():
     assert 0.0 < traj.eta < 0.5
 
 
-def test_trajectory_outcome_roundtrip():
+def test_trajectory_round_columns():
+    # what record() is handed for each round comes back from the columns
+    traj = Trajectory("fairness_aware", 0.3, ["f0", "f1"], 3)
+    q = QDistribution(0.3, 0.6, 0.7, 0.4)
+    rows = [(Group.A, POS, NEG, 1, 1, 0.0, 0.4, (1.0, 0.0), 0.25),
+            (Group.B, NEG, POS, 0, 1, 1.0, 0.6, (1.0, 1.0), 0.5),
+            (Group.B, POS, POS, 1, 0, 1.0, 0.7, (0.0, 1.0), 0.75)]
+    for t, (g, y, table, e, p, real, exp, losses, right) in enumerate(rows, start=1):
+        traj.record(t, g, y, e, p, real, exp, np.array(losses), table, right, q)
+    assert len(traj) == 3
+    assert traj.group.tolist() == [0, 1, 1]
+    assert traj.label.tolist() == [1, 0, 1]
+    assert traj.table.tolist() == [0, 1, 1]
+    assert traj.expert.tolist() == [1, 0, 1]
+    assert traj.prediction.tolist() == [1, 1, 0]
+    assert traj.realized.tolist() == [0.0, 1.0, 1.0]
+    assert traj.expected.tolist() == [0.4, 0.6, 0.7]
+    assert traj.q_used.tolist() == [list(q.as_vector())] * 3
+    assert traj.right_step.tolist() == [0.25, 0.5, 0.75]
+    assert traj.right_table_cum.tolist() == [[0.0, 0.25], [0.5, 0.75]]
+    assert traj.L_f.tolist() == [2.0, 2.0]
+    assert traj.L_fzy[Group.B, NEG].tolist() == [1.0, 1.0]
+    assert traj.confusion.tolist() == [[1, 0, 0, 0], [0, 1, 0, 1]]
+
+    # a real run: columns agree with the stream and with each other
     ens = SyntheticEnsemble([ErrorProfile(0.2, 0.3, 0.4, 0.1),
                              ErrorProfile(0.3, 0.1, 0.2, 0.4)])
     stream = make_stream("A+ B- A- B+ A- B+")
     traj = run_trial(config(engine="fairness_aware", horizon=6), stream, ens)
-    outs = list(traj)
-    assert len(outs) == 6
-    for t, out in enumerate(outs, start=1):
-        assert out.t == t
-        assert out.group == Group(int(traj.group[t - 1]))
-        assert out.label == int(traj.label[t - 1])
-        assert out.expert_chosen == int(traj.expert[t - 1])
-        assert out.realized_loss == float(traj.realized[t - 1])
-        assert out.q_used is not None
-        assert out.table_chosen[0] == out.group
+    assert traj.group.tolist() == [int(e.group) for e in stream]
+    assert traj.label.tolist() == [e.label for e in stream]
+    assert np.all((traj.table == NEG) | (traj.table == POS))
+    assert np.all(np.isfinite(traj.q_used))
+    wrong = traj.prediction != traj.label
+    assert traj.realized.tolist() == wrong.astype(float).tolist()
 
 
 def test_group_error_rates():
     traj = Trajectory("mw", 0.3, ["f0", "f1"], 4)
     rows = [(Group.A, POS, 1), (Group.A, POS, 0), (Group.B, NEG, 0), (Group.B, NEG, 0)]
     for t, (g, y, pred) in enumerate(rows, start=1):
-        from fairmw.engines import RoundOutcome
         losses = np.array([float(pred != y), 0.0])
-        traj.record(t, RoundOutcome(
-            t=t, group=g, label=y, table_chosen=None, expert_chosen=0,
-            prediction=pred, realized_loss=float(pred != y),
-            expected_loss=0.0, per_expert_losses=losses))
+        traj.record(t, g, y, expert=0, prediction=pred, realized=float(pred != y),
+                    expected=0.0, losses=losses)
+        assert traj.table[t - 1] == -1
     err_a, err_b = traj.group_error_rates()
     assert err_a == 0.5  # one miss out of two A rounds
     assert err_b == 0.0

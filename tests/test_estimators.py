@@ -1,27 +1,23 @@
 import numpy as np
-import pytest
 
-from fairmw.domain import Group, NEG, POS, WeightTable
-from fairmw.errors import NoObservations
+from fairmw.domain import Group, NEG, POS, QDistribution
+from fairmw.engines import EngineState, step
 from fairmw.estimators import (
     AlphaTracker,
     RateEstimates,
-    alpha_step,
     dirichlet_rate,
-    frequentist_rate,
 )
 
 
 def test_frequentist_examples():
+    # with no prior mass the posterior predictive is the plain c/t rate
     counts = np.array([[0, 3], [0, 0]])
-    rates = frequentist_rate(counts, 10)
+    rates = dirichlet_rate(counts, 10, 0.0)
     assert rates[Group.A, POS] == 0.3
     one_cell = np.array([[0, 0], [5, 0]])
-    rates = frequentist_rate(one_cell, 5)
+    rates = dirichlet_rate(one_cell, 5, 0.0)
     assert rates[Group.B, NEG] == 1.0
     assert rates.sum() == 1.0
-    with pytest.raises(NoObservations):
-        frequentist_rate(np.zeros((2, 2)), 0)
 
 
 def test_dirichlet_symmetric_prior():
@@ -44,7 +40,7 @@ def test_dirichlet_matches_frequentist_at_tiny_prior():
     rng = np.random.default_rng(2)
     counts = rng.integers(0, 50, size=(2, 2))
     t = int(counts.sum())
-    diff = dirichlet_rate(counts, t, 1e-12) - frequentist_rate(counts, t)
+    diff = dirichlet_rate(counts, t, 1e-12) - counts / t
     assert np.max(np.abs(diff)) <= 1e-9
 
 
@@ -69,9 +65,6 @@ def test_rate_estimates_invariants():
     assert abs(cells.sum() - 1.0) <= 1e-12
     assert np.all((cells > 0) & (cells < 1))
     assert 0.0 < est.p_hat < 1.0
-    snap = est.snapshot()
-    est.update(Group.A, POS)
-    assert snap.t == 500 and est.t == 501
 
 
 def test_dirichlet_convergence_single_seed():
@@ -84,35 +77,48 @@ def test_dirichlet_convergence_single_seed():
     assert np.max(np.abs(est.cell_rates() - truth)) <= 0.02
 
 
+def alpha_step(state, losses, group, label):
+    """The alpha contributions of one fairness_aware step, [group, label].
+
+    Every expert predicts the label exactly where its loss is 0, so the
+    step sees these losses; q is irrelevant to the alpha gap.
+    """
+    before = state.alphas.sums.copy()
+    predictions = np.where(np.asarray(losses) > 0, 1 - label, label).astype(np.int8)
+    step(state, predictions, group, label, np.random.default_rng(0),
+         QDistribution.uniform())
+    return state.alphas.sums - before
+
+
 def test_alpha_step_examples():
-    table = WeightTable.full(2)
+    state = EngineState.fresh("fairness_aware", 2, 0.3)
     # identical slices -> zero gap regardless of losses
-    out = alpha_step(table, np.array([1.0, 0.0]), Group.A, POS)
+    out = alpha_step(state, [1.0, 0.0], Group.A, POS)
     assert np.all(out == 0.0)
 
-    table.array[Group.A, POS] = (1.0, 3.0)
-    table.array[Group.A, NEG] = (3.0, 1.0)
-    out = alpha_step(table, np.array([1.0, 0.0]), Group.A, POS)
+    state.weights.array[Group.A, POS] = (1.0, 3.0)
+    state.weights.array[Group.A, NEG] = (3.0, 1.0)
+    out = alpha_step(state, [1.0, 0.0], Group.A, POS)
     assert out[Group.A, NEG] == 0.5
     assert out[Group.A, POS] == 0.0
     assert np.all(out[Group.B] == 0.0)
 
     # all experts correct this round
-    out = alpha_step(table, np.zeros(2), Group.A, POS)
+    out = alpha_step(state, [0.0, 0.0], Group.A, POS)
     assert np.all(out == 0.0)
 
 
 def test_alpha_step_bounded():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        table = WeightTable.full(3)
+        state = EngineState.fresh("fairness_aware", 3, 0.3)
         for g in (Group.A, Group.B):
             for y in (NEG, POS):
-                table.array[g, y] = rng.uniform(0.01, 1.0, size=3)
-        losses = rng.uniform(0.0, 1.0, size=3)
+                state.weights.array[g, y] = rng.uniform(0.01, 1.0, size=3)
+        losses = (rng.random(3) < 0.5).astype(float)
         g = Group(int(rng.integers(0, 2)))
         y = int(rng.integers(0, 2))
-        out = alpha_step(table, losses, g, y)
+        out = alpha_step(state, losses, g, y)
         assert np.all(np.abs(out) <= 1.0)
         # only the arriving group's wrong-label cell can be nonzero
         mask = np.zeros((2, 2), dtype=bool)
@@ -121,33 +127,34 @@ def test_alpha_step_bounded():
 
 
 def test_alpha_tracker_replay_equality():
+    # the step's running sums equal a replay of the per-round gaps taken
+    # from pre-update weights
     rng = np.random.default_rng(6)
-    table = WeightTable.full(3)
-    tracker = AlphaTracker()
+    state = EngineState.fresh("fairness_aware", 3, 0.2)
     expected = np.zeros((2, 2))
     for _ in range(100):
         losses = (rng.random(3) < 0.4).astype(float)
         g = Group(int(rng.integers(0, 2)))
         y = int(rng.integers(0, 2))
-        expected += alpha_step(table, losses, g, y)
-        tracker.record(table, losses, g, y)
-        table.update(0.2, losses, g, y)
-    assert np.array_equal(tracker.sums, expected)
+        w_right = state.weights.slice(g, y).copy()
+        w_wrong = state.weights.slice(g, 1 - y).copy()
+        expected[g, 1 - y] += (float(w_wrong @ losses) / float(w_wrong.sum())
+                               - float(w_right @ losses) / float(w_right.sum()))
+        alpha_step(state, losses, g, y)
+    assert np.array_equal(state.alphas.sums, expected)
 
 
 def test_alpha_tracker_add_matches_record():
-    table = WeightTable.full(2)
-    table.array[Group.B, NEG] = (0.2, 0.8)
-    table.array[Group.B, POS] = (0.7, 0.3)
+    state = EngineState.fresh("fairness_aware", 2, 0.3)
+    state.weights.array[Group.B, NEG] = (0.2, 0.8)
+    state.weights.array[Group.B, POS] = (0.7, 0.3)
     losses = np.array([1.0, 0.0])
-    via_record = AlphaTracker()
-    via_record.record(table, losses, Group.B, NEG)
-    e_right = float(table.array[Group.B, NEG] @ losses)
-    e_wrong = float(table.array[Group.B, POS] @ losses)
+    e_right = float(state.weights.array[Group.B, NEG] @ losses)
+    e_wrong = float(state.weights.array[Group.B, POS] @ losses)
+    alpha_step(state, losses, Group.B, NEG)
     via_add = AlphaTracker()
     via_add.add(Group.B, POS, e_wrong - e_right)
-    assert np.array_equal(via_record.sums, via_add.sums)
-    assert np.array_equal(via_record.last, via_add.last)
+    assert np.array_equal(state.alphas.sums, via_add.sums)
 
 
 def test_sums_vector_canonical_order():

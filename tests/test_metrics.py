@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from fairmw.domain import Example, Group, NEG, POS, RunConfig
-from fairmw.engines import RoundOutcome, Trajectory, run_trial
+from fairmw.engines import Trajectory, run_trial
 from fairmw.errors import (
     DomainError,
     EmptyTrajectory,
     EngineMismatch,
-    UndefinedGap,
 )
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
 from fairmw.metrics import (
     BoundReport,
-    FairnessReport,
     compute_rates,
-    epsilon_fairness_check,
     gamma,
     measured_epsilon,
     regret,
@@ -73,28 +70,14 @@ def test_compute_rates_undefined_cells():
     assert r.fpr_a is None
     assert r.fpr_gap is None
     assert r.fnr_gap is not None
-    with pytest.raises(UndefinedGap):
-        epsilon_fairness_check(r, 0.05)
-
-
-def test_epsilon_fairness_check():
-    def report(fpr_gap, fnr_gap):
-        return FairnessReport(0.1, 0.1, 0.1, 0.1, 0.1, 0.1, fpr_gap, fnr_gap, 0.0)
-
-    assert epsilon_fairness_check(report(0.03, 0.04), 0.05)
-    assert not epsilon_fairness_check(report(0.06, 0.01), 0.05)
-    assert not epsilon_fairness_check(report(0.01, 0.06), 0.05)
-    assert epsilon_fairness_check(report(0.0, 0.0), 0.0)
 
 
 def fabricate(engine, eta, names, rows):
     """rows: (group, label, expected_loss, realized_loss, per-expert losses)."""
     traj = Trajectory(engine, eta, names, len(rows))
     for t, (g, y, exp, real, losses) in enumerate(rows, start=1):
-        traj.record(t, RoundOutcome(
-            t=t, group=g, label=y, table_chosen=None, expert_chosen=0,
-            prediction=1 - y, realized_loss=real, expected_loss=exp,
-            per_expert_losses=np.asarray(losses, dtype=float)))
+        traj.record(t, g, y, expert=0, prediction=1 - y, realized=real, expected=exp,
+                    losses=np.asarray(losses, dtype=float))
     return traj
 
 

@@ -157,3 +157,36 @@ def test_objective_matches_manual():
     resid = sys_.lam * (sys_.a @ np.array(q) - sys_.b)
     manual = float(resid @ resid) + REG_WEIGHT * 4.0 * float(np.sum((np.array(q) - 0.5) ** 2))
     assert abs(objective(sys_, q) - manual) <= 1e-12
+
+
+def degenerate_systems():
+    """Systems whose stationarity determinant rounds to exactly 0.0."""
+    rng = np.random.default_rng(5)
+    systems = []
+    for scale in (1e5, 1e6, 1e7):
+        # regret-only lambda: only the alpha-sum row counts, and at these
+        # magnitudes P*Q and R*R agree to the last bit
+        for low in (-1.0, 0.0):
+            for _ in range(10):
+                sums = rng.uniform(low, 1.0, size=4) * scale
+                systems.append(assemble_constraint_system(
+                    sums, 0.7, 0.3, 0.2, t_elapsed=1000, lam=(0.0, 0.0, 1.0)))
+        # exactly parallel u = v rows: a[:, 0] - a[:, 2] == a[:, 1] - a[:, 3]
+        a = np.zeros((3, 4))
+        a[0, :2] = scale
+        a[2] = np.array([3.0, 2.0, 1.0, 0.0]) * scale
+        # the last b puts the zero-residual line a + b = 1 through uniform q
+        for b in ((0.0, 0.0, 0.0), (0.0, 0.0, 2.5 * scale), (scale, 0.0, 3.0 * scale)):
+            systems.append(ConstraintSystem(a, np.array(b), np.ones(3)))
+    return systems
+
+
+def test_solve_survives_zero_determinant():
+    corners = [(a, b, 1.0 - a, 1.0 - b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+    for sys_ in degenerate_systems():
+        q = np.array(solve_q(sys_).as_vector())
+        assert np.all((q >= 0.0) & (q <= 1.0))
+        assert q[0] + q[2] == 1.0 and q[1] + q[3] == 1.0
+        got = objective(sys_, q)
+        for other in [(0.5, 0.5, 0.5, 0.5)] + corners:
+            assert got <= objective(sys_, other)
