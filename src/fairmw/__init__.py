@@ -12,7 +12,7 @@ from .domain import (
     recommended_eta,
     trial_seed_sequence,
 )
-from .engines import EngineState, Trajectory, run_trial, step
+from .engines import EngineState, Trajectory, run_trial
 from .errors import FairmwError
 from .experts import ErrorProfile, SyntheticEnsemble, FileEnsemble, train_builtin
 from .estimators import RateEstimates, AlphaTracker
@@ -36,7 +36,6 @@ __all__ = [
     "EngineState",
     "Trajectory",
     "run_trial",
-    "step",
     "FairmwError",
     "ErrorProfile",
     "SyntheticEnsemble",
