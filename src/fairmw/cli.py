@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -84,7 +85,7 @@ def parse_config(path) -> dict[str, str]:
     """Read a flat key = value file into an ordered dict of raw strings."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     out: dict[str, str] = {}
     for lineno, key, value in parse_pairs(text, path, ConfigError):
@@ -146,6 +147,12 @@ def _as_prob(key: str, s: str) -> float:
     return v
 
 
+def _as_ratio(key: str, v: float) -> float:
+    if not 0.0 < v < 1.0:
+        raise ConfigError(f"{key}: must lie in (0, 1), got {v}")
+    return v
+
+
 def _as_bool(key: str, s: str) -> bool:
     low = s.lower()
     if low in ("true", "yes", "1"):
@@ -182,9 +189,8 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     stream_kind = take("stream.kind")
     data_path = take("data.path")
     data_preset = take("data.preset")
-    split_ratio = _as_float("data.split_ratio", take("data.split_ratio", "0.7"))
-    if not 0.0 < split_ratio < 1.0:
-        raise ConfigError(f"data.split_ratio: must lie in (0, 1), got {split_ratio}")
+    split_ratio = _as_ratio("data.split_ratio",
+                            _as_float("data.split_ratio", take("data.split_ratio", "0.7")))
 
     if stream_kind is None:
         stream_kind = "dataset" if data_path else "synthetic" if "stream.p" in cfg else None
@@ -309,13 +315,7 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
     info: dict = {"ingest_report": None, "data_stats": None}
 
     if spec.stream_kind == "synthetic":
-        if spec.experts_source == "file":
-            ensemble = load_prediction_file(spec.experts_file)
-        else:
-            ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
-                                         [n for n, _ in spec.profiles])
-        stream_params = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b)
-        test = None
+        stream_params, test = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b), None
     else:
         schema = load_preset(spec.data_preset)
         examples, report = load_dataset(spec.data_path, schema)
@@ -325,19 +325,18 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         if not spec.horizon_explicit:
             run = dataclasses.replace(run, horizon=len(test))
         stream_params = None
-        if spec.experts_source == "builtin":
-            models, names = [], []
-            for i, kind in enumerate(spec.experts_kinds):
-                models.append(train_builtin(train, kind, epochs=spec.epochs,
-                                            seed=run.seed + 7919 * i,
-                                            include_group=spec.include_group))
-                names.append(f"{kind}_{i}")
-            ensemble = BuiltinEnsemble(names, models, spec.include_group)
-        elif spec.experts_source == "file":
-            ensemble = load_prediction_file(spec.experts_file)
-        else:
-            ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
-                                         [n for n, _ in spec.profiles])
+
+    if spec.experts_source == "builtin":  # build_spec allows it on dataset streams only
+        kinds = list(enumerate(spec.experts_kinds))
+        models = [train_builtin(train, kind, epochs=spec.epochs, seed=run.seed + 7919 * i,
+                                include_group=spec.include_group) for i, kind in kinds]
+        ensemble = BuiltinEnsemble([f"{kind}_{i}" for i, kind in kinds], models,
+                                   spec.include_group)
+    elif spec.experts_source == "file":
+        ensemble = load_prediction_file(spec.experts_file)
+    else:
+        ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
+                                     [n for n, _ in spec.profiles])
 
     epsilon = spec.epsilon
     if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:
@@ -386,22 +385,11 @@ def _run_one_trial(trial: int) -> dict:
     else:
         stream = reshuffle(pl.test_examples, cfg.seed, trial)
     traj = run_trial(cfg, stream, pl.ensemble, trial)
-
-    if traj.T == 0:
-        summary = {"trial": trial, "error_rate": None, "err_a": None, "err_b": None,
-                   "fpr_a": None, "fpr_b": None, "fnr_a": None, "fnr_b": None,
-                   "fpr_gap": None, "fnr_gap": None, "eer_gap": None,
-                   "regret_realized": None, "regret_expected": None,
-                   "min_bound_margin": None, "gamma_eta": None, "epsilon_used": None,
-                   "fairness_bound_rhs": None, "q_final": None, "alpha_sums": None,
-                   "counts": [[0, 0], [0, 0]]}
-        return {"trial": trial, "summary": summary,
-                "series": np.zeros((0, 7)), "margins": {}, "violations": []}
+    del stream  # the outputs below are assembled without it in memory
 
     report = validate_bounds(traj, cfg, epsilon=pl.epsilon)
     rates = compute_rates(traj.confusion)
     reg_real, reg_exp = regret(traj)
-    err_a, err_b = traj.group_error_rates()
     margins = {}
     for pool in (report.theorem1_margin, report.lemma1_margin, report.lemma2_margin):
         if pool:
@@ -412,7 +400,7 @@ def _run_one_trial(trial: int) -> dict:
     summary = {
         "trial": trial,
         "error_rate": traj.error_rate(),
-        "err_a": err_a, "err_b": err_b,
+        "err_a": rates.err_a, "err_b": rates.err_b,
         "fpr_a": rates.fpr_a, "fpr_b": rates.fpr_b,
         "fnr_a": rates.fnr_a, "fnr_b": rates.fnr_b,
         "fpr_gap": rates.fpr_gap, "fnr_gap": rates.fnr_gap, "eer_gap": rates.eer_gap,
@@ -426,27 +414,64 @@ def _run_one_trial(trial: int) -> dict:
         "alpha_sums": None if traj.alpha_sums is None else traj.alpha_sums.tolist(),
         "counts": traj.counts.tolist(),
     }
-    if traj.q_used is not None:
-        q_a, q_b = traj.q_used[:, 0], traj.q_used[:, 1]
-    else:
-        q_a = q_b = np.full(traj.T, np.nan)
+    q_neg = traj.q_neg if traj.q_neg is not None else np.full((traj.T, 2), np.nan)
     series = np.column_stack([
         traj.regret_realized, traj.regret_expected,
-        traj.fpr_gap, traj.fnr_gap, traj.eer_gap, q_a, q_b])
+        traj.fpr_gap, traj.fnr_gap, traj.eer_gap, q_neg])
     return {"trial": trial, "summary": summary, "series": series,
             "margins": margins, "violations": violations}
 
 
-def execute_trials(payload: TrialPayload, workers: int) -> list[dict]:
-    """Run all trials; results come back in trial order regardless of workers."""
+class RoundSums:
+    """Per-round sums over trials of the seven rounds.csv series.
+
+    Each trial's (T, 7) series is added in trial order as it arrives and
+    then dropped.  NaN entries are skipped and counted out, so ``means``
+    is NaN only where no trial has a value.  The sums start from +0.0, as
+    numpy's sum over a stacked trial axis does, so the means are bitwise
+    those of stacking the trials whenever T >= 2.
+    """
+
+    def __init__(self, T: int):
+        self.total = np.zeros((T, 7))
+        self.count = np.zeros((T, 7), dtype=np.int32)
+
+    def add(self, series: np.ndarray) -> None:
+        finite = np.isfinite(series)
+        self.total += np.where(finite, series, 0.0)
+        self.count += finite
+
+    def means(self, lo: int, hi: int) -> np.ndarray:
+        """Trial means of rounds lo+1 .. hi, shape (hi - lo, 7)."""
+        count = self.count[lo:hi]
+        out = np.full(count.shape, np.nan)
+        np.divide(self.total[lo:hi], count, out=out, where=count > 0)
+        return out
+
+
+def execute_trials(payload: TrialPayload, workers: int) -> tuple[list[dict], RoundSums]:
+    """Run all trials; returns their results in trial order and the round sums.
+
+    Results are collected in trial order regardless of workers; each
+    trial's series goes into the sums as it is collected and is not kept.
+    """
     trials = payload.run.trials
     workers = min(workers, trials)
+    sums = RoundSums(payload.run.horizon)
+
+    def collect(outputs) -> list[dict]:
+        results = []
+        for r in outputs:
+            sums.add(r.pop("series"))
+            results.append(r)
+        return results
+
     if workers <= 1:
         _worker_init(payload)
-        return [_run_one_trial(i) for i in range(trials)]
+        return collect(map(_run_one_trial, range(trials))), sums
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(payload,)) as pool:
-        return list(pool.map(_run_one_trial, range(trials)))
+        return collect(pool.map(_run_one_trial, range(trials))), sums
 
 
 # ---------------------------------------------------------------------------
@@ -513,33 +538,22 @@ def summary_doc(spec: ExperimentSpec, payload: TrialPayload, info: dict,
     }
 
 
-def _nanmean_cols(block: np.ndarray) -> np.ndarray:
-    """Column means ignoring NaN; NaN where no trial has a value."""
-    mask = np.isfinite(block)
-    count = mask.sum(axis=0)
-    total = np.where(mask, block, 0.0).sum(axis=0)
-    out = np.full(block.shape[1], np.nan)
-    np.divide(total, count, out=out, where=count > 0)
-    return out
+def write_rounds_csv(path: Path, engine: str, sums: RoundSums, chunk: int = 8192) -> None:
+    """Format the trial means of every round, ``chunk`` rounds at a time.
 
-
-def _fmt(v: float) -> str:
-    return "" if not np.isfinite(v) else repr(float(v))
-
-
-def write_rounds_csv(path: Path, engine: str, results: list[dict], T: int) -> None:
-    lines = [ROUNDS_HEADER]
-    if T > 0:
-        stack = np.stack([r["series"] for r in results])  # (trials, T, 7)
-        t = np.arange(1, T + 1, dtype=float)
-        reg_real = stack[:, :, 0].mean(axis=0) / t
-        reg_exp = stack[:, :, 1].mean(axis=0) / t
-        gaps = [_nanmean_cols(stack[:, :, j]) for j in (2, 3, 4, 5, 6)]
-        for i in range(T):
-            cells = [str(i + 1), engine, repr(float(reg_real[i])), repr(float(reg_exp[i]))]
-            cells += [_fmt(col[i]) for col in gaps]
-            lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    The two regret columns are divided by t; a cell with no finite value
+    in any trial is left empty.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(ROUNDS_HEADER + "\n")
+        for lo in range(0, len(sums.total), chunk):
+            means = sums.means(lo, lo + chunk)
+            rounds = range(lo + 1, lo + len(means) + 1)
+            means[:, :2] /= np.array(rounds, dtype=float)[:, None]
+            cols = [[repr(v) if math.isfinite(v) else "" for v in means[:, j].tolist()]
+                    for j in range(7)]
+            fh.write("".join(f"{t},{engine},{','.join(cells)}\n"
+                             for t, *cells in zip(rounds, *cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +561,17 @@ def write_rounds_csv(path: Path, engine: str, results: list[dict], T: int) -> No
 
 
 def _write_run(outdir: Path, spec: ExperimentSpec, payload: TrialPayload, info: dict,
-               results: list[dict]) -> None:
+               results: list[dict], sums: RoundSums) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "summary.json", summary_doc(spec, payload, info, results))
-    write_rounds_csv(outdir / "rounds.csv", payload.run.engine, results, payload.run.horizon)
+    write_rounds_csv(outdir / "rounds.csv", payload.run.engine, sums)
 
 
 def cmd_run(args) -> int:
     spec = load_spec(args)
     payload, info = prepare_payload(spec)
-    results = execute_trials(payload, args.workers)
-    _write_run(Path(args.out), spec, payload, info, results)
+    results, sums = execute_trials(payload, args.workers)
+    _write_run(Path(args.out), spec, payload, info, results, sums)
     logger.info("wrote %s and rounds.csv", Path(args.out) / "summary.json")
     return 0
 
@@ -565,7 +579,7 @@ def cmd_run(args) -> int:
 def cmd_validate_bounds(args) -> int:
     spec = load_spec(args)
     payload, info = prepare_payload(spec)
-    results = execute_trials(payload, args.workers)
+    results, _ = execute_trials(payload, args.workers)
     violations = [{"trial": r["trial"], "name": name, "margin": margin}
                   for r in results for name, margin in r["violations"]]
     doc = {
@@ -597,6 +611,7 @@ def cmd_validate_bounds(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _as_ratio("--split-ratio", args.split_ratio)
     schema = load_preset(args.preset)
     examples, report = load_dataset(args.data, schema)
     stats = dataset_stats(examples)
@@ -615,11 +630,8 @@ def _parse_sweep_values(param: str, text: str) -> list[tuple[str, dict[str, str]
     items: list[tuple[str, dict[str, str]]] = []
     if param in ("eta", "q_recompute_stride"):
         values = [s.strip() for s in text.split(",") if s.strip()]
-        for v in values:
-            if param == "eta":
-                items.append((v, {"eta": v}))
-            else:
-                items.append((v, {"stride": v}))
+        key = "eta" if param == "eta" else "stride"
+        items = [(v, {key: v}) for v in values]
     else:  # lambda | b_tolerance: semicolon-separated comma triples
         prefix = "lambda" if param == "lambda" else "b"
         for triple in (s.strip() for s in text.split(";") if s.strip()):
@@ -643,9 +655,9 @@ def cmd_sweep(args) -> int:
         cfg = {**base, **overrides}
         spec = build_spec(cfg, source=f"{args.config}[{args.param}={label}]")
         payload, info = prepare_payload(spec)
-        results = execute_trials(payload, args.workers)
+        results, sums = execute_trials(payload, args.workers)
         sub = outroot / f"{args.param}_{i}"
-        _write_run(sub, spec, payload, info, results)
+        _write_run(sub, spec, payload, info, results, sums)
         manifest.append({"index": i, "value": label, "dir": sub.name})
         logger.info("sweep %s=%s done", args.param, label)
     _write_json(outroot / "sweep.json", {"parameter": args.param, "values": manifest})

@@ -29,7 +29,6 @@ __all__ = [
     "POS",
     "LABELS",
     "CELL_ORDER",
-    "cell_index",
     "Example",
     "WeightTable",
     "QDistribution",
@@ -55,11 +54,6 @@ LABELS = (NEG, POS)
 
 # Canonical cell order, matching q vectors: (A,-), (B,-), (A,+), (B,+).
 CELL_ORDER = ((Group.A, NEG), (Group.B, NEG), (Group.A, POS), (Group.B, POS))
-
-
-def cell_index(group: Group, label: int) -> int:
-    """Position of (group, label) in the canonical cell order."""
-    return 2 * label + group
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,6 @@ class WeightTable:
     def slice(self, group: Group = Group.A, label: int = NEG) -> np.ndarray:
         """1-D view of one cell's weights."""
         return self.array[group, label]
-
-    def pi(self, group: Group = Group.A, label: int = NEG) -> np.ndarray:
-        """Selection distribution over experts for one cell."""
-        w = self.slice(group, label)
-        return w / w.sum()
 
     def update(self, eta: float, losses: np.ndarray,
                group: Group = Group.A, label: int = NEG) -> None:

@@ -119,148 +119,126 @@ def step(state: EngineState, predictions: np.ndarray, group: Group, label: int,
     return table, chosen, losses, expected, right
 
 
-class Trajectory:
-    """Complete record of one trial, stored columnwise.
+def _last(running: np.ndarray) -> float:
+    """Final value of a running sum; 0.0 for an empty trial."""
+    return float(running[-1]) if len(running) else 0.0
 
-    Cumulative losses marked "expected" integrate the per-round
-    expectation of the selection distribution actually used; "realized"
-    integrates the sampled expert's loss.  Gap series hold NaN on rounds
-    where a defining rate has no observations yet.
+
+def _gap(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """|rate_A - rate_B| per round from (T, 2) running counts; NaN until
+    both denominators are positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = numerators / denominators
+    return np.where((denominators > 0).all(axis=1),
+                    np.abs(rates[:, 0] - rates[:, 1]), np.nan)
+
+
+def _gap_series(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FPR, FNR and error-rate gap series from per-round confusion codes
+    4 * group + (tp, fp, tn, fn)."""
+    T = len(code)
+    running = np.zeros((T, 8), dtype=np.int32)
+    running[np.arange(T), code] = 1
+    np.cumsum(running, axis=0, out=running)
+    tp, fp, tn, fn = running.reshape(T, 2, 4).transpose(2, 0, 1)  # each (T, 2)
+    neg, pos = fp + tn, tp + fn
+    return _gap(fp, neg), _gap(fn, pos), _gap(fp + fn, neg + pos)
+
+
+class Trajectory:
+    """Columnar record of one trial.
+
+    ``record`` stores, per round, only what the outputs are derived from:
+    the [group, label] cell, the confusion column of the chosen expert's
+    prediction, the realized and expected losses, the per-expert losses
+    and, for fairness_aware, the right-table expected loss and the two
+    q_{z,-} that rounds.csv writes.  ``finish`` then derives every
+    aggregate and series in one pass.  Cumulative losses marked "expected"
+    integrate the per-round expectation of the selection distribution
+    actually used; "realized" integrates the sampled expert's loss.  Gap
+    series hold NaN on rounds where a defining rate has no observations yet.
     """
 
     def __init__(self, engine: str, eta: float, expert_names: list[str], T: int):
         self.engine = engine
         self.eta = eta
         self.expert_names = list(expert_names)
-        d = len(expert_names)
-        self.d = d
+        self.d = len(expert_names)
         self.T = T
-        self.group = np.zeros(T, dtype=np.int8)
-        self.label = np.zeros(T, dtype=np.int8)
-        self.table = np.full(T, -1, dtype=np.int8)
-        self.expert = np.zeros(T, dtype=np.int32)
-        self.prediction = np.zeros(T, dtype=np.int8)
+        self.cell = np.zeros(T, dtype=np.int8)      # 2 * group + label
+        self.outcome = np.zeros(T, dtype=np.int8)   # confusion column: tp, fp, tn, fn
         self.realized = np.zeros(T)
         self.expected = np.zeros(T)
-        self.q_used = np.full((T, 4), np.nan) if engine == "fairness_aware" else None
-        self.right_step = np.zeros(T) if engine == "fairness_aware" else None
-        # Series (running, per round).
-        self.regret_realized = np.zeros(T)
-        self.regret_expected = np.zeros(T)
-        self.fpr_gap = np.full(T, np.nan)
-        self.fnr_gap = np.full(T, np.nan)
-        self.eer_gap = np.full(T, np.nan)
-        # Aggregates.
-        self.L_realized = 0.0
-        self.L_expected = 0.0
-        self.L_z = np.zeros(2)
-        self.L_zy = np.zeros((2, 2))
-        self.L_f = np.zeros(d)
-        self.L_fz = np.zeros((2, d))
-        self.L_fzy = np.zeros((2, 2, d))
-        self.right_table_cum = np.zeros((2, 2))
-        self.confusion = np.zeros((2, 4), dtype=np.int64)  # per group: tp, fp, tn, fn
-        self.counts = np.zeros((2, 2), dtype=np.int64)
+        self.losses = np.zeros((T, self.d))
+        fair = engine == "fairness_aware"
+        self.right = np.zeros(T) if fair else None
+        self.q_neg = np.full((T, 2), np.nan) if fair else None  # q_{A,-}, q_{B,-}
         # fairness_aware finals, filled by run_trial.
-        self.alpha_sums = None
-        self.q_final = None
-        self.p_hat_final = None
-        self.mu_hat_final = None
+        self.alpha_sums = self.q_final = self.p_hat_final = self.mu_hat_final = None
 
     def __len__(self) -> int:
         return self.T
 
-    def record(self, t: int, group: Group, label: int, expert: int, prediction: int,
-               realized: float, expected: float, losses: np.ndarray, table: int = -1,
+    def record(self, t: int, group: Group, label: int, prediction: int,
+               realized: float, expected: float, losses: np.ndarray,
                right: float = 0.0, q: QDistribution | None = None) -> None:
-        """Append round t (1-based); updates every aggregate and series.
+        """Store round t (1-based).
 
         ``losses`` are the per-expert losses of the round, ``right`` the
         right-table expected loss and ``q`` the table-selection
         distribution (both fairness_aware only).
         """
         i = t - 1
-        g, y = group, label
-        self.group[i] = g
-        self.label[i] = y
-        self.table[i] = table
-        self.expert[i] = expert
-        self.prediction[i] = prediction
+        self.cell[i] = 2 * group + label
+        self.outcome[i] = (1 - label) if prediction == 1 else 2 + label
         self.realized[i] = realized
         self.expected[i] = expected
-        if self.q_used is not None and q is not None:
-            self.q_used[i] = q.as_vector()
-        if self.right_step is not None:
-            self.right_step[i] = right
-            self.right_table_cum[g, y] += right
+        self.losses[i] = losses
+        if self.right is not None:
+            self.right[i] = right
+        if self.q_neg is not None and q is not None:
+            self.q_neg[i] = (q.q_a_neg, q.q_b_neg)
 
-        self.L_realized += realized
-        self.L_expected += expected
-        self.L_z[g] += expected
-        self.L_zy[g, y] += expected
-        self.L_f += losses
-        self.L_fz[g] += losses
-        self.L_fzy[g, y] += losses
-        self.counts[g, y] += 1
+    def finish(self) -> "Trajectory":
+        """Derive the aggregates and the regret and gap series; returns self.
 
-        if prediction == 1:
-            col = 0 if y == 1 else 1  # tp / fp
-        else:
-            col = 3 if y == 1 else 2  # fn / tn
-        self.confusion[g, col] += 1
+        Running sums are ``np.cumsum`` and per-cell sums ``np.bincount``;
+        both add in round order, so every value is bit-identical to
+        accumulating it round by round.
+        """
+        cell = self.cell
+        group = cell >> 1
+        self.counts = np.bincount(cell, minlength=4).reshape(2, 2)
+        code = 4 * group + self.outcome   # per group: tp, fp, tn, fn
+        self.confusion = np.bincount(code, minlength=8).reshape(2, 4)
+        self.fpr_gap, self.fnr_gap, self.eer_gap = _gap_series(code)
 
-        best = float(self.L_f.min())
-        self.regret_realized[i] = self.L_realized - best
-        self.regret_expected[i] = self.L_expected - best
+        run_realized = np.cumsum(self.realized)
+        run_expected = np.cumsum(self.expected)
+        self.L_realized = _last(run_realized)
+        self.L_expected = _last(run_expected)
+        self.L_z = np.bincount(group, weights=self.expected, minlength=2)
+        self.right_table_cum = None if self.right is None else (
+            np.bincount(cell, weights=self.right, minlength=4).reshape(2, 2))
 
-        tp = self.confusion[:, 0]
-        fp = self.confusion[:, 1]
-        tn = self.confusion[:, 2]
-        fn = self.confusion[:, 3]
-        neg = fp + tn
-        pos = tp + fn
-        if neg[0] > 0 and neg[1] > 0:
-            self.fpr_gap[i] = abs(fp[0] / neg[0] - fp[1] / neg[1])
-        if pos[0] > 0 and pos[1] > 0:
-            self.fnr_gap[i] = abs(fn[0] / pos[0] - fn[1] / pos[1])
-        tot = neg + pos
-        if tot[0] > 0 and tot[1] > 0:
-            err = (fp + fn) / np.maximum(tot, 1)
-            self.eer_gap[i] = abs(err[0] - err[1])
+        d = self.d
+        self.L_f = np.zeros(d)
+        self.L_fz = np.zeros((2, d))
+        self.L_fzy = np.zeros((2, 2, d))
+        best = np.full(self.T, np.inf)   # running min over experts of L_f
+        for f in range(d):
+            col = self.losses[:, f]
+            run = np.cumsum(col)
+            np.minimum(best, run, out=best)
+            self.L_f[f] = _last(run)
+            self.L_fz[:, f] = np.bincount(group, weights=col, minlength=2)
+            self.L_fzy[:, :, f] = np.bincount(cell, weights=col, minlength=4).reshape(2, 2)
+        self.regret_realized = np.subtract(run_realized, best, out=run_realized)
+        self.regret_expected = np.subtract(run_expected, best, out=run_expected)
+        return self
 
     def error_rate(self) -> float:
         return float(self.realized.sum() / self.T) if self.T else 0.0
-
-    def group_error_rates(self) -> tuple[float | None, float | None]:
-        out = []
-        for g in (0, 1):
-            n = int(self.counts[g].sum())
-            wrong = int(self.confusion[g, 1] + self.confusion[g, 3])
-            out.append(wrong / n if n else None)
-        return tuple(out)
-
-    def to_dict(self) -> dict:
-        """Deterministic plain-python dump (tests serialize this)."""
-        return {
-            "engine": self.engine,
-            "eta": self.eta,
-            "experts": self.expert_names,
-            "T": self.T,
-            "group": self.group.tolist(),
-            "label": self.label.tolist(),
-            "table": self.table.tolist(),
-            "expert": self.expert.tolist(),
-            "prediction": self.prediction.tolist(),
-            "realized": self.realized.tolist(),
-            "expected": self.expected.tolist(),
-            "regret_realized": self.regret_realized.tolist(),
-            "regret_expected": self.regret_expected.tolist(),
-            "L_realized": self.L_realized,
-            "L_expected": self.L_expected,
-            "L_f": self.L_f.tolist(),
-            "counts": self.counts.tolist(),
-            "confusion": self.confusion.tolist(),
-        }
 
 
 def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory:
@@ -276,7 +254,7 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     n = len(stream)
     if n == 0:
         if config.allow_empty:
-            return Trajectory(config.engine, config.eta or 0.0, ensemble.names, 0)
+            return Trajectory(config.engine, config.eta or 0.0, ensemble.names, 0).finish()
         raise EmptyStream("trial started on an empty stream")
     T = config.horizon
     if T > n:
@@ -305,11 +283,12 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
                 est.mu_hat(Group.A), est.mu_hat(Group.B),
                 t_elapsed=t - 1, b_tolerance=config.b_tolerance, lam=config.lam)
             q = solve_q(system)
-        table, chosen, losses, expected, right = step(
+        _, chosen, losses, expected, right = step(
             state, preds, ex.group, ex.label, engine_rng, q)
-        traj.record(t, ex.group, ex.label, chosen, int(preds[chosen]),
-                    float(losses[chosen]), expected, losses, table, right, q)
+        traj.record(t, ex.group, ex.label, int(preds[chosen]), float(losses[chosen]),
+                    expected, losses, right, q)
 
+    traj.finish()
     if est is not None:
         traj.alpha_sums = state.alphas.sums.copy()
         traj.q_final = q

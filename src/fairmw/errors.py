@@ -39,7 +39,8 @@ class EmptyStream(FairmwError):
 
 
 class FormatError(FairmwError):
-    """Malformed prediction file (bad header, non-binary cell, ragged row)."""
+    """Malformed data file: bytes that are not UTF-8, or a prediction file
+    with a bad header, a non-binary cell or a ragged row."""
 
 
 class DegenerateData(FairmwError):

@@ -43,9 +43,6 @@ class RateEstimates:
         self.counts[group, label] += 1
         self.t += 1
 
-    def cell_rates(self) -> np.ndarray:
-        return dirichlet_rate(self.counts, self.t, self.alpha)
-
     @property
     def p_hat(self) -> float:
         a = self.alpha

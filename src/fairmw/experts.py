@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Example, Group
-from .errors import DegenerateData, FormatError, InvalidExpertCount, StreamExhausted
+from .errors import (ConfigError, DegenerateData, DomainError, FormatError,
+                     InvalidExpertCount, StreamExhausted)
+from .ingest import utf8_lines
 
 __all__ = [
     "ErrorProfile",
@@ -52,7 +54,7 @@ class ErrorProfile:
     def __post_init__(self):
         for v in (self.e_a_neg, self.e_a_pos, self.e_b_neg, self.e_b_pos):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"error rate {v} outside [0, 1]")
+                raise DomainError(f"error rate {v} outside [0, 1]")
 
     def rate(self, group: Group, label: int) -> float:
         if group == Group.A:
@@ -116,7 +118,7 @@ class FileEnsemble:
 def load_prediction_file(path) -> FileEnsemble:
     """Parse the predictions CSV: header of expert names, then 0/1 rows."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -189,7 +191,7 @@ def train_builtin(training_split: list[Example], kind: str, epochs: int = 500,
         return _train_logistic(x, y, epochs, seed)
     if kind == "stump":
         return _train_stump(x, y)
-    raise ValueError(f"unknown builtin expert kind {kind!r}")
+    raise ConfigError(f"unknown builtin expert kind {kind!r}")
 
 
 def _feature_row(ex: Example, include_group: bool) -> np.ndarray:
@@ -267,4 +269,4 @@ class BuiltinEnsemble:
 
 def _check_names(names: list[str], d: int) -> None:
     if len(names) != d or len(set(names)) != d:
-        raise ValueError(f"need {d} unique expert names, got {names!r}")
+        raise ConfigError(f"need {d} unique expert names, got {names!r}")

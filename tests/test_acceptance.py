@@ -28,7 +28,7 @@ from fairmw.cli import (
 from fairmw.domain import Group, RunConfig, trial_seed_sequence
 from fairmw.engines import run_trial
 from fairmw.errors import DomainError
-from fairmw.estimators import RateEstimates
+from fairmw.estimators import RateEstimates, dirichlet_rate
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
 from fairmw.ingest import dataset_stats, load_dataset, load_preset, split_shuffle, synth_stream
 from fairmw.metrics import gamma, regret, validate_bounds
@@ -165,7 +165,7 @@ def test_criterion_5_fairness_direction():
             cfg = dict(base, engine=engine)
             spec = build_spec(cfg, source=f"synthetic_biased[{engine}]")
             payload, _ = prepare_payload(spec)
-            results = execute_trials(payload, WORKERS)
+            results, _ = execute_trials(payload, WORKERS)
             means[engine] = {k: _aggregate(results, k)["mean"]
                              for k in ("fpr_gap", "fnr_gap", "error_rate")}
         fair, grp = means["fairness_aware"], means["group_aware"]
@@ -225,7 +225,7 @@ def test_criterion_8_estimator_convergence():
             cells = rng.choice(4, size=10000, p=truth)
             for cell in cells:
                 est.update(Group(int(cell) // 2), int(cell) % 2)
-            rates = est.cell_rates().ravel()
+            rates = dirichlet_rate(est.counts, est.t, est.alpha).ravel()
             assert float(np.max(np.abs(rates - truth))) <= 0.02, (seed, rates, truth)
 
 

@@ -368,3 +368,94 @@ def test_lambda_sweep_runs(tmp_path):
     doc = json.loads((outdir / "lambda_1" / "summary.json").read_text())
     assert doc["config"]["lambda.fpr"] == "0"
     assert doc["config"]["lambda.regret"] == "1"
+
+
+def _stacked_means(block):
+    """Reference: stack the trials, then reduce over axis 0 (regret columns
+    by ``mean``, the others ignoring NaN)."""
+    T = block.shape[1]
+    out = [block[:, :, j].mean(axis=0) for j in (0, 1)]
+    for j in range(2, 7):
+        col = block[:, :, j]
+        mask = np.isfinite(col)
+        count = mask.sum(axis=0)
+        total = np.where(mask, col, 0.0).sum(axis=0)
+        mean = np.full(T, np.nan)
+        np.divide(total, count, out=mean, where=count > 0)
+        out.append(mean)
+    return np.column_stack(out)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8])
+def test_round_sums_match_stacked_means_bitwise(trials, tmp_path):
+    # T >= 2: at T = 1 the stacked sum runs along a contiguous axis, where
+    # numpy switches to pairwise summation from 8 trials on.
+    rng = np.random.default_rng(100 + trials)
+    T = 50
+    block = rng.standard_normal((trials, T, 7)) * 10.0 ** rng.uniform(-4, 4, (trials, T, 7))
+    holes = rng.random((trials, T, 5)) < 0.3
+    holes[:, :5] = True                     # rounds with no finite value in any trial
+    block[:, :, 2:][holes] = np.nan
+    block[:, 7, 5] = -0.0                   # numpy's sum turns this into +0.0
+    sums = cli.RoundSums(T)
+    for series in block:
+        sums.add(series)
+    assert sums.means(0, T).tobytes() == _stacked_means(block).tobytes()
+    assert sums.means(10, 17).tobytes() == _stacked_means(block)[10:17].tobytes()
+    # the chunk size changes how the file is written, never what
+    cli.write_rounds_csv(tmp_path / "a.csv", "mw", sums)
+    cli.write_rounds_csv(tmp_path / "b.csv", "mw", sums, chunk=7)
+    text = (tmp_path / "a.csv").read_text()
+    assert text == (tmp_path / "b.csv").read_text()
+    rows = text.splitlines()
+    assert rows[0] == ROUNDS_HEADER and len(rows) == T + 1
+    assert rows[1].startswith("1,mw,") and rows[1].endswith(",,,,,")
+
+
+MALFORMED = {
+    # case: (arguments, with {d} for the directory holding the inputs, exit code)
+    "bad_config_bytes": ("run --config {d}/bad.cfg", 2),
+    "bad_dataset_bytes": ("stats --data {d}/bad.csv --preset {d}/good.preset", 3),
+    "bad_preset_bytes": ("stats --data {d}/good.csv --preset {d}/bad.preset", 3),
+    "bad_prediction_bytes": ("run --config {d}/bad_preds.cfg", 3),
+    "empty_prediction_file": ("run --config {d}/empty_preds.cfg", 3),
+    "duplicate_expert_names": ("run --config {d}/dup_preds.cfg", 3),
+    "split_ratio_zero": ("stats --data {d}/good.csv --preset {d}/good.preset "
+                         "--split-ratio 0", 2),
+    "split_ratio_above_one": ("stats --data {d}/good.csv --preset {d}/good.preset "
+                              "--split-ratio 1.5", 2),
+    "missing_preset": ("stats --data {d}/good.csv --preset {d}/absent.preset", 3),
+}
+
+
+def write_malformed_inputs(d):
+    census = "age,sex,income\n30,Male,high\n41,Female,low\n35,Male,low\n52,Female,high\n"
+    preset = "label.column = income\nlabel.positive = high\ngroup.column = sex\ngroup.a = Male\n"
+    files = {"good.csv": census.encode(), "good.preset": preset.encode(),
+             "bad.cfg": b"engine = mw\nhorizon = 5\xff\n",
+             "bad.csv": census.replace("Female,low", "Fe\xffmale,low").encode("latin-1"),
+             "bad.preset": preset.encode() + b"note = caf\xe9\n",
+             "bad_preds.csv": b"f1,f2\n1,0\n\xff,1\n", "empty_preds.csv": b"",
+             "dup_preds.csv": b"f1,f1\n1,0\n0,1\n"}
+    for name in ("bad_preds", "empty_preds", "dup_preds"):
+        files[f"{name}.cfg"] = (
+            "engine = mw\nhorizon = 2\neta = 0.2\ntrials = 1\n"
+            "stream.kind = synthetic\nstream.p = 0.5\nstream.mu_a = 0.4\nstream.mu_b = 0.6\n"
+            f"experts.source = file\nexperts.file = {d / name}.csv\n").encode()
+    for name, data in files.items():
+        (d / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_exit_with_documented_code(tmp_path, capsys, case):
+    write_malformed_inputs(tmp_path)
+    template, expected = MALFORMED[case]
+    argv = template.format(d=tmp_path).split()
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "out"), "--workers", "1"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3, 4, 5)
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert err.startswith("config error: " if expected == 2 else "data error: "), err

@@ -15,11 +15,11 @@ from fairmw.domain import (
     WEIGHT_FLOOR,
     WeightTable,
     _update_slice,
-    cell_index,
     recommended_eta,
     trial_seed_sequence,
 )
 from fairmw.errors import ConfigError, InvalidExpertCount, InvalidHorizon
+from fairmw.estimators import AlphaTracker
 
 
 def test_recommended_eta_examples():
@@ -87,9 +87,15 @@ def test_exponent_additivity():
 
 
 def test_cell_order_and_index():
+    # position i of every canonical-order vector is cell CELL_ORDER[i]
     assert CELL_ORDER == ((Group.A, NEG), (Group.B, NEG), (Group.A, POS), (Group.B, POS))
+    q = QDistribution(0.1, 0.3, 0.9, 0.7)
+    alphas = AlphaTracker()
+    alphas.sums[:] = [[1.0, 2.0], [3.0, 4.0]]
     for i, (g, y) in enumerate(CELL_ORDER):
-        assert cell_index(g, y) == i
+        assert i == 2 * y + g
+        assert q.as_vector()[i] == q.for_group(g)[y]
+        assert alphas.sums_vector()[i] == alphas.sums[g, y]
 
 
 def test_weight_table_shapes():
@@ -120,7 +126,8 @@ def test_weight_table_pi_normalized():
     for _ in range(50):
         g = Group(int(rng.integers(0, 2)))
         table.update(0.2, rng.uniform(0, 1, size=6), g)
-        pi = table.pi(g)
+        w = table.slice(g)
+        pi = w / w.sum()
         assert abs(pi.sum() - 1.0) <= 1e-12
         assert np.all(pi >= 0)
 
@@ -146,7 +153,7 @@ def test_rescale_preserves_pi_exactly():
     scaled = table.slice(Group.A, NEG)
     assert scaled.max() == 0.5
     raw = np.array([math.ldexp(1.0, -513), math.ldexp(1.0, -515)])
-    assert np.array_equal(table.pi(Group.A, NEG), raw / raw.sum())
+    assert np.array_equal(scaled / scaled.sum(), raw / raw.sum())
 
 
 def test_qdistribution_validation():

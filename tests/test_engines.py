@@ -15,6 +15,7 @@ from fairmw.domain import (
 from fairmw.engines import CELL_MAP, EngineState, Trajectory, run_trial, step
 from fairmw.errors import EmptyStream, StreamExhausted
 from fairmw.experts import ErrorProfile, FileEnsemble, SyntheticEnsemble
+from fairmw.metrics import compute_rates
 
 
 def make_stream(pattern, reps=1):
@@ -189,6 +190,18 @@ def config(**kw):
     return RunConfig(**base)
 
 
+def dump(traj):
+    """Every recorded column, aggregate and series as deterministic JSON."""
+    doc = {"engine": traj.engine, "eta": traj.eta, "experts": traj.expert_names,
+           "T": traj.T, "L_realized": traj.L_realized, "L_expected": traj.L_expected}
+    for name in ("cell", "outcome", "realized", "expected", "losses", "right", "q_neg",
+                 "regret_realized", "regret_expected", "fpr_gap", "fnr_gap", "eer_gap",
+                 "L_z", "L_f", "L_fz", "L_fzy", "counts", "confusion", "right_table_cum"):
+        value = getattr(traj, name)
+        doc[name] = None if value is None else np.nan_to_num(value, nan=-1.0).tolist()
+    return json.dumps(doc, sort_keys=True)
+
+
 def test_run_trial_empty_stream():
     ens = SyntheticEnsemble([ErrorProfile(0.1, 0.1, 0.1, 0.1)] * 2)
     with pytest.raises(EmptyStream):
@@ -196,6 +209,9 @@ def test_run_trial_empty_stream():
     traj = run_trial(config(allow_empty=True), [], ens)
     assert traj.T == 0
     assert traj.error_rate() == 0.0
+    assert traj.counts.tolist() == [[0, 0], [0, 0]]
+    assert traj.L_f.tolist() == [0.0, 0.0] and traj.L_expected == 0.0
+    assert traj.regret_realized.shape == traj.fpr_gap.shape == (0,)
 
 
 def test_run_trial_stream_too_short():
@@ -217,11 +233,9 @@ def test_run_trial_deterministic_replay():
                              ErrorProfile(0.2, 0.2, 0.2, 0.2)])
     stream = make_stream("A+ B- A- B+ A+ A- B- B+ A+ B-", reps=4)
     cfg = config(engine="fairness_aware", horizon=40, trials=1, q_recompute_stride=3)
-    dumps = [json.dumps(run_trial(cfg, stream, ens, trial=2).to_dict(), sort_keys=True)
-             for _ in range(2)]
+    dumps = [dump(run_trial(cfg, stream, ens, trial=2)) for _ in range(2)]
     assert dumps[0] == dumps[1]
-    other = json.dumps(run_trial(cfg, stream, ens, trial=3).to_dict(), sort_keys=True)
-    assert other != dumps[0]
+    assert dump(run_trial(cfg, stream, ens, trial=3)) != dumps[0]
 
 
 def test_run_trial_group_isolation():
@@ -244,7 +258,9 @@ def test_trajectory_loss_decompositions():
     stream = make_stream("A+ B- A- B+ A+ A- B- B+", reps=10)
     traj = run_trial(config(engine="fairness_aware", horizon=80), stream, ens)
     assert abs(traj.L_z.sum() - traj.L_expected) < 1e-9
-    assert abs(traj.L_zy.sum() - traj.L_expected) < 1e-9
+    L_zy = np.bincount(traj.cell, weights=traj.expected, minlength=4)
+    assert abs(L_zy.sum() - traj.L_expected) < 1e-9
+    assert np.allclose(L_zy.reshape(2, 2).sum(axis=1), traj.L_z, atol=1e-9)
     assert np.allclose(traj.L_fz.sum(axis=0), traj.L_f, atol=1e-9)
     assert np.allclose(traj.L_fzy.sum(axis=(0, 1)), traj.L_f, atol=1e-9)
     assert int(traj.counts.sum()) == 80
@@ -252,8 +268,8 @@ def test_trajectory_loss_decompositions():
     # right-table running sums match a replay over the recorded rounds
     replay = np.zeros((2, 2))
     for i in range(traj.T):
-        replay[traj.group[i], traj.label[i]] += traj.right_step[i]
-    assert np.allclose(replay, traj.right_table_cum, atol=1e-12)
+        replay[divmod(int(traj.cell[i]), 2)] += traj.right[i]
+    assert replay.tolist() == traj.right_table_cum.tolist()
 
 
 def test_trajectory_q_series_validity():
@@ -262,17 +278,19 @@ def test_trajectory_q_series_validity():
     stream = make_stream("A+ B- A- B+ B- A+ A- B+", reps=15)
     traj = run_trial(config(engine="fairness_aware", horizon=120,
                             q_recompute_stride=5), stream, ens)
-    q = traj.q_used
+    q = traj.q_neg  # (q_{A,-}, q_{B,-}); each q_{z,+} is 1 - q_{z,-}
+    assert q.shape == (120, 2)
     assert np.all((q >= 0.0) & (q <= 1.0))
-    assert np.allclose(q[:, 0] + q[:, 2], 1.0, atol=1e-9)
-    assert np.allclose(q[:, 1] + q[:, 3], 1.0, atol=1e-9)
     # round 1 is uniform and q only changes when (t-1) % stride == 0
-    assert q[0].tolist() == [0.5, 0.5, 0.5, 0.5]
+    assert q[0].tolist() == [0.5, 0.5]
     for i in range(1, traj.T):
         t = i + 1
         if (t - 1) % 5 != 0:
             assert q[i].tolist() == q[i - 1].tolist()
-    assert traj.q_final.as_vector() == tuple(q[-1].tolist())
+    final = traj.q_final.as_vector()
+    assert list(final[:2]) == q[-1].tolist()
+    assert abs(final[0] + final[2] - 1.0) <= 1e-9
+    assert abs(final[1] + final[3] - 1.0) <= 1e-9
 
 
 def test_trajectory_regret_series():
@@ -288,40 +306,97 @@ def test_trajectory_regret_series():
 
 
 def test_trajectory_round_columns():
-    # what record() is handed for each round comes back from the columns
+    # what record() is handed for each round comes back from the columns,
+    # and finish() derives the aggregates from them
     traj = Trajectory("fairness_aware", 0.3, ["f0", "f1"], 3)
     q = QDistribution(0.3, 0.6, 0.7, 0.4)
-    rows = [(Group.A, POS, NEG, 1, 1, 0.0, 0.4, (1.0, 0.0), 0.25),
-            (Group.B, NEG, POS, 0, 1, 1.0, 0.6, (1.0, 1.0), 0.5),
-            (Group.B, POS, POS, 1, 0, 1.0, 0.7, (0.0, 1.0), 0.75)]
-    for t, (g, y, table, e, p, real, exp, losses, right) in enumerate(rows, start=1):
-        traj.record(t, g, y, e, p, real, exp, np.array(losses), table, right, q)
+    rows = [(Group.A, POS, 1, 0.0, 0.4, (1.0, 0.0), 0.25),
+            (Group.B, NEG, 1, 1.0, 0.6, (1.0, 1.0), 0.5),
+            (Group.B, POS, 0, 1.0, 0.7, (0.0, 1.0), 0.75)]
+    for t, (g, y, p, real, exp, losses, right) in enumerate(rows, start=1):
+        traj.record(t, g, y, p, real, exp, np.array(losses), right, q)
+    traj.finish()
     assert len(traj) == 3
-    assert traj.group.tolist() == [0, 1, 1]
-    assert traj.label.tolist() == [1, 0, 1]
-    assert traj.table.tolist() == [0, 1, 1]
-    assert traj.expert.tolist() == [1, 0, 1]
-    assert traj.prediction.tolist() == [1, 1, 0]
+    assert traj.cell.tolist() == [1, 2, 3]          # 2 * group + label
+    assert traj.outcome.tolist() == [0, 1, 3]       # tp, fp, fn
     assert traj.realized.tolist() == [0.0, 1.0, 1.0]
     assert traj.expected.tolist() == [0.4, 0.6, 0.7]
-    assert traj.q_used.tolist() == [list(q.as_vector())] * 3
-    assert traj.right_step.tolist() == [0.25, 0.5, 0.75]
+    assert traj.losses.tolist() == [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    assert traj.q_neg.tolist() == [[0.3, 0.6]] * 3
+    assert traj.right.tolist() == [0.25, 0.5, 0.75]
     assert traj.right_table_cum.tolist() == [[0.0, 0.25], [0.5, 0.75]]
     assert traj.L_f.tolist() == [2.0, 2.0]
+    assert traj.L_fz.tolist() == [[1.0, 0.0], [1.0, 2.0]]
     assert traj.L_fzy[Group.B, NEG].tolist() == [1.0, 1.0]
+    assert traj.counts.tolist() == [[0, 1], [1, 1]]
     assert traj.confusion.tolist() == [[1, 0, 0, 0], [0, 1, 0, 1]]
+    assert traj.L_realized == 2.0 and traj.L_expected == 0.4 + 0.6 + 0.7
+    # running best expert: 0, 1, 2 -> regrets are the running sums minus it
+    assert traj.regret_realized.tolist() == [0.0, 0.0, 0.0]
+    assert traj.regret_expected.tolist() == [0.4, 0.4 + 0.6 - 1.0, 0.4 + 0.6 + 0.7 - 2.0]
 
     # a real run: columns agree with the stream and with each other
     ens = SyntheticEnsemble([ErrorProfile(0.2, 0.3, 0.4, 0.1),
                              ErrorProfile(0.3, 0.1, 0.2, 0.4)])
     stream = make_stream("A+ B- A- B+ A- B+")
     traj = run_trial(config(engine="fairness_aware", horizon=6), stream, ens)
-    assert traj.group.tolist() == [int(e.group) for e in stream]
-    assert traj.label.tolist() == [e.label for e in stream]
-    assert np.all((traj.table == NEG) | (traj.table == POS))
-    assert np.all(np.isfinite(traj.q_used))
-    wrong = traj.prediction != traj.label
+    assert traj.cell.tolist() == [2 * int(e.group) + e.label for e in stream]
+    assert np.all(np.isfinite(traj.q_neg))
+    # fp and fn are the wrong predictions
+    wrong = (traj.outcome == 1) | (traj.outcome == 3)
     assert traj.realized.tolist() == wrong.astype(float).tolist()
+
+
+def test_finish_matches_round_by_round_accumulation():
+    # the one-pass derivation is bit-identical to accumulating every
+    # aggregate and series with += after each round
+    ens = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
+                             ErrorProfile(0.1, 0.1, 0.4, 0.4),
+                             ErrorProfile(0.2, 0.25, 0.2, 0.3)])
+    rng = np.random.default_rng(5)
+    stream = [Example(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
+              for _ in range(300)]
+    for engine in ("mw", "group_aware", "fairness_aware"):
+        traj = run_trial(config(engine=engine, horizon=300, q_recompute_stride=3),
+                         stream, ens)
+        L_real = L_exp = 0.0
+        L_z, L_f = np.zeros(2), np.zeros(3)
+        L_fz, L_fzy, right_cum = np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2))
+        counts, confusion = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)
+        for i in range(traj.T):
+            g, y = divmod(int(traj.cell[i]), 2)
+            L_real += traj.realized[i]
+            L_exp += traj.expected[i]
+            L_z[g] += traj.expected[i]
+            L_f += traj.losses[i]
+            L_fz[g] += traj.losses[i]
+            L_fzy[g, y] += traj.losses[i]
+            if traj.right is not None:
+                right_cum[g, y] += traj.right[i]
+            counts[g, y] += 1
+            confusion[g, traj.outcome[i]] += 1
+            best = float(L_f.min())
+            assert traj.regret_realized[i] == L_real - best
+            assert traj.regret_expected[i] == L_exp - best
+            tp, fp, tn, fn = confusion.T
+            neg, pos = fp + tn, tp + fn
+            err = fp + fn
+            fpr = abs(fp[0] / neg[0] - fp[1] / neg[1]) if neg.all() else None
+            fnr = abs(fn[0] / pos[0] - fn[1] / pos[1]) if pos.all() else None
+            tot = neg + pos
+            eer = abs(err[0] / tot[0] - err[1] / tot[1]) if tot.all() else None
+            for series, want in ((traj.fpr_gap, fpr), (traj.fnr_gap, fnr),
+                                 (traj.eer_gap, eer)):
+                assert np.isnan(series[i]) if want is None else series[i] == want
+        assert (traj.L_realized, traj.L_expected) == (L_real, L_exp)
+        for have, want in ((traj.L_z, L_z), (traj.L_f, L_f), (traj.L_fz, L_fz),
+                           (traj.L_fzy, L_fzy), (traj.counts, counts),
+                           (traj.confusion, confusion)):
+            assert have.tolist() == want.tolist()
+        if engine == "fairness_aware":
+            assert traj.right_table_cum.tolist() == right_cum.tolist()
+        else:
+            assert traj.right is None and traj.right_table_cum is None
 
 
 def test_group_error_rates():
@@ -329,12 +404,15 @@ def test_group_error_rates():
     rows = [(Group.A, POS, 1), (Group.A, POS, 0), (Group.B, NEG, 0), (Group.B, NEG, 0)]
     for t, (g, y, pred) in enumerate(rows, start=1):
         losses = np.array([float(pred != y), 0.0])
-        traj.record(t, g, y, expert=0, prediction=pred, realized=float(pred != y),
+        traj.record(t, g, y, prediction=pred, realized=float(pred != y),
                     expected=0.0, losses=losses)
-        assert traj.table[t - 1] == -1
-    err_a, err_b = traj.group_error_rates()
-    assert err_a == 0.5  # one miss out of two A rounds
-    assert err_b == 0.0
+    traj.finish()
+    # only fairness_aware keeps a right-table and q column
+    assert traj.right is None and traj.q_neg is None
+    # per-group error rates come from the confusion counts
+    rates = compute_rates(traj.confusion)
+    assert rates.err_a == 0.5  # one miss out of two A rounds
+    assert rates.err_b == 0.0
     assert traj.error_rate() == 0.25
 
 

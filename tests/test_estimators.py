@@ -61,7 +61,7 @@ def test_rate_estimates_invariants():
     for _ in range(500):
         est.update(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
     assert est.counts.sum() == est.t == 500
-    cells = est.cell_rates()
+    cells = dirichlet_rate(est.counts, est.t, est.alpha)
     assert abs(cells.sum() - 1.0) <= 1e-12
     assert np.all((cells > 0) & (cells < 1))
     assert 0.0 < est.p_hat < 1.0
@@ -74,7 +74,7 @@ def test_dirichlet_convergence_single_seed():
     flat = truth.ravel()
     for idx in rng.choice(4, size=10000, p=flat):
         est.update(Group(int(idx) // 2), int(idx) % 2)
-    assert np.max(np.abs(est.cell_rates() - truth)) <= 0.02
+    assert np.max(np.abs(dirichlet_rate(est.counts, est.t, est.alpha) - truth)) <= 0.02
 
 
 def alpha_step(state, losses, group, label):

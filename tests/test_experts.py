@@ -3,7 +3,9 @@ import pytest
 
 from fairmw.domain import Example, Group, NEG, POS
 from fairmw.errors import (
+    ConfigError,
     DegenerateData,
+    DomainError,
     FormatError,
     InvalidExpertCount,
     StreamExhausted,
@@ -30,7 +32,7 @@ def test_error_profile():
     assert p.rate(Group.B, NEG) == 0.3
     assert p.rate(Group.B, POS) == 0.4
     assert abs(p.max_cell_gap() - 0.2) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         ErrorProfile(1.1, 0.0, 0.0, 0.0)
 
 
@@ -64,7 +66,7 @@ def test_synthetic_ensemble_basics():
     assert set(np.unique(preds)) <= {0, 1}
     with pytest.raises(InvalidExpertCount):
         SyntheticEnsemble([profiles[0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SyntheticEnsemble(profiles, names=["same", "same"])
 
 
@@ -207,7 +209,7 @@ def test_train_builtin_errors():
     featureless = [Example(Group.A, 1), Example(Group.B, 0)]
     with pytest.raises(DegenerateData):
         train_builtin(featureless, "logistic", include_group=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         train_builtin(separable_split(), "forest")
 
 

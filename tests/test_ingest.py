@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairmw.domain import Example, Group, NEG, POS
-from fairmw.errors import EmptyDataset, SchemaError
+from fairmw.errors import ConfigError, EmptyDataset, SchemaError
 from fairmw.ingest import (
     BUNDLED_PRESETS,
     DatasetSchema,
@@ -233,9 +233,9 @@ def test_split_shuffle():
     train3, _ = split_shuffle(examples, 0.7, seed=12)
     assert [e.features[0] for e in train3] != [e.features[0] for e in train]
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         split_shuffle(examples, 0.0, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         split_shuffle(examples, 1.0, seed=1)
     with pytest.raises(EmptyDataset):
         split_shuffle([], 0.5, seed=1)

@@ -76,9 +76,9 @@ def fabricate(engine, eta, names, rows):
     """rows: (group, label, expected_loss, realized_loss, per-expert losses)."""
     traj = Trajectory(engine, eta, names, len(rows))
     for t, (g, y, exp, real, losses) in enumerate(rows, start=1):
-        traj.record(t, g, y, expert=0, prediction=1 - y, realized=real, expected=exp,
+        traj.record(t, g, y, prediction=1 - y, realized=real, expected=exp,
                     losses=np.asarray(losses, dtype=float))
-    return traj
+    return traj.finish()
 
 
 def test_regret_hand_example():
