@@ -68,6 +68,7 @@ MARGIN_THRESHOLD = -1e-9
 
 ROUNDS_HEADER = ("t,engine,trial_mean_regret_realized,trial_mean_regret_expected,"
                  "fpr_gap,fnr_gap,eer_gap,q_a_neg,q_b_neg")
+ROUNDS_CHUNK = 8192  # rounds.csv rows formatted per write
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -315,7 +316,13 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
     info: dict = {"ingest_report": None, "data_stats": None}
 
     if spec.stream_kind == "synthetic":
-        stream_params, test = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b), None
+        if spec.experts_source == "file":
+            ensemble = load_prediction_file(spec.experts_file)
+        else:
+            ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
+                                         [n for n, _ in spec.profiles])
+        stream_params = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b)
+        test = None
     else:
         schema = load_preset(spec.data_preset)
         examples, report = load_dataset(spec.data_path, schema)
@@ -325,18 +332,19 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         if not spec.horizon_explicit:
             run = dataclasses.replace(run, horizon=len(test))
         stream_params = None
-
-    if spec.experts_source == "builtin":  # build_spec allows it on dataset streams only
-        kinds = list(enumerate(spec.experts_kinds))
-        models = [train_builtin(train, kind, epochs=spec.epochs, seed=run.seed + 7919 * i,
-                                include_group=spec.include_group) for i, kind in kinds]
-        ensemble = BuiltinEnsemble([f"{kind}_{i}" for i, kind in kinds], models,
-                                   spec.include_group)
-    elif spec.experts_source == "file":
-        ensemble = load_prediction_file(spec.experts_file)
-    else:
-        ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
-                                     [n for n, _ in spec.profiles])
+        if spec.experts_source == "builtin":
+            models, names = [], []
+            for i, kind in enumerate(spec.experts_kinds):
+                models.append(train_builtin(train, kind, epochs=spec.epochs,
+                                            seed=run.seed + 7919 * i,
+                                            include_group=spec.include_group))
+                names.append(f"{kind}_{i}")
+            ensemble = BuiltinEnsemble(names, models, spec.include_group)
+        elif spec.experts_source == "file":
+            ensemble = load_prediction_file(spec.experts_file)
+        else:
+            ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
+                                         [n for n, _ in spec.profiles])
 
     epsilon = spec.epsilon
     if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:
@@ -538,16 +546,16 @@ def summary_doc(spec: ExperimentSpec, payload: TrialPayload, info: dict,
     }
 
 
-def write_rounds_csv(path: Path, engine: str, sums: RoundSums, chunk: int = 8192) -> None:
-    """Format the trial means of every round, ``chunk`` rounds at a time.
+def write_rounds_csv(path: Path, engine: str, sums: RoundSums) -> None:
+    """Format the trial means of every round, ROUNDS_CHUNK rounds at a time.
 
     The two regret columns are divided by t; a cell with no finite value
     in any trial is left empty.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(ROUNDS_HEADER + "\n")
-        for lo in range(0, len(sums.total), chunk):
-            means = sums.means(lo, lo + chunk)
+        for lo in range(0, len(sums.total), ROUNDS_CHUNK):
+            means = sums.means(lo, lo + ROUNDS_CHUNK)
             rounds = range(lo + 1, lo + len(means) + 1)
             means[:, :2] /= np.array(rounds, dtype=float)[:, None]
             cols = [[repr(v) if math.isfinite(v) else "" for v in means[:, j].tolist()]
@@ -630,8 +638,11 @@ def _parse_sweep_values(param: str, text: str) -> list[tuple[str, dict[str, str]
     items: list[tuple[str, dict[str, str]]] = []
     if param in ("eta", "q_recompute_stride"):
         values = [s.strip() for s in text.split(",") if s.strip()]
-        key = "eta" if param == "eta" else "stride"
-        items = [(v, {key: v}) for v in values]
+        for v in values:
+            if param == "eta":
+                items.append((v, {"eta": v}))
+            else:
+                items.append((v, {"stride": v}))
     else:  # lambda | b_tolerance: semicolon-separated comma triples
         prefix = "lambda" if param == "lambda" else "b"
         for triple in (s.strip() for s in text.split(";") if s.strip()):

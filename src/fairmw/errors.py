@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the UTF-8 line reader
+that turns undecodable input into one of them.
 
 Everything raised on purpose derives from FairmwError so callers can catch
 one base class.  OS-level read failures (missing file, permissions) are
@@ -61,3 +62,11 @@ class SchemaError(FairmwError):
 
 class EmptyDataset(FairmwError):
     """No rows survived loading/filtering, or stats requested on nothing."""
+
+
+def utf8_lines(fh, path, error: type[FairmwError]):
+    """The lines of an open UTF-8 text file; undecodable bytes raise ``error``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e})") from None

@@ -26,8 +26,7 @@ import numpy as np
 
 from .domain import Example, Group
 from .errors import (ConfigError, DegenerateData, DomainError, FormatError,
-                     InvalidExpertCount, StreamExhausted)
-from .ingest import utf8_lines
+                     InvalidExpertCount, StreamExhausted, utf8_lines)
 
 __all__ = [
     "ErrorProfile",
@@ -118,7 +117,7 @@ class FileEnsemble:
 def load_prediction_file(path) -> FileEnsemble:
     """Parse the predictions CSV: header of expert names, then 0/1 rows."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(utf8_lines(fh, path))
+        reader = csv.reader(utf8_lines(fh, path, FormatError))
         try:
             header = next(reader)
         except StopIteration:

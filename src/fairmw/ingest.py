@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .domain import NEG, POS, Example, Group, trial_seed_sequence
-from .errors import ConfigError, EmptyDataset, FormatError, SchemaError
+from .errors import ConfigError, EmptyDataset, FormatError, SchemaError, utf8_lines
 
 __all__ = [
     "DatasetSchema",
@@ -45,7 +45,6 @@ __all__ = [
     "preset_path",
     "BUNDLED_PRESETS",
     "synth_stream",
-    "utf8_lines",
 ]
 
 MISSING = ("", "?")
@@ -163,7 +162,7 @@ def load_dataset(path, schema: DatasetSchema) -> tuple[list[Example], IngestRepo
     """
     report = IngestReport(notes=list(schema.notes))
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(utf8_lines(fh, path))
+        reader = csv.reader(utf8_lines(fh, path, FormatError))
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -349,14 +348,6 @@ def parse_pairs(text: str, source, error: type[Exception]) -> list[tuple[int, st
     return out
 
 
-def utf8_lines(fh, path):
-    """The lines of an open UTF-8 text file; undecodable bytes raise FormatError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text ({e})") from None
-
-
 def preset_path(name: str):
     """Filesystem path of a bundled preset (context-free: files ship as data)."""
     return resources.files("fairmw").joinpath("presets", f"{name}.preset")
@@ -369,11 +360,8 @@ def load_preset(name_or_path) -> DatasetSchema:
         text = preset_path(name).read_text(encoding="utf-8")
         source = f"preset:{name}"
     else:
-        try:
-            with open(name_or_path, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as e:
-            raise SchemaError(f"{name}: not UTF-8 text ({e})") from None
+        with open(name_or_path, encoding="utf-8") as fh:
+            text = "".join(utf8_lines(fh, name, SchemaError))
         source = name
 
     # Repeated keys are allowed: note lines accumulate, anything else

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -387,7 +388,7 @@ def _stacked_means(block):
 
 
 @pytest.mark.parametrize("trials", [1, 3, 8])
-def test_round_sums_match_stacked_means_bitwise(trials, tmp_path):
+def test_round_sums_match_stacked_means_bitwise(trials, tmp_path, monkeypatch):
     # T >= 2: at T = 1 the stacked sum runs along a contiguous axis, where
     # numpy switches to pairwise summation from 8 trials on.
     rng = np.random.default_rng(100 + trials)
@@ -404,12 +405,34 @@ def test_round_sums_match_stacked_means_bitwise(trials, tmp_path):
     assert sums.means(10, 17).tobytes() == _stacked_means(block)[10:17].tobytes()
     # the chunk size changes how the file is written, never what
     cli.write_rounds_csv(tmp_path / "a.csv", "mw", sums)
-    cli.write_rounds_csv(tmp_path / "b.csv", "mw", sums, chunk=7)
+    monkeypatch.setattr(cli, "ROUNDS_CHUNK", 7)
+    cli.write_rounds_csv(tmp_path / "b.csv", "mw", sums)
     text = (tmp_path / "a.csv").read_text()
     assert text == (tmp_path / "b.csv").read_text()
     rows = text.splitlines()
     assert rows[0] == ROUNDS_HEADER and len(rows) == T + 1
     assert rows[1].startswith("1,mw,") and rows[1].endswith(",,,,,")
+
+
+def test_round_sums_add_in_trial_order_at_horizon_one():
+    # Accepted difference: at T = 1 the stacked mean of 8 or more trials
+    # was numpy's pairwise sum; the round sums stay a left-to-right sum in
+    # trial order, which can differ from it in the last bit.
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((16, 1, 7)) * 10.0 ** rng.uniform(-4, 4, (16, 1, 7))
+    block[::3, 0, 2:] = np.nan
+    sums = cli.RoundSums(1)
+    for series in block:
+        sums.add(series)
+    expected = []
+    for j in range(7):
+        values = [v for v in block[:, 0, j].tolist() if math.isfinite(v)]
+        total = 0.0
+        for v in values:
+            total += v
+        expected.append(total / len(values))
+    assert sums.means(0, 1).tobytes() == np.array([expected]).tobytes()
+    assert sums.means(0, 1).tobytes() != _stacked_means(block).tobytes()
 
 
 MALFORMED = {
