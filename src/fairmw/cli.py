@@ -26,6 +26,7 @@ import logging
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -457,11 +458,29 @@ class RoundSums:
         return out
 
 
+def _in_order(pool, trials: int, ahead: int):
+    """Yield every trial's result in trial order, keeping at most ``ahead``
+    trials submitted beyond the one being collected."""
+    pending = deque()
+    try:
+        for trial in range(trials):
+            pending.append(pool.submit(_run_one_trial, trial))
+            if len(pending) > ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def execute_trials(payload: TrialPayload, workers: int) -> tuple[list[dict], RoundSums]:
     """Run all trials; returns their results in trial order and the round sums.
 
     Results are collected in trial order regardless of workers; each
     trial's series goes into the sums as it is collected and is not kept.
+    A pool has at most 2 * workers trials submitted beyond the one being
+    collected, so the parent holds at most that many finished results.
     """
     trials = payload.run.trials
     workers = min(workers, trials)
@@ -479,7 +498,7 @@ def execute_trials(payload: TrialPayload, workers: int) -> tuple[list[dict], Rou
         return collect(map(_run_one_trial, range(trials))), sums
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                              initargs=(payload,)) as pool:
-        return collect(pool.map(_run_one_trial, range(trials))), sums
+        return collect(_in_order(pool, trials, 2 * workers)), sums
 
 
 # ---------------------------------------------------------------------------

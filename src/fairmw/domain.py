@@ -32,6 +32,7 @@ __all__ = [
     "Example",
     "WeightTable",
     "QDistribution",
+    "check_q",
     "RunConfig",
     "WEIGHT_FLOOR",
     "RESCALE_THRESHOLD",
@@ -135,6 +136,18 @@ class WeightTable:
         _update_slice(self.slice(group, label), eta, losses)
 
 
+def check_q(q: np.ndarray) -> np.ndarray:
+    """Check rows of q in canonical cell order: every component in [0, 1] and
+    each group's pair summing to 1, both within 1e-12.  Returns q."""
+    outside = ~((q >= -1e-12) & (q <= 1.0 + 1e-12))
+    if outside.any():
+        raise ConfigError(f"q component {q[outside][0]} outside [0, 1]")
+    for z, name in ((0, "a"), (1, "b")):
+        if np.any(np.abs(q[:, z] + q[:, z + 2] - 1.0) > 1e-12):
+            raise ConfigError(f"q_{name}_neg + q_{name}_pos must equal 1")
+    return q
+
+
 @dataclass(frozen=True)
 class QDistribution:
     """Per-group table-selection probabilities q_{z,y}."""
@@ -145,13 +158,7 @@ class QDistribution:
     q_b_pos: float
 
     def __post_init__(self):
-        for v in self.as_vector():
-            if not (-1e-12 <= v <= 1.0 + 1e-12):
-                raise ConfigError(f"q component {v} outside [0, 1]")
-        if abs(self.q_a_neg + self.q_a_pos - 1.0) > 1e-12:
-            raise ConfigError("q_a_neg + q_a_pos must equal 1")
-        if abs(self.q_b_neg + self.q_b_pos - 1.0) > 1e-12:
-            raise ConfigError("q_b_neg + q_b_pos must equal 1")
+        check_q(np.array([self.as_vector()]))
 
     @classmethod
     def uniform(cls) -> "QDistribution":

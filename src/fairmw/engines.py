@@ -9,8 +9,8 @@ which (group, label) cell a round selects from and updates:
 * fairness_aware: cell (g,y) on an arrival (g, y).  A table label y' is
   first drawn from q for group g and the expert comes from cell (g,y');
   the expected loss mixes the group's two cells by q.  Cross-table loss
-  gaps (alpha), arrival-rate estimates and the per-round q* recomputation
-  belong to this engine alone.
+  gaps (alpha), arrival-rate estimates and the q* solves belong to this
+  engine alone.
 
 Selection sampling is inverse-CDF over the unnormalized cell in declared
 expert order, so identical weights and rng state replay identically.
@@ -18,9 +18,11 @@ expert order, so identical weights and rng state replay identically.
 Randomness layout: each trial derives
 ``SeedSequence(config.seed, spawn_key=(trial,))`` and spawns three
 children — 0 for stream synthesis/shuffling (used by the harness),
-1 for synthetic expert draws, 2 for engine sampling.  Per round the draw
-order is: expert predictions (expert order), then the table draw
-(fairness_aware only), then the expert draw.
+1 for synthetic expert draws (expert order, every round), 2 for engine
+sampling.  The engine rng gives each round its uniforms in this order: the
+table draw (fairness_aware only), then the expert draw.  fairness_aware
+takes all of them up front as one (T, 2) array, the same doubles in the
+same order.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ from .domain import (
     trial_seed_sequence,
 )
 from .errors import EmptyStream, StreamExhausted
-from .estimators import AlphaTracker, RateEstimates
-from .qopt import assemble_constraint_system, solve_q
+from .estimators import AlphaTracker, RateEstimates, smoothed_rates
+from .qopt import assemble_systems, solve_q_batch
 
 __all__ = [
     "CELL_MAP",
+    "Q_BLOCK",
     "EngineState",
     "Trajectory",
     "step",
@@ -60,6 +63,8 @@ CELL_MAP = {
     "group_aware": (True, False),
     "fairness_aware": (True, True),
 }
+
+Q_BLOCK = 1024  # fairness_aware stride points whose q systems are solved per batch
 
 
 @dataclass
@@ -79,23 +84,25 @@ class EngineState:
         return cls(engine, eta, WeightTable(d), estimates=estimates)
 
 
-def _sample(w: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over unnormalized weights, one rng draw."""
+def _sample(w: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw over unnormalized weights with uniform u in [0, 1)."""
     cum = np.cumsum(w)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
     return min(idx, len(w) - 1)
 
 
 def step(state: EngineState, predictions: np.ndarray, group: Group, label: int,
-         rng: np.random.Generator, q: QDistribution | None = None):
-    """One round: draw an expert, then update the engine's cell.
+         u: float):
+    """One round: draw experts with the uniform u, then update the engine's cell.
 
-    Returns ``(table, expert, losses, expected, right)``: the table label
-    drawn from q (-1 for engines without a table draw), the chosen expert,
-    the per-expert 0/1 losses, the expected loss of the selection
-    distribution actually used, and the expected loss under the updated
-    cell's own pre-update weights.  fairness_aware needs q; its alpha gap
-    and arrival count come from pre-update state.
+    Returns ``(experts, losses, right, wrong)``: the inverse-CDF draw with u
+    from each table the round can select from (the updated cell alone for
+    mw and group_aware; tables (g,-) and (g,+) for fairness_aware, whose
+    table draw from q ``run_trial`` settles afterwards), the per-expert 0/1
+    losses, and the expected losses under the pre-update weights of the
+    updated cell (``right``) and, fairness_aware only, of the group's
+    other-label cell (``wrong``, else None).  fairness_aware also adds the
+    alpha gap wrong - right and counts the arrival.
     """
     by_group, by_label = CELL_MAP[state.engine]
     cell = (group if by_group else Group.A, label if by_label else NEG)
@@ -103,20 +110,17 @@ def step(state: EngineState, predictions: np.ndarray, group: Group, label: int,
     losses = (predictions != label).astype(np.float64)
     w = weights.slice(*cell)
     right = float(w @ losses) / float(w.sum())
-    table, expected, w_draw = -1, right, w
+    wrong = None
     if by_label:
-        q_neg, q_pos = q.for_group(group)
-        table = NEG if rng.random() < q_neg else POS
-        w_draw = weights.slice(group, table)
         w_wrong = weights.slice(group, 1 - label)
         wrong = float(w_wrong @ losses) / float(w_wrong.sum())
-        q_right = q_pos if label == POS else q_neg
-        expected = q_right * right + (1.0 - q_right) * wrong
         state.alphas.add(group, 1 - label, wrong - right)
         state.estimates.update(group, label)
-    chosen = _sample(w_draw, rng)
+        experts = (_sample(weights.slice(group, NEG), u), _sample(weights.slice(group, POS), u))
+    else:
+        experts = (_sample(w, u),)
     weights.update(state.eta, losses, *cell)
-    return table, chosen, losses, expected, right
+    return experts, losses, right, wrong
 
 
 def _last(running: np.ndarray) -> float:
@@ -148,7 +152,7 @@ def _gap_series(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class Trajectory:
     """Columnar record of one trial.
 
-    ``record`` stores, per round, only what the outputs are derived from:
+    The columns hold, per round, only what the outputs are derived from:
     the [group, label] cell, the confusion column of the chosen expert's
     prediction, the realized and expected losses, the per-expert losses
     and, for fairness_aware, the right-table expected loss and the two
@@ -180,24 +184,16 @@ class Trajectory:
         return self.T
 
     def record(self, t: int, group: Group, label: int, prediction: int,
-               realized: float, expected: float, losses: np.ndarray,
-               right: float = 0.0, q: QDistribution | None = None) -> None:
-        """Store round t (1-based).
-
-        ``losses`` are the per-expert losses of the round, ``right`` the
-        right-table expected loss and ``q`` the table-selection
-        distribution (both fairness_aware only).
-        """
+               realized: float, expected: float, losses: np.ndarray) -> None:
+        """Store round t (1-based) of mw or group_aware; ``losses`` are the
+        per-expert losses of the round.  fairness_aware trials fill the
+        columns in array passes instead (see ``run_trial``)."""
         i = t - 1
         self.cell[i] = 2 * group + label
         self.outcome[i] = (1 - label) if prediction == 1 else 2 + label
         self.realized[i] = realized
         self.expected[i] = expected
         self.losses[i] = losses
-        if self.right is not None:
-            self.right[i] = right
-        if self.q_neg is not None and q is not None:
-            self.q_neg[i] = (q.q_a_neg, q.q_b_neg)
 
     def finish(self) -> "Trajectory":
         """Derive the aggregates and the regret and gap series; returns self.
@@ -249,7 +245,7 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     config.allow_empty).  For fairness_aware, q starts uniform and is
     re-solved from running alpha sums and rate estimates whenever
     (t-1) % q_recompute_stride == 0 (t >= 2), with elapsed rounds t-1 in
-    the constraint denominators.
+    the constraint denominators; see ``_fairness_aware_rounds``.
     """
     n = len(stream)
     if n == 0:
@@ -271,27 +267,87 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
 
     traj = Trajectory(config.engine, eta, ensemble.names, T)
     state = EngineState.fresh(config.engine, d, eta, config.dirichlet_alpha)
-    est = state.estimates
-    q = None if est is None else QDistribution.uniform()
-    stride = config.q_recompute_stride
+    if state.estimates is not None:
+        return _fairness_aware_rounds(config, stream, ensemble, expert_rng,
+                                      engine_rng, state, traj)
     for t in range(1, T + 1):
         ex = stream[t - 1]
         preds = ensemble.round_predictions(t, ex, expert_rng)
-        if est is not None and t >= 2 and (t - 1) % stride == 0:
-            system = assemble_constraint_system(
-                state.alphas.sums_vector(), est.p_hat,
-                est.mu_hat(Group.A), est.mu_hat(Group.B),
-                t_elapsed=t - 1, b_tolerance=config.b_tolerance, lam=config.lam)
-            q = solve_q(system)
-        _, chosen, losses, expected, right = step(
-            state, preds, ex.group, ex.label, engine_rng, q)
+        (chosen,), losses, right, _ = step(state, preds, ex.group, ex.label,
+                                           engine_rng.random())
         traj.record(t, ex.group, ex.label, int(preds[chosen]), float(losses[chosen]),
-                    expected, losses, right, q)
+                    right, losses)
+    return traj.finish()
+
+
+def _fairness_aware_rounds(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
+                           state: EngineState, traj: Trajectory) -> Trajectory:
+    """A fairness_aware trial in two stages.
+
+    Nothing q touches (the table draw, hence the chosen expert) feeds back
+    into the weights, alpha sums or rate estimates, and the engine's
+    uniforms are drawn up front, one (table, expert) pair per round in the
+    order the per-round draws took.  So the round loop does only the
+    q-independent work: losses, ``right`` and ``wrong``, the updates, and
+    the expert each of the group's two tables would give.  At every stride
+    point it copies the alpha sums and counts, and each block of up to
+    Q_BLOCK stride points is assembled and solved in one batch.  Array
+    passes then forward-fill q, draw each round's table and settle the
+    chosen expert, its outcome and the expected loss.
+    """
+    T, stride = traj.T, config.q_recompute_stride
+    est, alphas = state.estimates, state.alphas
+    uniforms = engine_rng.random((T, 2))    # per round: table draw, expert draw
+    u_expert = uniforms[:, 1].tolist()
+    candidates = np.zeros((T, 2), dtype=np.intp)    # expert from table (g,-), (g,+)
+    wrong = np.zeros(T)
+    block = min(Q_BLOCK, (T - 1) // stride)
+    sums_at = np.zeros((block, 4))   # canonical cell order
+    counts_at = np.zeros((block, 2, 2), dtype=np.int64)
+    rounds: list[int] = []
+
+    def solve_block() -> None:
+        k = len(rounds)
+        p_hat, mu = smoothed_rates(counts_at[:k], est.alpha)
+        a = assemble_systems(sums_at[:k], p_hat, mu[:, Group.A], mu[:, Group.B],
+                             np.array(rounds) - 1.0)
+        q = solve_q_batch(a, config.b_tolerance, config.lam)
+        traj.q_neg[np.array(rounds) - 1] = q[:, :2]
+        rounds.clear()
+
+    for t in range(1, T + 1):
+        if t >= 2 and (t - 1) % stride == 0:
+            sums_at[len(rounds)] = alphas.sums_vector()
+            counts_at[len(rounds)] = est.counts
+            rounds.append(t)
+            if len(rounds) == block:
+                solve_block()
+        ex = stream[t - 1]
+        preds = ensemble.round_predictions(t, ex, expert_rng)
+        i = t - 1
+        candidates[i], traj.losses[i], traj.right[i], wrong[i] = step(
+            state, preds, ex.group, ex.label, u_expert[i])
+        traj.cell[i] = 2 * ex.group + ex.label
+    if rounds:
+        solve_block()
+
+    # q holds from its stride point until the next; uniform before the first.
+    rows = np.arange(T)
+    traj.q_neg[0] = 0.5
+    traj.q_neg[:] = traj.q_neg[rows // stride * stride]
+    group, label = traj.cell >> 1, traj.cell & 1
+    q_g = traj.q_neg[rows, group]    # q_{g,-}
+    chosen = np.where(uniforms[:, 0] < q_g, candidates[:, NEG], candidates[:, POS])
+    traj.realized[:] = traj.losses[rows, chosen]
+    prediction = np.where(traj.realized > 0.0, 1 - label, label)
+    traj.outcome[:] = np.where(prediction == 1, 1 - label, 2 + label)
+    q_right = np.where(label == POS, 1.0 - q_g, q_g)
+    traj.expected[:] = q_right * traj.right + (1.0 - q_right) * wrong
 
     traj.finish()
-    if est is not None:
-        traj.alpha_sums = state.alphas.sums.copy()
-        traj.q_final = q
-        traj.p_hat_final = est.p_hat
-        traj.mu_hat_final = (est.mu_hat(Group.A), est.mu_hat(Group.B))
+    q_a, q_b = traj.q_neg[-1].tolist()
+    traj.q_final = QDistribution(q_a, q_b, 1.0 - q_a, 1.0 - q_b)
+    traj.alpha_sums = alphas.sums.copy()
+    traj.p_hat_final = est.p_hat
+    traj.mu_hat_final = (est.mu_hat(Group.A), est.mu_hat(Group.B))
     return traj

@@ -16,6 +16,7 @@ from .domain import Group
 
 __all__ = [
     "dirichlet_rate",
+    "smoothed_rates",
     "RateEstimates",
     "AlphaTracker",
 ]
@@ -24,6 +25,15 @@ __all__ = [
 def dirichlet_rate(counts: np.ndarray, t: int, alpha_prior: float) -> np.ndarray:
     """Posterior predictive cell rates (c + alpha)/(t + 4*alpha)."""
     return (np.asarray(counts, dtype=float) + alpha_prior) / (t + 4.0 * alpha_prior)
+
+
+def smoothed_rates(counts: np.ndarray, alpha_prior: float):
+    """(p_hat, mu_hat) from [..., group, label] counts: p_hat (...,) and
+    mu_hat (..., 2) indexed by group; see ``RateEstimates``."""
+    c = np.asarray(counts, dtype=float)
+    t_z = c.sum(axis=-1)
+    p_hat = (t_z[..., Group.A] + 2.0 * alpha_prior) / (t_z.sum(axis=-1) + 4.0 * alpha_prior)
+    return p_hat, (c[..., 1] + alpha_prior) / (t_z + 2.0 * alpha_prior)
 
 
 class RateEstimates:
@@ -45,13 +55,10 @@ class RateEstimates:
 
     @property
     def p_hat(self) -> float:
-        a = self.alpha
-        return (float(self.counts[Group.A].sum()) + 2.0 * a) / (self.t + 4.0 * a)
+        return float(smoothed_rates(self.counts, self.alpha)[0])
 
     def mu_hat(self, group: Group) -> float:
-        a = self.alpha
-        t_z = float(self.counts[group].sum())
-        return (float(self.counts[group, 1]) + a) / (t_z + 2.0 * a)
+        return float(smoothed_rates(self.counts, self.alpha)[1][group])
 
 
 class AlphaTracker:
@@ -70,5 +77,4 @@ class AlphaTracker:
 
     def sums_vector(self) -> np.ndarray:
         """Sums in canonical cell order (A,-), (B,-), (A,+), (B,+)."""
-        s = self.sums
-        return np.array([s[0, 0], s[1, 0], s[0, 1], s[1, 1]])
+        return self.sums.T.ravel()

@@ -225,20 +225,28 @@ def _train_stump(x: np.ndarray, y: np.ndarray) -> StumpExpert:
         # Degenerate single-label data: the constant predictor is exact.
         return StumpExpert(0, 0.0, 1, constant=int(y[0]))
 
+    # Candidates are visited feature by feature, thresholds ascending, and
+    # polarity +1 before -1 at each; only strictly fewer errors replace the
+    # best.  Polarity +1 predicts 1 above the threshold, so it errs on the
+    # positives at or below it and the negatives above it: with each column
+    # sorted once, both counts come from cumulative label counts.
+    positive = y == 1.0
+    n_pos = int(positive.sum())
     best = (n + 1, 0, 0.0, 1)  # (errors, feature, threshold, polarity)
     for j in range(x.shape[1]):
-        values = np.unique(x[:, j])
+        order = np.argsort(x[:, j], kind="stable")
+        column = x[order, j]
+        values = np.unique(column)
         if len(values) < 2:
             continue
         thresholds = (values[:-1] + values[1:]) / 2.0
-        for thr in thresholds:
-            pred = (x[:, j] > thr).astype(float)
-            err_pos = int(np.sum(pred != y))
-            err_neg = n - err_pos
-            if err_pos < best[0]:
-                best = (err_pos, j, float(thr), 1)
-            if err_neg < best[0]:
-                best = (err_neg, j, float(thr), -1)
+        below = np.searchsorted(column, thresholds, side="right")   # predicted 0
+        pos_below = np.concatenate(([0], np.cumsum(positive[order])))[below]
+        err_pos = pos_below + (n - below) - (n_pos - pos_below)
+        errors = np.stack([err_pos, n - err_pos], axis=1).ravel()
+        k = int(np.argmin(errors))   # the first of the smallest
+        if errors[k] < best[0]:
+            best = (int(errors[k]), j, float(thresholds[k // 2]), -1 if k % 2 else 1)
     if best[0] > n:
         # Every feature is constant: fall back to the majority label.
         return StumpExpert(0, 0.0, 1, constant=majority)

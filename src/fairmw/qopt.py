@@ -13,6 +13,12 @@ A proximal term REG_WEIGHT * max(lambda)^2 * ||q - uniform||^2 breaks
 ties toward the uniform distribution when (lambda A) is rank-deficient;
 scaling it with lambda keeps the argmin invariant under positive
 rescaling of lambda.
+
+Assembly and solve work on a batch of n systems that share b and lambda
+(``assemble_systems``, ``solve_q_batch``); ``assemble_constraint_system``
+and ``solve_q`` are the same code with n = 1.  Every dot product is a
+batched ``np.matmul``, which rounds exactly as the 1-D ``@`` does, so a
+system's q does not depend on the batch it is solved in.
 """
 
 from __future__ import annotations
@@ -21,12 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import QDistribution
+from .domain import QDistribution, check_q
 from .errors import NonFiniteInput
 
-__all__ = ["ConstraintSystem", "assemble_constraint_system", "solve_q", "objective"]
+__all__ = ["ConstraintSystem", "assemble_constraint_system", "assemble_systems",
+           "solve_q", "solve_q_batch", "objective"]
 
 REG_WEIGHT = 1e-8
+
+
+def _require_finite(**arrays) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteInput(f"non-finite entries in {name}")
 
 
 @dataclass(frozen=True)
@@ -38,89 +51,127 @@ class ConstraintSystem:
     lam: np.ndarray        # (3,) nonnegative
 
     def __post_init__(self):
-        for name, arr in (("A", self.a), ("b", self.b), ("lambda", self.lam)):
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteInput(f"non-finite entries in {name}")
+        _require_finite(A=self.a, b=self.b, lam=self.lam)
 
 
-def assemble_constraint_system(alpha_sums, p_hat: float, mu_a: float, mu_b: float,
-                               t_elapsed: int, b_tolerance=(0.0, 0.0, 0.0),
-                               lam=(1.0, 1.0, 1.0)) -> ConstraintSystem:
-    """Build the 3x4 system from running alpha sums and rate estimates.
+def assemble_systems(alpha_sums, p_hat, mu_a, mu_b, t_elapsed) -> np.ndarray:
+    """The (n, 3, 4) matrices A of n systems from running alpha sums (n, 4)
+    and the matching rate estimates and elapsed round counts (each (n,)).
 
     alpha_sums come in canonical cell order (A,-), (B,-), (A,+), (B,+).
     Denominators use the elapsed round count, matching the running sums
     in the numerators.
     """
-    s_an, s_bn, s_ap, s_bp = (float(v) for v in alpha_sums)
-    inputs = (s_an, s_bn, s_ap, s_bp, p_hat, mu_a, mu_b, float(t_elapsed))
-    if not all(np.isfinite(v) for v in inputs):
-        raise NonFiniteInput("non-finite assembly input")
-    t = float(t_elapsed)
-    a = np.zeros((3, 4))
-    a[0, 0] = s_an / (p_hat * (1.0 - mu_a) * t)
-    a[0, 1] = -s_bn / ((1.0 - p_hat) * (1.0 - mu_b) * t)
-    a[1, 2] = -s_ap / (p_hat * mu_a * t)
-    a[1, 3] = s_bp / ((1.0 - p_hat) * mu_b * t)
-    a[2] = (s_an, s_bn, s_ap, s_bp)
-    return ConstraintSystem(a, np.asarray(b_tolerance, dtype=float),
+    s = np.asarray(alpha_sums, dtype=float)
+    p, mu_a, mu_b, t = (np.asarray(v, dtype=float) for v in (p_hat, mu_a, mu_b, t_elapsed))
+    _require_finite(alpha_sums=s, p_hat=p, mu_a=mu_a, mu_b=mu_b, t_elapsed=t)
+    a = np.zeros((len(s), 3, 4))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a[:, 0, 0] = s[:, 0] / (p * (1.0 - mu_a) * t)
+        a[:, 0, 1] = -s[:, 1] / ((1.0 - p) * (1.0 - mu_b) * t)
+        a[:, 1, 2] = -s[:, 2] / (p * mu_a * t)
+        a[:, 1, 3] = s[:, 3] / ((1.0 - p) * mu_b * t)
+    a[:, 2] = s
+    _require_finite(A=a)
+    return a
+
+
+def assemble_constraint_system(alpha_sums, p_hat: float, mu_a: float, mu_b: float,
+                               t_elapsed: int, b_tolerance=(0.0, 0.0, 0.0),
+                               lam=(1.0, 1.0, 1.0)) -> ConstraintSystem:
+    """One system: ``assemble_systems`` with n = 1."""
+    a = assemble_systems(np.asarray(alpha_sums, dtype=float)[None], [p_hat], [mu_a],
+                         [mu_b], [t_elapsed])
+    return ConstraintSystem(a[0], np.asarray(b_tolerance, dtype=float),
                             np.asarray(lam, dtype=float))
 
 
-def objective(system: ConstraintSystem, q) -> float:
-    """||lambda o (Aq - b)||^2 plus the uniform-tie-break term."""
-    qv = np.asarray(q, dtype=float)
-    resid = system.lam * (system.a @ qv - system.b)
-    reg = REG_WEIGHT * float(np.max(system.lam)) ** 2
-    return float(resid @ resid + reg * np.sum((qv - 0.5) ** 2))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, k) arrays."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def solve_q(system: ConstraintSystem) -> QDistribution:
-    """Exact minimizer of the relaxed problem over feasible q."""
-    lam_max = float(np.max(system.lam))
+def _objectives(a, b, lam, reg: float, q: np.ndarray) -> np.ndarray:
+    """||lambda o (A q - b)||^2 + reg ||q - 1/2||^2, one system and q per row."""
+    resid = lam * (np.matmul(a, q[:, :, None])[:, :, 0] - b)
+    return _dot(resid, resid) + reg * np.sum((q - 0.5) ** 2, axis=1)
+
+
+def _q(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Rows (qa, qb, 1-qa, 1-qb): q in canonical cell order."""
+    return np.stack([qa, qb, 1.0 - qa, 1.0 - qb], axis=1)
+
+
+def _clamp(x: np.ndarray) -> np.ndarray:
+    """Clamp to [0, 1]; NaN stays NaN."""
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+def solve_q_batch(a, b, lam) -> np.ndarray:
+    """Exact minimizers of the relaxed problem for n systems (n, 3, 4) that
+    share b and lambda; rows are q in canonical cell order, shape (n, 4).
+
+    The candidates are, in order: the interior stationary point (offered
+    only when it lies in the box; uniform q stands in when the determinant
+    is 0), then the four clamped edge minimizers.  The first candidate with
+    the smallest objective wins; a NaN objective is never smaller, and a
+    candidate that is not offered is skipped, not scored.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    _require_finite(A=a, b=b, lam=lam)
+    n = len(a)
+    lam_max = float(np.max(lam))
     if lam_max == 0.0:
-        return QDistribution.uniform()
+        return np.full((n, 4), 0.5)
     eps = REG_WEIGHT * lam_max ** 2
 
     # Substitute q = (a, b, 1-a, 1-b).  Row i residual becomes
     # u_i*a + v_i*b + c_i with the coefficients below; the tie-break term
     # adds 2*eps*((a-1/2)^2 + (b-1/2)^2).
-    A, bvec, lam = system.a, system.b, system.lam
-    u = lam * (A[:, 0] - A[:, 2])
-    v = lam * (A[:, 1] - A[:, 3])
-    c = lam * (A[:, 2] + A[:, 3] - bvec)
+    u = lam * (a[:, :, 0] - a[:, :, 2])
+    v = lam * (a[:, :, 1] - a[:, :, 3])
+    c = lam * (a[:, :, 2] + a[:, :, 3] - b)
+    P = _dot(u, u) + 2.0 * eps
+    Q = _dot(v, v) + 2.0 * eps
+    R = _dot(u, v)
+    S = _dot(u, c) - eps
+    U = _dot(v, c) - eps
 
-    P = float(u @ u) + 2.0 * eps
-    Q = float(v @ v) + 2.0 * eps
-    R = float(u @ v)
-    S = float(u @ c) - eps
-    U = float(v @ c) - eps
-
-    candidates = []
     det = P * Q - R * R
-    if det != 0.0:
-        # A non-finite stationary point fails the box test below.
-        a0 = (U * R - S * Q) / det
-        b0 = (R * S - P * U) / det
-        if 0.0 <= a0 <= 1.0 and 0.0 <= b0 <= 1.0:
-            candidates.append((a0, b0))
-    else:
-        # det rounds to zero when the u and v rows are parallel at this
-        # magnitude; uniform q, the tie-break target, stands in for the
-        # interior point.
-        candidates.append((0.5, 0.5))
-    # Edge minimizers of the 1-D restrictions, clamped to the box; these
-    # cover the entire boundary including the corners.
-    candidates.append((0.0, _clamp(-U / Q)))
-    candidates.append((1.0, _clamp(-(R + U) / Q)))
-    candidates.append((_clamp(-S / P), 0.0))
-    candidates.append((_clamp(-(R + S) / P), 1.0))
+    # det rounds to zero when the u and v rows are parallel at this
+    # magnitude; uniform q, the tie-break target, stands in for the interior
+    # point.  A non-finite stationary point fails the box test.
+    singular = det == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a0 = np.where(singular, 0.5, (U * R - S * Q) / det)
+        b0 = np.where(singular, 0.5, (R * S - P * U) / det)
+        offered = singular | ((0.0 <= a0) & (a0 <= 1.0) & (0.0 <= b0) & (b0 <= 1.0))
+        best = _objectives(a, b, lam, eps, _q(a0, b0))
+        # Edge minimizers of the 1-D restrictions, clamped to the box; these
+        # cover the entire boundary including the corners.
+        zeros, ones = np.zeros(n), np.ones(n)
+        edges = ((zeros, _clamp(-U / Q)), (ones, _clamp(-(R + U) / Q)),
+                 (_clamp(-S / P), zeros), (_clamp(-(R + S) / P), ones))
+        for ea, eb in edges:
+            obj = _objectives(a, b, lam, eps, _q(ea, eb))
+            take = ~offered | (obj < best)
+            a0 = np.where(take, ea, a0)
+            b0 = np.where(take, eb, b0)
+            best = np.where(take, obj, best)
+            offered[:] = True
+    return check_q(_q(a0, b0))
 
-    best = min(candidates,
-               key=lambda ab: objective(system, (ab[0], ab[1], 1.0 - ab[0], 1.0 - ab[1])))
-    a_star, b_star = best
-    return QDistribution(a_star, b_star, 1.0 - a_star, 1.0 - b_star)
+
+def solve_q(system: ConstraintSystem) -> QDistribution:
+    """Exact minimizer of the relaxed problem over feasible q: ``solve_q_batch``
+    with n = 1."""
+    return QDistribution(*solve_q_batch(system.a[None], system.b, system.lam)[0].tolist())
 
 
-def _clamp(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+def objective(system: ConstraintSystem, q) -> float:
+    """||lambda o (Aq - b)||^2 plus the uniform-tie-break term."""
+    reg = REG_WEIGHT * float(np.max(system.lam)) ** 2
+    q = np.asarray(q, dtype=float)[None]
+    return float(_objectives(system.a[None], system.b, system.lam, reg, q)[0])

@@ -197,10 +197,25 @@ def test_range_checks_exit_2(tmp_path, capsys):
 
 def test_worker_pool_capped_at_trial_count(tmp_path, monkeypatch):
     seen = []
+    outstanding = []   # per pool: trials submitted and not yet collected, at each collection
+
+    class Future:
+        def __init__(self, pool, fn, item):
+            self.pool, self.fn, self.item = pool, fn, item
+
+        def result(self):
+            outstanding[-1].append(self.pool.submitted - self.pool.collected)
+            self.pool.collected += 1
+            return self.fn(self.item)
+
+        def cancel(self):
+            return False
 
     class Recorder:
         def __init__(self, max_workers, initializer, initargs):
             seen.append(max_workers)
+            outstanding.append([])
+            self.submitted = self.collected = 0
             initializer(*initargs)
 
         def __enter__(self):
@@ -209,8 +224,9 @@ def test_worker_pool_capped_at_trial_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return list(map(fn, items))
+        def submit(self, fn, item):
+            self.submitted += 1
+            return Future(self, fn, item)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
@@ -220,6 +236,11 @@ def test_worker_pool_capped_at_trial_count(tmp_path, monkeypatch):
     assert code == 0 and seen == [2]  # a single trial runs in-process
     code, _ = run_main(tmp_path, SYNTH_MW, "--workers", "3", "--trials", "5", out="five")
     assert code == 0 and seen == [2, 3]
+    # at most 2 * workers trials are submitted beyond the one being collected
+    code, _ = run_main(tmp_path, SYNTH_MW, "--workers", "2", "--trials", "11", out="eleven")
+    assert code == 0 and seen == [2, 3, 2]
+    assert outstanding == [[2, 1], [5, 4, 3, 2, 1], [5] * 7 + [4, 3, 2, 1]]
+    assert json.loads((tmp_path / "eleven" / "summary.json").read_text())["trials"] == 11
 
 
 def test_fairness_budget_verdicts():

@@ -12,6 +12,9 @@ from fairmw.domain import (
     QDistribution,
     RunConfig,
 )
+import scalar_reference
+from fairmw import engines, qopt
+from fairmw.domain import trial_seed_sequence
 from fairmw.engines import CELL_MAP, EngineState, Trajectory, run_trial, step
 from fairmw.errors import EmptyStream, StreamExhausted
 from fairmw.experts import ErrorProfile, FileEnsemble, SyntheticEnsemble
@@ -39,10 +42,9 @@ def preds(*values):
 
 def test_mw_step_hand_example():
     state = EngineState.fresh("mw", 2, 0.5)
-    table, _, losses, expected, right = step(
-        state, preds(1, 0), Group.A, POS, np.random.default_rng(0))
-    assert expected == 0.5 and right == 0.5
-    assert table == -1
+    experts, losses, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.6)
+    assert right == 0.5 and wrong is None
+    assert experts == (1,)   # 0.6 * 2 lands past the first expert's unit mass
     assert np.array_equal(losses, [0.0, 1.0])
     assert np.array_equal(state.weights.slice(), [1.0, 0.5])
     assert state.estimates is None
@@ -51,19 +53,17 @@ def test_mw_step_hand_example():
 def test_step_zero_one_losses():
     # losses are 1.0 exactly where an expert's prediction misses the label
     state = EngineState.fresh("mw", 4, 0.3)
-    _, _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, POS,
-                              np.random.default_rng(0))
+    _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, POS, 0.5)
     assert losses.dtype == np.float64
     assert losses.tolist() == [0.0, 1.0, 0.0, 1.0]
-    _, _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, NEG,
-                              np.random.default_rng(0))
+    _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, NEG, 0.5)
     assert losses.tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_mw_unanimous_correct_round_keeps_weights():
     state = EngineState.fresh("mw", 3, 0.3)
     before = state.weights.array.copy()
-    step(state, preds(1, 1, 1), Group.B, POS, np.random.default_rng(1))
+    step(state, preds(1, 1, 1), Group.B, POS, 0.5)
     assert np.array_equal(state.weights.array, before)
 
 
@@ -74,7 +74,7 @@ def test_mw_sampling_ignores_floored_expert():
     state.weights.slice()[:] = (1.0, 1e-300)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        _, chosen, _, _, _ = step(state, preds(1, 0), Group.A, POS, rng)
+        (chosen,), _, _, _ = step(state, preds(1, 0), Group.A, POS, rng.random())
         assert chosen == 0
         state.weights.slice()[:] = (1.0, 1e-300)
 
@@ -83,11 +83,10 @@ def test_cell_map_addresses_one_cell_per_round():
     # mw reads and updates (A,-) whatever arrives, group_aware (g,-) and
     # fairness_aware (g,y); every other cell keeps its bit pattern
     arrivals = [(Group.A, NEG), (Group.A, POS), (Group.B, NEG), (Group.B, POS)]
-    q = QDistribution.uniform()
     for engine, (by_group, by_label) in CELL_MAP.items():
         for g, y in arrivals:
             state = EngineState.fresh(engine, 2, 0.4)
-            step(state, preds(1 - y, y), g, y, np.random.default_rng(0), q)
+            step(state, preds(1 - y, y), g, y, 0.5)
             cell = (g if by_group else Group.A, y if by_label else NEG)
             moved = {(gg, yy) for gg in (0, 1) for yy in (0, 1)
                      if not np.array_equal(state.weights.array[gg, yy], [1.0, 1.0])}
@@ -97,7 +96,7 @@ def test_cell_map_addresses_one_cell_per_round():
 def test_group_aware_updates_only_arriving_group():
     state = EngineState.fresh("group_aware", 2, 0.4)
     before_b = state.weights.slice(Group.B).copy()
-    step(state, preds(0, 1), Group.A, POS, np.random.default_rng(2))
+    step(state, preds(0, 1), Group.A, POS, 0.5)
     assert np.array_equal(state.weights.slice(Group.B), before_b)
     assert not np.array_equal(state.weights.slice(Group.A), [1.0, 1.0])
 
@@ -112,10 +111,10 @@ def test_group_aware_matches_mw_on_filtered_subsequence():
     mw = EngineState.fresh("mw", 3, 0.25)
     expected_ga, expected_mw = [], []
     for g, y, p in rounds:
-        out = step(ga, p, g, y, np.random.default_rng(0))
+        out = step(ga, p, g, y, 0.5)
         if g == Group.A:
-            expected_ga.append(out[3])
-            expected_mw.append(step(mw, p, g, y, np.random.default_rng(0))[3])
+            expected_ga.append(out[2])
+            expected_mw.append(step(mw, p, g, y, 0.5)[2])
     assert expected_ga == expected_mw
     assert np.array_equal(ga.weights.slice(Group.A), mw.weights.slice())
 
@@ -124,8 +123,7 @@ def test_rmw_updates_only_true_label_slice():
     state = EngineState.fresh("fairness_aware", 2, 0.5)
     before = {(g, y): state.weights.slice(g, y).copy()
               for g in (Group.A, Group.B) for y in (NEG, POS)}
-    step(state, preds(1, 0), Group.A, POS, np.random.default_rng(3),
-         QDistribution.uniform())
+    step(state, preds(1, 0), Group.A, POS, 0.5)
     for g in (Group.A, Group.B):
         for y in (NEG, POS):
             same = np.array_equal(state.weights.slice(g, y), before[(g, y)])
@@ -134,54 +132,79 @@ def test_rmw_updates_only_true_label_slice():
 
 def test_rmw_step_hand_example():
     state = EngineState.fresh("fairness_aware", 2, 0.5)
-    table, _, _, expected, right = step(state, preds(1, 0), Group.A, POS,
-                                        np.random.default_rng(4), QDistribution.uniform())
-    # both slices are uniform, so either table gives expected loss 1/2
-    assert expected == 0.5
-    assert right == 0.5
-    assert table in (NEG, POS)
+    experts, _, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.4)
+    # both slices are uniform: each table gives expected loss 1/2, and the
+    # uniform 0.4 draws the first expert from either table
+    assert right == wrong == 0.5
+    assert experts == (0, 0)
     assert np.array_equal(state.weights.slice(Group.A, POS), [1.0, 0.5])
     # the wrong-table loss equals the right-table loss: zero alpha gap
     assert np.array_equal(state.alphas.sums, np.zeros((2, 2)))
     assert state.estimates.counts.tolist() == [[0, 1], [0, 0]]
+    # the candidates come from the pre-update tables (g,-) and (g,+)
+    experts, _, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.6)
+    assert experts == (1, 0)   # 0.6 * 2 >= 1 in (1, 1); 0.6 * 1.5 < 1 in (1, 0.5)
 
 
 def test_rmw_alpha_accumulates_cross_table_gap():
     state = EngineState.fresh("fairness_aware", 2, 0.5)
-    rng = np.random.default_rng(5)
-    q = QDistribution.uniform()
-    step(state, preds(1, 0), Group.A, POS, rng, q)
-    _, _, _, expected, right = step(state, preds(1, 0), Group.A, POS, rng, q)
+    step(state, preds(1, 0), Group.A, POS, 0.5)
+    _, _, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.5)
     # second round: right slice (1, 0.5) gives 1/3, wrong slice stays 1/2
     assert abs(right - 1.0 / 3.0) < 1e-15
-    assert expected == 0.5 * right + 0.5 * 0.5
+    assert wrong == 0.5
     assert abs(state.alphas.sums[Group.A, NEG] - (0.5 - 1.0 / 3.0)) < 1e-15
     assert state.alphas.sums[Group.A, POS] == 0.0
     assert np.all(state.alphas.sums[Group.B] == 0.0)
+    # run_trial mixes right and wrong by q, uniform until the first stride point
+    traj = run_trial(config(engine="fairness_aware", horizon=2, eta=0.25,
+                            q_recompute_stride=5),
+                     make_stream("A+ A+"), file_ensemble([[1, 0], [1, 0]]))
+    right = 0.75 / 1.75   # slice (1, 0.75) after one round
+    assert traj.right.tolist() == [0.5, right]
+    assert traj.expected.tolist() == [0.5, 0.5 * right + 0.5 * 0.5]
+    assert traj.alpha_sums.tolist() == [[0.5 - right, 0.0], [0.0, 0.0]]
 
 
 def test_rmw_degenerate_q_reduces_to_mw_on_slice():
-    # q_{A,+} = 1 on an all-(A,+) stream touches only that slice, so the
-    # expected-loss series and final weights equal plain mw
-    q = QDistribution(0.0, 0.5, 1.0, 0.5)
+    # q_{A,+} = 1 on an all-(A,+) stream always draws table (A,+) and gives
+    # expected loss 1.0 * right: the right-table losses, that table's
+    # draws and its final weights equal plain mw
     rng = np.random.default_rng(6)
     rmw = EngineState.fresh("fairness_aware", 3, 0.2)
     mw = EngineState.fresh("mw", 3, 0.2)
     for _ in range(30):
         p = rng.integers(0, 2, size=3).astype(np.int8)
-        out_r = step(rmw, p, Group.A, POS, np.random.default_rng(0), q)
-        out_m = step(mw, p, Group.A, POS, np.random.default_rng(0))
-        assert out_r[3] == out_m[3]
+        u = rng.random()
+        experts_r, _, right_r, _ = step(rmw, p, Group.A, POS, u)
+        experts_m, _, right_m, _ = step(mw, p, Group.A, POS, u)
+        assert right_r == right_m and experts_r[POS] == experts_m[0]
     assert np.array_equal(rmw.weights.slice(Group.A, POS), mw.weights.slice())
 
 
-def test_rmw_table_draw_follows_q():
-    q = QDistribution(1.0, 0.5, 0.0, 0.5)  # group A always draws the negative table
-    state = EngineState.fresh("fairness_aware", 2, 0.3)
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        table, _, _, _, _ = step(state, preds(0, 1), Group.A, POS, rng, q)
-        assert table == NEG
+def test_rmw_table_draw_follows_q(monkeypatch):
+    # Every stride point's q is replaced by q_{A,-} = 1, then by 0.  On an
+    # all-(A,+) stream table (A,-) keeps uniform weights, so when it is
+    # drawn the expert is 1 exactly when the round's expert uniform is at
+    # least 1/2; table (A,+) learns that expert 1 (which always misses) is bad.
+    T = 40
+    uniforms = np.random.default_rng(trial_seed_sequence(0, 0)[2]).random((T, 2))
+    from_neg = (uniforms[:, 1] >= 0.5).astype(float)
+    for q_a_neg in (1.0, 0.0):
+        monkeypatch.setattr(engines, "solve_q_batch", lambda a, b, lam: np.tile(
+            [q_a_neg, 0.5, 1.0 - q_a_neg, 0.5], (len(a), 1)))
+        traj = run_trial(config(engine="fairness_aware", horizon=T, eta=0.3),
+                         make_stream("A+", reps=T), file_ensemble([[1, 0]] * T))
+        # round 1 is uniform q, and both tables are still uniform then
+        assert traj.realized[0] == from_neg[0]
+        assert traj.q_neg[1:, 0].tolist() == [q_a_neg] * (T - 1)
+        # the expected loss weighs the (A,+) table's loss by q_{A,+}
+        if q_a_neg == 1.0:
+            assert traj.realized[1:].tolist() == from_neg[1:].tolist()
+            assert traj.expected[1:].tolist() == [0.5] * (T - 1)   # the (A,-) table's loss
+        else:
+            assert traj.realized[1:].sum() < from_neg[1:].sum()
+            assert traj.expected[1:].tolist() == traj.right[1:].tolist()
 
 
 def config(**kw):
@@ -307,14 +330,16 @@ def test_trajectory_regret_series():
 
 def test_trajectory_round_columns():
     # what record() is handed for each round comes back from the columns,
-    # and finish() derives the aggregates from them
+    # and finish() derives the aggregates from them and from the
+    # fairness_aware columns
     traj = Trajectory("fairness_aware", 0.3, ["f0", "f1"], 3)
-    q = QDistribution(0.3, 0.6, 0.7, 0.4)
-    rows = [(Group.A, POS, 1, 0.0, 0.4, (1.0, 0.0), 0.25),
-            (Group.B, NEG, 1, 1.0, 0.6, (1.0, 1.0), 0.5),
-            (Group.B, POS, 0, 1.0, 0.7, (0.0, 1.0), 0.75)]
-    for t, (g, y, p, real, exp, losses, right) in enumerate(rows, start=1):
-        traj.record(t, g, y, p, real, exp, np.array(losses), right, q)
+    rows = [(Group.A, POS, 1, 0.0, 0.4, (1.0, 0.0)),
+            (Group.B, NEG, 1, 1.0, 0.6, (1.0, 1.0)),
+            (Group.B, POS, 0, 1.0, 0.7, (0.0, 1.0))]
+    for t, (g, y, p, real, exp, losses) in enumerate(rows, start=1):
+        traj.record(t, g, y, p, real, exp, np.array(losses))
+    traj.right[:] = (0.25, 0.5, 0.75)
+    traj.q_neg[:] = (0.3, 0.6)
     traj.finish()
     assert len(traj) == 3
     assert traj.cell.tolist() == [1, 2, 3]          # 2 * group + label
@@ -442,3 +467,81 @@ def test_mw_theorem_regret_bound_random_runs():
                          stream, SyntheticEnsemble(profiles))
         bound = (1.0 + eta) * traj.L_f.min() + math.log(d) / eta
         assert traj.L_expected <= bound + 1e-9
+
+
+def fair_case(T, **kw):
+    ens = SyntheticEnsemble([ErrorProfile(0.3, 0.1, 0.2, 0.4),
+                             ErrorProfile(0.1, 0.35, 0.4, 0.1),
+                             ErrorProfile(0.25, 0.25, 0.2, 0.2)])
+    rng = np.random.default_rng(21)
+    stream = [Example(Group(int(rng.random() < 0.4)), int(rng.random() < 0.35))
+              for _ in range(T)]
+    base = dict(engine="fairness_aware", horizon=T, eta=None, seed=4,
+                lam=(1.0, 1.0, 1.0 / T))
+    base.update(kw)
+    return RunConfig(**base), stream, ens
+
+
+def assert_same_trial(got, want):
+    assert dump(got) == dump(want)
+    for name in ("cell", "outcome", "realized", "expected", "losses", "right", "q_neg",
+                 "alpha_sums"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    assert got.q_final == want.q_final
+    assert (got.p_hat_final, got.mu_hat_final) == (want.p_hat_final, want.mu_hat_final)
+
+
+@pytest.mark.parametrize("T, kw", [
+    (400, dict(q_recompute_stride=1)),
+    (400, dict(q_recompute_stride=3, b_tolerance=(0.02, 0.01, 0.0))),
+    (400, dict(q_recompute_stride=7, dirichlet_alpha=0.01)),
+    (200, dict(lam=(0.0, 0.0, 0.0))),
+    (50, dict(q_recompute_stride=60)),
+    (1, {}),
+    (2, {}),
+])
+def test_two_stage_trial_matches_per_round_reference(T, kw):
+    # the per-round loop solved q before each stride round and drew the
+    # table, then the expert, from the engine rng; the two-stage trial
+    # must give every column and final bit for bit
+    cfg, stream, ens = fair_case(T, **kw)
+    for trial in (0, 1):
+        assert_same_trial(run_trial(cfg, stream, ens, trial),
+                          scalar_reference.fairness_aware_trial(cfg, stream, ens, trial))
+
+
+def test_fairness_aware_solves_q_in_blocks(monkeypatch):
+    # one batched solve per Q_BLOCK stride points, no scalar assembly or
+    # solve, no ConstraintSystem, and one QDistribution (q_final) per trial
+    calls = []
+    batched = engines.solve_q_batch
+
+    def counting(a, b, lam):
+        calls.append(len(a))
+        return batched(a, b, lam)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar q path used")
+
+    built = []
+    q_init = QDistribution.__post_init__
+
+    def counting_q(self):
+        built.append(self)
+        q_init(self)
+
+    monkeypatch.setattr(engines, "solve_q_batch", counting)
+    for name in ("solve_q", "assemble_constraint_system"):
+        monkeypatch.setattr(qopt, name, forbidden)
+    monkeypatch.setattr(qopt.ConstraintSystem, "__post_init__", forbidden)
+    monkeypatch.setattr(QDistribution, "__post_init__", counting_q)
+    cfg, stream, ens = fair_case(300, q_recompute_stride=2)
+    points = (300 - 1) // 2
+    traj = run_trial(cfg, stream, ens)
+    assert calls == [points] and len(built) == 1
+    # a small block splits the solves and leaves every output as it was
+    calls.clear()
+    monkeypatch.setattr(engines, "Q_BLOCK", 40)
+    assert_same_trial(run_trial(cfg, stream, ens), traj)
+    assert calls == [40, 40, 40, points - 120]   # ceil(points / 40) calls

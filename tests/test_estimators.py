@@ -1,11 +1,12 @@
 import numpy as np
 
-from fairmw.domain import Group, NEG, POS, QDistribution
+from fairmw.domain import Group, NEG, POS
 from fairmw.engines import EngineState, step
 from fairmw.estimators import (
     AlphaTracker,
     RateEstimates,
     dirichlet_rate,
+    smoothed_rates,
 )
 
 
@@ -81,12 +82,12 @@ def alpha_step(state, losses, group, label):
     """The alpha contributions of one fairness_aware step, [group, label].
 
     Every expert predicts the label exactly where its loss is 0, so the
-    step sees these losses; q is irrelevant to the alpha gap.
+    step sees these losses; the step never reads q, and the uniform only
+    picks the candidate experts.
     """
     before = state.alphas.sums.copy()
     predictions = np.where(np.asarray(losses) > 0, 1 - label, label).astype(np.int8)
-    step(state, predictions, group, label, np.random.default_rng(0),
-         QDistribution.uniform())
+    step(state, predictions, group, label, 0.5)
     return state.alphas.sums - before
 
 
@@ -164,3 +165,24 @@ def test_sums_vector_canonical_order():
     tracker.add(Group.A, POS, 0.3)
     tracker.add(Group.B, POS, 0.4)
     assert tracker.sums_vector().tolist() == [0.1, 0.2, 0.3, 0.4]
+
+
+def test_smoothed_rates_batch_matches_running_estimates():
+    # batched rates at every prefix equal the running estimator's and the
+    # textbook formulas in Python floats, bitwise
+    rng = np.random.default_rng(8)
+    a = 0.3
+    est = RateEstimates(dirichlet_alpha=a)
+    snapshots, p_hat, mu = [], [], []
+    for _ in range(200):
+        c = est.counts
+        t_a, t_b = float(c[0].sum()), float(c[1].sum())
+        p_hat.append((t_a + 2.0 * a) / (est.t + 4.0 * a))
+        mu.append([(float(c[0, 1]) + a) / (t_a + 2.0 * a),
+                   (float(c[1, 1]) + a) / (t_b + 2.0 * a)])
+        assert (est.p_hat, [est.mu_hat(Group.A), est.mu_hat(Group.B)]) == (p_hat[-1], mu[-1])
+        snapshots.append(c.copy())
+        est.update(Group(int(rng.integers(0, 2))), int(rng.random() < 0.3))
+    batch_p, batch_mu = smoothed_rates(np.array(snapshots), a)
+    assert batch_p.tolist() == p_hat
+    assert batch_mu.tolist() == mu

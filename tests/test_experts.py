@@ -15,6 +15,7 @@ from fairmw.experts import (
     ErrorProfile,
     FileEnsemble,
     SyntheticEnsemble,
+    _train_stump,
     load_prediction_file,
     synthetic_predict,
     train_builtin,
@@ -239,3 +240,44 @@ def test_builtin_ensemble():
     assert set(np.unique(preds)) <= {0, 1}
     with pytest.raises(InvalidExpertCount):
         BuiltinEnsemble(["m"], models[:1])
+
+
+def reference_stump(x, y):
+    """The O(n^2) threshold scan the sorted sweep replaced."""
+    n = x.shape[0]
+    majority = int(y.sum() * 2 >= n)
+    if np.all(y == y[0]):
+        return (0, 0.0, 1, int(y[0]))
+    best = (n + 1, 0, 0.0, 1)
+    for j in range(x.shape[1]):
+        values = np.unique(x[:, j])
+        if len(values) < 2:
+            continue
+        for thr in (values[:-1] + values[1:]) / 2.0:
+            pred = (x[:, j] > thr).astype(float)
+            err_pos = int(np.sum(pred != y))
+            err_neg = n - err_pos
+            if err_pos < best[0]:
+                best = (err_pos, j, float(thr), 1)
+            if err_neg < best[0]:
+                best = (err_neg, j, float(thr), -1)
+    if best[0] > n:
+        return (0, 0.0, 1, majority)
+    return (best[1], best[2], best[3], None)
+
+
+def test_stump_matches_quadratic_reference():
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        # few distinct values per column give ties; some columns are constant
+        x = rng.integers(0, int(rng.integers(1, 6)), size=(n, k)).astype(float)
+        x[:, rng.random(k) < 0.3] = 2.5
+        if case % 3 == 0:
+            x += rng.normal(0, 1e-3, size=(n, k)) * (rng.random((n, k)) < 0.5)
+        if case % 7 == 0:   # adjacent doubles: the midpoint rounds onto one of them
+            x[:, 0] = np.where(rng.random(n) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+        y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+        model = _train_stump(x, y)
+        got = (model.feature, model.threshold, model.polarity, model.constant)
+        assert got == reference_stump(x, y), case

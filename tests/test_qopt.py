@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from fairmw.errors import NonFiniteInput
+import scalar_reference
+from fairmw.domain import check_q
+from fairmw.errors import ConfigError, NonFiniteInput
 from fairmw.qopt import (
     REG_WEIGHT,
     ConstraintSystem,
     assemble_constraint_system,
+    assemble_systems,
     objective,
     solve_q,
+    solve_q_batch,
 )
 
 
@@ -190,3 +194,143 @@ def test_solve_survives_zero_determinant():
         got = objective(sys_, q)
         for other in [(0.5, 0.5, 0.5, 0.5)] + corners:
             assert got <= objective(sys_, other)
+
+
+def reference_q(a, b, lam):
+    a_star, b_star = scalar_reference.solve(a, b, lam)
+    return [a_star, b_star, 1.0 - a_star, 1.0 - b_star]
+
+
+def assert_batch_matches_reference(a, b, lam):
+    q = solve_q_batch(a, b, lam)
+    want = [reference_q(ai, np.asarray(b, float), np.asarray(lam, float)) for ai in a]
+    # tolist() keeps the sign of zero; compare the bit patterns
+    assert q.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    return q
+
+
+def engine_like_batch(rng, n):
+    """Systems as the engine assembles them: alpha sums from 1e-3 to 1e6 in
+    magnitude, either sign, with estimates strictly inside (0, 1)."""
+    sums = rng.choice([-1.0, 1.0], size=(n, 4)) * 10.0 ** rng.uniform(-3, 6, size=(n, 4))
+    p_hat, mu_a, mu_b = rng.uniform(0.05, 0.95, size=(3, n))
+    t = rng.integers(1, 200000, size=n).astype(float)
+    return assemble_systems(sums, p_hat, mu_a, mu_b, t)
+
+
+def test_batch_matches_scalar_reference_bitwise():
+    rng = np.random.default_rng(77)
+    for k in range(20):
+        n = 1000
+        if k % 2:
+            a = engine_like_batch(rng, n)
+            b = rng.uniform(0, 0.05, size=3) if k % 4 == 1 else np.zeros(3)
+            lam = np.array([1.0, 1.0, 2e-4])
+        else:
+            a = rng.uniform(-1, 1, size=(n, 3, 4)) * 10.0 ** rng.uniform(-2, 3, size=(n, 1, 1))
+            a[:, 0, 2:] = 0.0
+            a[:, 1, :2] = 0.0
+            b = rng.uniform(-0.5, 0.5, size=3)
+            lam = rng.uniform(0, 2, size=3)
+        assert_batch_matches_reference(a, b, lam)
+        # a system's q does not depend on the batch it is solved in
+        q1 = solve_q_batch(a[:1], b, lam)
+        assert q1.tolist() == solve_q_batch(a, b, lam)[:1].tolist()
+
+
+def test_assemble_systems_matches_scalar_reference():
+    rng = np.random.default_rng(78)
+    n = 2000
+    sums = rng.choice([-1.0, 1.0], size=(n, 4)) * 10.0 ** rng.uniform(-3, 6, size=(n, 4))
+    p_hat, mu_a, mu_b = rng.uniform(0.05, 0.95, size=(3, n))
+    t = rng.integers(1, 200000, size=n)
+    got = assemble_systems(sums, p_hat, mu_a, mu_b, t)
+    want = [scalar_reference.assemble(*args) for args in zip(sums, p_hat, mu_a, mu_b, t)]
+    assert got.tolist() == np.array(want).tolist()
+    one = assemble_constraint_system(sums[0], p_hat[0], mu_a[0], mu_b[0], t[0])
+    assert one.a.tolist() == want[0].tolist()
+
+
+def test_batch_matches_reference_at_zero_determinant():
+    systems = degenerate_systems()
+    for lam in ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)):
+        a = np.array([s.a for s in systems])
+        assert_batch_matches_reference(a, np.zeros(3), lam)
+    u = a[:, :, 0] - a[:, :, 2]
+    v = a[:, :, 1] - a[:, :, 3]
+    P = np.einsum("ij,ij->i", u, u) + 2e-8
+    Q = np.einsum("ij,ij->i", v, v) + 2e-8
+    R = np.einsum("ij,ij->i", u, v)
+    assert np.any(P * Q - R * R == 0.0)
+
+
+def test_batch_matches_reference_when_rounding_makes_det_negative():
+    # Mathematically det > 0, but at large alpha sums with only the regret
+    # row weighted, P*Q - R*R is rounding noise and can come out negative.
+    # The interior point is then still offered when it lands in the box;
+    # only the box test screens it.
+    rng = np.random.default_rng(5)
+    n = 4000
+    sums = rng.uniform(-1.0, 1.0, size=(n, 4)) * 10.0 ** rng.uniform(5, 7, size=(n, 1))
+    a = assemble_systems(sums, np.full(n, 0.7), np.full(n, 0.3), np.full(n, 0.2),
+                         np.full(n, 1000))
+    lam = np.array([0.0, 0.0, 1.0])
+    eps = REG_WEIGHT
+    dets, inbox = [], []
+    for ai in a:
+        u, v, c = ai[2, 0] - ai[2, 2], ai[2, 1] - ai[2, 3], ai[2, 2] + ai[2, 3]
+        P, Q, R = u * u + 2.0 * eps, v * v + 2.0 * eps, u * v
+        S, U = u * c - eps, v * c - eps
+        det = P * Q - R * R
+        a0, b0 = ((U * R - S * Q) / det, (R * S - P * U) / det) if det else (2.0, 2.0)
+        dets.append(det)
+        inbox.append(0.0 <= a0 <= 1.0 and 0.0 <= b0 <= 1.0)
+    negative = np.array(dets) < 0.0
+    offered = negative & np.array(inbox)
+    assert negative.sum() > 100 and offered.sum() > 50
+    q = assert_batch_matches_reference(a[negative], np.zeros(3), lam)
+    assert np.all((q >= 0.0) & (q <= 1.0))
+
+
+def test_batch_skips_unoffered_interior_when_edges_overflow():
+    # b_regret = -1e160 keeps P, Q and R moderate while S, U and every
+    # residual are ~1e160, so each objective overflows to inf.  The
+    # interior point lies far outside the box and is not offered; the first
+    # edge wins, as in the scalar scan (scoring the unoffered point as +inf
+    # would keep it, since no inf edge is smaller).
+    a = np.zeros((2, 3, 4))
+    a[:, 0, :2] = [(0.3, -0.2), (0.7, 0.1)]
+    a[:, 1, 2:] = [(-0.1, 0.4), (0.2, -0.5)]
+    a[:, 2] = (1.0, -3.0, 0.0, 0.0)
+    b, lam = np.array([0.0, 0.0, -1e160]), np.ones(3)
+    for ai in a:
+        system = ConstraintSystem(ai, b, lam)
+        edges = [objective(system, (x, y, 1 - x, 1 - y)) for x in (0.0, 1.0) for y in (0.0, 1.0)]
+        assert edges == [np.inf] * 4
+    q = assert_batch_matches_reference(a, b, lam)
+    assert q[:, 0].tolist() == [0.0, 0.0]   # the first edge: q_{A,-} = 0
+
+
+def test_batch_rejects_nonfinite_and_infeasible_rows():
+    good = np.zeros((4, 3, 4))
+    bad = good.copy()
+    bad[2, 2, 1] = np.inf
+    with pytest.raises(NonFiniteInput):
+        solve_q_batch(bad, np.zeros(3), np.ones(3))
+    with pytest.raises(NonFiniteInput):
+        solve_q_batch(good, np.array([0.0, np.nan, 0.0]), np.ones(3))
+    sums = np.zeros((4, 4))
+    sums[3, 1] = np.nan
+    ones = np.full(4, 0.5)
+    with pytest.raises(NonFiniteInput):
+        assemble_systems(sums, ones, ones, ones, np.arange(1, 5))
+    with pytest.raises(NonFiniteInput):
+        assemble_systems(np.zeros((4, 4)), ones, ones, ones, np.arange(0, 4))  # t = 0
+    q = solve_q_batch(good, np.zeros(3), np.ones(3))
+    assert q.tolist() == [[0.5] * 4] * 4
+    q[1] = (0.5, 1.2, 0.5, -0.2)
+    with pytest.raises(ConfigError, match="outside"):
+        check_q(q)
+    q[1] = (0.5, 0.5, 0.6, 0.5)
+    with pytest.raises(ConfigError, match="q_a_neg"):
+        check_q(q)
