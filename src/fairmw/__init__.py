@@ -14,7 +14,7 @@ from .domain import (
 )
 from .engines import EngineState, Trajectory, run_trial
 from .errors import FairmwError
-from .experts import ErrorProfile, SyntheticEnsemble, FileEnsemble, train_builtin
+from .experts import ErrorProfile, SyntheticEnsemble, MatrixEnsemble, train_builtin
 from .estimators import RateEstimates, AlphaTracker
 from .metrics import FairnessReport, BoundReport, gamma, compute_rates, regret, validate_bounds
 from .qopt import ConstraintSystem, assemble_constraint_system, solve_q
@@ -39,7 +39,7 @@ __all__ = [
     "FairmwError",
     "ErrorProfile",
     "SyntheticEnsemble",
-    "FileEnsemble",
+    "MatrixEnsemble",
     "train_builtin",
     "RateEstimates",
     "AlphaTracker",

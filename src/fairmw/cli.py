@@ -44,9 +44,10 @@ from .errors import (
     SchemaError,
 )
 from .experts import (
-    BuiltinEnsemble,
     ErrorProfile,
+    MatrixEnsemble,
     SyntheticEnsemble,
+    feature_matrix,
     load_prediction_file,
     train_builtin,
 )
@@ -231,42 +232,40 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     if experts_source not in ("synthetic", "file", "builtin"):
         raise ConfigError(f"experts.source: unknown source {experts_source!r}")
 
+    # Only the chosen source's keys are read; any other experts.* key is an error.
     profiles: list[tuple[str, ErrorProfile]] = []
-    for key in cfg:
-        if not key.startswith("experts.profile."):
-            continue
-        known.add(key)
-        name = key[len("experts.profile."):]
-        if not name:
-            raise ConfigError(f"{key}: profile needs a name suffix")
-        parts = [s.strip() for s in cfg[key].split(",")]
-        if len(parts) != 4:
-            raise ConfigError(
-                f"{key}: expected 4 error rates (e_a_neg, e_a_pos, e_b_neg, e_b_pos)")
-        rates = [_as_prob(key, s) for s in parts]
-        profiles.append((name, ErrorProfile(*rates)))
-
-    experts_file = take("experts.file")
-    kinds_raw = take("experts.kinds", "logistic,stump")
-    kinds = tuple(s.strip() for s in kinds_raw.split(",") if s.strip())
-    include_group = _as_bool("experts.include_group", take("experts.include_group", "true"))
-    epochs = _as_int("experts.epochs", take("experts.epochs", "500"), minimum=1)
-
+    experts_file, kinds, include_group, epochs = None, (), True, 500
     if experts_source == "synthetic":
+        for key in [k for k in cfg if k.startswith("experts.profile.")]:
+            name = key[len("experts.profile."):]
+            if not name:
+                raise ConfigError(f"{key}: profile needs a name suffix")
+            parts = [v.strip() for v in take(key).split(",")]
+            if len(parts) != 4:
+                raise ConfigError(
+                    f"{key}: expected 4 error rates (e_a_neg, e_a_pos, e_b_neg, e_b_pos)")
+            profiles.append((name, ErrorProfile(*(_as_prob(key, v) for v in parts))))
         if len(profiles) < 2:
             raise ConfigError("experts.source=synthetic needs at least 2 experts.profile.* keys")
     elif experts_source == "file":
+        experts_file = take("experts.file")
         if not experts_file:
             raise ConfigError("experts.source=file needs experts.file")
     else:  # builtin
         if stream_kind != "dataset":
             raise ConfigError("experts.source=builtin needs a dataset stream to train on")
+        kinds_raw = take("experts.kinds", "logistic,stump")
+        kinds = tuple(s.strip() for s in kinds_raw.split(",") if s.strip())
+        include_group = _as_bool("experts.include_group", take("experts.include_group", "true"))
+        epochs = _as_int("experts.epochs", take("experts.epochs", "500"), minimum=1)
         if len(kinds) < 2:
             raise ConfigError("experts.kinds: need at least 2 entries")
         for k in kinds:
             if k not in ("logistic", "stump"):
                 raise ConfigError(f"experts.kinds: unknown kind {k!r}")
-
+    stray = sorted(k for k in set(cfg) - known if k.startswith("experts."))
+    if stray:
+        raise ConfigError(f"{', '.join(stray)}: not read by experts.source={experts_source}")
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {', '.join(unknown)}")
@@ -317,35 +316,40 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
     info: dict = {"ingest_report": None, "data_stats": None}
 
     if spec.stream_kind == "synthetic":
-        if spec.experts_source == "file":
-            ensemble = load_prediction_file(spec.experts_file)
-        else:
-            ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
-                                         [n for n, _ in spec.profiles])
-        stream_params = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b)
         test = None
+        stream_params = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b)
     else:
         schema = load_preset(spec.data_preset)
         examples, report = load_dataset(spec.data_path, schema)
         info["ingest_report"] = report.to_dict()
         info["data_stats"] = dataset_stats(examples).to_dict()
-        train, test = split_shuffle(examples, spec.split_ratio, run.seed)
+        train_idx, test_idx = split_shuffle(len(examples), spec.split_ratio, run.seed)
+        test = [examples[i] for i in test_idx]
         if not spec.horizon_explicit:
             run = dataclasses.replace(run, horizon=len(test))
         stream_params = None
-        if spec.experts_source == "builtin":
-            models, names = [], []
-            for i, kind in enumerate(spec.experts_kinds):
-                models.append(train_builtin(train, kind, epochs=spec.epochs,
-                                            seed=run.seed + 7919 * i,
-                                            include_group=spec.include_group))
-                names.append(f"{kind}_{i}")
-            ensemble = BuiltinEnsemble(names, models, spec.include_group)
-        elif spec.experts_source == "file":
-            ensemble = load_prediction_file(spec.experts_file)
-        else:
-            ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
-                                         [n for n, _ in spec.profiles])
+
+    if spec.experts_source == "synthetic":
+        ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
+                                     [n for n, _ in spec.profiles])
+    elif spec.experts_source == "file":
+        ensemble = load_prediction_file(spec.experts_file)
+        if spec.stream_kind == "dataset":
+            # One row per kept dataset row, in CSV order: key it to the test split.
+            if ensemble.num_rounds != len(examples):
+                raise FormatError(
+                    f"{spec.experts_file}: {ensemble.num_rounds} prediction rows, but "
+                    f"the dataset keeps {len(examples)} rows (one row per kept row)")
+            ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[test_idx])
+    else:  # builtin: every model predicts the test split once
+        train = [examples[i] for i in train_idx]
+        models = [train_builtin(train, kind, epochs=spec.epochs, seed=run.seed + 7919 * i,
+                                include_group=spec.include_group)
+                  for i, kind in enumerate(spec.experts_kinds)]
+        x_test = feature_matrix(test, spec.include_group)
+        ensemble = MatrixEnsemble(
+            [f"{kind}_{i}" for i, kind in enumerate(spec.experts_kinds)],
+            np.column_stack([m.predict(x_test) for m in models]))
 
     epsilon = spec.epsilon
     if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:
@@ -387,13 +391,17 @@ def _margin_key(key) -> str:
 def _run_one_trial(trial: int) -> dict:
     pl = _PAYLOAD
     cfg = pl.run
+    ensemble = pl.ensemble
     if pl.stream_kind == "synthetic":
         stream_ss = trial_seed_sequence(cfg.seed, trial)[0]
         rng = np.random.default_rng(stream_ss)
         stream = synth_stream(*pl.stream_params, cfg.horizon, rng)
     else:
-        stream = reshuffle(pl.test_examples, cfg.seed, trial)
-    traj = run_trial(cfg, stream, pl.ensemble, trial)
+        order = reshuffle(len(pl.test_examples), cfg.seed, trial)
+        stream = [pl.test_examples[i] for i in order]
+        if isinstance(ensemble, MatrixEnsemble):   # keyed to the test split
+            ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[order])
+    traj = run_trial(cfg, stream, ensemble, trial)
     del stream  # the outputs below are assembled without it in memory
 
     report = validate_bounds(traj, cfg, epsilon=pl.epsilon)
@@ -642,9 +650,9 @@ def cmd_stats(args) -> int:
     schema = load_preset(args.preset)
     examples, report = load_dataset(args.data, schema)
     stats = dataset_stats(examples)
-    _, test = split_shuffle(examples, args.split_ratio, args.seed)
+    _, test_idx = split_shuffle(len(examples), args.split_ratio, args.seed)
     doc = {
-        "stats": {**stats.to_dict(), "n_rounds": len(test), "n_total": len(examples)},
+        "stats": {**stats.to_dict(), "n_rounds": len(test_idx), "n_total": len(examples)},
         "split_ratio": args.split_ratio,
         "ingest_report": report.to_dict(),
     }

@@ -1,6 +1,6 @@
 """Sources of per-round expert predictions.
 
-Three kinds of ensemble share one interface: ``names`` (d unique
+Two kinds of ensemble share one interface: ``names`` (d unique
 identifiers), ``num_rounds`` (None when unlimited) and
 ``round_predictions(t, example, rng)`` returning d predictions in {0,1}
 for 1-based round t.
@@ -8,10 +8,11 @@ for 1-based round t.
 * SyntheticEnsemble — each expert flips the true label with a per-cell
   Bernoulli error rate; the generative model under which per-expert
   epsilon-fairness can be set exactly.
-* FileEnsemble — replays a CSV of precomputed predictions, one row per
-  round.
-* BuiltinEnsemble — fixed pre-trained models (logistic / stump) applied
-  to the arrival's features.
+* MatrixEnsemble — serves row t of a fixed (rounds, d) prediction matrix
+  on round t.  A prediction file is one; so are builtin models (logistic /
+  stump), which predict every test example once, column-wise, before any
+  trial runs.  In dataset mode the rows are keyed to the test split and
+  each trial permutes them with its stream.
 
 Ensembles are immutable after construction; randomness comes only from
 the rng passed per call, so parallel trials stay independent.
@@ -33,11 +34,11 @@ __all__ = [
     "synthetic_predict",
     "SyntheticEnsemble",
     "load_prediction_file",
-    "FileEnsemble",
+    "MatrixEnsemble",
+    "feature_matrix",
     "train_builtin",
     "LogisticExpert",
     "StumpExpert",
-    "BuiltinEnsemble",
 ]
 
 
@@ -92,8 +93,8 @@ class SyntheticEnsemble:
                         dtype=np.int8)
 
 
-class FileEnsemble:
-    """Replays a prediction matrix; row t serves round t."""
+class MatrixEnsemble:
+    """Replays a (rounds, d) int8 prediction matrix; row t serves round t."""
 
     def __init__(self, names: list[str], matrix: np.ndarray):
         if len(names) < 2:
@@ -110,11 +111,11 @@ class FileEnsemble:
     def round_predictions(self, t: int, example: Example, rng=None) -> np.ndarray:
         if t > self.num_rounds:
             raise StreamExhausted(
-                f"prediction file has {self.num_rounds} rounds, round {t} requested")
+                f"prediction matrix has {self.num_rounds} rounds, round {t} requested")
         return self.matrix[t - 1]
 
 
-def load_prediction_file(path) -> FileEnsemble:
+def load_prediction_file(path) -> MatrixEnsemble:
     """Parse the predictions CSV: header of expert names, then 0/1 rows."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(utf8_lines(fh, path, FormatError))
@@ -143,7 +144,7 @@ def load_prediction_file(path) -> FileEnsemble:
                 parsed.append(int(cell))
             rows.append(parsed)
     matrix = np.array(rows, dtype=np.int8).reshape(len(rows), len(names))
-    return FileEnsemble(names, matrix)
+    return MatrixEnsemble(names, matrix)
 
 
 class LogisticExpert:
@@ -155,9 +156,17 @@ class LogisticExpert:
         self.mean = mean
         self.scale = scale
 
-    def predict(self, features: np.ndarray) -> int:
-        z = (features - self.mean) / self.scale
-        return int(z @ self.weights + self.bias > 0.0)
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Logit of every row of the (n, k) feature matrix x.
+
+        A batched matmul of one row against the weights is bitwise the
+        1-D ``z @ w`` of that row; a gemv over all rows is not.
+        """
+        z = (x - self.mean) / self.scale
+        return np.matmul(z[:, None, :], self.weights[:, None])[:, 0, 0] + self.bias
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return (self.logits(x) > 0.0).astype(np.int8)
 
 
 class StumpExpert:
@@ -169,11 +178,11 @@ class StumpExpert:
         self.polarity = polarity
         self.constant = constant
 
-    def predict(self, features: np.ndarray) -> int:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         if self.constant is not None:
-            return self.constant
-        above = features[self.feature] > self.threshold
-        return int(above) if self.polarity > 0 else int(not above)
+            return np.full(len(x), self.constant, dtype=np.int8)
+        above = x[:, self.feature] > self.threshold
+        return (above if self.polarity > 0 else ~above).astype(np.int8)
 
 
 def train_builtin(training_split: list[Example], kind: str, epochs: int = 500,
@@ -181,7 +190,7 @@ def train_builtin(training_split: list[Example], kind: str, epochs: int = 500,
     """Train one minimal expert on (features [+ group indicator], label)."""
     if not training_split:
         raise DegenerateData("empty training split")
-    x = np.array([_feature_row(ex, include_group) for ex in training_split])
+    x = feature_matrix(training_split, include_group)
     y = np.array([ex.label for ex in training_split], dtype=float)
     if x.shape[1] == 0:
         raise DegenerateData("examples carry no features to train on")
@@ -193,10 +202,13 @@ def train_builtin(training_split: list[Example], kind: str, epochs: int = 500,
     raise ConfigError(f"unknown builtin expert kind {kind!r}")
 
 
-def _feature_row(ex: Example, include_group: bool) -> np.ndarray:
+def feature_matrix(examples: list[Example], include_group: bool = True) -> np.ndarray:
+    """(n, k) float features of the examples, plus the group id as a last
+    column when include_group; the matrix models train on and predict."""
+    x = np.array([ex.features for ex in examples], dtype=float)
     if include_group:
-        return np.append(ex.features, float(ex.group))
-    return np.asarray(ex.features, dtype=float)
+        x = np.column_stack((x, [float(ex.group) for ex in examples]))
+    return x
 
 
 def _train_logistic(x: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> LogisticExpert:
@@ -251,27 +263,6 @@ def _train_stump(x: np.ndarray, y: np.ndarray) -> StumpExpert:
         # Every feature is constant: fall back to the majority label.
         return StumpExpert(0, 0.0, 1, constant=majority)
     return StumpExpert(best[1], best[2], best[3])
-
-
-class BuiltinEnsemble:
-    """Fixed trained models evaluated on each arrival's features."""
-
-    def __init__(self, names: list[str], models: list, include_group: bool = True):
-        if len(models) < 2:
-            raise InvalidExpertCount(f"need at least 2 experts, got {len(models)}")
-        _check_names(names, len(models))
-        self.names = list(names)
-        self.models = list(models)
-        self.include_group = include_group
-        self.num_rounds = None
-
-    @property
-    def d(self) -> int:
-        return len(self.models)
-
-    def round_predictions(self, t: int, example: Example, rng=None) -> np.ndarray:
-        row = _feature_row(example, self.include_group)
-        return np.array([m.predict(row) for m in self.models], dtype=np.int8)
 
 
 def _check_names(names: list[str], d: int) -> None:

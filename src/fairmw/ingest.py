@@ -294,26 +294,24 @@ def dataset_stats(examples: list[Example]) -> DatasetStats:
                         disparate_impact=di)
 
 
-def split_shuffle(examples: list[Example], ratio: float, seed: int):
-    """Seeded permutation, first floor(ratio*n) rows train, rest test."""
-    if not examples:
+def split_shuffle(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded permutation of range(n): the first floor(ratio*n) indices
+    train, the rest are the test split, in that order."""
+    if not n:
         raise EmptyDataset("cannot split an empty dataset")
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0,1), got {ratio}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    perm = rng.permutation(len(examples))
-    cut = int(ratio * len(examples))
-    train = [examples[i] for i in perm[:cut]]
-    test = [examples[i] for i in perm[cut:]]
-    return train, test
+    perm = rng.permutation(n)
+    cut = int(ratio * n)
+    return perm[:cut], perm[cut:]
 
 
-def reshuffle(examples: list[Example], seed: int, trial: int) -> list[Example]:
-    """Per-trial arrival order: stream child of the documented derivation."""
+def reshuffle(n: int, seed: int, trial: int) -> np.ndarray:
+    """Per-trial arrival order of n test examples, as indices: one
+    permutation from the stream child of the documented derivation."""
     stream_ss = trial_seed_sequence(seed, trial)[0]
-    rng = np.random.default_rng(stream_ss)
-    perm = rng.permutation(len(examples))
-    return [examples[i] for i in perm]
+    return np.random.default_rng(stream_ss).permutation(n)
 
 
 def synth_stream(p: float, mu_a: float, mu_b: float, T: int,

@@ -150,7 +150,7 @@ def test_criterion_4_dataset_statistics():
             for have, want in zip(got, expected):
                 assert abs(have - want) <= 0.01, (name, got, expected)
             if test_rounds is not None:
-                _, test = split_shuffle(examples, 0.7, seed=0)
+                _, test = split_shuffle(len(examples), 0.7, seed=0)
                 assert len(test) == test_rounds, (name, len(test))
 
 

@@ -12,6 +12,7 @@ from fairmw.cli import (
     main,
     parse_config,
 )
+from fairmw.engines import run_trial
 from fairmw.errors import ConfigError
 
 SYNTH_MW = """\
@@ -97,6 +98,20 @@ def test_build_spec_errors():
         build_spec(cfg_dict(**{"data.path": "x.csv"}))
     with pytest.raises(ConfigError, match="expected an integer"):
         build_spec(cfg_dict(trials="two"))
+    # expert keys that the chosen experts.source would ignore
+    file_cfg = cfg_dict(**{"experts.source": "file", "experts.file": "p.csv",
+                           "experts.profile.x": None, "experts.profile.y": None})
+    builtin_cfg = {"engine": "mw", "stream.kind": "dataset", "data.path": "d.csv",
+                   "data.preset": "adult"}
+    for key, value, cfg in (("experts.file", "p.csv", cfg_dict()),
+                            ("experts.file", "p.csv", builtin_cfg),
+                            ("experts.kinds", "logistic,stump", cfg_dict()),
+                            ("experts.include_group", "false", file_cfg),
+                            ("experts.epochs", "10", cfg_dict()),
+                            ("experts.profile.z", "0.1,0.1,0.1,0.1", file_cfg),
+                            ("experts.profile.z", "0.1,0.1,0.1,0.1", builtin_cfg)):
+        with pytest.raises(ConfigError, match=f"{key}: not read by experts.source="):
+            build_spec({**cfg, key: value})
 
 
 def run_main(tmp_path, text, *argv, sub="run", name="exp.cfg", out="out"):
@@ -287,6 +302,53 @@ def test_exit_code_4_on_runtime_errors(tmp_path):
                  "--workers", "1"]) == 4
 
 
+def write_oracle_dataset(tmp_path, rows=200, extra_rows=0):
+    """A toy dataset and a prediction file with one row per dataset row, in
+    CSV order: an oracle column equal to the row's label and a coin flip."""
+    rng = np.random.default_rng(41)
+    data, preds = ["age,sex,income"], ["oracle,coin"]
+    for _ in range(rows):
+        label = int(rng.random() < 0.4)
+        sex = "Male" if rng.random() < 0.6 else "Female"
+        data.append(f"{int(rng.integers(18, 70))},{sex},{'high' if label else 'low'}")
+        preds.append(f"{label},{int(rng.integers(0, 2))}")
+    preds += ["1,1"] * extra_rows
+    write(tmp_path, "\n".join(data) + "\n", "toy.csv")
+    write(tmp_path, "\n".join(preds) + "\n", "preds.csv")
+    write(tmp_path, "label.column = income\nlabel.positive = high\n"
+                    "group.column = sex\ngroup.a = Male\n", "toy.preset")
+    return (f"engine = group_aware\nseed = 3\ntrials = 3\nstream.kind = dataset\n"
+            f"data.path = {tmp_path / 'toy.csv'}\ndata.preset = {tmp_path / 'toy.preset'}\n"
+            f"experts.source = file\nexperts.file = {tmp_path / 'preds.csv'}\n")
+
+
+def test_dataset_file_experts_follow_the_stream(tmp_path, monkeypatch):
+    # Prediction-file rows are keyed to dataset rows and shuffled with the
+    # stream, so the oracle is right on every round of every trial.
+    losses = []
+
+    def recording(config, stream, ensemble, trial=0):
+        traj = run_trial(config, stream, ensemble, trial)
+        losses.append(traj.L_f.tolist())
+        return traj
+
+    monkeypatch.setattr(cli, "run_trial", recording)
+    code, outdir = run_main(tmp_path, write_oracle_dataset(tmp_path), "--workers", "1")
+    assert code == 0
+    assert len(losses) == 3
+    assert all(oracle == 0.0 and coin > 0.0 for oracle, coin in losses), losses
+    doc = json.loads((outdir / "summary.json").read_text())
+    assert doc["horizon"] == 60 and doc["experts"] == ["oracle", "coin"]
+
+
+def test_dataset_file_of_wrong_length_names_both_counts(tmp_path, capsys):
+    text = write_oracle_dataset(tmp_path, extra_rows=1)
+    code, _ = run_main(tmp_path, text, "--workers", "1")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "201 prediction rows" in err and "keeps 200 rows" in err, err
+
+
 def test_validate_bounds_ok(tmp_path):
     code, outdir = run_main(tmp_path, SYNTH_RMW, "--workers", "1",
                             sub="validate-bounds")
@@ -469,6 +531,7 @@ MALFORMED = {
     "split_ratio_above_one": ("stats --data {d}/good.csv --preset {d}/good.preset "
                               "--split-ratio 1.5", 2),
     "missing_preset": ("stats --data {d}/good.csv --preset {d}/absent.preset", 3),
+    "prediction_file_wrong_length": ("run --config {d}/short_preds.cfg", 3),
 }
 
 
@@ -480,7 +543,13 @@ def write_malformed_inputs(d):
              "bad.csv": census.replace("Female,low", "Fe\xffmale,low").encode("latin-1"),
              "bad.preset": preset.encode() + b"note = caf\xe9\n",
              "bad_preds.csv": b"f1,f2\n1,0\n\xff,1\n", "empty_preds.csv": b"",
-             "dup_preds.csv": b"f1,f1\n1,0\n0,1\n"}
+             "dup_preds.csv": b"f1,f1\n1,0\n0,1\n",
+             # the dataset keeps four rows, so a dataset-mode file needs four
+             "short_preds.csv": b"f1,f2\n1,0\n0,1\n1,1\n",
+             "short_preds.cfg": (
+                 "engine = mw\ntrials = 1\nstream.kind = dataset\n"
+                 f"data.path = {d}/good.csv\ndata.preset = {d}/good.preset\n"
+                 f"experts.source = file\nexperts.file = {d}/short_preds.csv\n").encode()}
     for name in ("bad_preds", "empty_preds", "dup_preds"):
         files[f"{name}.cfg"] = (
             "engine = mw\nhorizon = 2\neta = 0.2\ntrials = 1\n"

@@ -17,7 +17,7 @@ from fairmw import engines, qopt
 from fairmw.domain import trial_seed_sequence
 from fairmw.engines import CELL_MAP, EngineState, Trajectory, run_trial, step
 from fairmw.errors import EmptyStream, StreamExhausted
-from fairmw.experts import ErrorProfile, FileEnsemble, SyntheticEnsemble
+from fairmw.experts import ErrorProfile, MatrixEnsemble, SyntheticEnsemble
 from fairmw.metrics import compute_rates
 
 
@@ -33,7 +33,7 @@ def make_stream(pattern, reps=1):
 def file_ensemble(rows):
     matrix = np.array(rows, dtype=np.int8)
     names = [f"f{i}" for i in range(matrix.shape[1])]
-    return FileEnsemble(names, matrix)
+    return MatrixEnsemble(names, matrix)
 
 
 def preds(*values):

@@ -11,11 +11,12 @@ from fairmw.errors import (
     StreamExhausted,
 )
 from fairmw.experts import (
-    BuiltinEnsemble,
     ErrorProfile,
-    FileEnsemble,
+    LogisticExpert,
+    MatrixEnsemble,
     SyntheticEnsemble,
     _train_stump,
+    feature_matrix,
     load_prediction_file,
     synthetic_predict,
     train_builtin,
@@ -152,7 +153,7 @@ def test_file_ensemble_needs_two_experts(tmp_path):
     with pytest.raises(FormatError):
         load_prediction_file(path)
     with pytest.raises(InvalidExpertCount):
-        FileEnsemble(["only"], np.zeros((1, 1), dtype=np.int8))
+        MatrixEnsemble(["only"], np.zeros((1, 1), dtype=np.int8))
 
 
 def separable_split():
@@ -168,11 +169,16 @@ def separable_split():
     return out
 
 
+def labels(split):
+    return np.array([e.label for e in split])
+
+
 def test_logistic_separable():
     split = separable_split()
     model = train_builtin(split, "logistic", include_group=False)
-    errors = sum(model.predict(e.features) != e.label for e in split)
-    assert errors == 0
+    predictions = model.predict(feature_matrix(split, include_group=False))
+    assert predictions.dtype == np.int8
+    assert np.array_equal(predictions, labels(split))
 
 
 def test_logistic_deterministic():
@@ -187,7 +193,7 @@ def test_stump_all_positive_labels():
     split = [ex(Group.A, 1, 0.3), ex(Group.B, 1, 0.8), ex(Group.A, 1, 0.1)]
     model = train_builtin(split, "stump")
     assert model.constant == 1
-    assert model.predict(np.array([123.0, 0.0])) == 1
+    assert model.predict(np.array([[123.0, 0.0], [-4.0, 1.0]])).tolist() == [1, 1]
 
 
 def test_stump_constant_features_majority():
@@ -200,8 +206,8 @@ def test_stump_learns_threshold():
     split = [ex(Group.A, int(v > 0.5), v) for v in np.linspace(0, 1, 20)]
     model = train_builtin(split, "stump", include_group=False)
     assert model.constant is None
-    errors = sum(model.predict(e.features) != e.label for e in split)
-    assert errors == 0
+    assert np.array_equal(model.predict(feature_matrix(split, include_group=False)),
+                          labels(split))
 
 
 def test_train_builtin_errors():
@@ -220,26 +226,84 @@ def test_group_indicator_visibility():
     split = [Example(Group(int(g)), int(g), rng.uniform(size=1))
              for g in rng.integers(0, 2, size=80)]
     with_group = train_builtin(split, "logistic", include_group=True)
-    err_with = sum(
-        with_group.predict(np.append(e.features, float(e.group))) != e.label
-        for e in split)
-    assert err_with == 0
+    x = feature_matrix(split, include_group=True)
+    assert np.array_equal(x[:, -1], [float(e.group) for e in split])
+    assert np.sum(with_group.predict(x) != labels(split)) == 0
 
     blind = train_builtin(split, "logistic", include_group=False)
-    err_blind = sum(blind.predict(e.features) != e.label for e in split)
-    assert err_blind > 10
+    assert np.sum(blind.predict(feature_matrix(split, include_group=False))
+                  != labels(split)) > 10
+
+
+def reference_logit(model, row):
+    """The per-row logistic rule that the batched logits replaced."""
+    return ((row - model.mean) / model.scale) @ model.weights + model.bias
+
+
+def reference_predict(model, row) -> int:
+    """The per-row logistic and stump rules that the batched predict replaced."""
+    if isinstance(model, LogisticExpert):
+        return int(reference_logit(model, row) > 0.0)
+    if model.constant is not None:
+        return model.constant
+    above = row[model.feature] > model.threshold
+    return int(above) if model.polarity > 0 else int(not above)
+
+
+def census_frame(n=3000, seed=4):
+    """Examples shaped like the census income export after one-hot encoding:
+    wide-range numeric columns (age, fnlwgt, education number, capital gain
+    and loss, hours) next to about a hundred 0/1 category columns."""
+    rng = np.random.default_rng(seed)
+    numeric = np.column_stack([
+        rng.integers(17, 91, n), rng.integers(12285, 1484706, n), rng.integers(1, 17, n),
+        np.where(rng.random(n) < 0.08, rng.integers(1, 99999, n), 0),
+        np.where(rng.random(n) < 0.05, rng.integers(1, 4357, n), 0),
+        rng.integers(1, 100, n)]).astype(float)
+    onehot = [np.eye(k)[rng.integers(0, k, n)] for k in (7, 16, 7, 14, 6, 5, 41)]
+    x = np.hstack([numeric] + onehot)
+    score = (0.05 * (x[:, 0] - 38) + 0.3 * (x[:, 2] - 10) + 0.04 * (x[:, 5] - 40)
+             + 3e-4 * x[:, 3] + x[:, 22])
+    label = (score + rng.normal(0.0, 1.0, n) > 1.0).astype(int)
+    group = (rng.random(n) < 0.33).astype(int)
+    return [Example(Group(g), y, row) for g, y, row in zip(group, label, x)]
+
+
+@pytest.mark.parametrize("include_group", [True, False])
+def test_batched_predictions_match_per_row_reference(include_group):
+    frame = census_frame()
+    train, test = frame[:2100], frame[2100:]
+    x = feature_matrix(test, include_group)
+    for kind in ("logistic", "stump"):
+        model = train_builtin(train, kind, epochs=50, include_group=include_group)
+        got = model.predict(x)
+        assert got.dtype == np.int8 and got.shape == (len(test),)
+        assert got.tolist() == [reference_predict(model, row) for row in x], kind
+        if kind == "logistic":
+            want = np.array([reference_logit(model, row) for row in x])
+            assert np.array_equal(model.logits(x).view(np.int64), want.view(np.int64))
+    stump = train_builtin(train, "stump", include_group=include_group)
+    assert stump.constant is None
+    flipped = type(stump)(stump.feature, stump.threshold, -stump.polarity)
+    assert flipped.predict(x).tolist() == [reference_predict(flipped, row) for row in x]
 
 
 def test_builtin_ensemble():
     split = separable_split()
     models = [train_builtin(split, "logistic"), train_builtin(split, "stump")]
-    ens = BuiltinEnsemble(["logistic_0", "stump_1"], models)
+    x = feature_matrix(split)
+    ens = MatrixEnsemble(["logistic_0", "stump_1"],
+                         np.column_stack([m.predict(x) for m in models]))
     assert ens.d == 2
-    preds = ens.round_predictions(1, split[0])
-    assert preds.shape == (2,)
-    assert set(np.unique(preds)) <= {0, 1}
+    assert ens.num_rounds == len(split)
+    for t, e in enumerate(split, start=1):
+        preds = ens.round_predictions(t, e)
+        assert preds.dtype == np.int8
+        assert preds.tolist() == [reference_predict(m, x[t - 1]) for m in models]
+    with pytest.raises(StreamExhausted):
+        ens.round_predictions(len(split) + 1, split[0])
     with pytest.raises(InvalidExpertCount):
-        BuiltinEnsemble(["m"], models[:1])
+        MatrixEnsemble(["m"], x[:, :1].astype(np.int8))
 
 
 def reference_stump(x, y):

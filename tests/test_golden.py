@@ -72,6 +72,19 @@ def _census_csv() -> str:
     return "\n".join(rows) + "\n"
 
 
+def _dataset_predictions_csv() -> str:
+    """One row per row of the toy census CSV, in CSV order: a label-aware
+    expert that errs on a fifth of the rows, one that always says "low" and
+    a coin flip."""
+    rng = np.random.default_rng(31)
+    rows = ["careful,low,coin"]
+    for line in _census_csv().splitlines()[1:]:
+        label = int(line.endswith(",high"))
+        careful = 1 - label if rng.random() < 0.2 else label
+        rows.append(f"{careful},0,{int(rng.integers(0, 2))}")
+    return "\n".join(rows) + "\n"
+
+
 TOY_PRESET = """\
 label.column = income
 label.positive = high
@@ -100,6 +113,12 @@ CASES = {
         "data.path = toy.csv\ndata.preset = toy.preset\nexperts.source = builtin\n"
         "experts.kinds = logistic,stump\nexperts.epochs = 50\n",
         {"toy.csv": _census_csv(), "toy.preset": TOY_PRESET}),
+    "dataset_file": (
+        "engine = fairness_aware\nseed = 10\ntrials = 2\nstream.kind = dataset\n"
+        "data.path = toy.csv\ndata.preset = toy.preset\nexperts.source = file\n"
+        "experts.file = preds.csv\n",
+        {"toy.csv": _census_csv(), "toy.preset": TOY_PRESET,
+         "preds.csv": _dataset_predictions_csv()}),
     "floor_rescale": (EXTREME + SYNTH, {}),
 }
 
@@ -108,6 +127,11 @@ GOLDEN = {
         "summary.json": "d350f1d446ff53f94878d4d0be99037ddef27e30e7863bedfac2efaa6b54ad63",
         "rounds.csv": "20562a7eddeaeb616b3e2995534b1d6fb809cb9955e38aae8ff09de68d4052af",
         "bounds.json": "8730ea10b6971bc8a8c39401507de10300af4d67dfb8fc7615d341b0160244c1",
+    },
+    "dataset_file": {
+        "summary.json": "f29ced4bd30c2892a59b2dd9f8c399baa62a940c35fcd9bc6f131b654da7bdc9",
+        "rounds.csv": "0f0f4ff8549fa42c16bcb570a0f748dbca5c5cc7d5f25ccdf540c0c0b0a00886",
+        "bounds.json": "fe43ec884387d1de457f91975713bbb3102ff40bb4cc9930d82e96d405f69769",
     },
     "fairness_aware": {
         "summary.json": "83d0291294030ec1ce07032991c25f15253740b6dc47f48295b2b745ec774f89",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairmw.domain import Example, Group, NEG, POS
+from fairmw.domain import Example, Group, NEG, POS, trial_seed_sequence
 from fairmw.errors import ConfigError, EmptyDataset, SchemaError
 from fairmw.ingest import (
     BUNDLED_PRESETS,
@@ -221,34 +221,36 @@ def test_dataset_stats_degenerate_groups():
 
 
 def test_split_shuffle():
-    examples = [Example(Group.A, POS, np.array([float(i)])) for i in range(1000)]
-    train, test = split_shuffle(examples, 0.7, seed=11)
+    train, test = split_shuffle(1000, 0.7, seed=11)
     assert len(train) == 700 and len(test) == 300
-    train2, test2 = split_shuffle(examples, 0.7, seed=11)
-    assert [e.features[0] for e in train] == [e.features[0] for e in train2]
-    assert [e.features[0] for e in test] == [e.features[0] for e in test2]
-    ids = sorted(e.features[0] for e in train + test)
-    assert ids == [float(i) for i in range(1000)]
+    # both splits come from one permutation drawn from SeedSequence(seed)
+    perm = np.random.default_rng(np.random.SeedSequence(11)).permutation(1000)
+    assert np.array_equal(np.concatenate([train, test]), perm)
+    train2, test2 = split_shuffle(1000, 0.7, seed=11)
+    assert np.array_equal(train, train2) and np.array_equal(test, test2)
+    assert sorted(np.concatenate([train, test]).tolist()) == list(range(1000))
     # a different seed produces a different permutation
-    train3, _ = split_shuffle(examples, 0.7, seed=12)
-    assert [e.features[0] for e in train3] != [e.features[0] for e in train]
+    train3, _ = split_shuffle(1000, 0.7, seed=12)
+    assert not np.array_equal(train3, train)
 
     with pytest.raises(ConfigError):
-        split_shuffle(examples, 0.0, seed=1)
+        split_shuffle(1000, 0.0, seed=1)
     with pytest.raises(ConfigError):
-        split_shuffle(examples, 1.0, seed=1)
+        split_shuffle(1000, 1.0, seed=1)
     with pytest.raises(EmptyDataset):
-        split_shuffle([], 0.5, seed=1)
+        split_shuffle(0, 0.5, seed=1)
 
 
 def test_reshuffle():
-    examples = [Example(Group.A, POS, np.array([float(i)])) for i in range(50)]
-    a = [e.features[0] for e in reshuffle(examples, seed=3, trial=0)]
-    b = [e.features[0] for e in reshuffle(examples, seed=3, trial=0)]
-    c = [e.features[0] for e in reshuffle(examples, seed=3, trial=1)]
-    assert a == b
-    assert a != c
-    assert sorted(a) == [float(i) for i in range(50)]
+    a = reshuffle(50, seed=3, trial=0)
+    b = reshuffle(50, seed=3, trial=0)
+    c = reshuffle(50, seed=3, trial=1)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert sorted(a.tolist()) == list(range(50))
+    # the stream child of the trial's documented seed derivation
+    want = np.random.default_rng(trial_seed_sequence(3, 1)[0]).permutation(50)
+    assert np.array_equal(c, want)
 
 
 def test_synth_stream():
