@@ -12,9 +12,9 @@ Everything emitted is a pure function of (config, seed): floats are
 written as their shortest round-trip repr, trial results are assembled in
 trial order whatever the worker count, and no timestamps appear anywhere.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime error,
-5 bound violation.  FAIRMW_LOG={error,warn,info,debug} controls stderr
-logging (default warn).
+Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime error (out of
+memory included), 5 bound violation.  FAIRMW_LOG={error,warn,info,debug}
+controls stderr logging (default warn).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import ENGINES, RunConfig, recommended_eta, trial_seed_sequence
+from .domain import ENGINES, Example, RunConfig, recommended_eta, trial_seed_sequence
 from .engines import run_trial
 from .errors import (
     ConfigError,
@@ -350,6 +350,10 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         ensemble = MatrixEnsemble(
             [f"{kind}_{i}" for i, kind in enumerate(spec.experts_kinds)],
             np.column_stack([m.predict(x_test) for m in models]))
+    if test is not None:
+        # Trials read only group and label; feature views would ship the
+        # whole encoded matrix to every worker.
+        test = [Example(ex.group, ex.label) for ex in test]
 
     epsilon = spec.epsilon
     if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:
@@ -647,6 +651,7 @@ def cmd_validate_bounds(args) -> int:
 
 def cmd_stats(args) -> int:
     _as_ratio("--split-ratio", args.split_ratio)
+    _as_int("--seed", str(args.seed), minimum=0)
     schema = load_preset(args.preset)
     examples, report = load_dataset(args.data, schema)
     stats = dataset_stats(examples)
@@ -769,6 +774,9 @@ def main(argv=None) -> int:
         return 3
     except FairmwError as e:
         print(f"runtime error: {e}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("runtime error: out of memory", file=sys.stderr)
         return 4
 
 

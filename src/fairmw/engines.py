@@ -27,8 +27,6 @@ same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .domain import (
@@ -42,13 +40,12 @@ from .domain import (
     trial_seed_sequence,
 )
 from .errors import EmptyStream, StreamExhausted
-from .estimators import AlphaTracker, RateEstimates, smoothed_rates
+from .estimators import smoothed_rates
 from .qopt import assemble_systems, solve_q_batch
 
 __all__ = [
     "CELL_MAP",
     "Q_BLOCK",
-    "EngineState",
     "Trajectory",
     "step",
     "run_trial",
@@ -67,23 +64,6 @@ CELL_MAP = {
 Q_BLOCK = 1024  # fairness_aware stride points whose q systems are solved per batch
 
 
-@dataclass
-class EngineState:
-    """Weight table, alpha sums and (fairness_aware only) rate estimates."""
-
-    engine: str
-    eta: float
-    weights: WeightTable
-    alphas: AlphaTracker = field(default_factory=AlphaTracker)
-    estimates: RateEstimates | None = None
-
-    @classmethod
-    def fresh(cls, engine: str, d: int, eta: float,
-              dirichlet_alpha: float = 1.0) -> "EngineState":
-        estimates = RateEstimates(dirichlet_alpha) if CELL_MAP[engine][1] else None
-        return cls(engine, eta, WeightTable(d), estimates=estimates)
-
-
 def _sample(w: np.ndarray, u: float) -> int:
     """Inverse-CDF draw over unnormalized weights with uniform u in [0, 1)."""
     cum = np.cumsum(w)
@@ -91,8 +71,8 @@ def _sample(w: np.ndarray, u: float) -> int:
     return min(idx, len(w) - 1)
 
 
-def step(state: EngineState, predictions: np.ndarray, group: Group, label: int,
-         u: float):
+def step(weights: WeightTable, engine: str, eta: float, predictions: np.ndarray,
+         group: Group, label: int, u: float):
     """One round: draw experts with the uniform u, then update the engine's cell.
 
     Returns ``(experts, losses, right, wrong)``: the inverse-CDF draw with u
@@ -101,12 +81,10 @@ def step(state: EngineState, predictions: np.ndarray, group: Group, label: int,
     table draw from q ``run_trial`` settles afterwards), the per-expert 0/1
     losses, and the expected losses under the pre-update weights of the
     updated cell (``right``) and, fairness_aware only, of the group's
-    other-label cell (``wrong``, else None).  fairness_aware also adds the
-    alpha gap wrong - right and counts the arrival.
+    other-label cell (``wrong``, else None).
     """
-    by_group, by_label = CELL_MAP[state.engine]
+    by_group, by_label = CELL_MAP[engine]
     cell = (group if by_group else Group.A, label if by_label else NEG)
-    weights = state.weights
     losses = (predictions != label).astype(np.float64)
     w = weights.slice(*cell)
     right = float(w @ losses) / float(w.sum())
@@ -114,12 +92,10 @@ def step(state: EngineState, predictions: np.ndarray, group: Group, label: int,
     if by_label:
         w_wrong = weights.slice(group, 1 - label)
         wrong = float(w_wrong @ losses) / float(w_wrong.sum())
-        state.alphas.add(group, 1 - label, wrong - right)
-        state.estimates.update(group, label)
         experts = (_sample(weights.slice(group, NEG), u), _sample(weights.slice(group, POS), u))
     else:
         experts = (_sample(w, u),)
-    weights.update(state.eta, losses, *cell)
+    weights.update(eta, losses, *cell)
     return experts, losses, right, wrong
 
 
@@ -266,72 +242,51 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     engine_rng = np.random.default_rng(engine_ss)
 
     traj = Trajectory(config.engine, eta, ensemble.names, T)
-    state = EngineState.fresh(config.engine, d, eta, config.dirichlet_alpha)
-    if state.estimates is not None:
+    weights = WeightTable(d)
+    if config.engine == "fairness_aware":
         return _fairness_aware_rounds(config, stream, ensemble, expert_rng,
-                                      engine_rng, state, traj)
+                                      engine_rng, weights, traj)
     for t in range(1, T + 1):
         ex = stream[t - 1]
         preds = ensemble.round_predictions(t, ex, expert_rng)
-        (chosen,), losses, right, _ = step(state, preds, ex.group, ex.label,
-                                           engine_rng.random())
+        (chosen,), losses, right, _ = step(weights, config.engine, eta, preds, ex.group,
+                                           ex.label, engine_rng.random())
         traj.record(t, ex.group, ex.label, int(preds[chosen]), float(losses[chosen]),
                     right, losses)
     return traj.finish()
 
 
 def _fairness_aware_rounds(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
-                           state: EngineState, traj: Trajectory) -> Trajectory:
+                           weights: WeightTable, traj: Trajectory) -> Trajectory:
     """A fairness_aware trial in two stages.
 
     Nothing q touches (the table draw, hence the chosen expert) feeds back
-    into the weights, alpha sums or rate estimates, and the engine's
-    uniforms are drawn up front, one (table, expert) pair per round in the
-    order the per-round draws took.  So the round loop does only the
-    q-independent work: losses, ``right`` and ``wrong``, the updates, and
-    the expert each of the group's two tables would give.  At every stride
-    point it copies the alpha sums and counts, and each block of up to
-    Q_BLOCK stride points is assembled and solved in one batch.  Array
-    passes then forward-fill q, draw each round's table and settle the
-    chosen expert, its outcome and the expected loss.
+    into the weights, and the engine's uniforms are drawn up front, one
+    (table, expert) pair per round in the order the per-round draws took.
+    So the round loop does only the q-independent work: losses, ``right``
+    and ``wrong``, the weight update, and the expert each of the group's
+    two tables would give.  ``_solve_q`` then reads the alpha sums and the
+    arrival counts at every stride point off their prefix sums and solves
+    q there, and array passes forward-fill q, draw each round's table and
+    settle the chosen expert, its outcome and the expected loss.
     """
-    T, stride = traj.T, config.q_recompute_stride
-    est, alphas = state.estimates, state.alphas
+    T, eta = traj.T, traj.eta
     uniforms = engine_rng.random((T, 2))    # per round: table draw, expert draw
     u_expert = uniforms[:, 1].tolist()
     candidates = np.zeros((T, 2), dtype=np.intp)    # expert from table (g,-), (g,+)
     wrong = np.zeros(T)
-    block = min(Q_BLOCK, (T - 1) // stride)
-    sums_at = np.zeros((block, 4))   # canonical cell order
-    counts_at = np.zeros((block, 2, 2), dtype=np.int64)
-    rounds: list[int] = []
-
-    def solve_block() -> None:
-        k = len(rounds)
-        p_hat, mu = smoothed_rates(counts_at[:k], est.alpha)
-        a = assemble_systems(sums_at[:k], p_hat, mu[:, Group.A], mu[:, Group.B],
-                             np.array(rounds) - 1.0)
-        q = solve_q_batch(a, config.b_tolerance, config.lam)
-        traj.q_neg[np.array(rounds) - 1] = q[:, :2]
-        rounds.clear()
-
     for t in range(1, T + 1):
-        if t >= 2 and (t - 1) % stride == 0:
-            sums_at[len(rounds)] = alphas.sums_vector()
-            counts_at[len(rounds)] = est.counts
-            rounds.append(t)
-            if len(rounds) == block:
-                solve_block()
         ex = stream[t - 1]
         preds = ensemble.round_predictions(t, ex, expert_rng)
         i = t - 1
         candidates[i], traj.losses[i], traj.right[i], wrong[i] = step(
-            state, preds, ex.group, ex.label, u_expert[i])
+            weights, "fairness_aware", eta, preds, ex.group, ex.label, u_expert[i])
         traj.cell[i] = 2 * ex.group + ex.label
-    if rounds:
-        solve_block()
+    del u_expert    # a Python float per round; freed before the prefix sums
+    alpha_sums, counts = _solve_q(config, traj, wrong)
 
     # q holds from its stride point until the next; uniform before the first.
+    stride = config.q_recompute_stride
     rows = np.arange(T)
     traj.q_neg[0] = 0.5
     traj.q_neg[:] = traj.q_neg[rows // stride * stride]
@@ -347,7 +302,39 @@ def _fairness_aware_rounds(config: RunConfig, stream, ensemble, expert_rng, engi
     traj.finish()
     q_a, q_b = traj.q_neg[-1].tolist()
     traj.q_final = QDistribution(q_a, q_b, 1.0 - q_a, 1.0 - q_b)
-    traj.alpha_sums = alphas.sums.copy()
-    traj.p_hat_final = est.p_hat
-    traj.mu_hat_final = (est.mu_hat(Group.A), est.mu_hat(Group.B))
+    traj.alpha_sums = alpha_sums
+    p_hat, mu_hat = smoothed_rates(counts, config.dirichlet_alpha)
+    traj.p_hat_final = float(p_hat)
+    traj.mu_hat_final = (float(mu_hat[Group.A]), float(mu_hat[Group.B]))
     return traj
+
+
+def _solve_q(config: RunConfig, traj: Trajectory, wrong: np.ndarray):
+    """Fill ``traj.q_neg`` at every stride point; returns the final alpha sums
+    and arrival counts, each (2, 2) [group, label].
+
+    Stride point t (t >= 2, (t-1) % stride == 0) solves q from the sums
+    after round t-1 with t-1 elapsed rounds in the denominators.  Those
+    sums are prefix sums over the rounds: a round's alpha gap wrong - right
+    goes to its other-label cell (g, 1-y) and the arrival is counted in
+    (g, y).  ``np.cumsum`` adds in round order, so every sum is bitwise the
+    round-by-round one.  Each block of up to Q_BLOCK stride points is
+    assembled and solved in one batch.
+    """
+    T = traj.T
+    rows = np.arange(T)
+    alpha = np.zeros((T, 4))    # columns 2 * group + label
+    alpha[rows, traj.cell ^ 1] = wrong - traj.right
+    np.cumsum(alpha, axis=0, out=alpha)
+    counts = np.zeros((T, 4), dtype=np.int64)
+    counts[rows, traj.cell] = 1
+    np.cumsum(counts, axis=0, out=counts)
+
+    points = np.arange(1 + config.q_recompute_stride, T + 1, config.q_recompute_stride)
+    for lo in range(0, len(points), Q_BLOCK):
+        t = points[lo:lo + Q_BLOCK]
+        p_hat, mu = smoothed_rates(counts[t - 2].reshape(-1, 2, 2), config.dirichlet_alpha)
+        a = assemble_systems(alpha[t - 2][:, [0, 2, 1, 3]],   # canonical cell order
+                             p_hat, mu[:, Group.A], mu[:, Group.B], t - 1.0)
+        traj.q_neg[t - 1] = solve_q_batch(a, config.b_tolerance, config.lam)[:, :2]
+    return alpha[-1].reshape(2, 2).copy(), counts[-1].reshape(2, 2).copy()

@@ -12,26 +12,27 @@ minimizers.  No iterative solver is involved.
 A proximal term REG_WEIGHT * max(lambda)^2 * ||q - uniform||^2 breaks
 ties toward the uniform distribution when (lambda A) is rank-deficient;
 scaling it with lambda keeps the argmin invariant under positive
-rescaling of lambda.
+rescaling of lambda.  The solve first scales lambda by the power of two
+that puts max(lambda) in [0.5, 1): every quantity then scales by a power
+of two, which is exact, so q is unchanged while extreme weights (up to
+the largest finite float) no longer overflow.
 
 Assembly and solve work on a batch of n systems that share b and lambda
-(``assemble_systems``, ``solve_q_batch``); ``assemble_constraint_system``
-and ``solve_q`` are the same code with n = 1.  Every dot product is a
+(``assemble_systems``, ``solve_q_batch``).  Every dot product is a
 batched ``np.matmul``, which rounds exactly as the 1-D ``@`` does, so a
 system's q does not depend on the batch it is solved in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .domain import QDistribution, check_q
+from .domain import check_q
 from .errors import NonFiniteInput
 
-__all__ = ["ConstraintSystem", "assemble_constraint_system", "assemble_systems",
-           "solve_q", "solve_q_batch", "objective"]
+__all__ = ["assemble_systems", "solve_q_batch"]
 
 REG_WEIGHT = 1e-8
 
@@ -40,18 +41,6 @@ def _require_finite(**arrays) -> None:
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInput(f"non-finite entries in {name}")
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Rows: fpr, fnr, regret; columns in canonical cell order."""
-
-    a: np.ndarray          # (3, 4)
-    b: np.ndarray          # (3,)
-    lam: np.ndarray        # (3,) nonnegative
-
-    def __post_init__(self):
-        _require_finite(A=self.a, b=self.b, lam=self.lam)
 
 
 def assemble_systems(alpha_sums, p_hat, mu_a, mu_b, t_elapsed) -> np.ndarray:
@@ -74,16 +63,6 @@ def assemble_systems(alpha_sums, p_hat, mu_a, mu_b, t_elapsed) -> np.ndarray:
     a[:, 2] = s
     _require_finite(A=a)
     return a
-
-
-def assemble_constraint_system(alpha_sums, p_hat: float, mu_a: float, mu_b: float,
-                               t_elapsed: int, b_tolerance=(0.0, 0.0, 0.0),
-                               lam=(1.0, 1.0, 1.0)) -> ConstraintSystem:
-    """One system: ``assemble_systems`` with n = 1."""
-    a = assemble_systems(np.asarray(alpha_sums, dtype=float)[None], [p_hat], [mu_a],
-                         [mu_b], [t_elapsed])
-    return ConstraintSystem(a[0], np.asarray(b_tolerance, dtype=float),
-                            np.asarray(lam, dtype=float))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -125,7 +104,11 @@ def solve_q_batch(a, b, lam) -> np.ndarray:
     lam_max = float(np.max(lam))
     if lam_max == 0.0:
         return np.full((n, 4), 0.5)
-    eps = REG_WEIGHT * lam_max ** 2
+    # lam_max = m * 2**e with m in [0.5, 1): scaling lambda by 2**-e is exact
+    # and leaves q as it is, but keeps lam_max ** 2 and det finite.
+    m, e = math.frexp(lam_max)
+    lam = lam * math.ldexp(1.0, -e)
+    eps = REG_WEIGHT * m ** 2
 
     # Substitute q = (a, b, 1-a, 1-b).  Row i residual becomes
     # u_i*a + v_i*b + c_i with the coefficients below; the tie-break term
@@ -162,16 +145,3 @@ def solve_q_batch(a, b, lam) -> np.ndarray:
             best = np.where(take, obj, best)
             offered[:] = True
     return check_q(_q(a0, b0))
-
-
-def solve_q(system: ConstraintSystem) -> QDistribution:
-    """Exact minimizer of the relaxed problem over feasible q: ``solve_q_batch``
-    with n = 1."""
-    return QDistribution(*solve_q_batch(system.a[None], system.b, system.lam)[0].tolist())
-
-
-def objective(system: ConstraintSystem, q) -> float:
-    """||lambda o (Aq - b)||^2 plus the uniform-tie-break term."""
-    reg = REG_WEIGHT * float(np.max(system.lam)) ** 2
-    q = np.asarray(q, dtype=float)[None]
-    return float(_objectives(system.a[None], system.b, system.lam, reg, q)[0])

@@ -1,19 +1,74 @@
-"""Scalar, per-round reference implementations for the bitwise tests.
+"""Scalar, per-round and one-system reference implementations for the tests.
 
 These are the q solve and the fairness_aware trial as they ran before the
-solve was batched: one system assembled and solved in Python floats before
-each stride round, then the table draw from q, then the expert draw, each
-with its own engine-rng call.  The batched solver and the two-stage trial
-must reproduce them bit for bit.
+solve was batched and the running sums became prefix sums: the alpha sums
+and the arrival counts accumulated round by round in their own arrays, one
+system assembled and solved in Python floats before each stride round,
+then the table draw from q, then the expert draw, each with its own
+engine-rng call.  The batched solver and the two-stage trial must
+reproduce them bit for bit.
+
+``ConstraintSystem``, ``assemble_constraint_system``, ``solve_q`` and
+``objective`` are one-system views of ``fairmw.qopt``'s batched assembly
+and solve, which the solver tests are written against; ``dirichlet_rate``
+is the per-cell posterior predictive rate of the (group, label) counts.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from fairmw.domain import NEG, POS, Group, QDistribution, recommended_eta, trial_seed_sequence
-from fairmw.engines import EngineState, Trajectory
-from fairmw.qopt import REG_WEIGHT
+from fairmw.domain import (
+    NEG,
+    POS,
+    QDistribution,
+    WeightTable,
+    recommended_eta,
+    trial_seed_sequence,
+)
+from fairmw.engines import Trajectory
+from fairmw.errors import NonFiniteInput
+from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
+
+
+def dirichlet_rate(counts, t, alpha_prior):
+    """Posterior predictive cell rates (c + alpha)/(t + 4*alpha)."""
+    return (np.asarray(counts, dtype=float) + alpha_prior) / (t + 4.0 * alpha_prior)
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """Rows: fpr, fnr, regret; columns in canonical cell order."""
+
+    a: np.ndarray          # (3, 4)
+    b: np.ndarray          # (3,)
+    lam: np.ndarray        # (3,) nonnegative
+
+    def __post_init__(self):
+        for name in ("a", "b", "lam"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NonFiniteInput(f"non-finite entries in {name}")
+
+
+def assemble_constraint_system(alpha_sums, p_hat, mu_a, mu_b, t_elapsed,
+                               b_tolerance=(0.0, 0.0, 0.0), lam=(1.0, 1.0, 1.0)):
+    """One system: ``assemble_systems`` with n = 1."""
+    a = assemble_systems(np.asarray(alpha_sums, dtype=float)[None], [p_hat], [mu_a],
+                         [mu_b], [t_elapsed])
+    return ConstraintSystem(a[0], np.asarray(b_tolerance, dtype=float),
+                            np.asarray(lam, dtype=float))
+
+
+def solve_q(system):
+    """``solve_q_batch`` with n = 1, as a QDistribution."""
+    return QDistribution(*solve_q_batch(system.a[None], system.b, system.lam)[0].tolist())
+
+
+def objective(system, q):
+    """||lambda o (Aq - b)||^2 plus the uniform-tie-break term."""
+    return _objective(system.a, system.b, system.lam, q)
 
 
 def assemble(alpha_sums, p_hat, mu_a, mu_b, t_elapsed):
@@ -29,7 +84,7 @@ def assemble(alpha_sums, p_hat, mu_a, mu_b, t_elapsed):
     return a
 
 
-def objective(a, b, lam, q):
+def _objective(a, b, lam, q):
     qv = np.asarray(q, dtype=float)
     resid = lam * (a @ qv - b)
     reg = REG_WEIGHT * float(np.max(lam)) ** 2
@@ -68,7 +123,17 @@ def solve(a, b, lam):
     candidates.append((_clamp(-S / P), 0.0))
     candidates.append((_clamp(-(R + S) / P), 1.0))
     return min(candidates,
-               key=lambda ab: objective(a, b, lam, (ab[0], ab[1], 1.0 - ab[0], 1.0 - ab[1])))
+               key=lambda ab: _objective(a, b, lam, (ab[0], ab[1], 1.0 - ab[0], 1.0 - ab[1])))
+
+
+def rates(counts, alpha_prior):
+    """(p_hat, mu_hat_A, mu_hat_B) from [group, label] counts in Python
+    floats: the smoothed P(group A) and P(positive | group)."""
+    (a_neg, a_pos), (b_neg, b_pos) = (tuple(float(c) for c in row) for row in counts)
+    t_a, t_b = a_neg + a_pos, b_neg + b_pos
+    return ((t_a + 2.0 * alpha_prior) / (t_a + t_b + 4.0 * alpha_prior),
+            (a_pos + alpha_prior) / (t_a + 2.0 * alpha_prior),
+            (b_pos + alpha_prior) / (t_b + 2.0 * alpha_prior))
 
 
 def _sample(w, rng):
@@ -87,16 +152,17 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
     rng = np.random.default_rng(engine_ss)
     b, lam = np.asarray(config.b_tolerance, float), np.asarray(config.lam, float)
     traj = Trajectory("fairness_aware", eta, ensemble.names, T)
-    state = EngineState.fresh("fairness_aware", d, eta, config.dirichlet_alpha)
-    weights, est = state.weights, state.estimates
+    weights = WeightTable(d)
+    alpha_sums = np.zeros((2, 2))                   # [group, label]
+    counts = np.zeros((2, 2), dtype=np.int64)       # [group, label]
     q = QDistribution.uniform()
     for t in range(1, T + 1):
         ex = stream[t - 1]
         g, y = ex.group, ex.label
         preds = ensemble.round_predictions(t, ex, expert_rng)
         if t >= 2 and (t - 1) % config.q_recompute_stride == 0:
-            a = assemble(state.alphas.sums_vector(), est.p_hat, est.mu_hat(Group.A),
-                         est.mu_hat(Group.B), t - 1)
+            canonical = alpha_sums.T.ravel()   # (A,-), (B,-), (A,+), (B,+)
+            a = assemble(canonical, *rates(counts, config.dirichlet_alpha), t - 1)
             a_star, b_star = solve(a, b, lam)
             q = QDistribution(a_star, b_star, 1.0 - a_star, 1.0 - b_star)
         losses = (preds != y).astype(np.float64)
@@ -108,16 +174,16 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
         wrong = float(w_wrong @ losses) / float(w_wrong.sum())
         q_right = q_pos if y == POS else q_neg
         expected = q_right * right + (1.0 - q_right) * wrong
-        state.alphas.add(g, 1 - y, wrong - right)
-        est.update(g, y)
+        alpha_sums[g, 1 - y] += wrong - right
+        counts[g, y] += 1
         chosen = _sample(weights.slice(g, table), rng)
         weights.update(eta, losses, g, y)
         traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), expected, losses)
         traj.right[t - 1] = right
         traj.q_neg[t - 1] = (q.q_a_neg, q.q_b_neg)
     traj.finish()
-    traj.alpha_sums = state.alphas.sums.copy()
+    traj.alpha_sums = alpha_sums
     traj.q_final = q
-    traj.p_hat_final = est.p_hat
-    traj.mu_hat_final = (est.mu_hat(Group.A), est.mu_hat(Group.B))
+    traj.p_hat_final, *mu_hat = rates(counts, config.dirichlet_alpha)
+    traj.mu_hat_final = tuple(mu_hat)
     return traj

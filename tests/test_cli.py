@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from fairmw.cli import (
 )
 from fairmw.engines import run_trial
 from fairmw.errors import ConfigError
+from fairmw.ingest import load_dataset, load_preset, split_shuffle
 
 SYNTH_MW = """\
 # toy synthetic experiment
@@ -302,6 +307,35 @@ def test_exit_code_4_on_runtime_errors(tmp_path):
                  "--workers", "1"]) == 4
 
 
+def test_out_of_memory_exits_4(tmp_path, monkeypatch, capsys):
+    def exhausted(payload, workers):
+        raise MemoryError("Unable to allocate 50.9 TiB")
+
+    monkeypatch.setattr(cli, "execute_trials", exhausted)
+    code, _ = run_main(tmp_path, SYNTH_MW, "--workers", "1")
+    assert code == 4
+    assert capsys.readouterr().err == "runtime error: out of memory\n"
+
+
+def test_extreme_lambda_runs(tmp_path):
+    # lambda.regret = 1e200 squares past the largest float unless the solve
+    # scales lambda first; the installed entry point must exit 0 cleanly
+    cfg = write(tmp_path, SYNTH_RMW.replace("trials = 2", "trials = 1")
+                + "lambda.regret = 1e200\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairmw.cli", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--workers", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+    q = doc["trial_results"][0]["q_final"]
+    assert all(0.0 <= v <= 1.0 for v in q)
+
+
 def write_oracle_dataset(tmp_path, rows=200, extra_rows=0):
     """A toy dataset and a prediction file with one row per dataset row, in
     CSV order: an oracle column equal to the row's label and a coin flip."""
@@ -339,6 +373,21 @@ def test_dataset_file_experts_follow_the_stream(tmp_path, monkeypatch):
     assert all(oracle == 0.0 and coin > 0.0 for oracle, coin in losses), losses
     doc = json.loads((outdir / "summary.json").read_text())
     assert doc["horizon"] == 60 and doc["experts"] == ["oracle", "coin"]
+
+
+def test_dataset_payload_keeps_no_features(tmp_path):
+    # trials read only group and label, so the payload sent to every worker
+    # holds no feature rows, for file and for trained experts alike
+    text = write_oracle_dataset(tmp_path)
+    builtin = text.replace(f"experts.source = file\nexperts.file = {tmp_path / 'preds.csv'}\n",
+                           "experts.source = builtin\nexperts.epochs = 5\n")
+    examples, _ = load_dataset(tmp_path / "toy.csv", load_preset(str(tmp_path / "toy.preset")))
+    _, test_idx = split_shuffle(len(examples), 0.7, 3)
+    for cfg_text in (text, builtin):
+        payload, _ = cli.prepare_payload(build_spec(parse_config(write(tmp_path, cfg_text))))
+        assert all(ex.features.size == 0 for ex in payload.test_examples)
+        assert ([(ex.group, ex.label) for ex in payload.test_examples]
+                == [(examples[i].group, examples[i].label) for i in test_idx])
 
 
 def test_dataset_file_of_wrong_length_names_both_counts(tmp_path, capsys):
@@ -531,6 +580,7 @@ MALFORMED = {
     "split_ratio_above_one": ("stats --data {d}/good.csv --preset {d}/good.preset "
                               "--split-ratio 1.5", 2),
     "missing_preset": ("stats --data {d}/good.csv --preset {d}/absent.preset", 3),
+    "stats_negative_seed": ("stats --data {d}/good.csv --preset {d}/good.preset --seed -1", 2),
     "prediction_file_wrong_length": ("run --config {d}/short_preds.cfg", 3),
 }
 

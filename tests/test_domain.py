@@ -19,7 +19,6 @@ from fairmw.domain import (
     trial_seed_sequence,
 )
 from fairmw.errors import ConfigError, InvalidExpertCount, InvalidHorizon
-from fairmw.estimators import AlphaTracker
 
 
 def test_recommended_eta_examples():
@@ -90,12 +89,11 @@ def test_cell_order_and_index():
     # position i of every canonical-order vector is cell CELL_ORDER[i]
     assert CELL_ORDER == ((Group.A, NEG), (Group.B, NEG), (Group.A, POS), (Group.B, POS))
     q = QDistribution(0.1, 0.3, 0.9, 0.7)
-    alphas = AlphaTracker()
-    alphas.sums[:] = [[1.0, 2.0], [3.0, 4.0]]
+    sums = np.array([[1.0, 2.0], [3.0, 4.0]])   # [group, label]
     for i, (g, y) in enumerate(CELL_ORDER):
         assert i == 2 * y + g
         assert q.as_vector()[i] == q.for_group(g)[y]
-        assert alphas.sums_vector()[i] == alphas.sums[g, y]
+        assert sums.T.ravel()[i] == sums[g, y]
 
 
 def test_weight_table_shapes():

@@ -11,11 +11,12 @@ from fairmw.domain import (
     POS,
     QDistribution,
     RunConfig,
+    WeightTable,
 )
 import scalar_reference
 from fairmw import engines, qopt
 from fairmw.domain import trial_seed_sequence
-from fairmw.engines import CELL_MAP, EngineState, Trajectory, run_trial, step
+from fairmw.engines import CELL_MAP, Trajectory, run_trial, step
 from fairmw.errors import EmptyStream, StreamExhausted
 from fairmw.experts import ErrorProfile, MatrixEnsemble, SyntheticEnsemble
 from fairmw.metrics import compute_rates
@@ -41,42 +42,41 @@ def preds(*values):
 
 
 def test_mw_step_hand_example():
-    state = EngineState.fresh("mw", 2, 0.5)
-    experts, losses, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.6)
+    weights = WeightTable(2)
+    experts, losses, right, wrong = step(weights, "mw", 0.5, preds(1, 0), Group.A, POS, 0.6)
     assert right == 0.5 and wrong is None
     assert experts == (1,)   # 0.6 * 2 lands past the first expert's unit mass
     assert np.array_equal(losses, [0.0, 1.0])
-    assert np.array_equal(state.weights.slice(), [1.0, 0.5])
-    assert state.estimates is None
+    assert np.array_equal(weights.slice(), [1.0, 0.5])
 
 
 def test_step_zero_one_losses():
     # losses are 1.0 exactly where an expert's prediction misses the label
-    state = EngineState.fresh("mw", 4, 0.3)
-    _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, POS, 0.5)
+    weights = WeightTable(4)
+    _, losses, _, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, POS, 0.5)
     assert losses.dtype == np.float64
     assert losses.tolist() == [0.0, 1.0, 0.0, 1.0]
-    _, losses, _, _ = step(state, preds(1, 0, 1, 0), Group.B, NEG, 0.5)
+    _, losses, _, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, NEG, 0.5)
     assert losses.tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_mw_unanimous_correct_round_keeps_weights():
-    state = EngineState.fresh("mw", 3, 0.3)
-    before = state.weights.array.copy()
-    step(state, preds(1, 1, 1), Group.B, POS, 0.5)
-    assert np.array_equal(state.weights.array, before)
+    weights = WeightTable(3)
+    before = weights.array.copy()
+    step(weights, "mw", 0.3, preds(1, 1, 1), Group.B, POS, 0.5)
+    assert np.array_equal(weights.array, before)
 
 
 def test_mw_sampling_ignores_floored_expert():
     # with weights (1, 1e-300) the cumulative mass at index 0 already
     # equals the total, so the first expert is drawn
-    state = EngineState.fresh("mw", 2, 0.1)
-    state.weights.slice()[:] = (1.0, 1e-300)
+    weights = WeightTable(2)
+    weights.slice()[:] = (1.0, 1e-300)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        (chosen,), _, _, _ = step(state, preds(1, 0), Group.A, POS, rng.random())
+        (chosen,), _, _, _ = step(weights, "mw", 0.1, preds(1, 0), Group.A, POS, rng.random())
         assert chosen == 0
-        state.weights.slice()[:] = (1.0, 1e-300)
+        weights.slice()[:] = (1.0, 1e-300)
 
 
 def test_cell_map_addresses_one_cell_per_round():
@@ -85,20 +85,20 @@ def test_cell_map_addresses_one_cell_per_round():
     arrivals = [(Group.A, NEG), (Group.A, POS), (Group.B, NEG), (Group.B, POS)]
     for engine, (by_group, by_label) in CELL_MAP.items():
         for g, y in arrivals:
-            state = EngineState.fresh(engine, 2, 0.4)
-            step(state, preds(1 - y, y), g, y, 0.5)
+            weights = WeightTable(2)
+            step(weights, engine, 0.4, preds(1 - y, y), g, y, 0.5)
             cell = (g if by_group else Group.A, y if by_label else NEG)
             moved = {(gg, yy) for gg in (0, 1) for yy in (0, 1)
-                     if not np.array_equal(state.weights.array[gg, yy], [1.0, 1.0])}
+                     if not np.array_equal(weights.array[gg, yy], [1.0, 1.0])}
             assert moved == {cell}, (engine, g, y)
 
 
 def test_group_aware_updates_only_arriving_group():
-    state = EngineState.fresh("group_aware", 2, 0.4)
-    before_b = state.weights.slice(Group.B).copy()
-    step(state, preds(0, 1), Group.A, POS, 0.5)
-    assert np.array_equal(state.weights.slice(Group.B), before_b)
-    assert not np.array_equal(state.weights.slice(Group.A), [1.0, 1.0])
+    weights = WeightTable(2)
+    before_b = weights.slice(Group.B).copy()
+    step(weights, "group_aware", 0.4, preds(0, 1), Group.A, POS, 0.5)
+    assert np.array_equal(weights.slice(Group.B), before_b)
+    assert not np.array_equal(weights.slice(Group.A), [1.0, 1.0])
 
 
 def test_group_aware_matches_mw_on_filtered_subsequence():
@@ -107,56 +107,61 @@ def test_group_aware_matches_mw_on_filtered_subsequence():
     rng = np.random.default_rng(11)
     rounds = [(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)),
                rng.integers(0, 2, size=3).astype(np.int8)) for _ in range(40)]
-    ga = EngineState.fresh("group_aware", 3, 0.25)
-    mw = EngineState.fresh("mw", 3, 0.25)
+    ga = WeightTable(3)
+    mw = WeightTable(3)
     expected_ga, expected_mw = [], []
     for g, y, p in rounds:
-        out = step(ga, p, g, y, 0.5)
+        out = step(ga, "group_aware", 0.25, p, g, y, 0.5)
         if g == Group.A:
             expected_ga.append(out[2])
-            expected_mw.append(step(mw, p, g, y, 0.5)[2])
+            expected_mw.append(step(mw, "mw", 0.25, p, g, y, 0.5)[2])
     assert expected_ga == expected_mw
-    assert np.array_equal(ga.weights.slice(Group.A), mw.weights.slice())
+    assert np.array_equal(ga.slice(Group.A), mw.slice())
 
 
 def test_rmw_updates_only_true_label_slice():
-    state = EngineState.fresh("fairness_aware", 2, 0.5)
-    before = {(g, y): state.weights.slice(g, y).copy()
+    weights = WeightTable(2)
+    before = {(g, y): weights.slice(g, y).copy()
               for g in (Group.A, Group.B) for y in (NEG, POS)}
-    step(state, preds(1, 0), Group.A, POS, 0.5)
+    step(weights, "fairness_aware", 0.5, preds(1, 0), Group.A, POS, 0.5)
     for g in (Group.A, Group.B):
         for y in (NEG, POS):
-            same = np.array_equal(state.weights.slice(g, y), before[(g, y)])
+            same = np.array_equal(weights.slice(g, y), before[(g, y)])
             assert same == ((g, y) != (Group.A, POS))
 
 
 def test_rmw_step_hand_example():
-    state = EngineState.fresh("fairness_aware", 2, 0.5)
-    experts, _, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.4)
+    weights = WeightTable(2)
+    experts, _, right, wrong = step(weights, "fairness_aware", 0.5, preds(1, 0),
+                                    Group.A, POS, 0.4)
     # both slices are uniform: each table gives expected loss 1/2, and the
     # uniform 0.4 draws the first expert from either table
     assert right == wrong == 0.5
     assert experts == (0, 0)
-    assert np.array_equal(state.weights.slice(Group.A, POS), [1.0, 0.5])
-    # the wrong-table loss equals the right-table loss: zero alpha gap
-    assert np.array_equal(state.alphas.sums, np.zeros((2, 2)))
-    assert state.estimates.counts.tolist() == [[0, 1], [0, 0]]
+    assert np.array_equal(weights.slice(Group.A, POS), [1.0, 0.5])
     # the candidates come from the pre-update tables (g,-) and (g,+)
-    experts, _, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.6)
+    experts, _, right, wrong = step(weights, "fairness_aware", 0.5, preds(1, 0),
+                                    Group.A, POS, 0.6)
     assert experts == (1, 0)   # 0.6 * 2 >= 1 in (1, 1); 0.6 * 1.5 < 1 in (1, 0.5)
+    # the same first round in a trial: the wrong-table loss equals the
+    # right-table loss, so the alpha gap is zero, and the arrival is
+    # counted in (A,+): p_hat = (1 + 2) / (1 + 4), mu_hat_A = (1 + 1) / (1 + 2)
+    traj = run_trial(config(engine="fairness_aware", horizon=1),
+                     make_stream("A+"), file_ensemble([[1, 0]]))
+    assert np.array_equal(traj.alpha_sums, np.zeros((2, 2)))
+    assert traj.counts.tolist() == [[0, 1], [0, 0]]
+    assert (traj.p_hat_final, traj.mu_hat_final) == (3 / 5, (2 / 3, 0.5))
 
 
 def test_rmw_alpha_accumulates_cross_table_gap():
-    state = EngineState.fresh("fairness_aware", 2, 0.5)
-    step(state, preds(1, 0), Group.A, POS, 0.5)
-    _, _, right, wrong = step(state, preds(1, 0), Group.A, POS, 0.5)
+    weights = WeightTable(2)
+    step(weights, "fairness_aware", 0.5, preds(1, 0), Group.A, POS, 0.5)
+    _, _, right, wrong = step(weights, "fairness_aware", 0.5, preds(1, 0), Group.A, POS, 0.5)
     # second round: right slice (1, 0.5) gives 1/3, wrong slice stays 1/2
     assert abs(right - 1.0 / 3.0) < 1e-15
     assert wrong == 0.5
-    assert abs(state.alphas.sums[Group.A, NEG] - (0.5 - 1.0 / 3.0)) < 1e-15
-    assert state.alphas.sums[Group.A, POS] == 0.0
-    assert np.all(state.alphas.sums[Group.B] == 0.0)
-    # run_trial mixes right and wrong by q, uniform until the first stride point
+    # run_trial adds the gap wrong - right to the other-label cell (A,-) and
+    # mixes right and wrong by q, uniform until the first stride point
     traj = run_trial(config(engine="fairness_aware", horizon=2, eta=0.25,
                             q_recompute_stride=5),
                      make_stream("A+ A+"), file_ensemble([[1, 0], [1, 0]]))
@@ -171,15 +176,15 @@ def test_rmw_degenerate_q_reduces_to_mw_on_slice():
     # expected loss 1.0 * right: the right-table losses, that table's
     # draws and its final weights equal plain mw
     rng = np.random.default_rng(6)
-    rmw = EngineState.fresh("fairness_aware", 3, 0.2)
-    mw = EngineState.fresh("mw", 3, 0.2)
+    rmw = WeightTable(3)
+    mw = WeightTable(3)
     for _ in range(30):
         p = rng.integers(0, 2, size=3).astype(np.int8)
         u = rng.random()
-        experts_r, _, right_r, _ = step(rmw, p, Group.A, POS, u)
-        experts_m, _, right_m, _ = step(mw, p, Group.A, POS, u)
+        experts_r, _, right_r, _ = step(rmw, "fairness_aware", 0.2, p, Group.A, POS, u)
+        experts_m, _, right_m, _ = step(mw, "mw", 0.2, p, Group.A, POS, u)
         assert right_r == right_m and experts_r[POS] == experts_m[0]
-    assert np.array_equal(rmw.weights.slice(Group.A, POS), mw.weights.slice())
+    assert np.array_equal(rmw.slice(Group.A, POS), mw.slice())
 
 
 def test_rmw_table_draw_follows_q(monkeypatch):
@@ -500,6 +505,7 @@ def assert_same_trial(got, want):
     (50, dict(q_recompute_stride=60)),
     (1, {}),
     (2, {}),
+    (1100, {}),     # 1099 stride points: two Q_BLOCK blocks
 ])
 def test_two_stage_trial_matches_per_round_reference(T, kw):
     # the per-round loop solved q before each stride round and drew the
@@ -512,17 +518,15 @@ def test_two_stage_trial_matches_per_round_reference(T, kw):
 
 
 def test_fairness_aware_solves_q_in_blocks(monkeypatch):
-    # one batched solve per Q_BLOCK stride points, no scalar assembly or
-    # solve, no ConstraintSystem, and one QDistribution (q_final) per trial
+    # one batched solve per Q_BLOCK stride points, and one QDistribution
+    # (q_final) per trial; qopt has no one-system solve left to call
+    assert qopt.__all__ == ["assemble_systems", "solve_q_batch"]
     calls = []
     batched = engines.solve_q_batch
 
     def counting(a, b, lam):
         calls.append(len(a))
         return batched(a, b, lam)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("scalar q path used")
 
     built = []
     q_init = QDistribution.__post_init__
@@ -532,9 +536,6 @@ def test_fairness_aware_solves_q_in_blocks(monkeypatch):
         q_init(self)
 
     monkeypatch.setattr(engines, "solve_q_batch", counting)
-    for name in ("solve_q", "assemble_constraint_system"):
-        monkeypatch.setattr(qopt, name, forbidden)
-    monkeypatch.setattr(qopt.ConstraintSystem, "__post_init__", forbidden)
     monkeypatch.setattr(QDistribution, "__post_init__", counting_q)
     cfg, stream, ens = fair_case(300, q_recompute_stride=2)
     points = (300 - 1) // 2

@@ -1,13 +1,20 @@
+"""The fairness_aware estimates: smoothed arrival rates and alpha gap sums.
+
+The engine keeps no running estimator objects: ``step`` returns each
+round's right- and wrong-table expected losses, and the trial takes the
+alpha sums and the (group, label) counts as prefix sums of its columns.
+These tests check the rates, the per-round gaps, and the sums and counts a
+trial reports against round-by-round replays.
+"""
+
 import numpy as np
 
-from fairmw.domain import Group, NEG, POS
-from fairmw.engines import EngineState, step
-from fairmw.estimators import (
-    AlphaTracker,
-    RateEstimates,
-    dirichlet_rate,
-    smoothed_rates,
-)
+from fairmw import engines
+from fairmw.domain import NEG, POS, Example, Group, RunConfig, WeightTable
+from fairmw.engines import run_trial, step
+from fairmw.estimators import smoothed_rates
+from fairmw.experts import ErrorProfile, SyntheticEnsemble
+from scalar_reference import dirichlet_rate
 
 
 def test_frequentist_examples():
@@ -46,143 +53,146 @@ def test_dirichlet_matches_frequentist_at_tiny_prior():
 
 
 def test_mu_hat_group_conditional():
-    est = RateEstimates(dirichlet_alpha=1.0)
-    for _ in range(3):
-        est.update(Group.A, POS)
-    est.update(Group.A, NEG)
-    # (3 + 1) / (4 + 2) inside group A only
-    assert est.mu_hat(Group.A) == 2 / 3
-    # group B has no data: symmetric prior gives 1/2
-    assert est.mu_hat(Group.B) == 0.5
+    # three (A,+) and one (A,-) arrival: (3 + 1) / (4 + 2) inside group A
+    # only; group B has no data, and the symmetric prior gives 1/2
+    p_hat, mu_hat = smoothed_rates(np.array([[1, 3], [0, 0]]), 1.0)
+    assert mu_hat.tolist() == [2 / 3, 0.5]
+    assert p_hat == (4 + 2) / (4 + 4)
+
+
+def fair_trial(T, seed=8, **kw):
+    rng = np.random.default_rng(seed)
+    stream = [Example(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
+              for _ in range(T)]
+    ens = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
+                             ErrorProfile(0.1, 0.35, 0.4, 0.1),
+                             ErrorProfile(0.25, 0.25, 0.2, 0.3)])
+    cfg = RunConfig(**{**dict(engine="fairness_aware", horizon=T, eta=0.3), **kw})
+    return cfg, stream, ens
 
 
 def test_rate_estimates_invariants():
-    rng = np.random.default_rng(8)
-    est = RateEstimates(dirichlet_alpha=1.0)
-    for _ in range(500):
-        est.update(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
-    assert est.counts.sum() == est.t == 500
-    cells = dirichlet_rate(est.counts, est.t, est.alpha)
+    # a trial's final estimates are the smoothed rates of its arrival counts
+    cfg, stream, ens = fair_trial(500)
+    traj = run_trial(cfg, stream, ens)
+    assert traj.counts.sum() == 500
+    cells = dirichlet_rate(traj.counts, 500, 1.0)
     assert abs(cells.sum() - 1.0) <= 1e-12
     assert np.all((cells > 0) & (cells < 1))
-    assert 0.0 < est.p_hat < 1.0
+    p_hat, mu_hat = smoothed_rates(traj.counts, 1.0)
+    assert (traj.p_hat_final, traj.mu_hat_final) == (float(p_hat), tuple(mu_hat.tolist()))
+    assert 0.0 < traj.p_hat_final < 1.0
 
 
 def test_dirichlet_convergence_single_seed():
     truth = np.array([[0.4, 0.25], [0.2, 0.15]])
     rng = np.random.default_rng(123)
-    est = RateEstimates(dirichlet_alpha=1.0)
-    flat = truth.ravel()
-    for idx in rng.choice(4, size=10000, p=flat):
-        est.update(Group(int(idx) // 2), int(idx) % 2)
-    assert np.max(np.abs(dirichlet_rate(est.counts, est.t, est.alpha) - truth)) <= 0.02
+    counts = np.bincount(rng.choice(4, size=10000, p=truth.ravel()), minlength=4)
+    assert np.max(np.abs(dirichlet_rate(counts.reshape(2, 2), 10000, 1.0) - truth)) <= 0.02
 
 
-def alpha_step(state, losses, group, label):
-    """The alpha contributions of one fairness_aware step, [group, label].
+def alpha_gap(weights, losses, group, label):
+    """The alpha gap wrong - right of one fairness_aware step.
 
     Every expert predicts the label exactly where its loss is 0, so the
-    step sees these losses; the step never reads q, and the uniform only
-    picks the candidate experts.
+    step sees these losses; the uniform only picks the candidate experts.
     """
-    before = state.alphas.sums.copy()
     predictions = np.where(np.asarray(losses) > 0, 1 - label, label).astype(np.int8)
-    step(state, predictions, group, label, 0.5)
-    return state.alphas.sums - before
+    _, _, right, wrong = step(weights, "fairness_aware", 0.3, predictions, group, label, 0.5)
+    return wrong - right
 
 
 def test_alpha_step_examples():
-    state = EngineState.fresh("fairness_aware", 2, 0.3)
+    weights = WeightTable(2)
     # identical slices -> zero gap regardless of losses
-    out = alpha_step(state, [1.0, 0.0], Group.A, POS)
-    assert np.all(out == 0.0)
+    assert alpha_gap(weights, [1.0, 0.0], Group.A, POS) == 0.0
 
-    state.weights.array[Group.A, POS] = (1.0, 3.0)
-    state.weights.array[Group.A, NEG] = (3.0, 1.0)
-    out = alpha_step(state, [1.0, 0.0], Group.A, POS)
-    assert out[Group.A, NEG] == 0.5
-    assert out[Group.A, POS] == 0.0
-    assert np.all(out[Group.B] == 0.0)
+    weights.array[Group.A, POS] = (1.0, 3.0)
+    weights.array[Group.A, NEG] = (3.0, 1.0)
+    assert alpha_gap(weights, [1.0, 0.0], Group.A, POS) == 0.5
 
     # all experts correct this round
-    out = alpha_step(state, [0.0, 0.0], Group.A, POS)
-    assert np.all(out == 0.0)
+    assert alpha_gap(weights, [0.0, 0.0], Group.A, POS) == 0.0
 
 
 def test_alpha_step_bounded():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        state = EngineState.fresh("fairness_aware", 3, 0.3)
-        for g in (Group.A, Group.B):
-            for y in (NEG, POS):
-                state.weights.array[g, y] = rng.uniform(0.01, 1.0, size=3)
+        weights = WeightTable(3)
+        weights.array[:] = rng.uniform(0.01, 1.0, size=(2, 2, 3))
         losses = (rng.random(3) < 0.5).astype(float)
         g = Group(int(rng.integers(0, 2)))
         y = int(rng.integers(0, 2))
-        out = alpha_step(state, losses, g, y)
-        assert np.all(np.abs(out) <= 1.0)
-        # only the arriving group's wrong-label cell can be nonzero
-        mask = np.zeros((2, 2), dtype=bool)
-        mask[g, 1 - y] = True
-        assert np.all(out[~mask] == 0.0)
+        assert abs(alpha_gap(weights, losses, g, y)) <= 1.0
 
 
 def test_alpha_tracker_replay_equality():
-    # the step's running sums equal a replay of the per-round gaps taken
-    # from pre-update weights
-    rng = np.random.default_rng(6)
-    state = EngineState.fresh("fairness_aware", 3, 0.2)
-    expected = np.zeros((2, 2))
-    for _ in range(100):
-        losses = (rng.random(3) < 0.4).astype(float)
-        g = Group(int(rng.integers(0, 2)))
-        y = int(rng.integers(0, 2))
-        w_right = state.weights.slice(g, y).copy()
-        w_wrong = state.weights.slice(g, 1 - y).copy()
-        expected[g, 1 - y] += (float(w_wrong @ losses) / float(w_wrong.sum())
-                               - float(w_right @ losses) / float(w_right.sum()))
-        alpha_step(state, losses, g, y)
-    assert np.array_equal(state.alphas.sums, expected)
+    # a trial's alpha sums and counts equal a round-by-round replay that adds
+    # each gap, taken from pre-update weights, to the arrival's other-label
+    # cell; no other cell ever moves
+    cfg, stream, ens = fair_trial(300, seed=6, q_recompute_stride=3)
+    traj = run_trial(cfg, stream, ens)
+    weights = WeightTable(3)
+    alpha = np.zeros((2, 2))
+    counts = np.zeros((2, 2), dtype=np.int64)
+    for i in range(traj.T):
+        g, y = divmod(int(traj.cell[i]), 2)
+        w_right = weights.slice(g, y).copy()
+        w_wrong = weights.slice(g, 1 - y).copy()
+        gap = alpha_gap(weights, traj.losses[i], Group(g), y)
+        assert gap == (float(w_wrong @ traj.losses[i]) / float(w_wrong.sum())
+                       - float(w_right @ traj.losses[i]) / float(w_right.sum()))
+        alpha[g, 1 - y] += gap
+        counts[g, y] += 1
+    assert traj.alpha_sums.tobytes() == alpha.tobytes()
+    assert traj.counts.tolist() == counts.tolist()
 
 
 def test_alpha_tracker_add_matches_record():
-    state = EngineState.fresh("fairness_aware", 2, 0.3)
-    state.weights.array[Group.B, NEG] = (0.2, 0.8)
-    state.weights.array[Group.B, POS] = (0.7, 0.3)
+    # normalized slices: the gap is the wrong-table loss minus the right one
+    weights = WeightTable(2)
+    weights.array[Group.B, NEG] = (0.2, 0.8)
+    weights.array[Group.B, POS] = (0.7, 0.3)
     losses = np.array([1.0, 0.0])
-    e_right = float(state.weights.array[Group.B, NEG] @ losses)
-    e_wrong = float(state.weights.array[Group.B, POS] @ losses)
-    alpha_step(state, losses, Group.B, NEG)
-    via_add = AlphaTracker()
-    via_add.add(Group.B, POS, e_wrong - e_right)
-    assert np.array_equal(state.alphas.sums, via_add.sums)
+    e_right = float(weights.array[Group.B, NEG] @ losses)
+    e_wrong = float(weights.array[Group.B, POS] @ losses)
+    assert alpha_gap(weights, losses, Group.B, NEG) == e_wrong - e_right
 
 
-def test_sums_vector_canonical_order():
-    tracker = AlphaTracker()
-    tracker.add(Group.A, NEG, 0.1)
-    tracker.add(Group.B, NEG, 0.2)
-    tracker.add(Group.A, POS, 0.3)
-    tracker.add(Group.B, POS, 0.4)
-    assert tracker.sums_vector().tolist() == [0.1, 0.2, 0.3, 0.4]
+def test_sums_vector_canonical_order(monkeypatch):
+    # q is assembled from the sums in canonical cell order (A,-), (B,-),
+    # (A,+), (B,+).  The one stride point of a T-round trial at stride T - 1
+    # reads the sums after round T - 1, which a (T - 1)-round trial reports.
+    seen = []
+    assemble = engines.assemble_systems
+
+    def recording(alpha_sums, *args):
+        seen.append(alpha_sums.copy())
+        return assemble(alpha_sums, *args)
+
+    monkeypatch.setattr(engines, "assemble_systems", recording)
+    cfg, stream, ens = fair_trial(41, q_recompute_stride=40)
+    run_trial(cfg, stream, ens)
+    sums = run_trial(RunConfig(**{**vars(cfg), "horizon": 40}), stream, ens).alpha_sums
+    assert len(seen) == 1 and np.all(sums != 0.0)
+    assert seen[0].tolist() == [[sums[Group.A, NEG], sums[Group.B, NEG],
+                                 sums[Group.A, POS], sums[Group.B, POS]]]
 
 
 def test_smoothed_rates_batch_matches_running_estimates():
-    # batched rates at every prefix equal the running estimator's and the
-    # textbook formulas in Python floats, bitwise
+    # batched rates at every prefix equal the textbook formulas in Python
+    # floats, bitwise
     rng = np.random.default_rng(8)
     a = 0.3
-    est = RateEstimates(dirichlet_alpha=a)
+    counts = np.zeros((2, 2), dtype=np.int64)
     snapshots, p_hat, mu = [], [], []
-    for _ in range(200):
-        c = est.counts
-        t_a, t_b = float(c[0].sum()), float(c[1].sum())
-        p_hat.append((t_a + 2.0 * a) / (est.t + 4.0 * a))
-        mu.append([(float(c[0, 1]) + a) / (t_a + 2.0 * a),
-                   (float(c[1, 1]) + a) / (t_b + 2.0 * a)])
-        assert (est.p_hat, [est.mu_hat(Group.A), est.mu_hat(Group.B)]) == (p_hat[-1], mu[-1])
-        snapshots.append(c.copy())
-        est.update(Group(int(rng.integers(0, 2))), int(rng.random() < 0.3))
+    for t in range(200):
+        t_a, t_b = float(counts[0].sum()), float(counts[1].sum())
+        p_hat.append((t_a + 2.0 * a) / (t + 4.0 * a))
+        mu.append([(float(counts[0, 1]) + a) / (t_a + 2.0 * a),
+                   (float(counts[1, 1]) + a) / (t_b + 2.0 * a)])
+        snapshots.append(counts.copy())
+        counts[int(rng.integers(0, 2)), int(rng.random() < 0.3)] += 1
     batch_p, batch_mu = smoothed_rates(np.array(snapshots), a)
     assert batch_p.tolist() == p_hat
     assert batch_mu.tolist() == mu

@@ -1,18 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import scalar_reference
 from fairmw.domain import check_q
 from fairmw.errors import ConfigError, NonFiniteInput
-from fairmw.qopt import (
-    REG_WEIGHT,
-    ConstraintSystem,
-    assemble_constraint_system,
-    assemble_systems,
-    objective,
-    solve_q,
-    solve_q_batch,
-)
+from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
+from scalar_reference import ConstraintSystem, assemble_constraint_system, objective, solve_q
 
 
 def grid_oracle(system, resolution=1e-3):
@@ -147,6 +142,22 @@ def test_regret_only_lambda():
         q_masked = np.array(solve_q(masked).as_vector())
         q_row3 = np.array(solve_q(only_row3).as_vector())
         assert np.max(np.abs(q_masked - q_row3)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam_regret", [1e100, 1e160, 1e300])
+def test_extreme_lambda_is_scaled_exactly(lam_regret):
+    # lambda is scaled by the power of two that puts max(lambda) in [0.5, 1)
+    # before the solve: no overflow and no warning, and every q is bitwise
+    # the scalar reference's at the scaled lambda, interior optima included
+    rng = np.random.default_rng(91)
+    a = engine_like_batch(rng, 500)
+    lam = np.array([1.0, 1.0, lam_regret])
+    q = solve_q_batch(a, np.zeros(3), lam)
+    scaled = lam * 2.0 ** -math.frexp(lam_regret)[1]
+    want = [reference_q(ai, np.zeros(3), scaled) for ai in a]
+    assert q.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    assert q.tolist() == solve_q_batch(a, np.zeros(3), scaled).tolist()
 
 
 def test_zero_lambda_returns_uniform():
