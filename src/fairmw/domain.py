@@ -36,6 +36,7 @@ __all__ = [
     "RunConfig",
     "WEIGHT_FLOOR",
     "RESCALE_THRESHOLD",
+    "weight_states",
     "trial_seed_sequence",
     "recommended_eta",
     "ENGINES",
@@ -106,6 +107,31 @@ def _update_slice(w: np.ndarray, eta: float, losses: np.ndarray) -> None:
         # max at mant, and a power-of-two multiply is exact.
         _, e = math.frexp(m)
         np.multiply(w, math.ldexp(1.0, -e), out=w)
+
+
+def weight_states(eta: float, losses: np.ndarray) -> np.ndarray:
+    """(n + 1, d) states of one slice from all-ones: row k is bitwise the
+    slice after ``_update_slice`` with each of losses[:k] in turn.
+
+    The factors (1-eta)^loss are at most 1, so flooring a cumprod equals
+    flooring each step; a rescale restarts the cumprod at its row, and
+    passes of 4096 rows bound the work a restart repeats."""
+    n, d = losses.shape
+    states = np.ones((n + 1, d))
+    lo = 0
+    while lo < n:
+        hi = min(lo + 4096, n)
+        seg = states[lo:hi + 1]
+        np.power(1.0 - eta, losses[lo:hi], out=seg[1:])
+        np.cumprod(seg, axis=0, out=seg)
+        np.maximum(seg, WEIGHT_FLOOR, out=seg)
+        low = np.flatnonzero(seg[1:].max(axis=1) < RESCALE_THRESHOLD)
+        if len(low):
+            hi = lo + 1 + int(low[0])
+            _, e = math.frexp(float(states[hi].max()))
+            np.multiply(states[hi], math.ldexp(1.0, -e), out=states[hi])
+        lo = hi
+    return states
 
 
 class WeightTable:

@@ -20,9 +20,11 @@ Randomness layout: each trial derives
 children — 0 for stream synthesis/shuffling (used by the harness),
 1 for synthetic expert draws (expert order, every round), 2 for engine
 sampling.  The engine rng gives each round its uniforms in this order: the
-table draw (fairness_aware only), then the expert draw.  fairness_aware
-takes all of them up front as one (T, 2) array, the same doubles in the
-same order.
+table draw (fairness_aware only), then the expert draw.
+
+fairness_aware runs whole-trial array passes: (T, d) expert and (T, 2)
+engine uniforms drawn as blocks (the same doubles, same order), weights
+from per-cell cumprod states, q solved in batches.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .domain import (
     WeightTable,
     recommended_eta,
     trial_seed_sequence,
+    weight_states,
 )
 from .errors import EmptyStream, StreamExhausted
 from .estimators import smoothed_rates
@@ -73,30 +76,17 @@ def _sample(w: np.ndarray, u: float) -> int:
 
 def step(weights: WeightTable, engine: str, eta: float, predictions: np.ndarray,
          group: Group, label: int, u: float):
-    """One round: draw experts with the uniform u, then update the engine's cell.
-
-    Returns ``(experts, losses, right, wrong)``: the inverse-CDF draw with u
-    from each table the round can select from (the updated cell alone for
-    mw and group_aware; tables (g,-) and (g,+) for fairness_aware, whose
-    table draw from q ``run_trial`` settles afterwards), the per-expert 0/1
-    losses, and the expected losses under the pre-update weights of the
-    updated cell (``right``) and, fairness_aware only, of the group's
-    other-label cell (``wrong``, else None).
-    """
+    """One mw or group_aware round: returns ``(expert, losses, right)``, the
+    inverse-CDF draw with uniform u from the engine's cell, the per-expert
+    0/1 losses and the cell's pre-update expected loss; then updates the cell."""
     by_group, by_label = CELL_MAP[engine]
     cell = (group if by_group else Group.A, label if by_label else NEG)
     losses = (predictions != label).astype(np.float64)
     w = weights.slice(*cell)
     right = float(w @ losses) / float(w.sum())
-    wrong = None
-    if by_label:
-        w_wrong = weights.slice(group, 1 - label)
-        wrong = float(w_wrong @ losses) / float(w_wrong.sum())
-        experts = (_sample(weights.slice(group, NEG), u), _sample(weights.slice(group, POS), u))
-    else:
-        experts = (_sample(w, u),)
+    expert = _sample(w, u)
     weights.update(eta, losses, *cell)
-    return experts, losses, right, wrong
+    return expert, losses, right
 
 
 def _last(running: np.ndarray) -> float:
@@ -242,55 +232,44 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     engine_rng = np.random.default_rng(engine_ss)
 
     traj = Trajectory(config.engine, eta, ensemble.names, T)
-    weights = WeightTable(d)
     if config.engine == "fairness_aware":
         return _fairness_aware_rounds(config, stream, ensemble, expert_rng,
-                                      engine_rng, weights, traj)
+                                      engine_rng, traj)
+    weights = WeightTable(d)
     for t in range(1, T + 1):
         ex = stream[t - 1]
         preds = ensemble.round_predictions(t, ex, expert_rng)
-        (chosen,), losses, right, _ = step(weights, config.engine, eta, preds, ex.group,
-                                           ex.label, engine_rng.random())
+        chosen, losses, right = step(weights, config.engine, eta, preds, ex.group,
+                                     ex.label, engine_rng.random())
         traj.record(t, ex.group, ex.label, int(preds[chosen]), float(losses[chosen]),
                     right, losses)
     return traj.finish()
 
 
 def _fairness_aware_rounds(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
-                           weights: WeightTable, traj: Trajectory) -> Trajectory:
-    """A fairness_aware trial in two stages.
+                           traj: Trajectory) -> Trajectory:
+    """A fairness_aware trial as whole-trial array passes.
 
     Nothing q touches (the table draw, hence the chosen expert) feeds back
-    into the weights, and the engine's uniforms are drawn up front, one
-    (table, expert) pair per round in the order the per-round draws took.
-    So the round loop does only the q-independent work: losses, ``right``
-    and ``wrong``, the weight update, and the expert each of the group's
-    two tables would give.  ``_solve_q`` then reads the alpha sums and the
-    arrival counts at every stride point off their prefix sums and solves
-    q there, and array passes forward-fill q, draw each round's table and
-    settle the chosen expert, its outcome and the expected loss.
-    """
+    into the weights.  So the losses come first, then ``_table_rounds``
+    gives every round its two tables' expected losses and draws,
+    ``_solve_q`` solves q at the stride points from prefix sums, and array
+    passes draw each round's table and settle the chosen expert."""
     T, eta = traj.T, traj.eta
+    traj.cell[:] = np.fromiter((2 * ex.group + ex.label for ex in stream[:T]), np.int8, T)
+    group, label = traj.cell >> 1, traj.cell & 1
+    traj.losses[:] = ensemble.prediction_block(group, label, expert_rng) != label[:, None]
     uniforms = engine_rng.random((T, 2))    # per round: table draw, expert draw
-    u_expert = uniforms[:, 1].tolist()
-    candidates = np.zeros((T, 2), dtype=np.intp)    # expert from table (g,-), (g,+)
-    wrong = np.zeros(T)
-    for t in range(1, T + 1):
-        ex = stream[t - 1]
-        preds = ensemble.round_predictions(t, ex, expert_rng)
-        i = t - 1
-        candidates[i], traj.losses[i], traj.right[i], wrong[i] = step(
-            weights, "fairness_aware", eta, preds, ex.group, ex.label, u_expert[i])
-        traj.cell[i] = 2 * ex.group + ex.label
-    del u_expert    # a Python float per round; freed before the prefix sums
+    loss, candidates = _table_rounds(eta, traj.cell, traj.losses, uniforms[:, 1])
+    rows = np.arange(T)
+    traj.right[:], wrong = loss[rows, label], loss[rows, 1 - label]
+    del loss    # (T, 2) float64; freed before the prefix sums of long trials
     alpha_sums, counts = _solve_q(config, traj, wrong)
 
     # q holds from its stride point until the next; uniform before the first.
     stride = config.q_recompute_stride
-    rows = np.arange(T)
     traj.q_neg[0] = 0.5
     traj.q_neg[:] = traj.q_neg[rows // stride * stride]
-    group, label = traj.cell >> 1, traj.cell & 1
     q_g = traj.q_neg[rows, group]    # q_{g,-}
     chosen = np.where(uniforms[:, 0] < q_g, candidates[:, NEG], candidates[:, POS])
     traj.realized[:] = traj.losses[rows, chosen]
@@ -307,6 +286,30 @@ def _fairness_aware_rounds(config: RunConfig, stream, ensemble, expert_rng, engi
     traj.p_hat_final = float(p_hat)
     traj.mu_hat_final = (float(mu_hat[Group.A]), float(mu_hat[Group.B]))
     return traj
+
+
+def _table_rounds(eta: float, cell: np.ndarray, losses: np.ndarray, u: np.ndarray):
+    """Expected loss and inverse-CDF draw (uniform u) of the group's tables
+    (g,-) and (g,+) under their pre-update weights: two (T, 2) arrays.
+
+    Round t reads each cell's ``weight_states`` row after that cell's
+    updates before t.  A batched matmul row is bitwise one round's 1-D dot,
+    and ``cum <= u * total`` counts what ``searchsorted`` finds."""
+    T, d = losses.shape
+    hit = cell[:, None] == np.arange(4)    # columns 2 * group + label
+    states = [weight_states(eta, losses[hit[:, c]]) for c in range(4)]
+    offset, states = np.cumsum([0] + [len(s) for s in states[:3]]), np.concatenate(states)
+    at = np.cumsum(hit, axis=0, dtype=np.int32)    # each cell's pre-round row in states
+    at -= hit
+    at += offset
+    loss, draw = np.empty((T, 2)), np.empty((T, 2), dtype=np.intp)
+    for table in (NEG, POS):
+        w = states[at[np.arange(T), (cell & 2) + table]]
+        loss[:, table] = np.matmul(w[:, None, :], losses[:, :, None])[:, 0, 0] / w.sum(axis=1)
+        cum = np.cumsum(w, axis=1, out=w)
+        draw[:, table] = np.minimum(np.count_nonzero(cum <= u[:, None] * cum[:, -1:], axis=1),
+                                    d - 1)
+    return loss, draw
 
 
 def _solve_q(config: RunConfig, traj: Trajectory, wrong: np.ndarray):

@@ -3,7 +3,8 @@
 Two kinds of ensemble share one interface: ``names`` (d unique
 identifiers), ``num_rounds`` (None when unlimited) and
 ``round_predictions(t, example, rng)`` returning d predictions in {0,1}
-for 1-based round t.
+for 1-based round t, and ``prediction_block(group, label, rng)``, the
+(T, d) predictions of rounds 1..T in one array.
 
 * SyntheticEnsemble — each expert flips the true label with a per-cell
   Bernoulli error rate; the generative model under which per-expert
@@ -92,6 +93,13 @@ class SyntheticEnsemble:
         return np.array([synthetic_predict(p, example, rng) for p in self.profiles],
                         dtype=np.int8)
 
+    def prediction_block(self, group: np.ndarray, label: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+        # the doubles, in order, of one round_predictions call per round
+        rates = np.array([[p.e_a_neg, p.e_a_pos, p.e_b_neg, p.e_b_pos] for p in self.profiles])
+        wrong = rng.random((len(group), self.d)) < rates[:, 2 * group + label].T
+        return (wrong != label[:, None]).astype(np.int8)
+
 
 class MatrixEnsemble:
     """Replays a (rounds, d) int8 prediction matrix; row t serves round t."""
@@ -113,6 +121,9 @@ class MatrixEnsemble:
             raise StreamExhausted(
                 f"prediction matrix has {self.num_rounds} rounds, round {t} requested")
         return self.matrix[t - 1]
+
+    def prediction_block(self, group: np.ndarray, label: np.ndarray, rng=None) -> np.ndarray:
+        return self.matrix[:len(group)]
 
 
 def load_prediction_file(path) -> MatrixEnsemble:

@@ -11,12 +11,14 @@ from fairmw.domain import (
     POS,
     Group,
     QDistribution,
+    RESCALE_THRESHOLD,
     RunConfig,
     WEIGHT_FLOOR,
     WeightTable,
     _update_slice,
     recommended_eta,
     trial_seed_sequence,
+    weight_states,
 )
 from fairmw.errors import ConfigError, InvalidExpertCount, InvalidHorizon
 
@@ -152,6 +154,28 @@ def test_rescale_preserves_pi_exactly():
     assert scaled.max() == 0.5
     raw = np.array([math.ldexp(1.0, -513), math.ldexp(1.0, -515)])
     assert np.array_equal(scaled / scaled.sum(), raw / raw.sum())
+
+
+@pytest.mark.parametrize("d, eta, p_loss", [(3, 0.49, 0.7), (16, 0.45, 0.6), (2, 0.1, 0.5)])
+def test_weight_states_match_update_slice(d, eta, p_loss):
+    # row k is bitwise the slice after k _update_slice calls, across the
+    # 4096-row passes and through floors and rescales; expert 0 always
+    # loses, and the first two cases floor it and rescale more than once
+    rng = np.random.default_rng(d)
+    losses = (rng.random((9000, d)) < p_loss).astype(float)
+    losses[:, 0] = 1.0
+    states = weight_states(eta, losses)
+    assert states.shape == (9001, d)
+    w = np.ones(d)
+    floors = rescales = 0
+    for k, row in enumerate(losses, start=1):
+        raw = w * np.power(1.0 - eta, row)
+        floors += int(np.any(raw < WEIGHT_FLOOR))
+        rescales += int(np.maximum(raw, WEIGHT_FLOOR).max() < RESCALE_THRESHOLD)
+        _update_slice(w, eta, row)
+        assert states[k].tobytes() == w.tobytes(), k
+    assert (floors > 0 and rescales > 1) == (eta > 0.2), (floors, rescales)
+    assert weight_states(eta, losses[:0]).tolist() == [[1.0] * d]
 
 
 def test_qdistribution_validation():

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import fairmw.domain
 from fairmw.domain import (
+    RESCALE_THRESHOLD,
+    WEIGHT_FLOOR,
     Example,
     Group,
     NEG,
@@ -12,6 +15,7 @@ from fairmw.domain import (
     QDistribution,
     RunConfig,
     WeightTable,
+    weight_states,
 )
 import scalar_reference
 from fairmw import engines, qopt
@@ -43,9 +47,9 @@ def preds(*values):
 
 def test_mw_step_hand_example():
     weights = WeightTable(2)
-    experts, losses, right, wrong = step(weights, "mw", 0.5, preds(1, 0), Group.A, POS, 0.6)
-    assert right == 0.5 and wrong is None
-    assert experts == (1,)   # 0.6 * 2 lands past the first expert's unit mass
+    expert, losses, right = step(weights, "mw", 0.5, preds(1, 0), Group.A, POS, 0.6)
+    assert right == 0.5
+    assert expert == 1   # 0.6 * 2 lands past the first expert's unit mass
     assert np.array_equal(losses, [0.0, 1.0])
     assert np.array_equal(weights.slice(), [1.0, 0.5])
 
@@ -53,10 +57,10 @@ def test_mw_step_hand_example():
 def test_step_zero_one_losses():
     # losses are 1.0 exactly where an expert's prediction misses the label
     weights = WeightTable(4)
-    _, losses, _, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, POS, 0.5)
+    _, losses, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, POS, 0.5)
     assert losses.dtype == np.float64
     assert losses.tolist() == [0.0, 1.0, 0.0, 1.0]
-    _, losses, _, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, NEG, 0.5)
+    _, losses, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, NEG, 0.5)
     assert losses.tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
@@ -74,7 +78,7 @@ def test_mw_sampling_ignores_floored_expert():
     weights.slice()[:] = (1.0, 1e-300)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        (chosen,), _, _, _ = step(weights, "mw", 0.1, preds(1, 0), Group.A, POS, rng.random())
+        chosen, _, _ = step(weights, "mw", 0.1, preds(1, 0), Group.A, POS, rng.random())
         assert chosen == 0
         weights.slice()[:] = (1.0, 1e-300)
 
@@ -119,30 +123,36 @@ def test_group_aware_matches_mw_on_filtered_subsequence():
     assert np.array_equal(ga.slice(Group.A), mw.slice())
 
 
+# fairness_aware rounds come from engines._table_rounds: per round, the
+# expected loss and the inverse-CDF draw of the group's tables (g,-), (g,+).
+A_NEG, A_POS, B_NEG, B_POS = range(4)   # cells 2 * group + label
+
+
+def table_rounds(eta, cells, losses, u):
+    losses = np.array(losses, dtype=float)
+    return engines._table_rounds(eta, np.array(cells, dtype=np.int8), losses,
+                                 np.array(u, dtype=float))
+
+
 def test_rmw_updates_only_true_label_slice():
-    weights = WeightTable(2)
-    before = {(g, y): weights.slice(g, y).copy()
-              for g in (Group.A, Group.B) for y in (NEG, POS)}
-    step(weights, "fairness_aware", 0.5, preds(1, 0), Group.A, POS, 0.5)
-    for g in (Group.A, Group.B):
-        for y in (NEG, POS):
-            same = np.array_equal(weights.slice(g, y), before[(g, y)])
-            assert same == ((g, y) != (Group.A, POS))
+    # round 1 on (A,+) with losses (0, 1) moves table (A,+) alone: round 2
+    # reads (A,+) as (1, 0.5) and (A,-) still uniform, round 3 reads both
+    # B tables uniform, and round 4 sees round 3's update of (B,-)
+    loss, _ = table_rounds(0.5, [A_POS, A_NEG, B_NEG, B_POS], [[0, 1]] * 4, [0.5] * 4)
+    assert loss.tolist() == [[0.5, 0.5], [0.5, 1 / 3], [0.5, 0.5], [1 / 3, 0.5]]
 
 
 def test_rmw_step_hand_example():
-    weights = WeightTable(2)
-    experts, _, right, wrong = step(weights, "fairness_aware", 0.5, preds(1, 0),
-                                    Group.A, POS, 0.4)
+    loss, draw = table_rounds(0.5, [A_POS, A_POS], [[0, 1], [0, 1]], [0.4, 0.6])
     # both slices are uniform: each table gives expected loss 1/2, and the
     # uniform 0.4 draws the first expert from either table
-    assert right == wrong == 0.5
-    assert experts == (0, 0)
-    assert np.array_equal(weights.slice(Group.A, POS), [1.0, 0.5])
+    right, wrong = loss[:, POS], loss[:, NEG]
+    assert right[0] == wrong[0] == 0.5
+    assert draw[0].tolist() == [0, 0]
+    assert weight_states(0.5, np.array([[0.0, 1.0]]))[-1].tolist() == [1.0, 0.5]
     # the candidates come from the pre-update tables (g,-) and (g,+)
-    experts, _, right, wrong = step(weights, "fairness_aware", 0.5, preds(1, 0),
-                                    Group.A, POS, 0.6)
-    assert experts == (1, 0)   # 0.6 * 2 >= 1 in (1, 1); 0.6 * 1.5 < 1 in (1, 0.5)
+    assert draw[1].tolist() == [1, 0]   # 0.6 * 2 >= 1 in (1, 1); 0.6 * 1.5 < 1 in (1, 0.5)
+    assert abs(right[1] - 1.0 / 3.0) < 1e-15
     # the same first round in a trial: the wrong-table loss equals the
     # right-table loss, so the alpha gap is zero, and the arrival is
     # counted in (A,+): p_hat = (1 + 2) / (1 + 4), mu_hat_A = (1 + 1) / (1 + 2)
@@ -154,12 +164,10 @@ def test_rmw_step_hand_example():
 
 
 def test_rmw_alpha_accumulates_cross_table_gap():
-    weights = WeightTable(2)
-    step(weights, "fairness_aware", 0.5, preds(1, 0), Group.A, POS, 0.5)
-    _, _, right, wrong = step(weights, "fairness_aware", 0.5, preds(1, 0), Group.A, POS, 0.5)
+    loss, _ = table_rounds(0.5, [A_POS, A_POS], [[0, 1], [0, 1]], [0.5, 0.5])
     # second round: right slice (1, 0.5) gives 1/3, wrong slice stays 1/2
-    assert abs(right - 1.0 / 3.0) < 1e-15
-    assert wrong == 0.5
+    assert abs(loss[1, POS] - 1.0 / 3.0) < 1e-15
+    assert loss[1, NEG] == 0.5
     # run_trial adds the gap wrong - right to the other-label cell (A,-) and
     # mixes right and wrong by q, uniform until the first stride point
     traj = run_trial(config(engine="fairness_aware", horizon=2, eta=0.25,
@@ -176,15 +184,15 @@ def test_rmw_degenerate_q_reduces_to_mw_on_slice():
     # expected loss 1.0 * right: the right-table losses, that table's
     # draws and its final weights equal plain mw
     rng = np.random.default_rng(6)
-    rmw = WeightTable(3)
+    p = rng.integers(0, 2, size=(30, 3)).astype(np.int8)
+    u = rng.random(30)
+    losses = (p != POS).astype(float)
+    loss, draw = table_rounds(0.2, [A_POS] * 30, losses, u)
     mw = WeightTable(3)
-    for _ in range(30):
-        p = rng.integers(0, 2, size=3).astype(np.int8)
-        u = rng.random()
-        experts_r, _, right_r, _ = step(rmw, "fairness_aware", 0.2, p, Group.A, POS, u)
-        experts_m, _, right_m, _ = step(mw, "mw", 0.2, p, Group.A, POS, u)
-        assert right_r == right_m and experts_r[POS] == experts_m[0]
-    assert np.array_equal(rmw.slice(Group.A, POS), mw.slice())
+    for i in range(30):
+        expert, _, right = step(mw, "mw", 0.2, p[i], Group.A, POS, u[i])
+        assert loss[i, POS] == right and draw[i, POS] == expert
+    assert np.array_equal(weight_states(0.2, losses)[-1], mw.slice())
 
 
 def test_rmw_table_draw_follows_q(monkeypatch):
@@ -474,10 +482,15 @@ def test_mw_theorem_regret_bound_random_runs():
         assert traj.L_expected <= bound + 1e-9
 
 
-def fair_case(T, **kw):
-    ens = SyntheticEnsemble([ErrorProfile(0.3, 0.1, 0.2, 0.4),
-                             ErrorProfile(0.1, 0.35, 0.4, 0.1),
-                             ErrorProfile(0.25, 0.25, 0.2, 0.2)])
+def fair_case(T, experts=None, **kw):
+    """A fairness_aware config, stream and ensemble; ``experts`` is a list of
+    error profiles or a (T, d) prediction matrix."""
+    if isinstance(experts, np.ndarray):
+        ens = file_ensemble(experts)
+    else:
+        ens = SyntheticEnsemble(experts or [ErrorProfile(0.3, 0.1, 0.2, 0.4),
+                                            ErrorProfile(0.1, 0.35, 0.4, 0.1),
+                                            ErrorProfile(0.25, 0.25, 0.2, 0.2)])
     rng = np.random.default_rng(21)
     stream = [Example(Group(int(rng.random() < 0.4)), int(rng.random() < 0.35))
               for _ in range(T)]
@@ -506,15 +519,60 @@ def assert_same_trial(got, want):
     (1, {}),
     (2, {}),
     (1100, {}),     # 1099 stride points: two Q_BLOCK blocks
+    # every expert mostly wrong at eta's cap: the reference floors and rescales
+    (4000, dict(eta=0.49, experts=[ErrorProfile(e, e, e, e) for e in (1.0, 0.6, 0.9)],
+                hits=dict(floor=1, rescale=1))),
+    # 16 experts: cells span more than one 4096-row weight_states pass, and rescale
+    (20000, dict(eta=0.3, q_recompute_stride=25, hits=dict(rescale=3), experts=[
+        ErrorProfile(*np.random.default_rng(8).uniform(0.3, 0.6, 4)) for _ in range(16)])),
+    (500, dict(q_recompute_stride=2,
+               experts=np.random.default_rng(3).integers(0, 2, size=(500, 4)))),
 ])
-def test_two_stage_trial_matches_per_round_reference(T, kw):
-    # the per-round loop solved q before each stride round and drew the
-    # table, then the expert, from the engine rng; the two-stage trial
-    # must give every column and final bit for bit
+def test_two_stage_trial_matches_per_round_reference(T, kw, monkeypatch):
+    # the per-round loop solved q before each stride round, drew the table,
+    # then the expert, from the engine rng, and updated one WeightTable cell;
+    # the array passes must give every column and final bit for bit
+    kw = dict(kw)
+    hits = kw.pop("hits", {})
+    events = watch_weight_updates(monkeypatch)
     cfg, stream, ens = fair_case(T, **kw)
     for trial in (0, 1):
         assert_same_trial(run_trial(cfg, stream, ens, trial),
                           scalar_reference.fairness_aware_trial(cfg, stream, ens, trial))
+    for name, least in hits.items():
+        assert events[name] >= least, events
+
+
+def watch_weight_updates(monkeypatch):
+    """Count the updates through ``domain._update_slice`` (the reference's
+    path) that floor an entry or rescale the slice."""
+    events = {"rescale": 0, "floor": 0}
+    update = fairmw.domain._update_slice
+
+    def watched(w, eta, losses):
+        raw = w * np.power(1.0 - eta, losses)
+        events["floor"] += int(np.any(raw < WEIGHT_FLOOR))
+        events["rescale"] += int(np.maximum(raw, WEIGHT_FLOOR).max() < RESCALE_THRESHOLD)
+        update(w, eta, losses)
+
+    monkeypatch.setattr(fairmw.domain, "_update_slice", watched)
+    return events
+
+
+def test_fairness_aware_runs_without_per_round_calls(monkeypatch):
+    # a fairness_aware trial is whole-trial array passes: no step, no
+    # WeightTable update and no per-round predictions, whatever the experts
+    def forbidden(*args, **kw):
+        raise AssertionError("per-round call in a fairness_aware trial")
+
+    monkeypatch.setattr(engines, "step", forbidden)
+    monkeypatch.setattr(WeightTable, "update", forbidden)
+    monkeypatch.setattr(SyntheticEnsemble, "round_predictions", forbidden)
+    monkeypatch.setattr(MatrixEnsemble, "round_predictions", forbidden)
+    for experts in (None, np.random.default_rng(3).integers(0, 2, size=(300, 3))):
+        cfg, stream, ens = fair_case(300, experts=experts, q_recompute_stride=3)
+        traj = run_trial(cfg, stream, ens)
+        assert traj.T == 300 and np.all(np.isfinite(traj.expected))
 
 
 def test_fairness_aware_solves_q_in_blocks(monkeypatch):

@@ -1,8 +1,8 @@
 """The fairness_aware estimates: smoothed arrival rates and alpha gap sums.
 
-The engine keeps no running estimator objects: ``step`` returns each
-round's right- and wrong-table expected losses, and the trial takes the
-alpha sums and the (group, label) counts as prefix sums of its columns.
+The engine keeps no running estimator objects: ``engines._table_rounds``
+gives each round's right- and wrong-table expected losses, and the trial
+takes the alpha sums and the (group, label) counts as prefix sums of them.
 These tests check the rates, the per-round gaps, and the sums and counts a
 trial reports against round-by-round replays.
 """
@@ -10,8 +10,8 @@ trial reports against round-by-round replays.
 import numpy as np
 
 from fairmw import engines
-from fairmw.domain import NEG, POS, Example, Group, RunConfig, WeightTable
-from fairmw.engines import run_trial, step
+from fairmw.domain import NEG, POS, Example, Group, RunConfig, WeightTable, weight_states
+from fairmw.engines import run_trial
 from fairmw.estimators import smoothed_rates
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
 from scalar_reference import dirichlet_rate
@@ -91,39 +91,38 @@ def test_dirichlet_convergence_single_seed():
     assert np.max(np.abs(dirichlet_rate(counts.reshape(2, 2), 10000, 1.0) - truth)) <= 0.02
 
 
-def alpha_gap(weights, losses, group, label):
-    """The alpha gap wrong - right of one fairness_aware step.
+def alpha_gaps(eta, cells, losses):
+    """The alpha gap wrong - right of every round of a fairness_aware
+    history: the expected loss of the group's other-label table minus that
+    of the arrival's own table, both before the round's update."""
+    cells = np.asarray(cells, dtype=np.int8)
+    loss, _ = engines._table_rounds(eta, cells, np.asarray(losses, dtype=float),
+                                    np.full(len(cells), 0.5))
+    rows = np.arange(len(cells))
+    return loss[rows, 1 - (cells & 1)] - loss[rows, cells & 1]
 
-    Every expert predicts the label exactly where its loss is 0, so the
-    step sees these losses; the uniform only picks the candidate experts.
-    """
-    predictions = np.where(np.asarray(losses) > 0, 1 - label, label).astype(np.int8)
-    _, _, right, wrong = step(weights, "fairness_aware", 0.3, predictions, group, label, 0.5)
-    return wrong - right
+
+A_NEG, A_POS, B_NEG, B_POS = range(4)   # cells 2 * group + label
 
 
 def test_alpha_step_examples():
-    weights = WeightTable(2)
-    # identical slices -> zero gap regardless of losses
-    assert alpha_gap(weights, [1.0, 0.0], Group.A, POS) == 0.0
-
-    weights.array[Group.A, POS] = (1.0, 3.0)
-    weights.array[Group.A, NEG] = (3.0, 1.0)
-    assert alpha_gap(weights, [1.0, 0.0], Group.A, POS) == 0.5
-
+    gaps = alpha_gaps(0.5, [A_NEG, A_POS, A_POS, A_POS], [[0, 1], [1, 0], [1, 0], [0, 0]])
+    # identical (uniform) slices -> zero gap regardless of losses
+    assert gaps[0] == 0.0
+    # (A,-) is (1, 0.5) after round 1 and (A,+) (0.5, 1) after round 3:
+    # round 3 reads wrong 1 / 1.5 and right 0.5 / 1.5
+    assert gaps[1] == 2 / 3 - 0.5
+    assert gaps[2] == 2 / 3 - 1 / 3
     # all experts correct this round
-    assert alpha_gap(weights, [0.0, 0.0], Group.A, POS) == 0.0
+    assert gaps[3] == 0.0
 
 
 def test_alpha_step_bounded():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        weights = WeightTable(3)
-        weights.array[:] = rng.uniform(0.01, 1.0, size=(2, 2, 3))
-        losses = (rng.random(3) < 0.5).astype(float)
-        g = Group(int(rng.integers(0, 2)))
-        y = int(rng.integers(0, 2))
-        assert abs(alpha_gap(weights, losses, g, y)) <= 1.0
+    for _ in range(20):
+        cells = rng.integers(0, 4, size=200)
+        losses = rng.random((200, 3)) < 0.5
+        assert np.all(np.abs(alpha_gaps(rng.uniform(0.01, 0.49), cells, losses)) <= 1.0)
 
 
 def test_alpha_tracker_replay_equality():
@@ -137,26 +136,30 @@ def test_alpha_tracker_replay_equality():
     counts = np.zeros((2, 2), dtype=np.int64)
     for i in range(traj.T):
         g, y = divmod(int(traj.cell[i]), 2)
-        w_right = weights.slice(g, y).copy()
-        w_wrong = weights.slice(g, 1 - y).copy()
-        gap = alpha_gap(weights, traj.losses[i], Group(g), y)
-        assert gap == (float(w_wrong @ traj.losses[i]) / float(w_wrong.sum())
-                       - float(w_right @ traj.losses[i]) / float(w_right.sum()))
-        alpha[g, 1 - y] += gap
+        w_right, w_wrong = weights.slice(g, y), weights.slice(g, 1 - y)
+        alpha[g, 1 - y] += (float(w_wrong @ traj.losses[i]) / float(w_wrong.sum())
+                            - float(w_right @ traj.losses[i]) / float(w_right.sum()))
         counts[g, y] += 1
+        weights.update(cfg.eta, traj.losses[i], g, y)
     assert traj.alpha_sums.tobytes() == alpha.tobytes()
     assert traj.counts.tolist() == counts.tolist()
 
 
 def test_alpha_tracker_add_matches_record():
-    # normalized slices: the gap is the wrong-table loss minus the right one
-    weights = WeightTable(2)
-    weights.array[Group.B, NEG] = (0.2, 0.8)
-    weights.array[Group.B, POS] = (0.7, 0.3)
-    losses = np.array([1.0, 0.0])
-    e_right = float(weights.array[Group.B, NEG] @ losses)
-    e_wrong = float(weights.array[Group.B, POS] @ losses)
-    assert alpha_gap(weights, losses, Group.B, NEG) == e_wrong - e_right
+    # every gap is the wrong-table loss minus the right one, from each
+    # cell's weight_states row after that cell's earlier rounds
+    rng = np.random.default_rng(9)
+    cells = rng.integers(0, 4, size=120)
+    losses = (rng.random((120, 3)) < 0.4).astype(float)
+    gaps = alpha_gaps(0.3, cells, losses)
+    states = [weight_states(0.3, losses[cells == c]) for c in range(4)]
+    seen = [0, 0, 0, 0]
+    for i, c in enumerate(cells):
+        w_right, w_wrong = states[c][seen[c]], states[c ^ 1][seen[c ^ 1]]
+        e_right = float(w_right @ losses[i]) / float(w_right.sum())
+        e_wrong = float(w_wrong @ losses[i]) / float(w_wrong.sum())
+        assert gaps[i] == e_wrong - e_right
+        seen[c] += 1
 
 
 def test_sums_vector_canonical_order(monkeypatch):

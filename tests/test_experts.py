@@ -84,6 +84,26 @@ def test_synthetic_ensemble_replay_determinism():
     assert runs[0] == runs[1]
 
 
+def test_prediction_block_matches_round_predictions():
+    # the (T, d) block is bitwise T successive round_predictions calls and
+    # leaves the rng where they leave it; a matrix serves its first T rows
+    profiles = [ErrorProfile(0.2, 0.3, 0.4, 0.5), ErrorProfile(0.5, 0.4, 0.3, 0.2),
+                ErrorProfile(0.0, 1.0, 0.1, 0.9)]
+    ens = SyntheticEnsemble(profiles)
+    cells = np.random.default_rng(4).integers(0, 4, size=200).astype(np.int8)
+    group, label = cells >> 1, cells & 1
+    rng_block, rng_rounds = np.random.default_rng(33), np.random.default_rng(33)
+    block = ens.prediction_block(group, label, rng_block)
+    rounds = np.array([ens.round_predictions(t + 1, Example(Group(int(g)), int(y)), rng_rounds)
+                       for t, (g, y) in enumerate(zip(group, label))])
+    assert block.dtype == rounds.dtype == np.int8
+    assert block.tobytes() == rounds.tobytes()
+    assert rng_block.bit_generator.state == rng_rounds.bit_generator.state
+    matrix = np.random.default_rng(5).integers(0, 2, size=(300, 3)).astype(np.int8)
+    block = MatrixEnsemble(["a", "b", "c"], matrix).prediction_block(group, label)
+    assert np.array_equal(block, matrix[:200])
+
+
 def test_synthetic_cell_gap_statistics():
     # experts whose profile gaps are exactly eps stay within
     # eps + 3*sqrt(eps(1-eps)/n) empirically
