@@ -21,7 +21,7 @@ from fairmw.cli import main
 from fairmw.domain import RESCALE_THRESHOLD, WEIGHT_FLOOR, RunConfig, trial_seed_sequence
 from fairmw.engines import run_trial
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
-from fairmw.ingest import synth_stream
+from fairmw.ingest import load_dataset, load_preset, synth_stream
 
 SYNTH = """\
 stream.kind = synthetic
@@ -92,6 +92,26 @@ group.column = sex
 group.a = Male
 """
 
+
+def _three_group_csv() -> str:
+    """The toy census shape with a third sex value and ages from 16, so
+    that TWO_GROUP_PRESET drops rows both as filtered and as
+    group_not_listed."""
+    rng = np.random.default_rng(37)
+    rows = ["age,hours,job,sex,income"]
+    for _ in range(200):
+        sex = ("Male", "Female", "Other")[int(rng.choice(3, p=[0.55, 0.4, 0.05]))]
+        age = int(rng.integers(16, 70))
+        hours = int(rng.integers(10, 60))
+        job = ("clerk", "trade", "manager")[int(rng.integers(0, 3))]
+        score = 0.03 * (age - 40) + 0.05 * (hours - 35) + (job == "manager")
+        income = "high" if score + rng.normal(0.0, 0.8) > 0.3 else "low"
+        rows.append(f"{age},{hours},{job},{sex},{income}")
+    return "\n".join(rows) + "\n"
+
+
+TWO_GROUP_PRESET = TOY_PRESET + "group.b = Female\nfilter.1 = age >= 21\n"
+
 # name -> (config text, {relative file name: content})
 CASES = {
     "mw": ("engine = mw\nhorizon = 400\neta = 0.2\nseed = 3\ntrials = 2\n"
@@ -113,6 +133,12 @@ CASES = {
         "data.path = toy.csv\ndata.preset = toy.preset\nexperts.source = builtin\n"
         "experts.kinds = logistic,stump\nexperts.epochs = 50\n",
         {"toy.csv": _census_csv(), "toy.preset": TOY_PRESET}),
+    "dataset_group_aware": (
+        "engine = group_aware\nseed = 11\ntrials = 2\nstream.kind = dataset\n"
+        "data.path = toy.csv\ndata.preset = toy.preset\nexperts.source = builtin\n"
+        "experts.kinds = logistic,stump,logistic\nexperts.epochs = 40\n"
+        "experts.include_group = false\n",
+        {"toy.csv": _three_group_csv(), "toy.preset": TWO_GROUP_PRESET}),
     "dataset_file": (
         "engine = fairness_aware\nseed = 10\ntrials = 2\nstream.kind = dataset\n"
         "data.path = toy.csv\ndata.preset = toy.preset\nexperts.source = file\n"
@@ -127,6 +153,11 @@ GOLDEN = {
         "summary.json": "d350f1d446ff53f94878d4d0be99037ddef27e30e7863bedfac2efaa6b54ad63",
         "rounds.csv": "20562a7eddeaeb616b3e2995534b1d6fb809cb9955e38aae8ff09de68d4052af",
         "bounds.json": "8730ea10b6971bc8a8c39401507de10300af4d67dfb8fc7615d341b0160244c1",
+    },
+    "dataset_group_aware": {
+        "summary.json": "a99fdc00b0ab46008f52badcf961cb3f6b0e4a117f0203882869a23a3dedc07c",
+        "rounds.csv": "03090224a020d52b03be65ba541e7b1f2fac99370993c9c54359cf9b66f2d70c",
+        "bounds.json": "331052d29ffa0b9620321e92e95e16ad4a65fd8d0070e6d108aaf1205ab96ea8",
     },
     "dataset_file": {
         "summary.json": "f29ced4bd30c2892a59b2dd9f8c399baa62a940c35fcd9bc6f131b654da7bdc9",
@@ -165,6 +196,9 @@ GOLDEN = {
     },
 }
 
+# SHA-256 of ``fairmw stats`` stdout on the toy census CSV and TOY_PRESET.
+STATS_DIGEST = "c616c9b55969b17bfe25cf6c761121d9753fa26947703603c1df8abe66c9a81a"
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -183,6 +217,26 @@ def test_golden_digests(name, tmp_path, monkeypatch):
     got = {f: _digest(tmp_path / "out" / f)
            for f in ("summary.json", "rounds.csv", "bounds.json")}
     assert got == GOLDEN[name]
+
+
+def test_dataset_group_aware_case_drops_for_both_reasons(tmp_path, monkeypatch):
+    # The case pins ingest's row drops only if it really makes them.
+    _, files = CASES["dataset_group_aware"]
+    monkeypatch.chdir(tmp_path)
+    for fname, content in files.items():
+        (tmp_path / fname).write_text(content, encoding="utf-8")
+    report = load_dataset("toy.csv", load_preset("toy.preset"))[1]
+    assert report.drops["filtered"] > 0 and report.drops["group_not_listed"] > 0
+
+
+def test_stats_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.csv").write_text(_census_csv(), encoding="utf-8")
+    (tmp_path / "toy.preset").write_text(TOY_PRESET, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", "--data", "toy.csv", "--preset", "toy.preset"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STATS_DIGEST
 
 
 def test_extreme_case_hits_rescale_and_floor(monkeypatch):
