@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import ENGINES, Example, RunConfig, recommended_eta, trial_seed_sequence
+from .domain import ENGINES, Example, Group, RunConfig, recommended_eta, trial_seed_sequence
 from .engines import run_trial
 from .errors import (
     ConfigError,
@@ -47,7 +47,6 @@ from .experts import (
     ErrorProfile,
     MatrixEnsemble,
     SyntheticEnsemble,
-    feature_matrix,
     load_prediction_file,
     train_builtin,
 )
@@ -320,11 +319,13 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         stream_params = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b)
     else:
         schema = load_preset(spec.data_preset)
-        examples, report = load_dataset(spec.data_path, schema)
+        (x, group, label), report = load_dataset(spec.data_path, schema)
         info["ingest_report"] = report.to_dict()
-        info["data_stats"] = dataset_stats(examples).to_dict()
-        train_idx, test_idx = split_shuffle(len(examples), spec.split_ratio, run.seed)
-        test = [examples[i] for i in test_idx]
+        info["data_stats"] = dataset_stats(group, label).to_dict()
+        train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, run.seed)
+        # Trials read only group and label, so the feature matrix stays here.
+        test = [Example(Group(g), y)
+                for g, y in zip(group[test_idx].tolist(), label[test_idx].tolist())]
         if not spec.horizon_explicit:
             run = dataclasses.replace(run, horizon=len(test))
         stream_params = None
@@ -336,24 +337,25 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         ensemble = load_prediction_file(spec.experts_file)
         if spec.stream_kind == "dataset":
             # One row per kept dataset row, in CSV order: key it to the test split.
-            if ensemble.num_rounds != len(examples):
+            if ensemble.num_rounds != len(label):
                 raise FormatError(
                     f"{spec.experts_file}: {ensemble.num_rounds} prediction rows, but "
-                    f"the dataset keeps {len(examples)} rows (one row per kept row)")
+                    f"the dataset keeps {len(label)} rows (one row per kept row)")
             ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[test_idx])
     else:  # builtin: every model predicts the test split once
-        train = [examples[i] for i in train_idx]
-        models = [train_builtin(train, kind, epochs=spec.epochs, seed=run.seed + 7919 * i,
-                                include_group=spec.include_group)
+        # One full feature matrix alive at a time: the group-stacked copy
+        # replaces x, and the training rows go before the test rows come.
+        if spec.include_group:
+            x = np.column_stack((x, group))
+        x_train, y_train = x[train_idx], label[train_idx]
+        models = [train_builtin(x_train, y_train, kind, epochs=spec.epochs,
+                                seed=run.seed + 7919 * i)
                   for i, kind in enumerate(spec.experts_kinds)]
-        x_test = feature_matrix(test, spec.include_group)
+        del x_train
+        x_test = x[test_idx]
         ensemble = MatrixEnsemble(
             [f"{kind}_{i}" for i, kind in enumerate(spec.experts_kinds)],
             np.column_stack([m.predict(x_test) for m in models]))
-    if test is not None:
-        # Trials read only group and label; feature views would ship the
-        # whole encoded matrix to every worker.
-        test = [Example(ex.group, ex.label) for ex in test]
 
     epsilon = spec.epsilon
     if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:
@@ -653,11 +655,11 @@ def cmd_stats(args) -> int:
     _as_ratio("--split-ratio", args.split_ratio)
     _as_int("--seed", str(args.seed), minimum=0)
     schema = load_preset(args.preset)
-    examples, report = load_dataset(args.data, schema)
-    stats = dataset_stats(examples)
-    _, test_idx = split_shuffle(len(examples), args.split_ratio, args.seed)
+    (_, group, label), report = load_dataset(args.data, schema)
+    stats = dataset_stats(group, label)
+    _, test_idx = split_shuffle(len(label), args.split_ratio, args.seed)
     doc = {
-        "stats": {**stats.to_dict(), "n_rounds": len(test_idx), "n_total": len(examples)},
+        "stats": {**stats.to_dict(), "n_rounds": len(test_idx), "n_total": len(label)},
         "split_ratio": args.split_ratio,
         "ingest_report": report.to_dict(),
     }

@@ -11,9 +11,10 @@ for 1-based round t, and ``prediction_block(group, label, rng)``, the
   epsilon-fairness can be set exactly.
 * MatrixEnsemble — serves row t of a fixed (rounds, d) prediction matrix
   on round t.  A prediction file is one; so are builtin models (logistic /
-  stump), which predict every test example once, column-wise, before any
-  trial runs.  In dataset mode the rows are keyed to the test split and
-  each trial permutes them with its stream.
+  stump), which ``train_builtin`` fits on the training split's (n, k)
+  feature matrix and label vector and which predict every test row once,
+  column-wise, before any trial runs.  In dataset mode the rows are keyed
+  to the test split and each trial permutes them with its stream.
 
 Ensembles are immutable after construction; randomness comes only from
 the rng passed per call, so parallel trials stay independent.
@@ -36,7 +37,6 @@ __all__ = [
     "SyntheticEnsemble",
     "load_prediction_file",
     "MatrixEnsemble",
-    "feature_matrix",
     "train_builtin",
     "LogisticExpert",
     "StumpExpert",
@@ -196,30 +196,22 @@ class StumpExpert:
         return (above if self.polarity > 0 else ~above).astype(np.int8)
 
 
-def train_builtin(training_split: list[Example], kind: str, epochs: int = 500,
-                  seed: int = 0, include_group: bool = True):
-    """Train one minimal expert on (features [+ group indicator], label)."""
-    if not training_split:
+def train_builtin(x: np.ndarray, y: np.ndarray, kind: str, epochs: int = 500,
+                  seed: int = 0):
+    """Train one minimal expert on the (n, k) feature matrix x and the n
+    labels y; the caller appends a group column to x if the model may
+    see it."""
+    if not len(x):
         raise DegenerateData("empty training split")
-    x = feature_matrix(training_split, include_group)
-    y = np.array([ex.label for ex in training_split], dtype=float)
     if x.shape[1] == 0:
-        raise DegenerateData("examples carry no features to train on")
+        raise DegenerateData("no feature columns to train on")
+    y = np.asarray(y, dtype=float)
 
     if kind == "logistic":
         return _train_logistic(x, y, epochs, seed)
     if kind == "stump":
         return _train_stump(x, y)
     raise ConfigError(f"unknown builtin expert kind {kind!r}")
-
-
-def feature_matrix(examples: list[Example], include_group: bool = True) -> np.ndarray:
-    """(n, k) float features of the examples, plus the group id as a last
-    column when include_group; the matrix models train on and predict."""
-    x = np.array([ex.features for ex in examples], dtype=float)
-    if include_group:
-        x = np.column_stack((x, [float(ex.group) for ex in examples]))
-    return x
 
 
 def _train_logistic(x: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> LogisticExpert:

@@ -4,7 +4,9 @@ Datasets are UTF-8 CSV files with a header row (RFC 4180 quoting is
 accepted).  A DatasetSchema names the label and group columns and how to
 binarize them; everything else it needs is data, so the three bundled
 presets (adult, german, compas) are editable text files in
-``fairmw/presets/``.
+``fairmw/presets/``.  A loaded dataset is three columns over the kept
+rows: the (n, k) float64 encoded feature matrix and the int8 group and
+label vectors.
 
 Binarization values are strings.  A value may list alternatives
 separated by ``|`` ("good|1"), or be a numeric comparison such as
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -94,7 +96,7 @@ def _matcher(expr: str):
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    """How to read one dataset file into Examples."""
+    """How to read one dataset file into feature, group and label columns."""
 
     label_column: str
     positive_value: str
@@ -144,21 +146,20 @@ class DatasetStats:
     disparate_impact: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "p": self.p,
-            "mu_a_pos": self.mu_a_pos,
-            "mu_b_pos": self.mu_b_pos,
-            "disparate_impact": self.disparate_impact,
-        }
+        return asdict(self)
 
 
-def load_dataset(path, schema: DatasetSchema) -> tuple[list[Example], IngestReport]:
-    """Read one CSV into Examples plus an audit report.
+def load_dataset(path, schema: DatasetSchema
+                 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], IngestReport]:
+    """Read one CSV into ``(x, group, label)`` plus an audit report.
 
-    Non-numeric feature columns are one-hot encoded with category order
-    fixed by first occurrence among kept rows; the ordering is emitted in
-    the report so downstream training is auditable.
+    ``x`` is the (n, k) float64 feature matrix of the n kept rows in CSV
+    order; ``group`` (``Group.A`` = 0) and ``label`` are int8 vectors.
+    Numeric feature columns must be finite.  The rest are one-hot encoded
+    with category order fixed by first occurrence among kept rows, and the
+    ordering is emitted in the report so downstream training is auditable.
+    A column the schema reads may repeat in the header only if its cells
+    agree on every row.
     """
     report = IngestReport(notes=list(schema.notes))
     with open(path, newline="", encoding="utf-8") as fh:
@@ -172,8 +173,8 @@ def load_dataset(path, schema: DatasetSchema) -> tuple[list[Example], IngestRepo
             if needed not in col:
                 raise SchemaError(f"{path}: column {needed!r} not in header")
         if schema.feature_columns == "all-remaining":
-            feature_names = [h for h in header
-                             if h not in (schema.label_column, schema.group_column)]
+            feature_names = list(dict.fromkeys(
+                h for h in header if h not in (schema.label_column, schema.group_column)))
         else:
             feature_names = list(schema.feature_columns)
             for name in feature_names:
@@ -191,13 +192,17 @@ def load_dataset(path, schema: DatasetSchema) -> tuple[list[Example], IngestRepo
                         f"{path}: filter {fcol} {fop} {fval!r} needs a numeric value"
                     ) from None
             filters.append((col[fcol], _matcher(fop + fval)))
+        read = {schema.label_column, schema.group_column, *feature_names,
+                *(fcol for fcol, _, _ in schema.filters)}
+        repeats = [(name, [i for i, h in enumerate(header) if h == name])
+                   for name in sorted(read) if header.count(name) > 1]
 
         is_positive = _matcher(schema.positive_value)
         is_group_a = _matcher(schema.group_a_value)
         is_group_b = _matcher(schema.group_b_value) if schema.group_b_value else None
 
         labels: list[int] = []
-        groups: list[Group] = []
+        groups: list[int] = []
         raw_features: list[list[str]] = []
         ncols = len(header)
         label_i, group_i = col[schema.label_column], col[schema.group_column]
@@ -211,6 +216,12 @@ def load_dataset(path, schema: DatasetSchema) -> tuple[list[Example], IngestRepo
                 report.drop("ragged_row")
                 continue
             cells = [c.strip() for c in row]
+            for name, idx in repeats:
+                if len({cells[i] for i in idx}) > 1:
+                    raise SchemaError(
+                        f"{path}: duplicate column name {name!r} in header, and its "
+                        f"columns differ on data row {report.rows_read}: "
+                        f"{[cells[i] for i in idx]!r}")
             if any(not m(cells[i]) for i, m in filters):
                 report.drop("filtered")
                 continue
@@ -240,15 +251,12 @@ def load_dataset(path, schema: DatasetSchema) -> tuple[list[Example], IngestRepo
         raise SchemaError(
             f"{path}: positive value {schema.positive_value!r} matched no row")
 
-    matrix, encoding = _encode_features(feature_names, raw_features)
-    report.encoding = encoding
+    x, report.encoding = _encode_features(path, feature_names, raw_features)
     report.rows_kept = len(labels)
-    examples = [Example(group=g, label=y, features=matrix[i])
-                for i, (g, y) in enumerate(zip(groups, labels))]
-    return examples, report
+    return (x, np.array(groups, dtype=np.int8), np.array(labels, dtype=np.int8)), report
 
 
-def _encode_features(names: list[str], rows: list[list[str]]):
+def _encode_features(path, names: list[str], rows: list[list[str]]):
     """Numeric columns pass through; the rest one-hot by first occurrence."""
     n = len(rows)
     columns: list[np.ndarray] = []
@@ -257,36 +265,32 @@ def _encode_features(names: list[str], rows: list[list[str]]):
         values = [rows[i][j] for i in range(n)]
         try:
             numeric = np.array([float(v) for v in values])
+            bad = np.flatnonzero(~np.isfinite(numeric))
+            if bad.size:
+                raise SchemaError(f"{path}: feature column {name!r} holds "
+                                  f"{values[bad[0]]!r}, which is not a finite number")
             columns.append(numeric.reshape(n, 1))
             encoding.append((name, "numeric", ()))
             continue
         except ValueError:
             pass
-        categories: list[str] = []
-        index = {}
-        for v in values:
-            if v not in index:
-                index[v] = len(categories)
-                categories.append(v)
-        onehot = np.zeros((n, len(categories)))
-        for i, v in enumerate(values):
-            onehot[i, index[v]] = 1.0
+        index = {v: k for k, v in enumerate(dict.fromkeys(values))}
+        onehot = np.zeros((n, len(index)))
+        onehot[np.arange(n), [index[v] for v in values]] = 1.0
         columns.append(onehot)
-        encoding.append((name, "one-hot", tuple(categories)))
-    if not columns:
-        return np.zeros((n, 0)), encoding
-    return np.hstack(columns), encoding
+        encoding.append((name, "one-hot", tuple(index)))
+    return (np.hstack(columns) if columns else np.zeros((n, 0))), encoding
 
 
-def dataset_stats(examples: list[Example]) -> DatasetStats:
-    """Empirical n, p, per-group positive rates and disparate impact."""
-    if not examples:
-        raise EmptyDataset("no examples")
-    n = len(examples)
-    n_a = sum(1 for e in examples if e.group == Group.A)
-    n_b = n - n_a
-    pos_a = sum(1 for e in examples if e.group == Group.A and e.label == POS)
-    pos_b = sum(1 for e in examples if e.group == Group.B and e.label == POS)
+def dataset_stats(group: np.ndarray, label: np.ndarray) -> DatasetStats:
+    """Empirical n, p, per-group positive rates and disparate impact of
+    the rows' group and label columns."""
+    n = len(group)
+    if not n:
+        raise EmptyDataset("no rows")
+    neg_a, pos_a, neg_b, pos_b = np.bincount(
+        2 * group.astype(np.intp) + label, minlength=4).tolist()
+    n_a, n_b = neg_a + pos_a, neg_b + pos_b
     mu_a = pos_a / n_a if n_a else None
     mu_b = pos_b / n_b if n_b else None
     di = (mu_b / mu_a) if (mu_a and mu_b is not None) else None

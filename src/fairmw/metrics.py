@@ -61,18 +61,13 @@ class FairnessReport:
 
 
 def compute_rates(confusion) -> FairnessReport:
-    """Rates from per-group (tp, fp, tn, fn) counts.
+    """Rates from the trajectory's (2, 4) per-group (tp, fp, tn, fn) counts.
 
-    Accepts a mapping {Group: (tp, fp, tn, fn)} or the trajectory's
-    (2, 4) array.  A rate whose denominator is zero is None, and any gap
-    involving it is None as well — undefined, not zero.
+    Row 0 is group A, row 1 group B.  A rate whose denominator is zero is
+    None, and any gap involving it is None as well — undefined, not zero.
     """
-    if isinstance(confusion, np.ndarray):
-        rows = {Group.A: confusion[0], Group.B: confusion[1]}
-    else:
-        rows = {Group.A: confusion[Group.A], Group.B: confusion[Group.B]}
     vals = {}
-    for g, (tp, fp, tn, fn) in rows.items():
+    for g, (tp, fp, tn, fn) in zip(Group, confusion):
         neg = fp + tn
         pos = tp + fn
         n = neg + pos

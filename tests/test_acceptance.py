@@ -144,13 +144,13 @@ def test_criterion_4_dataset_statistics():
                 " public CSVs; place them as described in README 'Datasets'"
                 " and re-run)")
         for name, (expected, test_rounds) in REFERENCE_STATS.items():
-            examples, _ = load_dataset(DATA_DIR / f"{name}.csv", load_preset(name))
-            stats = dataset_stats(examples)
+            (_, group, label), _ = load_dataset(DATA_DIR / f"{name}.csv", load_preset(name))
+            stats = dataset_stats(group, label)
             got = (stats.p, stats.mu_a_pos, stats.mu_b_pos, stats.disparate_impact)
             for have, want in zip(got, expected):
                 assert abs(have - want) <= 0.01, (name, got, expected)
             if test_rounds is not None:
-                _, test = split_shuffle(len(examples), 0.7, seed=0)
+                _, test = split_shuffle(len(label), 0.7, seed=0)
                 assert len(test) == test_rounds, (name, len(test))
 
 

@@ -381,13 +381,14 @@ def test_dataset_payload_keeps_no_features(tmp_path):
     text = write_oracle_dataset(tmp_path)
     builtin = text.replace(f"experts.source = file\nexperts.file = {tmp_path / 'preds.csv'}\n",
                            "experts.source = builtin\nexperts.epochs = 5\n")
-    examples, _ = load_dataset(tmp_path / "toy.csv", load_preset(str(tmp_path / "toy.preset")))
-    _, test_idx = split_shuffle(len(examples), 0.7, 3)
+    (_, group, label), _ = load_dataset(tmp_path / "toy.csv",
+                                        load_preset(str(tmp_path / "toy.preset")))
+    _, test_idx = split_shuffle(len(label), 0.7, 3)
     for cfg_text in (text, builtin):
         payload, _ = cli.prepare_payload(build_spec(parse_config(write(tmp_path, cfg_text))))
         assert all(ex.features.size == 0 for ex in payload.test_examples)
         assert ([(ex.group, ex.label) for ex in payload.test_examples]
-                == [(examples[i].group, examples[i].label) for i in test_idx])
+                == [(group[i], label[i]) for i in test_idx])
 
 
 def test_dataset_file_of_wrong_length_names_both_counts(tmp_path, capsys):
@@ -582,6 +583,10 @@ MALFORMED = {
     "missing_preset": ("stats --data {d}/good.csv --preset {d}/absent.preset", 3),
     "stats_negative_seed": ("stats --data {d}/good.csv --preset {d}/good.preset --seed -1", 2),
     "prediction_file_wrong_length": ("run --config {d}/short_preds.cfg", 3),
+    # float() parses "nan": the logistic expert's weights went NaN and the run exited 0
+    "non_finite_feature": ("run --config {d}/nan_feature.cfg", 3),
+    # the first "age" column was silently replaced by the second
+    "duplicate_dataset_column": ("stats --data {d}/dup_column.csv --preset {d}/good.preset", 3),
 }
 
 
@@ -599,7 +604,15 @@ def write_malformed_inputs(d):
              "short_preds.cfg": (
                  "engine = mw\ntrials = 1\nstream.kind = dataset\n"
                  f"data.path = {d}/good.csv\ndata.preset = {d}/good.preset\n"
-                 f"experts.source = file\nexperts.file = {d}/short_preds.csv\n").encode()}
+                 f"experts.source = file\nexperts.file = {d}/short_preds.csv\n").encode(),
+             "nan_feature.csv": census.replace("41,", "nan,").encode(),
+             "nan_feature.cfg": (
+                 "engine = mw\ntrials = 1\nstream.kind = dataset\n"
+                 f"data.path = {d}/nan_feature.csv\ndata.preset = {d}/good.preset\n"
+                 "experts.source = builtin\n").encode(),
+             "dup_column.csv": census.replace("age,", "age,age,").replace(
+                 "\n30,", "\n30,31,").replace("\n41,", "\n41,41,").replace(
+                 "\n35,", "\n35,35,").replace("\n52,", "\n52,52,").encode()}
     for name in ("bad_preds", "empty_preds", "dup_preds"):
         files[f"{name}.cfg"] = (
             "engine = mw\nhorizon = 2\neta = 0.2\ntrials = 1\n"

@@ -16,15 +16,10 @@ from fairmw.experts import (
     MatrixEnsemble,
     SyntheticEnsemble,
     _train_stump,
-    feature_matrix,
     load_prediction_file,
     synthetic_predict,
     train_builtin,
 )
-
-
-def ex(group, label, *features):
-    return Example(group, label, np.array(features, dtype=float))
 
 
 def test_error_profile():
@@ -177,82 +172,84 @@ def test_file_ensemble_needs_two_experts(tmp_path):
 
 
 def separable_split():
-    # separable with a margin, so 500 epochs of gradient descent suffice
+    """(x, group, label) of 60 rows, separable with a margin, so 500 epochs
+    of gradient descent suffice."""
     rng = np.random.default_rng(5)
-    out = []
-    while len(out) < 60:
+    rows, group, label = [], [], []
+    while len(rows) < 60:
         x = rng.uniform(-1, 1, size=2)
         if abs(x[0] + x[1]) < 0.3:
             continue
-        label = int(x[0] + x[1] > 0)
-        out.append(Example(Group(int(rng.integers(0, 2))), label, x))
-    return out
+        label.append(int(x[0] + x[1] > 0))
+        group.append(int(rng.integers(0, 2)))
+        rows.append(x)
+    return np.array(rows), np.array(group, dtype=np.int8), np.array(label, dtype=np.int8)
 
 
-def labels(split):
-    return np.array([e.label for e in split])
+def with_group(x, group):
+    """x with the group id as a last column, as experts.include_group adds it."""
+    return np.column_stack((x, group))
 
 
 def test_logistic_separable():
-    split = separable_split()
-    model = train_builtin(split, "logistic", include_group=False)
-    predictions = model.predict(feature_matrix(split, include_group=False))
+    x, _, y = separable_split()
+    model = train_builtin(x, y, "logistic")
+    predictions = model.predict(x)
     assert predictions.dtype == np.int8
-    assert np.array_equal(predictions, labels(split))
+    assert np.array_equal(predictions, y)
 
 
 def test_logistic_deterministic():
-    split = separable_split()
-    m1 = train_builtin(split, "logistic", seed=9)
-    m2 = train_builtin(split, "logistic", seed=9)
+    x, group, y = separable_split()
+    m1 = train_builtin(with_group(x, group), y, "logistic", seed=9)
+    m2 = train_builtin(with_group(x, group), y, "logistic", seed=9)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
 
 
 def test_stump_all_positive_labels():
-    split = [ex(Group.A, 1, 0.3), ex(Group.B, 1, 0.8), ex(Group.A, 1, 0.1)]
-    model = train_builtin(split, "stump")
+    x = with_group([0.3, 0.8, 0.1], [Group.A, Group.B, Group.A])
+    model = train_builtin(x, [1, 1, 1], "stump")
     assert model.constant == 1
     assert model.predict(np.array([[123.0, 0.0], [-4.0, 1.0]])).tolist() == [1, 1]
 
 
 def test_stump_constant_features_majority():
-    split = [ex(Group.A, 1, 5.0), ex(Group.A, 0, 5.0), ex(Group.B, 1, 5.0)]
-    model = train_builtin(split, "stump", include_group=False)
+    model = train_builtin(np.full((3, 1), 5.0), [1, 0, 1], "stump")
     assert model.constant == 1
 
 
 def test_stump_learns_threshold():
-    split = [ex(Group.A, int(v > 0.5), v) for v in np.linspace(0, 1, 20)]
-    model = train_builtin(split, "stump", include_group=False)
+    x = np.linspace(0, 1, 20)[:, None]
+    y = (x[:, 0] > 0.5).astype(int)
+    model = train_builtin(x, y, "stump")
     assert model.constant is None
-    assert np.array_equal(model.predict(feature_matrix(split, include_group=False)),
-                          labels(split))
+    assert np.array_equal(model.predict(x), y)
 
 
 def test_train_builtin_errors():
     with pytest.raises(DegenerateData):
-        train_builtin([], "stump")
-    featureless = [Example(Group.A, 1), Example(Group.B, 0)]
+        train_builtin(np.empty((0, 2)), np.empty(0), "stump")
     with pytest.raises(DegenerateData):
-        train_builtin(featureless, "logistic", include_group=False)
+        train_builtin(np.empty((2, 0)), [1, 0], "logistic")
+    x, _, y = separable_split()
     with pytest.raises(ConfigError):
-        train_builtin(separable_split(), "forest")
+        train_builtin(x, y, "forest")
 
 
 def test_group_indicator_visibility():
     # labels equal the group id; only the group-aware feature row separates them
     rng = np.random.default_rng(21)
-    split = [Example(Group(int(g)), int(g), rng.uniform(size=1))
-             for g in rng.integers(0, 2, size=80)]
-    with_group = train_builtin(split, "logistic", include_group=True)
-    x = feature_matrix(split, include_group=True)
-    assert np.array_equal(x[:, -1], [float(e.group) for e in split])
-    assert np.sum(with_group.predict(x) != labels(split)) == 0
+    group = rng.integers(0, 2, size=80)
+    x = rng.uniform(size=(80, 1))
+    y = group
+    xg = with_group(x, group)
+    with_group_model = train_builtin(xg, y, "logistic")
+    assert np.array_equal(xg[:, -1], group)
+    assert np.sum(with_group_model.predict(xg) != y) == 0
 
-    blind = train_builtin(split, "logistic", include_group=False)
-    assert np.sum(blind.predict(feature_matrix(split, include_group=False))
-                  != labels(split)) > 10
+    blind = train_builtin(x, y, "logistic")
+    assert np.sum(blind.predict(x) != y) > 10
 
 
 def reference_logit(model, row):
@@ -271,7 +268,7 @@ def reference_predict(model, row) -> int:
 
 
 def census_frame(n=3000, seed=4):
-    """Examples shaped like the census income export after one-hot encoding:
+    """(x, group, label) shaped like the census income export after one-hot encoding:
     wide-range numeric columns (age, fnlwgt, education number, capital gain
     and loss, hours) next to about a hundred 0/1 category columns."""
     rng = np.random.default_rng(seed)
@@ -286,36 +283,38 @@ def census_frame(n=3000, seed=4):
              + 3e-4 * x[:, 3] + x[:, 22])
     label = (score + rng.normal(0.0, 1.0, n) > 1.0).astype(int)
     group = (rng.random(n) < 0.33).astype(int)
-    return [Example(Group(g), y, row) for g, y, row in zip(group, label, x)]
+    return x, group.astype(np.int8), label.astype(np.int8)
 
 
 @pytest.mark.parametrize("include_group", [True, False])
 def test_batched_predictions_match_per_row_reference(include_group):
-    frame = census_frame()
-    train, test = frame[:2100], frame[2100:]
-    x = feature_matrix(test, include_group)
+    frame, group, label = census_frame()
+    if include_group:
+        frame = with_group(frame, group)
+    train, y_train, x = frame[:2100], label[:2100], frame[2100:]
     for kind in ("logistic", "stump"):
-        model = train_builtin(train, kind, epochs=50, include_group=include_group)
+        model = train_builtin(train, y_train, kind, epochs=50)
         got = model.predict(x)
-        assert got.dtype == np.int8 and got.shape == (len(test),)
+        assert got.dtype == np.int8 and got.shape == (len(x),)
         assert got.tolist() == [reference_predict(model, row) for row in x], kind
         if kind == "logistic":
             want = np.array([reference_logit(model, row) for row in x])
             assert np.array_equal(model.logits(x).view(np.int64), want.view(np.int64))
-    stump = train_builtin(train, "stump", include_group=include_group)
+    stump = train_builtin(train, y_train, "stump")
     assert stump.constant is None
     flipped = type(stump)(stump.feature, stump.threshold, -stump.polarity)
     assert flipped.predict(x).tolist() == [reference_predict(flipped, row) for row in x]
 
 
 def test_builtin_ensemble():
-    split = separable_split()
-    models = [train_builtin(split, "logistic"), train_builtin(split, "stump")]
-    x = feature_matrix(split)
+    x, group, y = separable_split()
+    x = with_group(x, group)
+    models = [train_builtin(x, y, "logistic"), train_builtin(x, y, "stump")]
     ens = MatrixEnsemble(["logistic_0", "stump_1"],
                          np.column_stack([m.predict(x) for m in models]))
     assert ens.d == 2
-    assert ens.num_rounds == len(split)
+    assert ens.num_rounds == len(y)
+    split = [Example(Group(int(g)), int(label)) for g, label in zip(group, y)]
     for t, e in enumerate(split, start=1):
         preds = ens.round_predictions(t, e)
         assert preds.dtype == np.int8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairmw.domain import Example, Group, NEG, POS, trial_seed_sequence
+from fairmw.domain import Group, NEG, POS, trial_seed_sequence
 from fairmw.errors import ConfigError, EmptyDataset, SchemaError
 from fairmw.ingest import (
     BUNDLED_PRESETS,
@@ -31,13 +31,14 @@ def write_csv(tmp_path, text, name="data.csv"):
 
 def test_basic_parse(tmp_path):
     path = write_csv(tmp_path, "age,sex,income\n39,Male,high\n26,Female,low\n41,Male,low\n")
-    examples, report = load_dataset(path, BASIC)
+    (x, group, label), report = load_dataset(path, BASIC)
     assert report.rows_read == 3
     assert report.rows_kept == 3
     assert report.drops == {}
-    assert [e.group for e in examples] == [Group.A, Group.B, Group.A]
-    assert [e.label for e in examples] == [POS, NEG, NEG]
-    assert examples[0].features.tolist() == [39.0]
+    assert group.dtype == np.int8 and label.dtype == np.int8 and x.dtype == np.float64
+    assert group.tolist() == [Group.A, Group.B, Group.A]
+    assert label.tolist() == [POS, NEG, NEG]
+    assert x.tolist() == [[39.0], [26.0], [41.0]]
     assert report.encoding == [("age", "numeric", ())]
 
 
@@ -50,19 +51,19 @@ def test_missing_cells_drop_rows(tmp_path):
         "?,Female,high\n"    # missing feature
         "30,Female\n"        # ragged
     ))
-    examples, report = load_dataset(path, BASIC)
+    (x, group, label), report = load_dataset(path, BASIC)
     assert report.rows_read == 5
     assert report.rows_kept == 1
     assert report.drops == {
         "missing_label": 1, "missing_group": 1, "missing_feature": 1, "ragged_row": 1}
-    assert len(examples) == 1
+    assert x.shape == (1, 1) and len(group) == len(label) == 1
 
 
 def test_unmatched_group_value_goes_to_b(tmp_path):
     path = write_csv(tmp_path, "age,sex,income\n30,Other,high\n31,Unknown,low\n")
-    examples, _ = load_dataset(path, BASIC)
-    assert all(e.group == Group.B for e in examples)
-    assert dataset_stats(examples).p == 0.0
+    (_, group, label), _ = load_dataset(path, BASIC)
+    assert group.tolist() == [Group.B, Group.B]
+    assert dataset_stats(group, label).p == 0.0
 
 
 def test_group_b_value_restricts(tmp_path):
@@ -70,10 +71,10 @@ def test_group_b_value_restricts(tmp_path):
         label_column="y", positive_value="1", group_column="race",
         group_a_value="White", group_b_value="Black")
     path = write_csv(tmp_path, "race,y\nWhite,1\nBlack,0\nAsian,1\nBlack,1\n")
-    examples, report = load_dataset(path, schema)
-    assert len(examples) == 3
+    (x, group, label), report = load_dataset(path, schema)
+    assert x.shape == (3, 0) and len(label) == 3
     assert report.drops == {"group_not_listed": 1}
-    assert [e.group for e in examples] == [Group.A, Group.B, Group.B]
+    assert group.tolist() == [Group.A, Group.B, Group.B]
 
 
 def test_schema_errors(tmp_path):
@@ -101,14 +102,35 @@ def test_schema_errors(tmp_path):
         load_dataset(ok_file, bad_feature)
 
 
+def test_duplicate_header_name(tmp_path):
+    # the first x column used to be silently replaced by the second
+    path = write_csv(tmp_path, "x,x,sex,income\n1,10,Male,high\n2,20,Female,low\n"
+                               "3,30,Male,low\n")
+    with pytest.raises(SchemaError, match="duplicate column name 'x'"):
+        load_dataset(path, BASIC)
+
+    # a repeated column that agrees on every row is one column
+    same = write_csv(tmp_path, "x,x,sex,income\n1,1,Male,high\n2,2,Female,low\n", "same.csv")
+    (x, _, _), report = load_dataset(same, BASIC)
+    assert x.tolist() == [[1.0], [2.0]]
+    assert report.encoding == [("x", "numeric", ())]
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+def test_non_finite_numeric_feature(tmp_path, cell):
+    path = write_csv(tmp_path, f"age,sex,income\n39,Male,high\n{cell},Female,low\n")
+    with pytest.raises(SchemaError, match=f"'age' holds '{cell}'"):
+        load_dataset(path, BASIC)
+
+
 def test_numeric_comparison_group(tmp_path):
     schema = DatasetSchema(
         label_column="y", positive_value="1", group_column="age",
         group_a_value=">=25")
     path = write_csv(tmp_path, "age,x,y\n24,1,0\n25,2,1\n70,3,1\noops,4,1\n")
-    examples, _ = load_dataset(path, schema)
+    (_, group, _), _ = load_dataset(path, schema)
     # the unparseable age fails the comparison and lands in group B
-    assert [e.group for e in examples] == [Group.B, Group.A, Group.A, Group.B]
+    assert group.tolist() == [Group.B, Group.A, Group.A, Group.B]
 
 
 def test_op_prefixed_label_is_literal(tmp_path):
@@ -118,8 +140,8 @@ def test_op_prefixed_label_is_literal(tmp_path):
         label_column="income", positive_value=">50K|>50K.",
         group_column="sex", group_a_value="Male")
     path = write_csv(tmp_path, "sex,income\nMale,>50K\nFemale,<=50K\nMale,>50K.\n")
-    examples, _ = load_dataset(path, schema)
-    assert [e.label for e in examples] == [POS, NEG, POS]
+    (_, _, label), _ = load_dataset(path, schema)
+    assert label.tolist() == [POS, NEG, POS]
 
 
 def test_filters(tmp_path):
@@ -136,8 +158,8 @@ def test_filters(tmp_path):
         "41,M,-1,b,1\n"    # flag == -1
         "abc,M,0,a,1\n"    # non-numeric age fails the numeric filter
     ))
-    examples, report = load_dataset(path, schema)
-    assert len(examples) == 1
+    (x, group, label), report = load_dataset(path, schema)
+    assert len(x) == len(group) == len(label) == 1
     assert report.drops == {"filtered": 5}
 
 
@@ -158,14 +180,14 @@ def test_one_hot_first_occurrence(tmp_path):
         "tech,0.5,Male,low\n"
         "sales,3.0,Female,high\n"
     ))
-    examples, report = load_dataset(path, BASIC)
+    (x, _, _), report = load_dataset(path, BASIC)
     assert report.encoding == [
         ("job", "one-hot", ("tech", "admin", "sales")),
         ("score", "numeric", ()),
     ]
-    assert examples[0].features.tolist() == [1.0, 0.0, 0.0, 1.5]
-    assert examples[1].features.tolist() == [0.0, 1.0, 0.0, 2.0]
-    assert examples[3].features.tolist() == [0.0, 0.0, 1.0, 3.0]
+    assert x[0].tolist() == [1.0, 0.0, 0.0, 1.5]
+    assert x[1].tolist() == [0.0, 1.0, 0.0, 2.0]
+    assert x[3].tolist() == [0.0, 0.0, 1.0, 3.0]
 
 
 def test_numeric_roundtrip(tmp_path):
@@ -176,25 +198,30 @@ def test_numeric_roundtrip(tmp_path):
              "high" if rng.random() < 0.4 else "low") for _ in range(30)]
     text = "age,score,sex,income\n" + "".join(
         f"{a},{s},{g},{y}\n" for a, s, g, y in rows)
-    examples, _ = load_dataset(write_csv(tmp_path, text), BASIC)
+    (x, group, label), _ = load_dataset(write_csv(tmp_path, text), BASIC)
 
     out = "age,score,sex,income\n" + "".join(
         "{},{},{},{}\n".format(
-            repr(float(e.features[0])), repr(float(e.features[1])),
-            "Male" if e.group == Group.A else "Female",
-            "high" if e.label == POS else "low")
-        for e in examples)
-    again, _ = load_dataset(write_csv(tmp_path, out, "again.csv"), BASIC)
-    assert len(again) == len(examples)
-    for e1, e2 in zip(examples, again):
-        assert e1.group == e2.group and e1.label == e2.label
-        assert np.array_equal(e1.features, e2.features)
+            repr(float(row[0])), repr(float(row[1])),
+            "Male" if g == Group.A else "Female",
+            "high" if y == POS else "low")
+        for row, g, y in zip(x, group, label))
+    (x2, group2, label2), _ = load_dataset(write_csv(tmp_path, out, "again.csv"), BASIC)
+    assert len(label2) == len(label)
+    assert np.array_equal(group, group2) and np.array_equal(label, label2)
+    assert np.array_equal(x, x2)
+
+
+def columns(*cells):
+    """int8 group and label columns of (group, label) pairs."""
+    group, label = np.array(cells, dtype=np.int8).reshape(-1, 2).T
+    return group, label
 
 
 def test_dataset_stats():
-    examples = ([Example(Group.A, POS)] * 3 + [Example(Group.A, NEG)] * 1 +
-                [Example(Group.B, POS)] * 2 + [Example(Group.B, NEG)] * 2)
-    stats = dataset_stats(examples)
+    group, label = columns(*[(Group.A, POS)] * 3, (Group.A, NEG),
+                           *[(Group.B, POS)] * 2, *[(Group.B, NEG)] * 2)
+    stats = dataset_stats(group, label)
     assert stats.n_rounds == 8
     assert stats.p == 0.5
     assert stats.mu_a_pos == 0.75
@@ -202,22 +229,21 @@ def test_dataset_stats():
     assert abs(stats.disparate_impact - (0.5 / 0.75)) < 1e-15
 
     rng = np.random.default_rng(0)
-    shuffled = [examples[i] for i in rng.permutation(8)]
-    assert dataset_stats(shuffled) == stats
+    perm = rng.permutation(8)
+    assert dataset_stats(group[perm], label[perm]) == stats
 
     with pytest.raises(EmptyDataset):
-        dataset_stats([])
+        dataset_stats(*columns())
 
 
 def test_dataset_stats_degenerate_groups():
-    only_b = [Example(Group.B, POS), Example(Group.B, NEG)]
-    stats = dataset_stats(only_b)
+    stats = dataset_stats(*columns((Group.B, POS), (Group.B, NEG)))
     assert stats.p == 0.0
     assert stats.mu_a_pos is None
     assert stats.disparate_impact is None
 
-    zero_mu_a = [Example(Group.A, NEG), Example(Group.B, POS)]
-    assert dataset_stats(zero_mu_a).disparate_impact is None
+    zero_mu_a = columns((Group.A, NEG), (Group.B, POS))
+    assert dataset_stats(*zero_mu_a).disparate_impact is None
 
 
 def test_split_shuffle():

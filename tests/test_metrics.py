@@ -52,15 +52,11 @@ def test_compute_rates_hand_example():
     assert abs(r.fpr_a - 0.2) < 1e-15
     assert abs(r.fnr_a - 0.1) < 1e-15
     assert abs(r.err_a - 0.15) < 1e-15
+    assert abs(r.fpr_b - 0.1) < 1e-15
+    assert abs(r.fnr_b - 0.2) < 1e-15
     assert abs(r.fpr_gap - 0.1) < 1e-15
     assert abs(r.fnr_gap - 0.1) < 1e-15
     assert r.eer_gap == 0.0
-
-
-def test_compute_rates_mapping_input():
-    r = compute_rates({Group.A: (9, 2, 8, 1), Group.B: (8, 1, 9, 2)})
-    assert abs(r.fpr_b - 0.1) < 1e-15
-    assert abs(r.fnr_b - 0.2) < 1e-15
 
 
 def test_compute_rates_undefined_cells():
