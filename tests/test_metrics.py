@@ -52,11 +52,19 @@ def test_compute_rates_hand_example():
     assert abs(r.fpr_a - 0.2) < 1e-15
     assert abs(r.fnr_a - 0.1) < 1e-15
     assert abs(r.err_a - 0.15) < 1e-15
-    assert abs(r.fpr_b - 0.1) < 1e-15
-    assert abs(r.fnr_b - 0.2) < 1e-15
     assert abs(r.fpr_gap - 0.1) < 1e-15
     assert abs(r.fnr_gap - 0.1) < 1e-15
     assert r.eer_gap == 0.0
+
+
+def test_compute_rates_mapping_input():
+    # row 0 of the (2, 4) counts maps to group A, row 1 to group B
+    confusion = np.array([[9, 2, 8, 1], [8, 1, 9, 2]], dtype=np.int64)
+    r = compute_rates(confusion)
+    assert abs(r.fpr_b - 0.1) < 1e-15
+    assert abs(r.fnr_b - 0.2) < 1e-15
+    assert abs(r.fpr_a - 0.2) < 1e-15
+    assert abs(r.fnr_a - 0.1) < 1e-15
 
 
 def test_compute_rates_undefined_cells():
