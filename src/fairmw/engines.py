@@ -22,9 +22,14 @@ children — 0 for stream synthesis/shuffling (used by the harness),
 sampling.  The engine rng gives each round its uniforms in this order: the
 table draw (fairness_aware only), then the expert draw.
 
-fairness_aware runs whole-trial array passes: (T, d) expert and (T, 2)
-engine uniforms drawn as blocks (the same doubles, same order), weights
-from per-cell cumprod states, q solved in batches.
+group_aware and fairness_aware run whole-trial array passes
+(``_cell_trial``): the (T, d) expert and the (T, cells read) engine
+uniforms are drawn as blocks (the same doubles, same order), weights come
+from per-cell cumprod states, and q is solved in batches.  The passes serve
+mw bit for bit too, but mw stays on the per-round loop (``step``) until
+the benchmark reads fairmw's own peak memory: a faster mw_long fits one
+more operation into the benchmark's run, and later operations read the
+benchmark's own peak.
 """
 
 from __future__ import annotations
@@ -211,7 +216,7 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     config.allow_empty).  For fairness_aware, q starts uniform and is
     re-solved from running alpha sums and rate estimates whenever
     (t-1) % q_recompute_stride == 0 (t >= 2), with elapsed rounds t-1 in
-    the constraint denominators; see ``_fairness_aware_rounds``.
+    the constraint denominators; see ``_cell_trial``.
     """
     n = len(stream)
     if n == 0:
@@ -232,9 +237,8 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     engine_rng = np.random.default_rng(engine_ss)
 
     traj = Trajectory(config.engine, eta, ensemble.names, T)
-    if config.engine == "fairness_aware":
-        return _fairness_aware_rounds(config, stream, ensemble, expert_rng,
-                                      engine_rng, traj)
+    if config.engine != "mw":    # mw stays per-round; see the module docstring
+        return _cell_trial(config, stream, ensemble, expert_rng, engine_rng, traj)
     weights = WeightTable(d)
     for t in range(1, T + 1):
         ex = stream[t - 1]
@@ -246,69 +250,79 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     return traj.finish()
 
 
-def _fairness_aware_rounds(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
-                           traj: Trajectory) -> Trajectory:
-    """A fairness_aware trial as whole-trial array passes.
+def _cell_trial(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
+                traj: Trajectory) -> Trajectory:
+    """A trial of any engine as whole-trial array passes over its cells.
 
-    Nothing q touches (the table draw, hence the chosen expert) feeds back
-    into the weights.  So the losses come first, then ``_table_rounds``
-    gives every round its two tables' expected losses and draws,
-    ``_solve_q`` solves q at the stride points from prefix sums, and array
-    passes draw each round's table and settle the chosen expert."""
+    Nothing a round draws feeds back into the weights.  So the losses come
+    first, then ``_table_rounds`` gives every round the expected loss and
+    the draw of each cell it reads: the update cell, or for fairness_aware
+    the group's tables (g,-) and (g,+).  The engine uniforms are one
+    (T, cells read) block, the expert draw last.  fairness_aware then
+    solves q at the stride points from prefix sums (``_solve_q``) and
+    draws each round's table; the other engines take the update cell's."""
     T, eta = traj.T, traj.eta
+    by_group, by_label = CELL_MAP[config.engine]
     traj.cell[:] = np.fromiter((2 * ex.group + ex.label for ex in stream[:T]), np.int8, T)
     group, label = traj.cell >> 1, traj.cell & 1
     traj.losses[:] = ensemble.prediction_block(group, label, expert_rng) != label[:, None]
-    uniforms = engine_rng.random((T, 2))    # per round: table draw, expert draw
-    loss, candidates = _table_rounds(eta, traj.cell, traj.losses, uniforms[:, 1])
+    update = 2 * group * by_group + label * by_label
+    reads = [update & 2, update | 1] if by_label else [update]
+    u = engine_rng.random((T, len(reads)))
+    loss, draw = _table_rounds(eta, update, reads, traj.losses, u[:, -1])
     rows = np.arange(T)
-    traj.right[:], wrong = loss[rows, label], loss[rows, 1 - label]
-    del loss    # (T, 2) float64; freed before the prefix sums of long trials
-    alpha_sums, counts = _solve_q(config, traj, wrong)
-
-    # q holds from its stride point until the next; uniform before the first.
-    stride = config.q_recompute_stride
-    traj.q_neg[0] = 0.5
-    traj.q_neg[:] = traj.q_neg[rows // stride * stride]
-    q_g = traj.q_neg[rows, group]    # q_{g,-}
-    chosen = np.where(uniforms[:, 0] < q_g, candidates[:, NEG], candidates[:, POS])
+    if by_label:
+        traj.right[:], wrong = loss[rows, label], loss[rows, 1 - label]
+        del loss    # (T, 2) float64; freed before the prefix sums of long trials
+        alpha_sums, counts = _solve_q(config, traj, wrong)
+        # q holds from its stride point until the next; uniform before the first.
+        stride = config.q_recompute_stride
+        traj.q_neg[0] = 0.5
+        traj.q_neg[:] = traj.q_neg[rows // stride * stride]
+        q_g = traj.q_neg[rows, group]    # q_{g,-}
+        chosen = np.where(u[:, 0] < q_g, draw[:, NEG], draw[:, POS])
+        q_right = np.where(label == POS, 1.0 - q_g, q_g)
+        traj.expected[:] = q_right * traj.right + (1.0 - q_right) * wrong
+    else:
+        traj.expected[:], chosen = loss[:, 0], draw[:, 0]
+        del loss
     traj.realized[:] = traj.losses[rows, chosen]
     prediction = np.where(traj.realized > 0.0, 1 - label, label)
     traj.outcome[:] = np.where(prediction == 1, 1 - label, 2 + label)
-    q_right = np.where(label == POS, 1.0 - q_g, q_g)
-    traj.expected[:] = q_right * traj.right + (1.0 - q_right) * wrong
-
+    del u, draw, chosen, rows    # (T,) temporaries, freed before finish's series
     traj.finish()
-    q_a, q_b = traj.q_neg[-1].tolist()
-    traj.q_final = QDistribution(q_a, q_b, 1.0 - q_a, 1.0 - q_b)
-    traj.alpha_sums = alpha_sums
-    p_hat, mu_hat = smoothed_rates(counts, config.dirichlet_alpha)
-    traj.p_hat_final = float(p_hat)
-    traj.mu_hat_final = (float(mu_hat[Group.A]), float(mu_hat[Group.B]))
+    if by_label:
+        q_a, q_b = traj.q_neg[-1].tolist()
+        traj.q_final = QDistribution(q_a, q_b, 1.0 - q_a, 1.0 - q_b)
+        traj.alpha_sums = alpha_sums
+        p_hat, mu_hat = smoothed_rates(counts, config.dirichlet_alpha)
+        traj.p_hat_final = float(p_hat)
+        traj.mu_hat_final = (float(mu_hat[Group.A]), float(mu_hat[Group.B]))
     return traj
 
 
-def _table_rounds(eta: float, cell: np.ndarray, losses: np.ndarray, u: np.ndarray):
-    """Expected loss and inverse-CDF draw (uniform u) of the group's tables
-    (g,-) and (g,+) under their pre-update weights: two (T, 2) arrays.
+def _table_rounds(eta: float, update: np.ndarray, reads: list[np.ndarray],
+                  losses: np.ndarray, u: np.ndarray):
+    """Expected loss and inverse-CDF draw (uniform u) of each cell a round
+    reads, under its pre-update weights: two (T, len(reads)) arrays.
 
-    Round t reads each cell's ``weight_states`` row after that cell's
-    updates before t.  A batched matmul row is bitwise one round's 1-D dot,
-    and ``cum <= u * total`` counts what ``searchsorted`` finds."""
+    ``update`` and every ``reads`` column hold one cell 2 * group + label
+    per round.  Round t reads a cell's ``weight_states`` row after that
+    cell's updates before t.  A batched matmul row is bitwise one round's
+    1-D dot, and ``cum <= u * total`` counts what ``searchsorted`` finds."""
     T, d = losses.shape
-    hit = cell[:, None] == np.arange(4)    # columns 2 * group + label
-    states = [weight_states(eta, losses[hit[:, c]]) for c in range(4)]
-    offset, states = np.cumsum([0] + [len(s) for s in states[:3]]), np.concatenate(states)
-    at = np.cumsum(hit, axis=0, dtype=np.int32)    # each cell's pre-round row in states
-    at -= hit
-    at += offset
-    loss, draw = np.empty((T, 2)), np.empty((T, 2), dtype=np.intp)
-    for table in (NEG, POS):
-        w = states[at[np.arange(T), (cell & 2) + table]]
-        loss[:, table] = np.matmul(w[:, None, :], losses[:, :, None])[:, 0, 0] / w.sum(axis=1)
+    at = [np.flatnonzero(update == c) for c in range(4)]    # each cell's update rounds
+    states = [weight_states(eta, losses[rounds]) for rounds in at]
+    loss, draw = np.empty((T, len(reads))), np.empty((T, len(reads)), dtype=np.intp)
+    w = np.empty((T, d))
+    for j, read in enumerate(reads):
+        for c in range(4):
+            on = np.flatnonzero(read == c)
+            w[on] = states[c][np.searchsorted(at[c], on)]
+        loss[:, j] = np.matmul(w[:, None, :], losses[:, :, None])[:, 0, 0] / w.sum(axis=1)
         cum = np.cumsum(w, axis=1, out=w)
-        draw[:, table] = np.minimum(np.count_nonzero(cum <= u[:, None] * cum[:, -1:], axis=1),
-                                    d - 1)
+        draw[:, j] = np.minimum(np.count_nonzero(cum <= u[:, None] * cum[:, -1:], axis=1),
+                                d - 1)
     return loss, draw
 
 

@@ -203,10 +203,12 @@ def load_dataset(path, schema: DatasetSchema
 
         labels: list[int] = []
         groups: list[int] = []
-        raw_features: list[list[str]] = []
         ncols = len(header)
         label_i, group_i = col[schema.label_column], col[schema.group_column]
         feat_i = [col[n] for n in feature_names]
+        # per feature column: each kept row's cell as the index of its first occurrence
+        codes: list[list[int]] = [[] for _ in feat_i]
+        seen: list[dict[str, int]] = [{} for _ in feat_i]
 
         for row in reader:
             if not row:
@@ -215,27 +217,26 @@ def load_dataset(path, schema: DatasetSchema
             if len(row) != ncols:
                 report.drop("ragged_row")
                 continue
-            cells = [c.strip() for c in row]
             for name, idx in repeats:
-                if len({cells[i] for i in idx}) > 1:
+                if len({row[i].strip() for i in idx}) > 1:
                     raise SchemaError(
                         f"{path}: duplicate column name {name!r} in header, and its "
                         f"columns differ on data row {report.rows_read}: "
-                        f"{[cells[i] for i in idx]!r}")
-            if any(not m(cells[i]) for i, m in filters):
+                        f"{[row[i].strip() for i in idx]!r}")
+            if any(not m(row[i].strip()) for i, m in filters):
                 report.drop("filtered")
                 continue
-            if cells[label_i] in MISSING:
+            lcell, gcell = row[label_i].strip(), row[group_i].strip()
+            if lcell in MISSING:
                 report.drop("missing_label")
                 continue
-            if cells[group_i] in MISSING:
+            if gcell in MISSING:
                 report.drop("missing_group")
                 continue
-            feats = [cells[i] for i in feat_i]
+            feats = [row[i].strip() for i in feat_i]
             if any(v in MISSING for v in feats):
                 report.drop("missing_feature")
                 continue
-            gcell = cells[group_i]
             if is_group_a(gcell):
                 group = Group.A
             elif is_group_b is not None and not is_group_b(gcell):
@@ -243,43 +244,43 @@ def load_dataset(path, schema: DatasetSchema
                 continue
             else:
                 group = Group.B
-            labels.append(POS if is_positive(cells[label_i]) else NEG)
+            labels.append(POS if is_positive(lcell) else NEG)
             groups.append(group)
-            raw_features.append(feats)
+            for code, first, v in zip(codes, seen, feats):
+                code.append(first.setdefault(v, len(first)))
 
     if labels and POS not in labels:
         raise SchemaError(
             f"{path}: positive value {schema.positive_value!r} matched no row")
 
-    x, report.encoding = _encode_features(path, feature_names, raw_features)
+    x, report.encoding = _encode_features(path, feature_names, codes, seen, len(labels))
     report.rows_kept = len(labels)
     return (x, np.array(groups, dtype=np.int8), np.array(labels, dtype=np.int8)), report
 
 
-def _encode_features(path, names: list[str], rows: list[list[str]]):
-    """Numeric columns pass through; the rest one-hot by first occurrence."""
-    n = len(rows)
-    columns: list[np.ndarray] = []
+def _encode_features(path, names: list[str], codes: list[list[int]],
+                     seen: list[dict[str, int]], n: int):
+    """Numeric columns pass through; the rest one-hot by first occurrence.
+    Column j's row i holds the ``codes[j][i]``-th distinct cell of ``seen[j]``."""
+    encoded: list[np.ndarray] = []
     encoding = []
-    for j, name in enumerate(names):
-        values = [rows[i][j] for i in range(n)]
+    for name, code, first in zip(names, codes, seen):
+        code, values = np.array(code, dtype=np.intp), list(first)
         try:
-            numeric = np.array([float(v) for v in values])
-            bad = np.flatnonzero(~np.isfinite(numeric))
-            if bad.size:
-                raise SchemaError(f"{path}: feature column {name!r} holds "
-                                  f"{values[bad[0]]!r}, which is not a finite number")
-            columns.append(numeric.reshape(n, 1))
-            encoding.append((name, "numeric", ()))
-            continue
+            numeric = np.array([float(v) for v in values])[code]
         except ValueError:
-            pass
-        index = {v: k for k, v in enumerate(dict.fromkeys(values))}
-        onehot = np.zeros((n, len(index)))
-        onehot[np.arange(n), [index[v] for v in values]] = 1.0
-        columns.append(onehot)
-        encoding.append((name, "one-hot", tuple(index)))
-    return (np.hstack(columns) if columns else np.zeros((n, 0))), encoding
+            onehot = np.zeros((n, len(values)))
+            onehot[np.arange(n), code] = 1.0
+            encoded.append(onehot)
+            encoding.append((name, "one-hot", tuple(values)))
+            continue
+        bad = np.flatnonzero(~np.isfinite(numeric))
+        if bad.size:
+            raise SchemaError(f"{path}: feature column {name!r} holds "
+                              f"{values[code[bad[0]]]!r}, which is not a finite number")
+        encoded.append(numeric.reshape(n, 1))
+        encoding.append((name, "numeric", ()))
+    return (np.hstack(encoded) if encoded else np.zeros((n, 0))), encoding
 
 
 def dataset_stats(group: np.ndarray, label: np.ndarray) -> DatasetStats:

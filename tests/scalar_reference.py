@@ -1,12 +1,13 @@
 """Scalar, per-round and one-system reference implementations for the tests.
 
-These are the q solve and the fairness_aware trial as they ran before the
-solve was batched and the running sums became prefix sums: the alpha sums
-and the arrival counts accumulated round by round in their own arrays, one
-system assembled and solved in Python floats before each stride round,
-then the table draw from q, then the expert draw, each with its own
-engine-rng call.  The batched solver and the two-stage trial must
-reproduce them bit for bit.
+These are the q solve and the trials as they ran before the solve was
+batched and the trials became array passes.  ``fairness_aware_trial``
+accumulates the alpha sums and the arrival counts round by round in their
+own arrays, assembles and solves one system in Python floats before each
+stride round, then draws the table from q and then the expert, each with
+its own engine-rng call.  ``cell_trial`` is the mw/group_aware loop: one
+engine-rng draw from the round's cell, then one WeightTable update of it.
+The batched solver and the array passes must reproduce them bit for bit.
 
 ``ConstraintSystem``, ``assemble_constraint_system``, ``solve_q`` and
 ``objective`` are one-system views of ``fairmw.qopt``'s batched assembly
@@ -23,12 +24,13 @@ import numpy as np
 from fairmw.domain import (
     NEG,
     POS,
+    Group,
     QDistribution,
     WeightTable,
     recommended_eta,
     trial_seed_sequence,
 )
-from fairmw.engines import Trajectory
+from fairmw.engines import CELL_MAP, Trajectory
 from fairmw.errors import NonFiniteInput
 from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
 
@@ -187,3 +189,29 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
     traj.p_hat_final, *mu_hat = rates(counts, config.dirichlet_alpha)
     traj.mu_hat_final = tuple(mu_hat)
     return traj
+
+
+def cell_trial(config, stream, ensemble, trial=0) -> Trajectory:
+    """The per-round mw/group_aware loop: read, draw from and update the
+    engine's cell, (A,-) for mw and (g,-) for group_aware."""
+    T = config.horizon
+    d = ensemble.d
+    eta = config.eta if config.eta is not None else recommended_eta(T, d)
+    _, expert_ss, engine_ss = trial_seed_sequence(config.seed, trial)
+    expert_rng = np.random.default_rng(expert_ss)
+    rng = np.random.default_rng(engine_ss)
+    by_group, by_label = CELL_MAP[config.engine]
+    traj = Trajectory(config.engine, eta, ensemble.names, T)
+    weights = WeightTable(d)
+    for t in range(1, T + 1):
+        ex = stream[t - 1]
+        g, y = ex.group, ex.label
+        preds = ensemble.round_predictions(t, ex, expert_rng)
+        cell = (g if by_group else Group.A, y if by_label else NEG)
+        losses = (preds != y).astype(np.float64)
+        w = weights.slice(*cell)
+        right = float(w @ losses) / float(w.sum())
+        chosen = _sample(w, rng)
+        weights.update(eta, losses, *cell)
+        traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), right, losses)
+    return traj.finish()

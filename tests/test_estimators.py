@@ -96,8 +96,8 @@ def alpha_gaps(eta, cells, losses):
     history: the expected loss of the group's other-label table minus that
     of the arrival's own table, both before the round's update."""
     cells = np.asarray(cells, dtype=np.int8)
-    loss, _ = engines._table_rounds(eta, cells, np.asarray(losses, dtype=float),
-                                    np.full(len(cells), 0.5))
+    loss, _ = engines._table_rounds(eta, cells, [cells & 2, cells | 1],
+                                    np.asarray(losses, dtype=float), np.full(len(cells), 0.5))
     rows = np.arange(len(cells))
     return loss[rows, 1 - (cells & 1)] - loss[rows, cells & 1]
 

@@ -59,6 +59,16 @@ def test_missing_cells_drop_rows(tmp_path):
     assert x.shape == (1, 1) and len(group) == len(label) == 1
 
 
+def test_no_kept_rows_give_an_empty_feature_matrix(tmp_path):
+    # every row dropped: the (0, k) matrix still has one column per feature
+    path = write_csv(tmp_path, "age, job ,sex,income\n39,clerk,Male,?\n ? ,trade,Female,low\n")
+    (x, group, label), report = load_dataset(path, BASIC)
+    assert report.rows_kept == 0
+    assert report.drops == {"missing_label": 1, "missing_feature": 1}
+    assert x.shape == (0, 2) and x.dtype == np.float64
+    assert group.shape == label.shape == (0,)
+
+
 def test_unmatched_group_value_goes_to_b(tmp_path):
     path = write_csv(tmp_path, "age,sex,income\n30,Other,high\n31,Unknown,low\n")
     (_, group, label), _ = load_dataset(path, BASIC)
