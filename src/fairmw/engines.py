@@ -27,9 +27,9 @@ group_aware and fairness_aware run whole-trial array passes
 uniforms are drawn as blocks (the same doubles, same order), weights come
 from per-cell cumprod states, and q is solved in batches.  The passes serve
 mw bit for bit too, but mw stays on the per-round loop (``step``) until
-the benchmark reads fairmw's own peak memory: a faster mw_long fits one
-more operation into the benchmark's run, and later operations read the
-benchmark's own peak.
+the benchmark reads fairmw's own peak memory: its operations start from the
+benchmark process's peak, which grows with each mw_long output it checks,
+so a faster mw_long reads a higher median peak (188 -> 206 MB).
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def _sample(w: np.ndarray, u: float) -> int:
 
 def step(weights: WeightTable, engine: str, eta: float, predictions: np.ndarray,
          group: Group, label: int, u: float):
-    """One mw or group_aware round: returns ``(expert, losses, right)``, the
-    inverse-CDF draw with uniform u from the engine's cell, the per-expert
-    0/1 losses and the cell's pre-update expected loss; then updates the cell."""
+    """One mw round as ``run_trial`` plays it (tests also drive other cells):
+    returns ``(expert, losses, right)``, the inverse-CDF draw with uniform u
+    from the cell, its 0/1 losses and pre-update expected loss; then updates it."""
     by_group, by_label = CELL_MAP[engine]
     cell = (group if by_group else Group.A, label if by_label else NEG)
     losses = (predictions != label).astype(np.float64)
@@ -156,9 +156,9 @@ class Trajectory:
 
     def record(self, t: int, group: Group, label: int, prediction: int,
                realized: float, expected: float, losses: np.ndarray) -> None:
-        """Store round t (1-based) of mw or group_aware; ``losses`` are the
-        per-expert losses of the round.  fairness_aware trials fill the
-        columns in array passes instead (see ``run_trial``)."""
+        """Store round t (1-based) of an mw trial; ``losses`` are the
+        per-expert losses of the round.  group_aware and fairness_aware
+        trials fill the columns in array passes instead (``_cell_trial``)."""
         i = t - 1
         self.cell[i] = 2 * group + label
         self.outcome[i] = (1 - label) if prediction == 1 else 2 + label
@@ -230,8 +230,7 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
         raise StreamExhausted(
             f"ensemble covers {ensemble.num_rounds} rounds, horizon {T}")
 
-    d = ensemble.d
-    eta = config.eta if config.eta is not None else recommended_eta(T, d)
+    eta = config.eta if config.eta is not None else recommended_eta(T, ensemble.d)
     _, expert_ss, engine_ss = trial_seed_sequence(config.seed, trial)
     expert_rng = np.random.default_rng(expert_ss)
     engine_rng = np.random.default_rng(engine_ss)
@@ -239,7 +238,7 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     traj = Trajectory(config.engine, eta, ensemble.names, T)
     if config.engine != "mw":    # mw stays per-round; see the module docstring
         return _cell_trial(config, stream, ensemble, expert_rng, engine_rng, traj)
-    weights = WeightTable(d)
+    weights = WeightTable(ensemble.d)
     for t in range(1, T + 1):
         ex = stream[t - 1]
         preds = ensemble.round_predictions(t, ex, expert_rng)
@@ -289,7 +288,7 @@ def _cell_trial(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
     traj.realized[:] = traj.losses[rows, chosen]
     prediction = np.where(traj.realized > 0.0, 1 - label, label)
     traj.outcome[:] = np.where(prediction == 1, 1 - label, 2 + label)
-    del u, draw, chosen, rows    # (T,) temporaries, freed before finish's series
+    del u, draw, chosen, rows, prediction, group, label, update, reads    # before finish
     traj.finish()
     if by_label:
         q_a, q_b = traj.q_neg[-1].tolist()
@@ -316,9 +315,11 @@ def _table_rounds(eta: float, update: np.ndarray, reads: list[np.ndarray],
     loss, draw = np.empty((T, len(reads))), np.empty((T, len(reads)), dtype=np.intp)
     w = np.empty((T, d))
     for j, read in enumerate(reads):
-        for c in range(4):
-            on = np.flatnonzero(read == c)
-            w[on] = states[c][np.searchsorted(at[c], on)]
+        for c in range(4):    # a round reading its update cell reads the row before it
+            on = at[c] if read is update else np.flatnonzero(read == c)
+            w[on] = states[c][:-1] if read is update else states[c][np.searchsorted(at[c], on)]
+        if j == len(reads) - 1:
+            states.clear()    # (T + 4, d) in all, freed before the last read's passes
         loss[:, j] = np.matmul(w[:, None, :], losses[:, :, None])[:, 0, 0] / w.sum(axis=1)
         cum = np.cumsum(w, axis=1, out=w)
         draw[:, j] = np.minimum(np.count_nonzero(cum <= u[:, None] * cum[:, -1:], axis=1),
