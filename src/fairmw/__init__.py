@@ -4,9 +4,7 @@ from .domain import (
     Group,
     NEG,
     POS,
-    CELL_ORDER,
     Example,
-    QDistribution,
     RunConfig,
     WeightTable,
     recommended_eta,
@@ -24,9 +22,7 @@ __all__ = [
     "Group",
     "NEG",
     "POS",
-    "CELL_ORDER",
     "Example",
-    "QDistribution",
     "RunConfig",
     "WeightTable",
     "recommended_eta",

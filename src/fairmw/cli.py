@@ -184,7 +184,6 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     budget = tuple(_as_prob(k, take(k, "0.05")) for k in ("budget.fpr", "budget.fnr"))
     dirichlet_alpha = _as_float("dirichlet_alpha", take("dirichlet_alpha", "1.0"))
     stride = _as_int("stride", take("stride", "1"))
-    allow_empty = _as_bool("allow_empty", take("allow_empty", "false"))
     eps_raw = take("epsilon")
     epsilon = None if eps_raw is None else _as_prob("epsilon", eps_raw)
 
@@ -272,7 +271,7 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     run = RunConfig(
         engine=engine, horizon=horizon, eta=eta, seed=seed, trials=trials,
         lam=lam, b_tolerance=b_tol, dirichlet_alpha=dirichlet_alpha,
-        q_recompute_stride=stride, fairness_budget=budget, allow_empty=allow_empty)
+        q_recompute_stride=stride, fairness_budget=budget)
     return ExperimentSpec(
         run=run, raw=cfg, horizon_explicit=horizon_explicit,
         stream_kind=stream_kind, stream_p=p, stream_mu_a=mu_a, stream_mu_b=mu_b,
@@ -283,7 +282,9 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
 
 
 def load_config(args) -> dict[str, str]:
-    """The config file's keys with the --seed / --trials overrides applied."""
+    """The config file's keys with the --seed / --trials overrides applied;
+    ``--workers`` below 1 is a config error."""
+    _as_int("--workers", str(args.workers), minimum=1)
     cfg = parse_config(args.config)
     for key in ("seed", "trials"):
         if getattr(args, key) is not None:
@@ -381,19 +382,6 @@ def _worker_init(payload: TrialPayload) -> None:
     _PAYLOAD = payload
 
 
-def _margin_key(key) -> str:
-    """Flatten a margin dict key to 'group/label/expert' text."""
-    if isinstance(key, str):
-        return key
-    parts = []
-    for part in key:
-        if isinstance(part, int):
-            parts.append("+" if part == 1 else "-")
-        else:
-            parts.append(str(part))
-    return "/".join(parts)
-
-
 def _run_one_trial(trial: int) -> dict:
     pl = _PAYLOAD
     cfg = pl.run
@@ -413,12 +401,11 @@ def _run_one_trial(trial: int) -> dict:
     report = validate_bounds(traj, cfg, epsilon=pl.epsilon)
     rates = compute_rates(traj.confusion)
     reg_real, reg_exp = regret(traj)
-    margins = {}
-    for pool in (report.theorem1_margin, report.lemma1_margin, report.lemma2_margin):
-        if pool:
-            for k, v in pool.items():
-                margins[_margin_key(k)] = float(v)
-    violations = sorted((k, v) for k, v in margins.items() if v < MARGIN_THRESHOLD)
+    violations = sorted((k, v) for k, v in report.margins.items() if v < MARGIN_THRESHOLD)
+    q_final = None   # fairness_aware: q_{z,-} of the last round, then q_{z,+} = 1 - q_{z,-}
+    if traj.q_neg is not None:
+        q_a, q_b = traj.q_neg[-1].tolist()
+        q_final = [q_a, q_b, 1.0 - q_a, 1.0 - q_b]
 
     summary = {
         "trial": trial,
@@ -432,8 +419,7 @@ def _run_one_trial(trial: int) -> dict:
         "gamma_eta": report.gamma_eta,
         "epsilon_used": report.epsilon_used,
         "fairness_bound_rhs": report.fairness_bound_rhs,
-        "q_final": None if traj.q_final is None else
-                   [float(v) for v in np.asarray(traj.q_final.as_vector())],
+        "q_final": q_final,
         "alpha_sums": None if traj.alpha_sums is None else traj.alpha_sums.tolist(),
         "counts": traj.counts.tolist(),
     }
@@ -442,7 +428,7 @@ def _run_one_trial(trial: int) -> dict:
         traj.regret_realized, traj.regret_expected,
         traj.fpr_gap, traj.fnr_gap, traj.eer_gap, q_neg])
     return {"trial": trial, "summary": summary, "series": series,
-            "margins": margins, "violations": violations}
+            "margins": report.margins, "violations": violations}
 
 
 class RoundSums:

@@ -27,12 +27,8 @@ __all__ = [
     "Group",
     "NEG",
     "POS",
-    "LABELS",
-    "CELL_ORDER",
     "Example",
     "WeightTable",
-    "QDistribution",
-    "check_q",
     "RunConfig",
     "WEIGHT_FLOOR",
     "RESCALE_THRESHOLD",
@@ -52,10 +48,6 @@ class Group(IntEnum):
 
 NEG = 0
 POS = 1
-LABELS = (NEG, POS)
-
-# Canonical cell order, matching q vectors: (A,-), (B,-), (A,+), (B,+).
-CELL_ORDER = ((Group.A, NEG), (Group.B, NEG), (Group.A, POS), (Group.B, POS))
 
 
 @dataclass(frozen=True)
@@ -162,45 +154,6 @@ class WeightTable:
         _update_slice(self.slice(group, label), eta, losses)
 
 
-def check_q(q: np.ndarray) -> np.ndarray:
-    """Check rows of q in canonical cell order: every component in [0, 1] and
-    each group's pair summing to 1, both within 1e-12.  Returns q."""
-    outside = ~((q >= -1e-12) & (q <= 1.0 + 1e-12))
-    if outside.any():
-        raise ConfigError(f"q component {q[outside][0]} outside [0, 1]")
-    for z, name in ((0, "a"), (1, "b")):
-        if np.any(np.abs(q[:, z] + q[:, z + 2] - 1.0) > 1e-12):
-            raise ConfigError(f"q_{name}_neg + q_{name}_pos must equal 1")
-    return q
-
-
-@dataclass(frozen=True)
-class QDistribution:
-    """Per-group table-selection probabilities q_{z,y}."""
-
-    q_a_neg: float
-    q_b_neg: float
-    q_a_pos: float
-    q_b_pos: float
-
-    def __post_init__(self):
-        check_q(np.array([self.as_vector()]))
-
-    @classmethod
-    def uniform(cls) -> "QDistribution":
-        return cls(0.5, 0.5, 0.5, 0.5)
-
-    def as_vector(self) -> tuple[float, float, float, float]:
-        """Components in canonical cell order (A,-), (B,-), (A,+), (B,+)."""
-        return (self.q_a_neg, self.q_b_neg, self.q_a_pos, self.q_b_pos)
-
-    def for_group(self, group: Group) -> tuple[float, float]:
-        """(q_neg, q_pos) for one group."""
-        if group == Group.A:
-            return (self.q_a_neg, self.q_a_pos)
-        return (self.q_b_neg, self.q_b_pos)
-
-
 ENGINES = ("mw", "group_aware", "fairness_aware")
 
 
@@ -223,7 +176,6 @@ class RunConfig:
     dirichlet_alpha: float = 1.0
     q_recompute_stride: int = 1
     fairness_budget: tuple[float, float] = (0.05, 0.05)
-    allow_empty: bool = False
 
     def __post_init__(self):
         self.validate()

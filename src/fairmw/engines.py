@@ -30,6 +30,10 @@ mw bit for bit too, but mw stays on the per-round loop (``step``) until
 the benchmark reads fairmw's own peak memory: its operations start from the
 benchmark process's peak, which grows with each mw_long output it checks,
 so a faster mw_long reads a higher median peak (188 -> 206 MB).
+
+A fairness_aware trial keeps one final beyond its columns, the alpha sums:
+its final q is the last ``q_neg`` row, and ``fairmw.metrics`` smooths its
+``counts`` into the final rate estimates.
 """
 
 from __future__ import annotations
@@ -40,14 +44,13 @@ from .domain import (
     NEG,
     POS,
     Group,
-    QDistribution,
     RunConfig,
     WeightTable,
     recommended_eta,
     trial_seed_sequence,
     weight_states,
 )
-from .errors import EmptyStream, StreamExhausted
+from .errors import StreamExhausted
 from .estimators import smoothed_rates
 from .qopt import assemble_systems, solve_q_batch
 
@@ -127,11 +130,12 @@ class Trajectory:
     the [group, label] cell, the confusion column of the chosen expert's
     prediction, the realized and expected losses, the per-expert losses
     and, for fairness_aware, the right-table expected loss and the two
-    q_{z,-} that rounds.csv writes.  ``finish`` then derives every
-    aggregate and series in one pass.  Cumulative losses marked "expected"
-    integrate the per-round expectation of the selection distribution
-    actually used; "realized" integrates the sampled expert's loss.  Gap
-    series hold NaN on rounds where a defining rate has no observations yet.
+    q_{z,-} that rounds.csv writes, plus its final ``alpha_sums``.  ``finish``
+    then derives every aggregate and series in one pass.  Cumulative losses
+    marked "expected" integrate the per-round expectation of the selection
+    distribution actually used; "realized" integrates the sampled expert's
+    loss.  Gap series hold NaN on rounds where a defining rate has no
+    observations yet.
     """
 
     def __init__(self, engine: str, eta: float, expert_names: list[str], T: int):
@@ -148,8 +152,7 @@ class Trajectory:
         fair = engine == "fairness_aware"
         self.right = np.zeros(T) if fair else None
         self.q_neg = np.full((T, 2), np.nan) if fair else None  # q_{A,-}, q_{B,-}
-        # fairness_aware finals, filled by run_trial.
-        self.alpha_sums = self.q_final = self.p_hat_final = self.mu_hat_final = None
+        self.alpha_sums = None   # fairness_aware's final (2, 2) sums, set by _cell_trial
 
     def __len__(self) -> int:
         return self.T
@@ -212,17 +215,13 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     """Run one trial of config.engine over the stream.
 
     The stream is consumed in order for config.horizon rounds; shorter
-    streams raise StreamExhausted (empty ones EmptyStream unless
-    config.allow_empty).  For fairness_aware, q starts uniform and is
-    re-solved from running alpha sums and rate estimates whenever
-    (t-1) % q_recompute_stride == 0 (t >= 2), with elapsed rounds t-1 in
-    the constraint denominators; see ``_cell_trial``.
+    streams, an empty one included, raise StreamExhausted.  For
+    fairness_aware, q starts uniform and is re-solved from running alpha
+    sums and rate estimates whenever (t-1) % q_recompute_stride == 0
+    (t >= 2), with elapsed rounds t-1 in the constraint denominators; see
+    ``_cell_trial``.
     """
     n = len(stream)
-    if n == 0:
-        if config.allow_empty:
-            return Trajectory(config.engine, config.eta or 0.0, ensemble.names, 0).finish()
-        raise EmptyStream("trial started on an empty stream")
     T = config.horizon
     if T > n:
         raise StreamExhausted(f"stream has {n} examples, horizon {T}")
@@ -273,7 +272,7 @@ def _cell_trial(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
     if by_label:
         traj.right[:], wrong = loss[rows, label], loss[rows, 1 - label]
         del loss    # (T, 2) float64; freed before the prefix sums of long trials
-        alpha_sums, counts = _solve_q(config, traj, wrong)
+        traj.alpha_sums = _solve_q(config, traj, wrong)
         # q holds from its stride point until the next; uniform before the first.
         stride = config.q_recompute_stride
         traj.q_neg[0] = 0.5
@@ -289,15 +288,7 @@ def _cell_trial(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
     prediction = np.where(traj.realized > 0.0, 1 - label, label)
     traj.outcome[:] = np.where(prediction == 1, 1 - label, 2 + label)
     del u, draw, chosen, rows, prediction, group, label, update, reads    # before finish
-    traj.finish()
-    if by_label:
-        q_a, q_b = traj.q_neg[-1].tolist()
-        traj.q_final = QDistribution(q_a, q_b, 1.0 - q_a, 1.0 - q_b)
-        traj.alpha_sums = alpha_sums
-        p_hat, mu_hat = smoothed_rates(counts, config.dirichlet_alpha)
-        traj.p_hat_final = float(p_hat)
-        traj.mu_hat_final = (float(mu_hat[Group.A]), float(mu_hat[Group.B]))
-    return traj
+    return traj.finish()
 
 
 def _table_rounds(eta: float, update: np.ndarray, reads: list[np.ndarray],
@@ -328,8 +319,8 @@ def _table_rounds(eta: float, update: np.ndarray, reads: list[np.ndarray],
 
 
 def _solve_q(config: RunConfig, traj: Trajectory, wrong: np.ndarray):
-    """Fill ``traj.q_neg`` at every stride point; returns the final alpha sums
-    and arrival counts, each (2, 2) [group, label].
+    """Fill ``traj.q_neg`` at every stride point; returns the final alpha
+    sums, (2, 2) [group, label].
 
     Stride point t (t >= 2, (t-1) % stride == 0) solves q from the sums
     after round t-1 with t-1 elapsed rounds in the denominators.  Those
@@ -355,4 +346,4 @@ def _solve_q(config: RunConfig, traj: Trajectory, wrong: np.ndarray):
         a = assemble_systems(alpha[t - 2][:, [0, 2, 1, 3]],   # canonical cell order
                              p_hat, mu[:, Group.A], mu[:, Group.B], t - 1.0)
         traj.q_neg[t - 1] = solve_q_batch(a, config.b_tolerance, config.lam)[:, :2]
-    return alpha[-1].reshape(2, 2).copy(), counts[-1].reshape(2, 2).copy()
+    return alpha[-1].reshape(2, 2).copy()

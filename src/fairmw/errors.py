@@ -35,10 +35,6 @@ class StreamExhausted(FairmwError):
     """The arrival stream or prediction file ran out before the horizon."""
 
 
-class EmptyStream(FairmwError):
-    """A trial was started on an empty stream without allow_empty."""
-
-
 class FormatError(FairmwError):
     """Malformed data file: bytes that are not UTF-8, or a prediction file
     with a bad header, a non-binary cell or a ragged row."""

@@ -1,10 +1,10 @@
-"""Dirichlet-smoothed arrival-rate estimates for the fairness-aware q solve.
+"""Dirichlet-smoothed arrival-rate estimates for the q solve and bound report.
 
 Rates are posterior predictives with symmetric prior mass ``alpha_prior``
 per (group, label) cell.  That keeps every derived probability strictly
 inside (0, 1), which guarantees positive denominators in the constraint
-system from the very first round.  The counts themselves are prefix sums
-the trial takes over its rounds (see ``fairmw.engines``).
+system from the very first round.  The q solve smooths prefix sums of a
+trial's counts (``fairmw.engines``), the bound report its final counts.
 """
 
 from __future__ import annotations

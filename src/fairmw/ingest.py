@@ -103,7 +103,6 @@ class DatasetSchema:
     group_column: str
     group_a_value: str
     feature_columns: tuple[str, ...] | str = "all-remaining"
-    missing_policy: str = "drop_row"
     group_b_value: str | None = None
     filters: tuple[tuple[str, str, str], ...] = ()
     name: str = ""
@@ -112,8 +111,6 @@ class DatasetSchema:
     def __post_init__(self):
         if self.label_column == self.group_column:
             raise SchemaError("label and group columns must differ")
-        if self.missing_policy != "drop_row":
-            raise SchemaError(f"unsupported missing policy {self.missing_policy!r}")
 
 
 @dataclass
@@ -367,10 +364,13 @@ def load_preset(name_or_path) -> DatasetSchema:
             text = "".join(utf8_lines(fh, name, SchemaError))
         source = name
 
-    # Repeated keys are allowed: note lines accumulate, anything else
-    # keeps its last value.
-    pairs = [(key, value) for _, key, value in parse_pairs(text, source, SchemaError)]
-    kv = dict(pairs)
+    # note lines accumulate; any other key may appear once.
+    pairs, kv = [], {}
+    for lineno, key, value in parse_pairs(text, source, SchemaError):
+        if key in kv and key != "note":
+            raise SchemaError(f"{source}:{lineno}: duplicate key {key!r}")
+        pairs.append((key, value))
+        kv[key] = value
 
     required = ("label.column", "label.positive", "group.column", "group.a")
     for key in required:

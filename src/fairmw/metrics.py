@@ -1,17 +1,19 @@
 """Fairness/performance metrics and deterministic bound evaluators.
 
 The bound checks are exact inequalities about expectation series, so they
-are evaluated from trajectory aggregates with no Monte Carlo involved:
+are evaluated from trajectory aggregates with no Monte Carlo involved.
+``BoundReport.margins`` keys each margin as bounds.json writes it (z a
+group, y "-" or "+", f an expert name):
 
-* theorem1_margin (mw; per group slice for group_aware): for every
+* ``f`` (mw), ``z/f`` (group_aware, over group z's rounds): for every
   expert f, (1+eta) * L_f + ln(d)/eta - sum_t expected_loss_t >= 0.
-* lemma1_margin (fairness_aware): per cell (z,y) and expert f,
+* ``z/y/f`` (fairness_aware): per cell (z,y) and expert f,
   (1+eta) * L_{f,z,y} + ln(d)/eta - right_table_expected_loss_{z,y} >= 0.
-* lemma2_margin (fairness_aware): per cell, right_table series
+* ``z/y`` (fairness_aware): per cell, right_table series
   >= gamma(eta) * min_f L_{f,z,y}.
 * fairness_bound_rhs: the FPR/FNR bound right-hand sides with plug-in
-  estimates (empirical best-in-hindsight cell loss, smoothed p and mu,
-  final q, supplied or measured epsilon).
+  estimates (empirical best-in-hindsight cell loss, p and mu smoothed
+  from the trial's counts, its final q, supplied or measured epsilon).
 
 A margin >= 0 means the bound holds.
 """
@@ -26,6 +28,7 @@ import numpy as np
 from .domain import Group, RunConfig
 from .errors import DomainError, EmptyTrajectory, EngineMismatch
 from .engines import Trajectory
+from .estimators import smoothed_rates
 
 __all__ = [
     "gamma",
@@ -97,18 +100,12 @@ def regret(traj: Trajectory) -> tuple[float, float]:
 @dataclass
 class BoundReport:
     gamma_eta: float
-    theorem1_margin: dict | None = None       # expert name -> margin (mw),
-                                              # (group, name) -> margin (group_aware)
-    lemma1_margin: dict | None = None         # (group, label, name) -> margin
-    lemma2_margin: dict | None = None         # (group, label) -> margin
+    margins: dict[str, float]                 # bound name as in bounds.json -> margin
     fairness_bound_rhs: dict | None = None    # {"fpr": rhs|None, "fnr": rhs|None}
     epsilon_used: float | None = None
 
     def min_margin(self) -> float | None:
-        pools = [m.values() for m in (self.theorem1_margin, self.lemma1_margin,
-                                      self.lemma2_margin) if m]
-        vals = [v for pool in pools for v in pool]
-        return min(vals) if vals else None
+        return min(self.margins.values()) if self.margins else None
 
 
 def measured_epsilon(traj: Trajectory) -> float:
@@ -149,56 +146,54 @@ def validate_bounds(traj: Trajectory, config: RunConfig,
         lhs = float(traj.expected.sum())
         margins = {names[f]: (1.0 + eta) * float(traj.L_f[f]) + slack - lhs
                    for f in range(traj.d)}
-        return BoundReport(gamma_eta=g_eta, theorem1_margin=margins)
+        return BoundReport(gamma_eta=g_eta, margins=margins)
 
+    margins = {}
     if traj.engine == "group_aware":
-        margins = {}
-        for g in (Group.A, Group.B):
+        for g in Group:
             lhs = float(traj.L_z[g])
             for f in range(traj.d):
-                margins[g.name, names[f]] = (
+                margins[f"{g.name}/{names[f]}"] = (
                     (1.0 + eta) * float(traj.L_fz[g, f]) + slack - lhs)
-        return BoundReport(gamma_eta=g_eta, theorem1_margin=margins)
+        return BoundReport(gamma_eta=g_eta, margins=margins)
 
     # fairness_aware
-    lemma1 = {}
-    lemma2 = {}
-    for g in (Group.A, Group.B):
-        for y in (0, 1):
+    for g in Group:
+        for y, sign in ((0, "-"), (1, "+")):
+            cell = f"{g.name}/{sign}"
             series = float(traj.right_table_cum[g, y])
             for f in range(traj.d):
-                lemma1[g.name, y, names[f]] = (
+                margins[f"{cell}/{names[f]}"] = (
                     (1.0 + eta) * float(traj.L_fzy[g, y, f]) + slack - series)
-            lemma2[g.name, y] = series - g_eta * float(traj.L_fzy[g, y].min())
+            margins[cell] = series - g_eta * float(traj.L_fzy[g, y].min())
 
     eps = epsilon if epsilon is not None else measured_epsilon(traj)
-    rhs = {"fpr": _fairness_rhs(traj, eta, g_eta, eps, label=0),
-           "fnr": _fairness_rhs(traj, eta, g_eta, eps, label=1)}
-    return BoundReport(gamma_eta=g_eta, lemma1_margin=lemma1, lemma2_margin=lemma2,
+    rhs = {"fpr": _fairness_rhs(traj, eta, g_eta, eps, config.dirichlet_alpha, label=0),
+           "fnr": _fairness_rhs(traj, eta, g_eta, eps, config.dirichlet_alpha, label=1)}
+    return BoundReport(gamma_eta=g_eta, margins=margins,
                        fairness_bound_rhs=rhs, epsilon_used=eps)
 
 
 def _fairness_rhs(traj: Trajectory, eta: float, g_eta: float, eps: float,
-                  label: int) -> float | None:
-    """Right-hand side of the FPR (label=0) or FNR (label=1) bound."""
-    if traj.alpha_sums is None or traj.q_final is None:
+                  alpha_prior: float, label: int) -> float | None:
+    """Right-hand side of the FPR (label=0) or FNR (label=1) bound, from the
+    trajectory's final q and alpha sums and p and mu smoothed from its
+    counts with prior mass ``alpha_prior``."""
+    if traj.alpha_sums is None:
         return None
     c_b = int(traj.counts[Group.B, label])
     if c_b == 0:
         return None
     best_b = float(traj.L_fzy[Group.B, label].min()) / c_b
-    p = traj.p_hat_final
-    mu_a, mu_b = traj.mu_hat_final
+    p_hat, mu_hat = smoothed_rates(traj.counts, alpha_prior)
+    p, mu_a, mu_b = float(p_hat), float(mu_hat[Group.A]), float(mu_hat[Group.B])
     T = traj.T
-    qv = traj.q_final.as_vector()  # (a-, b-, a+, b+)
-    s = traj.alpha_sums
+    q_a, q_b = traj.q_neg[-1].tolist()    # q_{z,-}; q_{z,+} = 1 - q_{z,-}
+    s_a, s_b = traj.alpha_sums[:, label].tolist()
     if label == 0:
-        q_a, q_b = qv[0], qv[1]
         den_a, den_b = p * (1.0 - mu_a) * T, (1.0 - p) * (1.0 - mu_b) * T
-        s_a, s_b = float(s[0, 0]), float(s[1, 0])
     else:
-        q_a, q_b = qv[2], qv[3]
+        q_a, q_b = 1.0 - q_a, 1.0 - q_b
         den_a, den_b = p * mu_a * T, (1.0 - p) * mu_b * T
-        s_a, s_b = float(s[0, 1]), float(s[1, 1])
     return abs((1.0 + eta - g_eta) * best_b + eps * (1.0 + eta)
                + (q_a * s_a / den_a - q_b * s_b / den_b))

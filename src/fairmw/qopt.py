@@ -20,7 +20,8 @@ the largest finite float) no longer overflow.
 Assembly and solve work on a batch of n systems that share b and lambda
 (``assemble_systems``, ``solve_q_batch``).  Every dot product is a
 batched ``np.matmul``, which rounds exactly as the 1-D ``@`` does, so a
-system's q does not depend on the batch it is solved in.
+system's q does not depend on the batch it is solved in.  Every solved
+row passes ``check_q`` on its way out.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import math
 
 import numpy as np
 
-from .domain import check_q
-from .errors import NonFiniteInput
+from .errors import ConfigError, NonFiniteInput
 
 __all__ = ["assemble_systems", "solve_q_batch"]
 
@@ -63,6 +63,18 @@ def assemble_systems(alpha_sums, p_hat, mu_a, mu_b, t_elapsed) -> np.ndarray:
     a[:, 2] = s
     _require_finite(A=a)
     return a
+
+
+def check_q(q: np.ndarray) -> np.ndarray:
+    """Check rows of q in canonical cell order: every component in [0, 1] and
+    each group's pair summing to 1, both within 1e-12.  Returns q."""
+    outside = ~((q >= -1e-12) & (q <= 1.0 + 1e-12))
+    if outside.any():
+        raise ConfigError(f"q component {q[outside][0]} outside [0, 1]")
+    for z, name in ((0, "a"), (1, "b")):
+        if np.any(np.abs(q[:, z] + q[:, z + 2] - 1.0) > 1e-12):
+            raise ConfigError(f"q_{name}_neg + q_{name}_pos must equal 1")
+    return q
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

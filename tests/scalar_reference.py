@@ -25,7 +25,6 @@ from fairmw.domain import (
     NEG,
     POS,
     Group,
-    QDistribution,
     WeightTable,
     recommended_eta,
     trial_seed_sequence,
@@ -64,8 +63,8 @@ def assemble_constraint_system(alpha_sums, p_hat, mu_a, mu_b, t_elapsed,
 
 
 def solve_q(system):
-    """``solve_q_batch`` with n = 1, as a QDistribution."""
-    return QDistribution(*solve_q_batch(system.a[None], system.b, system.lam)[0].tolist())
+    """``solve_q_batch`` with n = 1, as the 4-tuple q in canonical cell order."""
+    return tuple(solve_q_batch(system.a[None], system.b, system.lam)[0].tolist())
 
 
 def objective(system, q):
@@ -157,7 +156,7 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
     weights = WeightTable(d)
     alpha_sums = np.zeros((2, 2))                   # [group, label]
     counts = np.zeros((2, 2), dtype=np.int64)       # [group, label]
-    q = QDistribution.uniform()
+    q = (0.5, 0.5, 0.5, 0.5)                        # canonical cell order
     for t in range(1, T + 1):
         ex = stream[t - 1]
         g, y = ex.group, ex.label
@@ -166,11 +165,11 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
             canonical = alpha_sums.T.ravel()   # (A,-), (B,-), (A,+), (B,+)
             a = assemble(canonical, *rates(counts, config.dirichlet_alpha), t - 1)
             a_star, b_star = solve(a, b, lam)
-            q = QDistribution(a_star, b_star, 1.0 - a_star, 1.0 - b_star)
+            q = (a_star, b_star, 1.0 - a_star, 1.0 - b_star)
         losses = (preds != y).astype(np.float64)
         w = weights.slice(g, y)
         right = float(w @ losses) / float(w.sum())
-        q_neg, q_pos = q.for_group(g)
+        q_neg, q_pos = q[g], q[g + 2]
         table = NEG if rng.random() < q_neg else POS
         w_wrong = weights.slice(g, 1 - y)
         wrong = float(w_wrong @ losses) / float(w_wrong.sum())
@@ -182,13 +181,9 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
         weights.update(eta, losses, g, y)
         traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), expected, losses)
         traj.right[t - 1] = right
-        traj.q_neg[t - 1] = (q.q_a_neg, q.q_b_neg)
-    traj.finish()
+        traj.q_neg[t - 1] = q[:2]
     traj.alpha_sums = alpha_sums
-    traj.q_final = q
-    traj.p_hat_final, *mu_hat = rates(counts, config.dirichlet_alpha)
-    traj.mu_hat_final = tuple(mu_hat)
-    return traj
+    return traj.finish()
 
 
 def cell_trial(config, stream, ensemble, trial=0) -> Trajectory:

@@ -587,6 +587,11 @@ MALFORMED = {
     "non_finite_feature": ("run --config {d}/nan_feature.cfg", 3),
     # the first "age" column was silently replaced by the second
     "duplicate_dataset_column": ("stats --data {d}/dup_column.csv --preset {d}/good.preset", 3),
+    # --workers 0 and below used to run serially and exit 0
+    "workers_zero": ("run --config {d}/good.cfg --workers 0", 2),
+    "workers_negative": ("validate-bounds --config {d}/good.cfg --workers -2", 2),
+    "sweep_workers_zero": ("sweep --config {d}/good.cfg --param eta --values 0.2 "
+                           "--workers 0", 2),
 }
 
 
@@ -595,6 +600,9 @@ def write_malformed_inputs(d):
     preset = "label.column = income\nlabel.positive = high\ngroup.column = sex\ngroup.a = Male\n"
     files = {"good.csv": census.encode(), "good.preset": preset.encode(),
              "bad.cfg": b"engine = mw\nhorizon = 5\xff\n",
+             "good.cfg": (b"engine = mw\nhorizon = 5\nstream.p = 0.5\nstream.mu_a = 0.4\n"
+                          b"stream.mu_b = 0.6\nexperts.profile.f1 = 0.1, 0.1, 0.1, 0.1\n"
+                          b"experts.profile.f2 = 0.2, 0.2, 0.2, 0.2\n"),
              "bad.csv": census.replace("Female,low", "Fe\xffmale,low").encode("latin-1"),
              "bad.preset": preset.encode() + b"note = caf\xe9\n",
              "bad_preds.csv": b"f1,f2\n1,0\n\xff,1\n", "empty_preds.csv": b"",
@@ -627,8 +635,10 @@ def test_malformed_inputs_exit_with_documented_code(tmp_path, capsys, case):
     write_malformed_inputs(tmp_path)
     template, expected = MALFORMED[case]
     argv = template.format(d=tmp_path).split()
-    if argv[0] == "run":
-        argv += ["--out", str(tmp_path / "out"), "--workers", "1"]
+    if argv[0] in ("run", "validate-bounds", "sweep"):
+        argv += ["--out", str(tmp_path / "out")]
+        if "--workers" not in argv:
+            argv += ["--workers", "1"]
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (2, 3, 4, 5)

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from fairmw.domain import (
-    CELL_ORDER,
     ENGINES,
     NEG,
     POS,
     Group,
-    QDistribution,
     RESCALE_THRESHOLD,
     RunConfig,
     WEIGHT_FLOOR,
@@ -88,14 +86,14 @@ def test_exponent_additivity():
 
 
 def test_cell_order_and_index():
-    # position i of every canonical-order vector is cell CELL_ORDER[i]
-    assert CELL_ORDER == ((Group.A, NEG), (Group.B, NEG), (Group.A, POS), (Group.B, POS))
-    q = QDistribution(0.1, 0.3, 0.9, 0.7)
+    # position i of every canonical-order vector (q rows, the assembled
+    # alpha sums) is cell (g, y) with i = 2 * y + g; the engines' cell codes
+    # 2 * g + y map to it by the column order [0, 2, 1, 3]
+    order = ((Group.A, NEG), (Group.B, NEG), (Group.A, POS), (Group.B, POS))
     sums = np.array([[1.0, 2.0], [3.0, 4.0]])   # [group, label]
-    for i, (g, y) in enumerate(CELL_ORDER):
+    for i, (g, y) in enumerate(order):
         assert i == 2 * y + g
-        assert q.as_vector()[i] == q.for_group(g)[y]
-        assert sums.T.ravel()[i] == sums[g, y]
+        assert sums.T.ravel()[i] == sums[g, y] == sums.ravel()[[0, 2, 1, 3]][i]
 
 
 def test_weight_table_shapes():
@@ -176,18 +174,6 @@ def test_weight_states_match_update_slice(d, eta, p_loss):
         assert states[k].tobytes() == w.tobytes(), k
     assert (floors > 0 and rescales > 1) == (eta > 0.2), (floors, rescales)
     assert weight_states(eta, losses[:0]).tolist() == [[1.0] * d]
-
-
-def test_qdistribution_validation():
-    q = QDistribution.uniform()
-    assert q.as_vector() == (0.5, 0.5, 0.5, 0.5)
-    assert q.for_group(Group.B) == (0.5, 0.5)
-    q2 = QDistribution(0.3, 0.6, 0.7, 0.4)
-    assert q2.for_group(Group.A) == (0.3, 0.7)
-    with pytest.raises(ConfigError):
-        QDistribution(0.3, 0.5, 0.5, 0.5)  # group A does not normalize
-    with pytest.raises(ConfigError):
-        QDistribution(1.2, 0.5, -0.2, 0.5)
 
 
 def test_run_config_validation():

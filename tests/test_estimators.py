@@ -80,8 +80,10 @@ def test_rate_estimates_invariants():
     assert abs(cells.sum() - 1.0) <= 1e-12
     assert np.all((cells > 0) & (cells < 1))
     p_hat, mu_hat = smoothed_rates(traj.counts, 1.0)
-    assert (traj.p_hat_final, traj.mu_hat_final) == (float(p_hat), tuple(mu_hat.tolist()))
-    assert 0.0 < traj.p_hat_final < 1.0
+    assert 0.0 < p_hat < 1.0 and np.all((mu_hat > 0) & (mu_hat < 1))
+    # p_hat is group A's share of the cell rates, mu_hat[z] its positive share
+    assert abs(p_hat - cells[Group.A].sum()) <= 1e-15
+    assert np.allclose(mu_hat, cells[:, POS] / cells.sum(axis=1), rtol=0, atol=1e-15)
 
 
 def test_dirichlet_convergence_single_seed():

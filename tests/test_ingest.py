@@ -366,3 +366,19 @@ def test_preset_from_path_and_errors(tmp_path):
         "filter.1 = age about 30\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="bad filter"):
         load_preset(badfilter)
+
+
+def test_preset_repeated_key_is_rejected(tmp_path):
+    # a key other than note means one thing: repeating it used to keep the
+    # last value silently
+    base = "label.column = y\nlabel.positive = 1\ngroup.column = g\ngroup.a = north\n"
+    notes = tmp_path / "notes.preset"
+    notes.write_text(base + "note = one\nnote = two\n", encoding="utf-8")
+    assert load_preset(notes).notes == ("one", "two")
+    for key, value in (("group.a", "south"), ("filter.1", "age >= 30")):
+        path = tmp_path / "twice.preset"
+        path.write_text(base + f"filter.1 = age >= 21\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=rf"twice\.preset:6: duplicate key '{key}'"):
+            load_preset(path)
+    for name in BUNDLED_PRESETS:   # the bundled presets repeat only note
+        load_preset(name)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import scalar_reference
 from fairmw.domain import Example, Group, NEG, POS, RunConfig
 from fairmw.engines import Trajectory, run_trial
 from fairmw.errors import (
@@ -124,10 +126,10 @@ def test_theorem1_margins_hand_example():
     traj = fabricate("mw", eta, ["f1", "f2"], rows)
     report = validate_bounds(traj, RunConfig(engine="mw", horizon=1, eta=eta))
     slack = math.log(2) / eta
-    assert abs(report.theorem1_margin["f1"] - (1.25 + slack - 0.5)) < 1e-12
-    assert abs(report.theorem1_margin["f2"] - (slack - 0.5)) < 1e-12
+    assert set(report.margins) == {"f1", "f2"}   # mw keys are expert names
+    assert abs(report.margins["f1"] - (1.25 + slack - 0.5)) < 1e-12
+    assert abs(report.margins["f2"] - (slack - 0.5)) < 1e-12
     assert abs(report.min_margin() - (slack - 0.5)) < 1e-12
-    assert report.lemma1_margin is None
     assert report.fairness_bound_rhs is None
 
 
@@ -140,11 +142,10 @@ def test_group_aware_margins_per_group():
     traj = fabricate("group_aware", eta, ["f1", "f2"], rows)
     report = validate_bounds(traj, RunConfig(engine="group_aware", horizon=2, eta=eta))
     slack = math.log(2) / eta
-    assert set(report.theorem1_margin) == {
-        ("A", "f1"), ("A", "f2"), ("B", "f1"), ("B", "f2")}
-    assert abs(report.theorem1_margin["A", "f2"] - (slack - 0.5)) < 1e-12
-    assert abs(report.theorem1_margin["B", "f1"] - (slack - 0.5)) < 1e-12
-    assert abs(report.theorem1_margin["A", "f1"] - (1.2 + slack - 0.5)) < 1e-12
+    assert set(report.margins) == {"A/f1", "A/f2", "B/f1", "B/f2"}
+    assert abs(report.margins["A/f2"] - (slack - 0.5)) < 1e-12
+    assert abs(report.margins["B/f1"] - (slack - 0.5)) < 1e-12
+    assert abs(report.margins["A/f1"] - (1.2 + slack - 0.5)) < 1e-12
 
 
 def test_engine_mismatch():
@@ -166,12 +167,14 @@ def test_unvisited_cell_margins_are_exact():
     traj = run_trial(cfg, stream, ens)
     report = validate_bounds(traj, cfg)
     slack = math.log(2) / 0.25
-    for g, y in (("A", 0), ("B", 0), ("B", 1)):
-        assert report.lemma1_margin[g, y, "expert_0"] == slack
-        assert report.lemma1_margin[g, y, "expert_1"] == slack
-        assert report.lemma2_margin[g, y] == 0.0
+    # keys: "z/y/f" per cell and expert (lemma 1), "z/y" per cell (lemma 2)
+    assert len(report.margins) == 4 * 2 + 4
+    for cell in ("A/-", "B/-", "B/+"):
+        assert report.margins[f"{cell}/expert_0"] == slack
+        assert report.margins[f"{cell}/expert_1"] == slack
+        assert report.margins[cell] == 0.0
     # the visited cell accumulated real expectation mass
-    assert report.lemma2_margin["A", 1] > 0.0
+    assert report.margins["A/+"] > 0.0
     # no B arrivals at all: both fairness right-hand sides are undefined
     assert report.fairness_bound_rhs == {"fpr": None, "fnr": None}
 
@@ -210,6 +213,37 @@ def test_epsilon_override_feeds_the_rhs():
     assert high.fairness_bound_rhs["fpr"] != low.fairness_bound_rhs["fpr"]
 
 
+def test_fairness_rhs_reads_the_trial_at_a_non_default_prior():
+    # the right-hand sides read the trial's own final q and alpha sums and
+    # smooth its counts with the config's prior; built here from the
+    # per-round reference and its own Python-float rates, at a prior and
+    # stride that no golden case sets
+    ens = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.25, 0.15),
+                             ErrorProfile(0.15, 0.25, 0.2, 0.3),
+                             ErrorProfile(0.2, 0.3, 0.1, 0.35)])
+    rng = np.random.default_rng(12)
+    stream = [Example(Group(int(rng.random() < 0.4)), int(rng.random() < 0.35))
+              for _ in range(300)]
+    cfg = RunConfig(engine="fairness_aware", horizon=300, eta=0.2, seed=6,
+                    lam=(1.0, 1.0, 1.0 / 300), dirichlet_alpha=0.25, q_recompute_stride=7)
+    ref = scalar_reference.fairness_aware_trial(cfg, stream, ens)
+    p, mu_a, mu_b = scalar_reference.rates(ref.counts, 0.25)
+    eta, g_eta, eps, T = ref.eta, gamma(ref.eta), measured_epsilon(ref), ref.T
+    q_a, q_b = ref.q_neg[-1].tolist()
+    want = {}
+    for key, y, (qa, qb), den_a, den_b in (
+            ("fpr", NEG, (q_a, q_b), p * (1.0 - mu_a) * T, (1.0 - p) * (1.0 - mu_b) * T),
+            ("fnr", POS, (1.0 - q_a, 1.0 - q_b), p * mu_a * T, (1.0 - p) * mu_b * T)):
+        best_b = float(ref.L_fzy[Group.B, y].min()) / int(ref.counts[Group.B, y])
+        s_a, s_b = ref.alpha_sums[:, y].tolist()
+        want[key] = abs((1.0 + eta - g_eta) * best_b + eps * (1.0 + eta)
+                        + (qa * s_a / den_a - qb * s_b / den_b))
+    traj = run_trial(cfg, stream, ens)
+    assert validate_bounds(traj, cfg).fairness_bound_rhs == want
+    default = validate_bounds(traj, dataclasses.replace(cfg, dirichlet_alpha=1.0))
+    assert default.fairness_bound_rhs["fpr"] != want["fpr"]
+
+
 def test_fairness_rhs_none_without_final_state():
     rows = [(Group.A, POS, 0.5, 0.0, (0.0, 1.0)),
             (Group.B, NEG, 0.5, 0.0, (1.0, 0.0))]
@@ -220,4 +254,4 @@ def test_fairness_rhs_none_without_final_state():
 
 
 def test_bound_report_min_margin_empty():
-    assert BoundReport(gamma_eta=0.7).min_margin() is None
+    assert BoundReport(gamma_eta=0.7, margins={}).min_margin() is None

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from fairmw.domain import check_q
 from fairmw.errors import ConfigError, NonFiniteInput
-from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
+from fairmw.qopt import REG_WEIGHT, assemble_systems, check_q, solve_q_batch
 from scalar_reference import ConstraintSystem, assemble_constraint_system, objective, solve_q
 
 
@@ -68,18 +67,18 @@ def test_assemble_rejects_nonfinite():
 def test_solve_zero_system_is_uniform():
     sys_ = ConstraintSystem(np.zeros((3, 4)), np.zeros(3), np.ones(3))
     q = solve_q(sys_)
-    assert q.as_vector() == (0.5, 0.5, 0.5, 0.5)
+    assert q == (0.5, 0.5, 0.5, 0.5)
 
 
 def test_solve_rank_deficient_tiebreak():
     # single row 2a - b = 0; the regularizer picks (0.3, 0.6) on that line
     a = np.zeros((3, 4))
     a[0] = (2.0, -1.0, 0.0, 0.0)
-    q = solve_q(ConstraintSystem(a, np.zeros(3), np.ones(3)))
-    assert abs(q.q_a_neg - 0.3) < 1e-6
-    assert abs(q.q_b_neg - 0.6) < 1e-6
-    assert abs(q.q_a_pos - 0.7) < 1e-6
-    assert abs(q.q_b_pos - 0.4) < 1e-6
+    q_a_neg, q_b_neg, q_a_pos, q_b_pos = solve_q(ConstraintSystem(a, np.zeros(3), np.ones(3)))
+    assert abs(q_a_neg - 0.3) < 1e-6
+    assert abs(q_b_neg - 0.6) < 1e-6
+    assert abs(q_a_pos - 0.7) < 1e-6
+    assert abs(q_b_pos - 0.4) < 1e-6
 
 
 def test_solve_fixed_residual_row():
@@ -95,9 +94,9 @@ def test_solve_fixed_residual_row():
     ])
     sys_ = ConstraintSystem(a, np.zeros(3), np.ones(3))
     q = solve_q(sys_)
-    for v in q.as_vector():
+    for v in q:
         assert abs(v - 0.5) <= 1e-6
-    assert 4.0 <= objective(sys_, q.as_vector()) <= 4.0 + 1e-9
+    assert 4.0 <= objective(sys_, q) <= 4.0 + 1e-9
 
 
 def test_solver_matches_grid_oracle():
@@ -105,7 +104,7 @@ def test_solver_matches_grid_oracle():
     for _ in range(50):
         sys_ = random_system(rng)
         q = solve_q(sys_)
-        solver_obj = objective(sys_, q.as_vector())
+        solver_obj = objective(sys_, q)
         oracle_obj, _ = grid_oracle(sys_)
         assert solver_obj <= oracle_obj + 1e-6
 
@@ -113,8 +112,7 @@ def test_solver_matches_grid_oracle():
 def test_solver_feasible():
     rng = np.random.default_rng(99)
     for _ in range(200):
-        q = solve_q(random_system(rng))
-        v = np.array(q.as_vector())
+        v = np.array(solve_q(random_system(rng)))
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
         assert abs(v[0] + v[2] - 1.0) <= 1e-12
         assert abs(v[1] + v[3] - 1.0) <= 1e-12
@@ -125,8 +123,8 @@ def test_lambda_scaling_invariance():
     for _ in range(25):
         sys_ = random_system(rng)
         scaled = ConstraintSystem(sys_.a, sys_.b, sys_.lam * 1000.0)
-        q1 = np.array(solve_q(sys_).as_vector())
-        q2 = np.array(solve_q(scaled).as_vector())
+        q1 = np.array(solve_q(sys_))
+        q2 = np.array(solve_q(scaled))
         assert np.max(np.abs(q1 - q2)) <= 1e-9
 
 
@@ -139,8 +137,8 @@ def test_regret_only_lambda():
             np.vstack([np.zeros((2, 4)), sys_.a[2]]), sys_.b * (0, 0, 1),
             np.array([1.0, 1.0, 1.0]))
         masked = ConstraintSystem(sys_.a, sys_.b, np.array([0.0, 0.0, 1.0]))
-        q_masked = np.array(solve_q(masked).as_vector())
-        q_row3 = np.array(solve_q(only_row3).as_vector())
+        q_masked = np.array(solve_q(masked))
+        q_row3 = np.array(solve_q(only_row3))
         assert np.max(np.abs(q_masked - q_row3)) <= 1e-9
 
 
@@ -162,7 +160,7 @@ def test_extreme_lambda_is_scaled_exactly(lam_regret):
 
 def test_zero_lambda_returns_uniform():
     sys_ = ConstraintSystem(np.ones((3, 4)), np.zeros(3), np.zeros(3))
-    assert solve_q(sys_).as_vector() == (0.5, 0.5, 0.5, 0.5)
+    assert solve_q(sys_) == (0.5, 0.5, 0.5, 0.5)
 
 
 def test_objective_matches_manual():
@@ -199,7 +197,7 @@ def degenerate_systems():
 def test_solve_survives_zero_determinant():
     corners = [(a, b, 1.0 - a, 1.0 - b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
     for sys_ in degenerate_systems():
-        q = np.array(solve_q(sys_).as_vector())
+        q = np.array(solve_q(sys_))
         assert np.all((q >= 0.0) & (q <= 1.0))
         assert q[0] + q[2] == 1.0 and q[1] + q[3] == 1.0
         got = objective(sys_, q)
@@ -345,3 +343,13 @@ def test_batch_rejects_nonfinite_and_infeasible_rows():
     q[1] = (0.5, 0.5, 0.6, 0.5)
     with pytest.raises(ConfigError, match="q_a_neg"):
         check_q(q)
+
+
+def test_check_q_validation():
+    # rows in canonical cell order (A,-), (B,-), (A,+), (B,+)
+    q = np.array([[0.5, 0.5, 0.5, 0.5], [0.3, 0.6, 0.7, 0.4]])
+    assert check_q(q) is q
+    with pytest.raises(ConfigError, match="q_a_neg"):
+        check_q(np.array([[0.3, 0.5, 0.5, 0.5]]))   # group A does not normalize
+    with pytest.raises(ConfigError, match="outside"):
+        check_q(np.array([[1.2, 0.5, -0.2, 0.5]]))
