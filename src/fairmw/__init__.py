@@ -4,7 +4,6 @@ from .domain import (
     Group,
     NEG,
     POS,
-    Example,
     RunConfig,
     WeightTable,
     recommended_eta,
@@ -22,7 +21,6 @@ __all__ = [
     "Group",
     "NEG",
     "POS",
-    "Example",
     "RunConfig",
     "WeightTable",
     "recommended_eta",

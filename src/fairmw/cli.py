@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import ENGINES, Example, Group, RunConfig, recommended_eta, trial_seed_sequence
+from .domain import RunConfig, recommended_eta, trial_seed_sequence
 from .engines import run_trial
 from .errors import (
     ConfigError,
@@ -303,9 +303,8 @@ def load_spec(args) -> ExperimentSpec:
 @dataclass
 class TrialPayload:
     run: RunConfig
-    stream_kind: str
-    stream_params: tuple[float, float, float] | None
-    test_examples: list | None
+    stream_params: tuple[float, float, float] | None    # synthetic (p, mu_a, mu_b)
+    test_stream: tuple[np.ndarray, np.ndarray] | None   # dataset: test split's (group, label)
     ensemble: object
     epsilon: float | None
 
@@ -325,10 +324,9 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         info["data_stats"] = dataset_stats(group, label).to_dict()
         train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, run.seed)
         # Trials read only group and label, so the feature matrix stays here.
-        test = [Example(Group(g), y)
-                for g, y in zip(group[test_idx].tolist(), label[test_idx].tolist())]
+        test = (group[test_idx], label[test_idx])
         if not spec.horizon_explicit:
-            run = dataclasses.replace(run, horizon=len(test))
+            run = dataclasses.replace(run, horizon=len(test_idx))
         stream_params = None
 
     if spec.experts_source == "synthetic":
@@ -367,7 +365,7 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
     info["eta"] = run.eta if run.eta is not None else recommended_eta(run.horizon, ensemble.d)
     logger.info("prepared %s run: d=%d, horizon=%d, eta=%g",
                 run.engine, ensemble.d, run.horizon, info["eta"])
-    return TrialPayload(run, spec.stream_kind, stream_params, test, ensemble, epsilon), info
+    return TrialPayload(run, stream_params, test, ensemble, epsilon), info
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +384,17 @@ def _run_one_trial(trial: int) -> dict:
     pl = _PAYLOAD
     cfg = pl.run
     ensemble = pl.ensemble
-    if pl.stream_kind == "synthetic":
+    if pl.test_stream is None:
         stream_ss = trial_seed_sequence(cfg.seed, trial)[0]
         rng = np.random.default_rng(stream_ss)
         stream = synth_stream(*pl.stream_params, cfg.horizon, rng)
     else:
-        order = reshuffle(len(pl.test_examples), cfg.seed, trial)
-        stream = [pl.test_examples[i] for i in order]
+        group, label = pl.test_stream
+        order = reshuffle(len(group), cfg.seed, trial)
+        stream = (group[order], label[order])
         if isinstance(ensemble, MatrixEnsemble):   # keyed to the test split
             ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[order])
     traj = run_trial(cfg, stream, ensemble, trial)
-    del stream  # the outputs below are assembled without it in memory
 
     report = validate_bounds(traj, cfg, epsilon=pl.epsilon)
     rates = compute_rates(traj.confusion)

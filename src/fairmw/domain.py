@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "Group",
     "NEG",
     "POS",
-    "Example",
     "WeightTable",
     "RunConfig",
     "WEIGHT_FLOOR",
@@ -48,15 +47,6 @@ class Group(IntEnum):
 
 NEG = 0
 POS = 1
-
-
-@dataclass(frozen=True)
-class Example:
-    """One arrival: feature vector (may be empty), group, binary label."""
-
-    group: Group
-    label: int
-    features: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 WEIGHT_FLOOR = 1e-300

@@ -27,9 +27,10 @@ group_aware and fairness_aware run whole-trial array passes
 uniforms are drawn as blocks (the same doubles, same order), weights come
 from per-cell cumprod states, and q is solved in batches.  The passes serve
 mw bit for bit too, but mw stays on the per-round loop (``step``) until
-the benchmark reads fairmw's own peak memory: its operations start from the
-benchmark process's peak, which grows with each mw_long output it checks,
-so a faster mw_long reads a higher median peak (188 -> 206 MB).
+the benchmark reads fairmw's own peak memory.  Each benchmark operation
+after the first reads the benchmark process's own peak, so mw_long's
+median peak follows how many operations fit into its run: about 164 MB at
+two, 188 MB at three to five and 206 MB at seven or more.
 
 A fairness_aware trial keeps one final beyond its columns, the alpha sums:
 its final q is the last ``q_neg`` row, and ``fairmw.metrics`` smooths its
@@ -214,14 +215,16 @@ class Trajectory:
 def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory:
     """Run one trial of config.engine over the stream.
 
-    The stream is consumed in order for config.horizon rounds; shorter
-    streams, an empty one included, raise StreamExhausted.  For
+    The stream is the arrivals' int8 ``(group, label)`` columns
+    (``ingest.synth_stream`` returns them).  Its first config.horizon
+    rounds are played in order; shorter streams, an empty one included,
+    raise StreamExhausted.  For
     fairness_aware, q starts uniform and is re-solved from running alpha
     sums and rate estimates whenever (t-1) % q_recompute_stride == 0
     (t >= 2), with elapsed rounds t-1 in the constraint denominators; see
     ``_cell_trial``.
     """
-    n = len(stream)
+    n = len(stream[0])
     T = config.horizon
     if T > n:
         raise StreamExhausted(f"stream has {n} examples, horizon {T}")
@@ -235,21 +238,20 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     engine_rng = np.random.default_rng(engine_ss)
 
     traj = Trajectory(config.engine, eta, ensemble.names, T)
+    group, label = stream[0][:T], stream[1][:T]
     if config.engine != "mw":    # mw stays per-round; see the module docstring
-        return _cell_trial(config, stream, ensemble, expert_rng, engine_rng, traj)
+        return _cell_trial(config, group, label, ensemble, expert_rng, engine_rng, traj)
     weights = WeightTable(ensemble.d)
-    for t in range(1, T + 1):
-        ex = stream[t - 1]
-        preds = ensemble.round_predictions(t, ex, expert_rng)
-        chosen, losses, right = step(weights, config.engine, eta, preds, ex.group,
-                                     ex.label, engine_rng.random())
-        traj.record(t, ex.group, ex.label, int(preds[chosen]), float(losses[chosen]),
-                    right, losses)
+    for t, (g, y) in enumerate(zip(group.tolist(), label.tolist()), start=1):
+        preds = ensemble.round_predictions(t, g, y, expert_rng)
+        chosen, losses, right = step(weights, config.engine, eta, preds, g, y,
+                                     engine_rng.random())
+        traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), right, losses)
     return traj.finish()
 
 
-def _cell_trial(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
-                traj: Trajectory) -> Trajectory:
+def _cell_trial(config: RunConfig, group: np.ndarray, label: np.ndarray, ensemble,
+                expert_rng, engine_rng, traj: Trajectory) -> Trajectory:
     """A trial of any engine as whole-trial array passes over its cells.
 
     Nothing a round draws feeds back into the weights.  So the losses come
@@ -258,11 +260,11 @@ def _cell_trial(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
     the group's tables (g,-) and (g,+).  The engine uniforms are one
     (T, cells read) block, the expert draw last.  fairness_aware then
     solves q at the stride points from prefix sums (``_solve_q``) and
-    draws each round's table; the other engines take the update cell's."""
+    draws each round's table; the other engines take the update cell's.
+    ``group`` and ``label`` are the trial's T int8 arrival columns."""
     T, eta = traj.T, traj.eta
     by_group, by_label = CELL_MAP[config.engine]
-    traj.cell[:] = np.fromiter((2 * ex.group + ex.label for ex in stream[:T]), np.int8, T)
-    group, label = traj.cell >> 1, traj.cell & 1
+    traj.cell[:] = 2 * group + label
     traj.losses[:] = ensemble.prediction_block(group, label, expert_rng) != label[:, None]
     update = 2 * group * by_group + label * by_label
     reads = [update & 2, update | 1] if by_label else [update]
@@ -287,7 +289,7 @@ def _cell_trial(config: RunConfig, stream, ensemble, expert_rng, engine_rng,
     traj.realized[:] = traj.losses[rows, chosen]
     prediction = np.where(traj.realized > 0.0, 1 - label, label)
     traj.outcome[:] = np.where(prediction == 1, 1 - label, 2 + label)
-    del u, draw, chosen, rows, prediction, group, label, update, reads    # before finish
+    del u, draw, chosen, rows, prediction, update, reads    # before finish
     return traj.finish()
 
 

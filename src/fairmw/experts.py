@@ -2,9 +2,10 @@
 
 Two kinds of ensemble share one interface: ``names`` (d unique
 identifiers), ``num_rounds`` (None when unlimited) and
-``round_predictions(t, example, rng)`` returning d predictions in {0,1}
-for 1-based round t, and ``prediction_block(group, label, rng)``, the
-(T, d) predictions of rounds 1..T in one array.
+``round_predictions(t, group, label, rng)`` returning d predictions in
+{0,1} for 1-based round t and its arrival's group and label ints, and
+``prediction_block(group, label, rng)``, the (T, d) predictions of rounds
+1..T for the int8 group and label columns in one array.
 
 * SyntheticEnsemble — each expert flips the true label with a per-cell
   Bernoulli error rate; the generative model under which per-expert
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Example, Group
+from .domain import Group
 from .errors import (ConfigError, DegenerateData, DomainError, FormatError,
                      InvalidExpertCount, StreamExhausted, utf8_lines)
 
@@ -67,10 +68,11 @@ class ErrorProfile:
         return max(abs(self.e_a_neg - self.e_b_neg), abs(self.e_a_pos - self.e_b_pos))
 
 
-def synthetic_predict(profile: ErrorProfile, example: Example, rng: np.random.Generator) -> int:
+def synthetic_predict(profile: ErrorProfile, group: int, label: int,
+                      rng: np.random.Generator) -> int:
     """True label, flipped with the cell's error probability; one rng draw."""
-    wrong = rng.random() < profile.rate(example.group, example.label)
-    return 1 - example.label if wrong else example.label
+    wrong = rng.random() < profile.rate(group, label)
+    return 1 - label if wrong else label
 
 
 class SyntheticEnsemble:
@@ -88,9 +90,10 @@ class SyntheticEnsemble:
     def d(self) -> int:
         return len(self.profiles)
 
-    def round_predictions(self, t: int, example: Example, rng: np.random.Generator) -> np.ndarray:
+    def round_predictions(self, t: int, group: int, label: int,
+                          rng: np.random.Generator) -> np.ndarray:
         # One draw per expert, in declared expert order.
-        return np.array([synthetic_predict(p, example, rng) for p in self.profiles],
+        return np.array([synthetic_predict(p, group, label, rng) for p in self.profiles],
                         dtype=np.int8)
 
     def prediction_block(self, group: np.ndarray, label: np.ndarray,
@@ -116,7 +119,7 @@ class MatrixEnsemble:
     def d(self) -> int:
         return len(self.names)
 
-    def round_predictions(self, t: int, example: Example, rng=None) -> np.ndarray:
+    def round_predictions(self, t: int, group: int, label: int, rng=None) -> np.ndarray:
         if t > self.num_rounds:
             raise StreamExhausted(
                 f"prediction matrix has {self.num_rounds} rounds, round {t} requested")

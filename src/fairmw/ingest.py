@@ -31,7 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-from .domain import NEG, POS, Example, Group, trial_seed_sequence
+from .domain import NEG, POS, Group, trial_seed_sequence
 from .errors import ConfigError, EmptyDataset, FormatError, SchemaError, utf8_lines
 
 __all__ = [
@@ -317,16 +317,17 @@ def reshuffle(n: int, seed: int, trial: int) -> np.ndarray:
 
 
 def synth_stream(p: float, mu_a: float, mu_b: float, T: int,
-                 rng: np.random.Generator) -> list[Example]:
-    """I.i.d. arrivals: group A with probability p, then the group's
-    positive rate decides the label.  Two rng draws per example."""
-    out = []
-    for _ in range(T):
-        group = Group.A if rng.random() < p else Group.B
-        mu = mu_a if group == Group.A else mu_b
-        label = POS if rng.random() < mu else NEG
-        out.append(Example(group=group, label=label))
-    return out
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """I.i.d. arrivals as int8 ``(group, label)`` columns: group A
+    (``Group.A`` = 0) with probability p, then the group's positive rate
+    decides the label.
+
+    The uniforms are one (T, 2) block, group draw first: the same doubles,
+    in the same order, as two scalar draws per arrival."""
+    u = rng.random((T, 2))
+    group = (u[:, 0] >= p).astype(np.int8)
+    label = (u[:, 1] < np.where(group, mu_b, mu_a)).astype(np.int8)
+    return group, label
 
 
 def parse_pairs(text: str, source, error: type[Exception]) -> list[tuple[int, str, str]]:
@@ -353,6 +354,10 @@ def preset_path(name: str):
     return resources.files("fairmw").joinpath("presets", f"{name}.preset")
 
 
+_PRESET_KEYS = ("name", "note", "label.column", "label.positive", "group.column",
+                "group.a", "group.b", "features")
+
+
 def load_preset(name_or_path) -> DatasetSchema:
     """Load a schema from a bundled preset name or a preset file path."""
     name = str(name_or_path)
@@ -367,6 +372,8 @@ def load_preset(name_or_path) -> DatasetSchema:
     # note lines accumulate; any other key may appear once.
     pairs, kv = [], {}
     for lineno, key, value in parse_pairs(text, source, SchemaError):
+        if key not in _PRESET_KEYS and not key.startswith(("note.", "filter.")):
+            raise SchemaError(f"{source}:{lineno}: unknown key {key!r}")
         if key in kv and key != "note":
             raise SchemaError(f"{source}:{lineno}: duplicate key {key!r}")
         pairs.append((key, value))

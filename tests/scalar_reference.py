@@ -9,6 +9,11 @@ its own engine-rng call.  ``cell_trial`` is the mw/group_aware loop: one
 engine-rng draw from the round's cell, then one WeightTable update of it.
 The batched solver and the array passes must reproduce them bit for bit.
 
+``example_stream`` is the per-arrival synthetic stream loop, two scalar
+draws per arrival, that ``fairmw.ingest.synth_stream`` must reproduce bit
+for bit; ``stream_of`` turns a list of (group, label) arrivals into the
+int8 columns a trial takes.
+
 ``ConstraintSystem``, ``assemble_constraint_system``, ``solve_q`` and
 ``objective`` are one-system views of ``fairmw.qopt``'s batched assembly
 and solve, which the solver tests are written against; ``dirichlet_rate``
@@ -32,6 +37,23 @@ from fairmw.domain import (
 from fairmw.engines import CELL_MAP, Trajectory
 from fairmw.errors import NonFiniteInput
 from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
+
+
+def example_stream(p, mu_a, mu_b, T, rng):
+    """The per-arrival loop: group A with probability p, then the group's
+    positive rate decides the label; int8 (group, label) columns."""
+    arrivals = []
+    for _ in range(T):
+        group = Group.A if rng.random() < p else Group.B
+        mu = mu_a if group == Group.A else mu_b
+        arrivals.append((group, POS if rng.random() < mu else NEG))
+    return stream_of(arrivals)
+
+
+def stream_of(arrivals):
+    """int8 (group, label) columns of a list of (group, label) pairs."""
+    group, label = np.array(arrivals, dtype=np.int8).reshape(-1, 2).T.copy()
+    return group, label
 
 
 def dirichlet_rate(counts, t, alpha_prior):
@@ -157,10 +179,10 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
     alpha_sums = np.zeros((2, 2))                   # [group, label]
     counts = np.zeros((2, 2), dtype=np.int64)       # [group, label]
     q = (0.5, 0.5, 0.5, 0.5)                        # canonical cell order
+    group, label = stream
     for t in range(1, T + 1):
-        ex = stream[t - 1]
-        g, y = ex.group, ex.label
-        preds = ensemble.round_predictions(t, ex, expert_rng)
+        g, y = int(group[t - 1]), int(label[t - 1])
+        preds = ensemble.round_predictions(t, g, y, expert_rng)
         if t >= 2 and (t - 1) % config.q_recompute_stride == 0:
             canonical = alpha_sums.T.ravel()   # (A,-), (B,-), (A,+), (B,+)
             a = assemble(canonical, *rates(counts, config.dirichlet_alpha), t - 1)
@@ -198,10 +220,10 @@ def cell_trial(config, stream, ensemble, trial=0) -> Trajectory:
     by_group, by_label = CELL_MAP[config.engine]
     traj = Trajectory(config.engine, eta, ensemble.names, T)
     weights = WeightTable(d)
+    group, label = stream
     for t in range(1, T + 1):
-        ex = stream[t - 1]
-        g, y = ex.group, ex.label
-        preds = ensemble.round_predictions(t, ex, expert_rng)
+        g, y = int(group[t - 1]), int(label[t - 1])
+        preds = ensemble.round_predictions(t, g, y, expert_rng)
         cell = (g if by_group else Group.A, y if by_label else NEG)
         losses = (preds != y).astype(np.float64)
         w = weights.slice(*cell)

@@ -271,7 +271,7 @@ def test_fairness_budget_verdicts():
 
     def verdict(fpr_gap, fnr_gap, budget="0.05"):
         spec = build_spec(cfg_dict(**{"budget.fpr": budget, "budget.fnr": budget}))
-        payload = cli.TrialPayload(spec.run, "synthetic", None, None, None, None)
+        payload = cli.TrialPayload(spec.run, None, None, None, None)
         summary = dict.fromkeys(cli._AGG_KEYS)
         summary.update(fpr_gap=fpr_gap, fnr_gap=fnr_gap)
         doc = cli.summary_doc(spec, payload, info, [{"summary": summary}])
@@ -386,9 +386,11 @@ def test_dataset_payload_keeps_no_features(tmp_path):
     _, test_idx = split_shuffle(len(label), 0.7, 3)
     for cfg_text in (text, builtin):
         payload, _ = cli.prepare_payload(build_spec(parse_config(write(tmp_path, cfg_text))))
-        assert all(ex.features.size == 0 for ex in payload.test_examples)
-        assert ([(ex.group, ex.label) for ex in payload.test_examples]
-                == [(group[i], label[i]) for i in test_idx])
+        assert payload.stream_params is None
+        test_group, test_label = payload.test_stream
+        assert test_group.dtype == test_label.dtype == np.int8
+        assert test_group.tolist() == group[test_idx].tolist()
+        assert test_label.tolist() == label[test_idx].tolist()
 
 
 def test_dataset_file_of_wrong_length_names_both_counts(tmp_path, capsys):
@@ -581,6 +583,8 @@ MALFORMED = {
     "split_ratio_above_one": ("stats --data {d}/good.csv --preset {d}/good.preset "
                               "--split-ratio 1.5", 2),
     "missing_preset": ("stats --data {d}/good.csv --preset {d}/absent.preset", 3),
+    # the misspelt filter key was ignored: all four rows were kept
+    "misspelt_preset_key": ("stats --data {d}/good.csv --preset {d}/typo.preset", 3),
     "stats_negative_seed": ("stats --data {d}/good.csv --preset {d}/good.preset --seed -1", 2),
     "prediction_file_wrong_length": ("run --config {d}/short_preds.cfg", 3),
     # float() parses "nan": the logistic expert's weights went NaN and the run exited 0
@@ -605,6 +609,7 @@ def write_malformed_inputs(d):
                           b"experts.profile.f2 = 0.2, 0.2, 0.2, 0.2\n"),
              "bad.csv": census.replace("Female,low", "Fe\xffmale,low").encode("latin-1"),
              "bad.preset": preset.encode() + b"note = caf\xe9\n",
+             "typo.preset": (preset + "filtr.1 = age >= 40\n").encode(),
              "bad_preds.csv": b"f1,f2\n1,0\n\xff,1\n", "empty_preds.csv": b"",
              "dup_preds.csv": b"f1,f1\n1,0\n0,1\n",
              # the dataset keeps four rows, so a dataset-mode file needs four

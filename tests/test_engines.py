@@ -9,7 +9,6 @@ import fairmw.domain
 from fairmw.domain import (
     RESCALE_THRESHOLD,
     WEIGHT_FLOOR,
-    Example,
     Group,
     NEG,
     POS,
@@ -19,6 +18,7 @@ from fairmw.domain import (
     weight_states,
 )
 import scalar_reference
+from scalar_reference import stream_of
 from fairmw import engines, qopt
 from fairmw.qopt import check_q
 from fairmw.cli import build_spec, parse_config, prepare_payload
@@ -33,12 +33,9 @@ from test_golden import CASES as GOLDEN_CASES
 
 
 def make_stream(pattern, reps=1):
-    """'A+ B- ...' shorthand for a list of featureless examples."""
-    out = []
-    for token in pattern.split() * reps:
-        g = Group.A if token[0] == "A" else Group.B
-        out.append(Example(g, POS if token[1] == "+" else NEG))
-    return out
+    """'A+ B- ...' shorthand for a stream's (group, label) columns."""
+    return stream_of([(Group.A if token[0] == "A" else Group.B,
+                       POS if token[1] == "+" else NEG) for token in pattern.split() * reps])
 
 
 def file_ensemble(rows):
@@ -250,7 +247,7 @@ def test_run_trial_empty_stream():
     ens = SyntheticEnsemble([ErrorProfile(0.1, 0.1, 0.1, 0.1)] * 2)
     for engine in CELL_MAP:
         with pytest.raises(StreamExhausted, match="stream has 0 examples"):
-            run_trial(config(engine=engine), [], ens)
+            run_trial(config(engine=engine), stream_of([]), ens)
     with pytest.raises(TypeError):
         config(allow_empty=True)   # RunConfig has no such field
 
@@ -287,9 +284,9 @@ def test_run_trial_group_isolation():
     rows = rng.integers(0, 2, size=(10, 3))
     full = run_trial(config(engine="group_aware", horizon=10), stream,
                      file_ensemble(rows))
-    a_idx = [i for i, e in enumerate(stream) if e.group == Group.A]
+    a_idx = np.flatnonzero(stream[0] == Group.A)
     only_a = run_trial(config(engine="group_aware", horizon=len(a_idx)),
-                       [stream[i] for i in a_idx], file_ensemble(rows[a_idx]))
+                       (stream[0][a_idx], stream[1][a_idx]), file_ensemble(rows[a_idx]))
     assert full.expected[a_idx].tolist() == only_a.expected.tolist()
 
 
@@ -382,7 +379,7 @@ def test_trajectory_round_columns():
                              ErrorProfile(0.3, 0.1, 0.2, 0.4)])
     stream = make_stream("A+ B- A- B+ A- B+")
     traj = run_trial(config(engine="fairness_aware", horizon=6), stream, ens)
-    assert traj.cell.tolist() == [2 * int(e.group) + e.label for e in stream]
+    assert traj.cell.tolist() == (2 * stream[0] + stream[1]).tolist()
     assert np.all(np.isfinite(traj.q_neg))
     # fp and fn are the wrong predictions
     wrong = (traj.outcome == 1) | (traj.outcome == 3)
@@ -396,8 +393,8 @@ def test_finish_matches_round_by_round_accumulation():
                              ErrorProfile(0.1, 0.1, 0.4, 0.4),
                              ErrorProfile(0.2, 0.25, 0.2, 0.3)])
     rng = np.random.default_rng(5)
-    stream = [Example(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
-              for _ in range(300)]
+    stream = stream_of([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                        for _ in range(300)])
     for engine in ("mw", "group_aware", "fairness_aware"):
         traj = run_trial(config(engine=engine, horizon=300, q_recompute_stride=3),
                          stream, ens)
@@ -478,8 +475,8 @@ def test_mw_theorem_regret_bound_random_runs():
         T = int(rng.integers(50, 400))
         eta = float(rng.uniform(0.02, 0.45))
         profiles = [ErrorProfile(*rng.uniform(0.05, 0.5, size=4)) for _ in range(d)]
-        stream = [Example(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
-                  for _ in range(T)]
+        stream = stream_of([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                            for _ in range(T)])
         traj = run_trial(config(horizon=T, eta=eta, seed=int(rng.integers(1 << 30))),
                          stream, SyntheticEnsemble(profiles))
         bound = (1.0 + eta) * traj.L_f.min() + math.log(d) / eta
@@ -496,8 +493,8 @@ def fair_case(T, experts=None, **kw):
                                             ErrorProfile(0.1, 0.35, 0.4, 0.1),
                                             ErrorProfile(0.25, 0.25, 0.2, 0.2)])
     rng = np.random.default_rng(21)
-    stream = [Example(Group(int(rng.random() < 0.4)), int(rng.random() < 0.35))
-              for _ in range(T)]
+    stream = stream_of([(int(rng.random() < 0.4), int(rng.random() < 0.35))
+                        for _ in range(T)])
     base = dict(engine="fairness_aware", horizon=T, eta=None, seed=4,
                 lam=(1.0, 1.0, 1.0 / T))
     base.update(kw)
@@ -602,7 +599,8 @@ def cell_kernel(cfg, stream, ens, trial=0):
     (``run_trial`` itself keeps mw on ``step``)."""
     eta = cfg.eta if cfg.eta is not None else recommended_eta(cfg.horizon, ens.d)
     _, expert_ss, engine_ss = trial_seed_sequence(cfg.seed, trial)
-    return engines._cell_trial(cfg, stream, ens, np.random.default_rng(expert_ss),
+    group, label = (col[:cfg.horizon] for col in stream)
+    return engines._cell_trial(cfg, group, label, ens, np.random.default_rng(expert_ss),
                                np.random.default_rng(engine_ss),
                                Trajectory(cfg.engine, eta, ens.names, cfg.horizon))
 
@@ -648,7 +646,7 @@ def test_cell_kernel_matches_per_round_reference(engine, T, kw, monkeypatch, tmp
     else:
         cfg, stream, ens = fair_case(T, engine=engine, **kw)
         if only_a:
-            stream = [Example(Group.A, ex.label) for ex in stream]
+            stream = (np.zeros_like(stream[0]), stream[1])
         streams = lambda trial: stream    # noqa: E731
     kernel = run_trial if engine == "group_aware" else cell_kernel
     for trial in (0, 1):

@@ -10,11 +10,11 @@ trial reports against round-by-round replays.
 import numpy as np
 
 from fairmw import engines
-from fairmw.domain import NEG, POS, Example, Group, RunConfig, WeightTable, weight_states
+from fairmw.domain import NEG, POS, Group, RunConfig, WeightTable, weight_states
 from fairmw.engines import run_trial
 from fairmw.estimators import smoothed_rates
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
-from scalar_reference import dirichlet_rate
+from scalar_reference import dirichlet_rate, stream_of
 
 
 def test_frequentist_examples():
@@ -62,8 +62,8 @@ def test_mu_hat_group_conditional():
 
 def fair_trial(T, seed=8, **kw):
     rng = np.random.default_rng(seed)
-    stream = [Example(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
-              for _ in range(T)]
+    stream = stream_of([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                        for _ in range(T)])
     ens = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
                              ErrorProfile(0.1, 0.35, 0.4, 0.1),
                              ErrorProfile(0.25, 0.25, 0.2, 0.3)])

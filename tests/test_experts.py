@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairmw.domain import Example, Group, NEG, POS
+from fairmw.domain import Group, NEG, POS
 from fairmw.errors import (
     ConfigError,
     DegenerateData,
@@ -39,16 +39,14 @@ def test_synthetic_predict_degenerate_profiles():
     one = ErrorProfile(1.0, 1.0, 1.0, 1.0)
     for g in (Group.A, Group.B):
         for y in (NEG, POS):
-            e = Example(g, y)
-            assert synthetic_predict(zero, e, rng) == y
-            assert synthetic_predict(one, e, rng) == 1 - y
+            assert synthetic_predict(zero, g, y, rng) == y
+            assert synthetic_predict(one, g, y, rng) == 1 - y
 
 
 def test_synthetic_predict_rate():
     rng = np.random.default_rng(17)
     profile = ErrorProfile(0.3, 0.3, 0.3, 0.3)
-    e = Example(Group.A, POS)
-    wrong = sum(synthetic_predict(profile, e, rng) != e.label for _ in range(10000))
+    wrong = sum(synthetic_predict(profile, Group.A, POS, rng) != POS for _ in range(10000))
     assert abs(wrong / 10000 - 0.3) < 0.02
 
 
@@ -58,7 +56,7 @@ def test_synthetic_ensemble_basics():
     assert ens.d == 2
     assert ens.names == ["expert_0", "expert_1"]
     assert ens.num_rounds is None
-    preds = ens.round_predictions(1, Example(Group.A, POS), np.random.default_rng(1))
+    preds = ens.round_predictions(1, Group.A, POS, np.random.default_rng(1))
     assert preds.shape == (2,)
     assert set(np.unique(preds)) <= {0, 1}
     with pytest.raises(InvalidExpertCount):
@@ -70,12 +68,12 @@ def test_synthetic_ensemble_basics():
 def test_synthetic_ensemble_replay_determinism():
     profiles = [ErrorProfile(0.2, 0.3, 0.4, 0.5), ErrorProfile(0.5, 0.4, 0.3, 0.2)]
     ens = SyntheticEnsemble(profiles)
-    stream = [Example(Group(int(i % 2)), int(i // 2 % 2)) for i in range(50)]
+    stream = [(i % 2, i // 2 % 2) for i in range(50)]
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(33)
-        runs.append([ens.round_predictions(t + 1, e, rng).tolist()
-                     for t, e in enumerate(stream)])
+        runs.append([ens.round_predictions(t + 1, g, y, rng).tolist()
+                     for t, (g, y) in enumerate(stream)])
     assert runs[0] == runs[1]
 
 
@@ -89,8 +87,8 @@ def test_prediction_block_matches_round_predictions():
     group, label = cells >> 1, cells & 1
     rng_block, rng_rounds = np.random.default_rng(33), np.random.default_rng(33)
     block = ens.prediction_block(group, label, rng_block)
-    rounds = np.array([ens.round_predictions(t + 1, Example(Group(int(g)), int(y)), rng_rounds)
-                       for t, (g, y) in enumerate(zip(group, label))])
+    rounds = np.array([ens.round_predictions(t + 1, g, y, rng_rounds)
+                       for t, (g, y) in enumerate(zip(group.tolist(), label.tolist()))])
     assert block.dtype == rounds.dtype == np.int8
     assert block.tobytes() == rounds.tobytes()
     assert rng_block.bit_generator.state == rng_rounds.bit_generator.state
@@ -111,8 +109,7 @@ def test_synthetic_cell_gap_statistics():
             for y in (NEG, POS):
                 rates = []
                 for g in (Group.A, Group.B):
-                    e = Example(g, y)
-                    wrong = sum(synthetic_predict(profile, e, rng) != y for _ in range(n))
+                    wrong = sum(synthetic_predict(profile, g, y, rng) != y for _ in range(n))
                     rates.append(wrong / n)
                 assert abs(rates[0] - rates[1]) <= bound
 
@@ -123,9 +120,9 @@ def test_load_prediction_file(tmp_path):
     ens = load_prediction_file(path)
     assert ens.d == 2
     assert ens.num_rounds == 1
-    assert ens.round_predictions(1, Example(Group.A, POS)).tolist() == [1, 0]
+    assert ens.round_predictions(1, Group.A, POS).tolist() == [1, 0]
     with pytest.raises(StreamExhausted):
-        ens.round_predictions(2, Example(Group.A, POS))
+        ens.round_predictions(2, Group.A, POS)
 
 
 def test_prediction_file_empty_body(tmp_path):
@@ -134,7 +131,7 @@ def test_prediction_file_empty_body(tmp_path):
     ens = load_prediction_file(path)
     assert ens.num_rounds == 0
     with pytest.raises(StreamExhausted):
-        ens.round_predictions(1, Example(Group.A, POS))
+        ens.round_predictions(1, Group.A, POS)
 
 
 def test_prediction_file_format_errors(tmp_path):
@@ -314,13 +311,13 @@ def test_builtin_ensemble():
                          np.column_stack([m.predict(x) for m in models]))
     assert ens.d == 2
     assert ens.num_rounds == len(y)
-    split = [Example(Group(int(g)), int(label)) for g, label in zip(group, y)]
-    for t, e in enumerate(split, start=1):
-        preds = ens.round_predictions(t, e)
+    split = list(zip(group.tolist(), y.tolist()))
+    for t, (g, label) in enumerate(split, start=1):
+        preds = ens.round_predictions(t, g, label)
         assert preds.dtype == np.int8
         assert preds.tolist() == [reference_predict(m, x[t - 1]) for m in models]
     with pytest.raises(StreamExhausted):
-        ens.round_predictions(len(split) + 1, split[0])
+        ens.round_predictions(len(split) + 1, *split[0])
     with pytest.raises(InvalidExpertCount):
         MatrixEnsemble(["m"], x[:, :1].astype(np.int8))
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import scalar_reference
 from fairmw.domain import Group, NEG, POS, trial_seed_sequence
 from fairmw.errors import ConfigError, EmptyDataset, SchemaError
 from fairmw.ingest import (
@@ -291,18 +294,50 @@ def test_reshuffle():
 
 def test_synth_stream():
     rng = np.random.default_rng(8)
-    stream = synth_stream(0.7, 0.3, 0.6, 20000, rng)
-    assert len(stream) == 20000
-    n_a = sum(1 for e in stream if e.group == Group.A)
-    pos_a = sum(1 for e in stream if e.group == Group.A and e.label == POS)
-    pos_b = sum(1 for e in stream if e.group == Group.B and e.label == POS)
+    group, label = synth_stream(0.7, 0.3, 0.6, 20000, rng)
+    assert group.dtype == label.dtype == np.int8
+    assert group.shape == label.shape == (20000,)
+    is_a = group == Group.A
+    n_a = int(is_a.sum())
     assert abs(n_a / 20000 - 0.7) < 0.02
-    assert abs(pos_a / n_a - 0.3) < 0.02
-    assert abs(pos_b / (20000 - n_a) - 0.6) < 0.02
+    assert abs(label[is_a].mean() - 0.3) < 0.02
+    assert abs(label[~is_a].mean() - 0.6) < 0.02
     # same seed, same stream
     again = synth_stream(0.7, 0.3, 0.6, 20000, np.random.default_rng(8))
-    assert all(e1.group == e2.group and e1.label == e2.label
-               for e1, e2 in zip(stream, again))
+    assert np.array_equal(group, again[0]) and np.array_equal(label, again[1])
+
+
+@pytest.mark.parametrize("T", [1, 5000])
+def test_synth_stream_matches_per_arrival_draws(T):
+    # one (T, 2) block of uniforms is the two scalar draws of every arrival,
+    # group first, and leaves the rng where they leave it
+    for p in (0.0, 0.3, 1.0):
+        for mu in (0.0, 0.26, 1.0):
+            for mu_a, mu_b in ((mu, 0.16), (0.84, mu)):
+                seed = trial_seed_sequence(9, T)[0]
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = synth_stream(p, mu_a, mu_b, T, rng)
+                want = scalar_reference.example_stream(p, mu_a, mu_b, T, ref_rng)
+                for have, ref in zip(got, want):
+                    assert have.dtype == ref.dtype == np.int8
+                    assert have.tobytes() == ref.tobytes(), (p, mu_a, mu_b)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_synth_stream_memory():
+    # a stream keeps two bytes per round; building it peaks at the uniform
+    # block plus a few (T,) temporaries
+    T = 200000
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        stream = synth_stream(0.85, 0.26, 0.16, T, rng)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream[0]) == T
+    assert retained <= 3 * T + 4096, retained
+    assert peak < 40 * T, peak
 
 
 def test_bundled_presets_load():
@@ -366,6 +401,22 @@ def test_preset_from_path_and_errors(tmp_path):
         "filter.1 = age about 30\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="bad filter"):
         load_preset(badfilter)
+
+
+def test_preset_unknown_key_is_rejected(tmp_path):
+    # a misspelt key used to be ignored, so "filtr.1" ran with no filter
+    base = "label.column = y\nlabel.positive = 1\ngroup.column = g\ngroup.a = north\n"
+    path = tmp_path / "typo.preset"
+    path.write_text(base + "filtr.1 = age >= 40\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"typo\.preset:5: unknown key 'filtr\.1'"):
+        load_preset(path)
+    # every known key family loads
+    path.write_text(base + "name = all\nnote = a\nnote.source = b\ngroup.b = south\n"
+                    "features = age, zip\nfilter.1 = age >= 40\n", encoding="utf-8")
+    schema = load_preset(path)
+    assert (schema.name, schema.notes, schema.group_b_value) == ("all", ("a", "b"), "south")
+    assert schema.feature_columns == ("age", "zip")
+    assert schema.filters == (("age", ">=", "40"),)
 
 
 def test_preset_repeated_key_is_rejected(tmp_path):

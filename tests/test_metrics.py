@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from fairmw.domain import Example, Group, NEG, POS, RunConfig
+from scalar_reference import stream_of
+from fairmw.domain import Group, NEG, POS, RunConfig
 from fairmw.engines import Trajectory, run_trial
 from fairmw.errors import (
     DomainError,
@@ -162,7 +163,7 @@ def test_unvisited_cell_margins_are_exact():
     # exactly ln(d)/eta and lemma 2 margin exactly 0 there
     ens = SyntheticEnsemble([ErrorProfile(0.2, 0.2, 0.2, 0.2),
                              ErrorProfile(0.3, 0.3, 0.3, 0.3)])
-    stream = [Example(Group.A, POS) for _ in range(12)]
+    stream = stream_of([(Group.A, POS)] * 12)
     cfg = RunConfig(engine="fairness_aware", horizon=12, eta=0.25, seed=1)
     traj = run_trial(cfg, stream, ens)
     report = validate_bounds(traj, cfg)
@@ -184,8 +185,8 @@ def test_rmw_bounds_hold_on_seeded_run():
                              ErrorProfile(0.1, 0.35, 0.15, 0.3),
                              ErrorProfile(0.2, 0.2, 0.2, 0.2)])
     rng = np.random.default_rng(77)
-    stream = [Example(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
-              for _ in range(600)]
+    stream = stream_of([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                        for _ in range(600)])
     cfg = RunConfig(engine="fairness_aware", horizon=600, eta=0.1, seed=5,
                     q_recompute_stride=4)
     traj = run_trial(cfg, stream, ens)
@@ -201,8 +202,8 @@ def test_epsilon_override_feeds_the_rhs():
     ens = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.25, 0.15),
                              ErrorProfile(0.15, 0.25, 0.2, 0.3)])
     rng = np.random.default_rng(31)
-    stream = [Example(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)))
-              for _ in range(200)]
+    stream = stream_of([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                        for _ in range(200)])
     cfg = RunConfig(engine="fairness_aware", horizon=200, eta=0.2, seed=9)
     traj = run_trial(cfg, stream, ens)
     low = validate_bounds(traj, cfg, epsilon=0.0)
@@ -222,8 +223,8 @@ def test_fairness_rhs_reads_the_trial_at_a_non_default_prior():
                              ErrorProfile(0.15, 0.25, 0.2, 0.3),
                              ErrorProfile(0.2, 0.3, 0.1, 0.35)])
     rng = np.random.default_rng(12)
-    stream = [Example(Group(int(rng.random() < 0.4)), int(rng.random() < 0.35))
-              for _ in range(300)]
+    stream = stream_of([(int(rng.random() < 0.4), int(rng.random() < 0.35))
+                        for _ in range(300)])
     cfg = RunConfig(engine="fairness_aware", horizon=300, eta=0.2, seed=6,
                     lam=(1.0, 1.0, 1.0 / 300), dirichlet_alpha=0.25, q_recompute_stride=7)
     ref = scalar_reference.fairness_aware_trial(cfg, stream, ens)
