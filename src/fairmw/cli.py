@@ -70,6 +70,7 @@ MARGIN_THRESHOLD = -1e-9
 ROUNDS_HEADER = ("t,engine,trial_mean_regret_realized,trial_mean_regret_expected,"
                  "fpr_gap,fnr_gap,eer_gap,q_a_neg,q_b_neg")
 ROUNDS_CHUNK = 8192  # rounds.csv rows formatted per write
+GATHER_ROWS = 4096   # feature rows copied per block when splitting
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -342,19 +343,16 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
                     f"the dataset keeps {len(label)} rows (one row per kept row)")
             ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[test_idx])
     else:  # builtin: every model predicts the test split once
-        # One full feature matrix alive at a time: the group-stacked copy
-        # replaces x, and the training rows go before the test rows come.
-        if spec.include_group:
-            x = np.column_stack((x, group))
-        x_train, y_train = x[train_idx], label[train_idx]
-        models = [train_builtin(x_train, y_train, kind, epochs=spec.epochs,
+        # x goes before the first model trains: its rows are gathered in split
+        # order, training rows then test rows, into one new matrix.
+        x = _gather_rows(x, group if spec.include_group else None,
+                         np.concatenate((train_idx, test_idx)))
+        models = [train_builtin(x[:len(train_idx)], label[train_idx], kind, epochs=spec.epochs,
                                 seed=run.seed + 7919 * i)
                   for i, kind in enumerate(spec.experts_kinds)]
-        del x_train
-        x_test = x[test_idx]
         ensemble = MatrixEnsemble(
             [f"{kind}_{i}" for i, kind in enumerate(spec.experts_kinds)],
-            np.column_stack([m.predict(x_test) for m in models]))
+            np.column_stack([m.predict(x[len(train_idx):]) for m in models]))
 
     epsilon = spec.epsilon
     if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:
@@ -366,6 +364,17 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
     logger.info("prepared %s run: d=%d, horizon=%d, eta=%g",
                 run.engine, ensemble.d, run.horizon, info["eta"])
     return TrialPayload(run, stream_params, test, ensemble, epsilon), info
+
+
+def _gather_rows(x: np.ndarray, group: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
+    """Rows idx of x, ending in group[idx] when group is given; copied in
+    blocks, as a gather into a column slice would buffer all its rows."""
+    out = np.empty((len(idx), x.shape[1] + (group is not None)))
+    for lo in range(0, len(idx), GATHER_ROWS):
+        out[lo:lo + GATHER_ROWS, :x.shape[1]] = x[idx[lo:lo + GATHER_ROWS]]
+    if group is not None:
+        out[:, -1] = group[idx]
+    return out
 
 
 # ---------------------------------------------------------------------------

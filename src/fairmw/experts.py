@@ -176,7 +176,8 @@ class LogisticExpert:
         A batched matmul of one row against the weights is bitwise the
         1-D ``z @ w`` of that row; a gemv over all rows is not.
         """
-        z = (x - self.mean) / self.scale
+        z = x - self.mean
+        z /= self.scale   # in place: the same IEEE operations as (x - mean) / scale
         return np.matmul(z[:, None, :], self.weights[:, None])[:, 0, 0] + self.bias
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -202,8 +203,7 @@ class StumpExpert:
 def train_builtin(x: np.ndarray, y: np.ndarray, kind: str, epochs: int = 500,
                   seed: int = 0):
     """Train one minimal expert on the (n, k) feature matrix x and the n
-    labels y; the caller appends a group column to x if the model may
-    see it."""
+    labels y; x ends in a group column if the model may see it."""
     if not len(x):
         raise DegenerateData("empty training split")
     if x.shape[1] == 0:
@@ -221,7 +221,8 @@ def _train_logistic(x: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> Log
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
-    xs = (x - mean) / scale
+    xs = x - mean
+    xs /= scale
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     w = rng.normal(0.0, 0.01, size=xs.shape[1])
     bias = 0.0

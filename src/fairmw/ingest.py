@@ -49,7 +49,7 @@ __all__ = [
     "synth_stream",
 ]
 
-MISSING = ("", "?")
+MISSING = frozenset(("", "?"))
 BUNDLED_PRESETS = ("adult", "german", "compas")
 
 # Two-character operators come first so that ">=" is not read as ">".
@@ -203,6 +203,8 @@ def load_dataset(path, schema: DatasetSchema
         ncols = len(header)
         label_i, group_i = col[schema.label_column], col[schema.group_column]
         feat_i = [col[n] for n in feature_names]
+        # two indices or more, so a tuple of cells even with one feature or none
+        cells = operator.itemgetter(label_i, group_i, *feat_i)
         # per feature column: each kept row's cell as the index of its first occurrence
         codes: list[list[int]] = [[] for _ in feat_i]
         seen: list[dict[str, int]] = [{} for _ in feat_i]
@@ -223,15 +225,14 @@ def load_dataset(path, schema: DatasetSchema
             if any(not m(row[i].strip()) for i, m in filters):
                 report.drop("filtered")
                 continue
-            lcell, gcell = row[label_i].strip(), row[group_i].strip()
+            lcell, gcell, *feats = map(str.strip, cells(row))
             if lcell in MISSING:
                 report.drop("missing_label")
                 continue
             if gcell in MISSING:
                 report.drop("missing_group")
                 continue
-            feats = [row[i].strip() for i in feat_i]
-            if any(v in MISSING for v in feats):
+            if not MISSING.isdisjoint(feats):
                 report.drop("missing_feature")
                 continue
             if is_group_a(gcell):
@@ -257,27 +258,31 @@ def load_dataset(path, schema: DatasetSchema
 
 def _encode_features(path, names: list[str], codes: list[list[int]],
                      seen: list[dict[str, int]], n: int):
-    """Numeric columns pass through; the rest one-hot by first occurrence.
-    Column j's row i holds the ``codes[j][i]``-th distinct cell of ``seen[j]``."""
-    encoded: list[np.ndarray] = []
-    encoding = []
-    for name, code, first in zip(names, codes, seen):
-        code, values = np.array(code, dtype=np.intp), list(first)
+    """Numeric columns pass through; the rest one-hot by first occurrence,
+    all written into one (n, width) matrix.  Column j's row i holds the
+    ``codes[j][i]``-th distinct cell of ``seen[j]``."""
+    numeric, encoding = [], []   # per column: its distinct cells as floats, or None
+    for name, first in zip(names, seen):
         try:
-            numeric = np.array([float(v) for v in values])[code]
+            numeric.append(np.array([float(v) for v in first]))
         except ValueError:
-            onehot = np.zeros((n, len(values)))
-            onehot[np.arange(n), code] = 1.0
-            encoded.append(onehot)
-            encoding.append((name, "one-hot", tuple(values)))
+            numeric.append(None)
+            encoding.append((name, "one-hot", tuple(first)))
             continue
-        bad = np.flatnonzero(~np.isfinite(numeric))
+        bad = np.flatnonzero(~np.isfinite(numeric[-1]))
         if bad.size:
             raise SchemaError(f"{path}: feature column {name!r} holds "
-                              f"{values[code[bad[0]]]!r}, which is not a finite number")
-        encoded.append(numeric.reshape(n, 1))
+                              f"{list(first)[bad[0]]!r}, which is not a finite number")
         encoding.append((name, "numeric", ()))
-    return (np.hstack(encoded) if encoded else np.zeros((n, 0))), encoding
+    x, j = np.zeros((n, sum(len(cats) or 1 for _, _, cats in encoding))), 0
+    for code, distinct, (_, _, cats) in zip(codes, numeric, encoding):
+        code = np.array(code, dtype=np.intp)
+        if distinct is None:
+            x[np.arange(n), j + code] = 1.0
+        else:
+            x[:, j] = distinct[code]
+        j += len(cats) or 1
+    return x, encoding
 
 
 def dataset_stats(group: np.ndarray, label: np.ndarray) -> DatasetStats:

@@ -18,6 +18,14 @@ int8 columns a trial takes.
 ``objective`` are one-system views of ``fairmw.qopt``'s batched assembly
 and solve, which the solver tests are written against; ``dirichlet_rate``
 is the per-cell posterior predictive rate of the (group, label) counts.
+
+``encode_features`` and ``builtin_payload`` are the builtin-expert set-up
+as it ran before it kept one full-size feature matrix at a time: one array
+per encoded column joined by ``np.hstack``, the group column appended by
+``np.column_stack``, the splits taken by fancy indexing, and logistic
+inputs standardized as ``(x - mean) / scale``.  The in-place encoder,
+gather and standardization must reproduce them bit for bit.
+``write_census_csv`` writes the census-shaped file those tests read.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ from fairmw.domain import (
     trial_seed_sequence,
 )
 from fairmw.engines import CELL_MAP, Trajectory
-from fairmw.errors import NonFiniteInput
+from fairmw.errors import NonFiniteInput, SchemaError
+from fairmw.experts import LogisticExpert, train_builtin
 from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
 
 
@@ -232,3 +241,101 @@ def cell_trial(config, stream, ensemble, trial=0) -> Trajectory:
         weights.update(eta, losses, *cell)
         traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), right, losses)
     return traj.finish()
+
+
+def encode_features(path, names, codes, seen, n):
+    """Numeric columns pass through, the rest one-hot by first occurrence:
+    one array per column, joined by ``np.hstack``."""
+    encoded = []
+    encoding = []
+    for name, code, first in zip(names, codes, seen):
+        code, values = np.array(code, dtype=np.intp), list(first)
+        try:
+            numeric = np.array([float(v) for v in values])[code]
+        except ValueError:
+            onehot = np.zeros((n, len(values)))
+            onehot[np.arange(n), code] = 1.0
+            encoded.append(onehot)
+            encoding.append((name, "one-hot", tuple(values)))
+            continue
+        bad = np.flatnonzero(~np.isfinite(numeric))
+        if bad.size:
+            raise SchemaError(f"{path}: feature column {name!r} holds "
+                              f"{values[code[bad[0]]]!r}, which is not a finite number")
+        encoded.append(numeric.reshape(n, 1))
+        encoding.append((name, "numeric", ()))
+    return (np.hstack(encoded) if encoded else np.zeros((n, 0))), encoding
+
+
+def _train_logistic(x, y, epochs, seed):
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xs = (x - mean) / scale
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    w = rng.normal(0.0, 0.01, size=xs.shape[1])
+    bias = 0.0
+    n = xs.shape[0]
+    for _ in range(epochs):
+        p = 1.0 / (1.0 + np.exp(-(xs @ w + bias)))
+        w -= 0.1 * (xs.T @ (p - y) / n)
+        bias -= 0.1 * float(np.mean(p - y))
+    return LogisticExpert(w, bias, mean, scale)
+
+
+def _predict(model, x):
+    if not isinstance(model, LogisticExpert):
+        return model.predict(x)
+    z = (x - model.mean) / model.scale
+    logits = np.matmul(z[:, None, :], model.weights[:, None])[:, 0, 0] + model.bias
+    return (logits > 0.0).astype(np.int8)
+
+
+def builtin_payload(x, group, label, train_idx, test_idx, kinds, include_group,
+                    epochs, seed):
+    """``(x_train, x_test, models, predictions)`` of the builtin experts:
+    model i of ``kinds`` trains with seed ``seed + 7919 * i``."""
+    if include_group:
+        x = np.column_stack((x, group))
+    x_train, y_train = x[train_idx], label[train_idx]
+    models = [_train_logistic(x_train, y_train.astype(float), epochs, seed + 7919 * i)
+              if kind == "logistic" else train_builtin(x_train, y_train, kind)
+              for i, kind in enumerate(kinds)]
+    x_test = x[test_idx]
+    return x_train, x_test, models, np.column_stack([_predict(m, x_test) for m in models])
+
+
+CENSUS_CATEGORIES = {
+    "workclass": 7, "education": 16, "marital-status": 7, "occupation": 14,
+    "relationship": 6, "sex": 2, "native-country": 20}
+
+
+def write_census_csv(path, rows, seed):
+    """A CSV with the census income export's columns for the bundled adult
+    preset: six wide-range numeric columns, seven one-hot columns with a
+    ``?`` in about 7% of the rows, and a ``source`` column of one category.
+    Group A is race White; the label follows a noisy score of the numeric
+    columns and the marital status."""
+    rng = np.random.default_rng(seed)
+    numeric = {
+        "age": rng.integers(17, 91, rows), "fnlwgt": rng.integers(12285, 1490401, rows),
+        "education-num": rng.integers(1, 17, rows),
+        "capital-gain": np.where(rng.random(rows) < 0.08, rng.integers(1, 99999, rows), 0),
+        "capital-loss": np.where(rng.random(rows) < 0.05, rng.integers(1, 4357, rows), 0),
+        "hours-per-week": rng.integers(1, 100, rows)}
+    codes = {name: rng.integers(0, k, rows) for name, k in CENSUS_CATEGORIES.items()}
+    race = np.where(rng.random(rows) < 0.85, "White", "Black")
+    score = (0.04 * numeric["age"] + 0.4 * numeric["education-num"]
+             + 3e-5 * numeric["capital-gain"] + 1.5 * (codes["marital-status"] == 0) - 6.5)
+    positive = score + rng.logistic(size=rows) > 0.0
+    missing = np.where(rng.random(rows) < 0.07, rng.integers(0, 3, rows), -1)
+    header = [*numeric, *CENSUS_CATEGORIES, "race", "source", "income"]
+    lines = [", ".join(header)]
+    for i in range(rows):
+        cells = [str(v[i]) for v in numeric.values()]
+        cells += [f"{name}-{c[i]}" for name, c in codes.items()]
+        if missing[i] >= 0:
+            cells[len(numeric) + (1, 3, 6)[missing[i]]] = "?"
+        cells += [race[i], "CPS", ">50K" if positive[i] else "<=50K"]
+        lines.append(", ".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairmw import cli
+import scalar_reference
+from fairmw import cli, ingest
 from fairmw.cli import (
     ROUNDS_HEADER,
     _parse_sweep_values,
@@ -18,6 +20,7 @@ from fairmw.cli import (
 )
 from fairmw.engines import run_trial
 from fairmw.errors import ConfigError
+from fairmw.experts import LogisticExpert, train_builtin
 from fairmw.ingest import load_dataset, load_preset, split_shuffle
 
 SYNTH_MW = """\
@@ -399,6 +402,90 @@ def test_dataset_file_of_wrong_length_names_both_counts(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "201 prediction rows" in err and "keeps 200 rows" in err, err
+
+
+def census_builtin_cfg(tmp_path, rows, include_group=True, epochs=500):
+    """Config text of builtin experts on a census-shaped CSV of ``rows`` rows."""
+    scalar_reference.write_census_csv(tmp_path / "census.csv", rows, seed=5)
+    return (f"engine = group_aware\nseed = 11\nstream.kind = dataset\n"
+            f"data.path = {tmp_path / 'census.csv'}\ndata.preset = adult\n"
+            f"experts.source = builtin\nexperts.kinds = logistic,stump,logistic\n"
+            f"experts.epochs = {epochs}\n"
+            f"experts.include_group = {str(include_group).lower()}\n")
+
+
+def model_bits(model):
+    if isinstance(model, LogisticExpert):
+        return (model.weights.tobytes(), model.bias.hex(), model.mean.tobytes(),
+                model.scale.tobytes())
+    return (model.feature, model.threshold.hex(), model.polarity, model.constant)
+
+
+@pytest.mark.parametrize("include_group", [True, False])
+def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
+                                                         include_group):
+    # Encoding in place, gathering the split and standardizing in place
+    # change no byte of the matrices, the models or the predictions.
+    spec = build_spec(parse_config(write(
+        tmp_path, census_builtin_cfg(tmp_path, 1500, include_group, epochs=200))))
+    schema = load_preset("adult")
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_encode_features", scalar_reference.encode_features)
+        (x, group, label), report = load_dataset(spec.data_path, schema)
+    (got, _, _), got_report = load_dataset(spec.data_path, schema)
+    assert {kind for _, kind, _ in report.encoding} == {"numeric", "one-hot"}
+    assert ("source", "one-hot", ("CPS",)) in report.encoding
+    assert got_report.to_dict() == report.to_dict()
+    assert got.shape == x.shape and got.tobytes() == x.tobytes()
+
+    trained, predicted = [], []
+
+    def recording(x_train, y, kind, epochs, seed):
+        model = train_builtin(x_train, y, kind, epochs=epochs, seed=seed)
+        trained.append((x_train.copy(), model))
+
+        def predict(x_test, _predict=model.predict):
+            predicted.append(x_test.copy())
+            return _predict(x_test)
+
+        model.predict = predict
+        return model
+
+    monkeypatch.setattr(cli, "train_builtin", recording)
+    payload, _ = cli.prepare_payload(spec)
+    train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, spec.run.seed)
+    x_train, x_test, models, predictions = scalar_reference.builtin_payload(
+        x, group, label, train_idx, test_idx, spec.experts_kinds, include_group,
+        spec.epochs, spec.run.seed)
+    assert x_train.shape[1] == x.shape[1] + include_group
+    assert len(trained) == len(predicted) == len(models) == 3
+    for (have_train, model), have_test, want in zip(trained, predicted, models):
+        assert have_train.shape == x_train.shape and have_train.tobytes() == x_train.tobytes()
+        assert have_test.shape == x_test.shape and have_test.tobytes() == x_test.tobytes()
+        assert model_bits(model) == model_bits(want)
+    matrix = payload.ensemble.matrix
+    assert matrix.dtype == predictions.dtype and matrix.tobytes() == predictions.tobytes()
+
+
+def test_builtin_setup_memory(tmp_path):
+    # Builtin set-up peaks where x and its gathered split rows are both
+    # alive, at about 2.2 M for M = n (k + 1) 8, the bytes of the kept
+    # matrix with its group column.  Keeping the group-stacked matrix beside
+    # the training rows and standardizing through a temporary peaked at 3.1 M.
+    spec = build_spec(parse_config(write(tmp_path, census_builtin_cfg(tmp_path, 20000,
+                                                                     epochs=2))))
+    np.random.default_rng(0)   # numpy.random is imported before tracing starts
+    tracemalloc.start()
+    try:
+        _, info = cli.prepare_payload(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = info["ingest_report"]
+    k = sum(len(cats) or 1 for _, _, cats in report["encoding"])
+    M = report["rows_kept"] * (k + 1) * 8
+    assert report["rows_kept"] > 18000 and k > 70
+    assert peak < 2.7 * M, peak / M
 
 
 def test_validate_bounds_ok(tmp_path):

@@ -9,6 +9,7 @@ from fairmw.errors import ConfigError, EmptyDataset, SchemaError
 from fairmw.ingest import (
     BUNDLED_PRESETS,
     DatasetSchema,
+    _encode_features,
     dataset_stats,
     load_dataset,
     load_preset,
@@ -70,6 +71,53 @@ def test_no_kept_rows_give_an_empty_feature_matrix(tmp_path):
     assert report.drops == {"missing_label": 1, "missing_feature": 1}
     assert x.shape == (0, 2) and x.dtype == np.float64
     assert group.shape == label.shape == (0,)
+
+
+def test_one_and_no_feature_columns(tmp_path):
+    # the row scan reads one feature cell, or none, like any other count
+    text = "age,sex,income\n 39 ,Male,high\n?,Female,low\n41,Female, low \n"
+    (x, group, label), report = load_dataset(write_csv(tmp_path, text), BASIC)
+    assert x.tolist() == [[39.0], [41.0]] and label.tolist() == [POS, NEG]
+    assert report.drops == {"missing_feature": 1}
+    bare = DatasetSchema("income", "high", "sex", "Male", feature_columns=())
+    (x, group, label), report = load_dataset(write_csv(tmp_path, text), bare)
+    assert x.shape == (3, 0) and group.tolist() == [Group.A, Group.B, Group.B]
+    assert report.drops == {} and report.encoding == []
+
+
+def test_encoder_matches_copying_reference():
+    # one matrix written in place holds the bytes of the per-column pieces
+    # joined by np.hstack, and zero kept rows still give a (0, k) matrix
+    names = ["age", "job", "site", "hours"]
+    rows = [("39", "tech", "A", "40"), ("-0.0", "admin", "A", "1e3"),
+            ("41", "tech", "A", "38.5"), ("7", "sales", "A", "40")]
+    columns = list(zip(*rows))
+    seen = [{v: i for i, v in enumerate(dict.fromkeys(c))} for c in columns]
+    codes = [[first[v] for v in c] for first, c in zip(seen, columns)]
+    for n, cells in ((4, (codes, seen)), (0, ([[]] * 4, [{}] * 4))):
+        got, encoding = _encode_features("f.csv", names, *cells, n)
+        want, want_encoding = scalar_reference.encode_features("f.csv", names, *cells, n)
+        assert encoding == want_encoding
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.shape == (0, 4)
+    assert [kind for _, kind, _ in encoding] == ["numeric"] * 4
+
+
+def test_load_dataset_memory(tmp_path):
+    # Loading peaks at about 1.45 times the bytes of the kept matrix: the
+    # matrix, the per-column cell codes and the row scan's lists.  Encoding
+    # each column into its own array before np.hstack peaked at 2.4 times.
+    path = tmp_path / "census.csv"
+    scalar_reference.write_census_csv(path, 10000, seed=5)
+    schema = load_preset("adult")
+    tracemalloc.start()
+    try:
+        (x, _, _), _ = load_dataset(path, schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape[0] > 9000 and x.shape[1] > 70
+    assert peak < 1.9 * x.nbytes, peak / x.nbytes
 
 
 def test_unmatched_group_value_goes_to_b(tmp_path):
