@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -97,7 +98,8 @@ def weight_states(eta: float, losses: np.ndarray) -> np.ndarray:
 
     The factors (1-eta)^loss are at most 1, so flooring a cumprod equals
     flooring each step; a rescale restarts the cumprod at its row, and
-    passes of 4096 rows bound the work a restart repeats."""
+    passes of 4096 rows bound the work a restart repeats.  Row maxima are
+    exact in any order (``fairmw.engines`` says which operations define bits)."""
     n, d = losses.shape
     states = np.ones((n + 1, d))
     lo = 0
@@ -107,7 +109,8 @@ def weight_states(eta: float, losses: np.ndarray) -> np.ndarray:
         np.power(1.0 - eta, losses[lo:hi], out=seg[1:])
         np.cumprod(seg, axis=0, out=seg)
         np.maximum(seg, WEIGHT_FLOOR, out=seg)
-        low = np.flatnonzero(seg[1:].max(axis=1) < RESCALE_THRESHOLD)
+        top = functools.reduce(np.maximum, seg[1:].T)    # row maxima, column by column
+        low = np.flatnonzero(top < RESCALE_THRESHOLD)
         if len(low):
             hi = lo + 1 + int(low[0])
             _, e = math.frexp(float(states[hi].max()))

@@ -32,6 +32,14 @@ after the first reads the benchmark process's own peak, so mw_long's
 median peak follows how many operations fit into its run: about 164 MB at
 two, 188 MB at three to five and 206 MB at seven or more.
 
+Operations that define a trial's bits: batched ``np.matmul`` row dots (one
+BLAS call per row, whose FMA rounding elementwise ops cannot reproduce),
+``w.sum(axis=1)`` (numpy sums a row of 8 or more pairwise), ``np.cumsum``
+along rounds and ``np.bincount``.  Integer counts, comparisons, maxima and
+sums of fewer than 8 entries written left to right (as numpy adds such a
+row) may be restructured freely; the passes reduce short rows column by
+column, as a numpy reduction along a row of 2-16 costs 10-50 column passes.
+
 A fairness_aware trial keeps one final beyond its columns, the alpha sums:
 its final q is the last ``q_neg`` row, and ``fairmw.metrics`` smooths its
 ``counts`` into the final rate estimates.
@@ -108,7 +116,7 @@ def _gap(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
     both denominators are positive."""
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = numerators / denominators
-    return np.where((denominators > 0).all(axis=1),
+    return np.where((denominators[:, 0] > 0) & (denominators[:, 1] > 0),
                     np.abs(rates[:, 0] - rates[:, 1]), np.nan)
 
 
@@ -301,7 +309,9 @@ def _table_rounds(eta: float, update: np.ndarray, reads: list[np.ndarray],
     ``update`` and every ``reads`` column hold one cell 2 * group + label
     per round.  Round t reads a cell's ``weight_states`` row after that
     cell's updates before t.  A batched matmul row is bitwise one round's
-    1-D dot, and ``cum <= u * total`` counts what ``searchsorted`` finds."""
+    1-D dot, and the running sums at or below ``u * total`` are what
+    ``searchsorted`` counts.  The module docstring says which operations
+    define the bits."""
     T, d = losses.shape
     at = [np.flatnonzero(update == c) for c in range(4)]    # each cell's update rounds
     states = [weight_states(eta, losses[rounds]) for rounds in at]
@@ -314,9 +324,10 @@ def _table_rounds(eta: float, update: np.ndarray, reads: list[np.ndarray],
         if j == len(reads) - 1:
             states.clear()    # (T + 4, d) in all, freed before the last read's passes
         loss[:, j] = np.matmul(w[:, None, :], losses[:, :, None])[:, 0, 0] / w.sum(axis=1)
-        cum = np.cumsum(w, axis=1, out=w)
-        draw[:, j] = np.minimum(np.count_nonzero(cum <= u[:, None] * cum[:, -1:], axis=1),
-                                d - 1)
+        for k in range(1, d):    # running sum, as np.cumsum adds a row
+            w[:, k] += w[:, k - 1]
+        below = w <= u[:, None] * w[:, -1:]
+        draw[:, j] = np.minimum(sum(below[:, k] for k in range(d)), d - 1)
     return loss, draw
 
 

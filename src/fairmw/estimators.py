@@ -25,6 +25,7 @@ def smoothed_rates(counts: np.ndarray, alpha_prior: float):
     (c_{z,+} + alpha)/(t_z + 2*alpha).
     """
     c = np.asarray(counts, dtype=float)
-    t_z = c.sum(axis=-1)
-    p_hat = (t_z[..., Group.A] + 2.0 * alpha_prior) / (t_z.sum(axis=-1) + 4.0 * alpha_prior)
+    t_z = c[..., 0] + c[..., 1]    # exact sums of counts; see fairmw.engines on bits
+    t = t_z[..., 0] + t_z[..., 1]
+    p_hat = (t_z[..., Group.A] + 2.0 * alpha_prior) / (t + 4.0 * alpha_prior)
     return p_hat, (c[..., 1] + alpha_prior) / (t_z + 2.0 * alpha_prior)

@@ -203,7 +203,8 @@ class StumpExpert:
 def train_builtin(x: np.ndarray, y: np.ndarray, kind: str, epochs: int = 500,
                   seed: int = 0):
     """Train one minimal expert on the (n, k) feature matrix x and the n
-    labels y; x ends in a group column if the model may see it."""
+    labels y; x ends in a group column if the model may see it.  Every
+    entry of x must be finite (ingest rejects non-finite cells)."""
     if not len(x):
         raise DegenerateData("empty training split")
     if x.shape[1] == 0:
@@ -255,7 +256,7 @@ def _train_stump(x: np.ndarray, y: np.ndarray) -> StumpExpert:
     for j in range(x.shape[1]):
         order = np.argsort(x[:, j], kind="stable")
         column = x[order, j]
-        values = np.unique(column)
+        values = column[np.concatenate(([True], column[1:] != column[:-1]))]   # distinct
         if len(values) < 2:
             continue
         thresholds = (values[:-1] + values[1:]) / 2.0

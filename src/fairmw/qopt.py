@@ -83,9 +83,12 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _objectives(a, b, lam, reg: float, q: np.ndarray) -> np.ndarray:
-    """||lambda o (A q - b)||^2 + reg ||q - 1/2||^2, one system and q per row."""
+    """||lambda o (A q - b)||^2 + reg ||q - 1/2||^2, one system and q per row.
+    The four squares add left to right, as numpy sums a row of fewer than 8
+    (``fairmw.engines`` says which operations define bits)."""
     resid = lam * (np.matmul(a, q[:, :, None])[:, :, 0] - b)
-    return _dot(resid, resid) + reg * np.sum((q - 0.5) ** 2, axis=1)
+    s = (q - 0.5) ** 2
+    return _dot(resid, resid) + reg * (((s[:, 0] + s[:, 1]) + s[:, 2]) + s[:, 3])
 
 
 def _q(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:

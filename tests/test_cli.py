@@ -467,6 +467,23 @@ def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
     assert matrix.dtype == predictions.dtype and matrix.tobytes() == predictions.tobytes()
 
 
+def test_builtin_run_does_not_import_numpy_ma(tmp_path):
+    # Importing numpy.ma costs 15-19 ms of set-up; np.unique in the stump
+    # scan used to pull it in.
+    cfg = write(tmp_path, census_builtin_cfg(tmp_path, 600, epochs=5) + "horizon = 100\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys; from fairmw.cli import main; code = main(sys.argv[1:]); "
+              "print('numpy.ma' in sys.modules); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--workers", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"], proc.stdout
+
+
 def test_builtin_setup_memory(tmp_path):
     # Builtin set-up peaks where x and its gathered split rows are both
     # alive, at about 2.2 M for M = n (k + 1) 8, the bytes of the kept

@@ -154,7 +154,8 @@ def test_rescale_preserves_pi_exactly():
     assert np.array_equal(scaled / scaled.sum(), raw / raw.sum())
 
 
-@pytest.mark.parametrize("d, eta, p_loss", [(3, 0.49, 0.7), (16, 0.45, 0.6), (2, 0.1, 0.5)])
+@pytest.mark.parametrize("d, eta, p_loss", [(3, 0.49, 0.7), (16, 0.45, 0.6), (2, 0.1, 0.5),
+                                            (9, 0.3, 0.65)])
 def test_weight_states_match_update_slice(d, eta, p_loss):
     # row k is bitwise the slice after k _update_slice calls, across the
     # 4096-row passes and through floors and rescales; expert 0 always

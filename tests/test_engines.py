@@ -137,6 +137,29 @@ def table_rounds(eta, cells, losses, u):
                                  np.array(losses, dtype=float), np.array(u, dtype=float))
 
 
+@pytest.mark.parametrize("d", [2, 7, 8, 9, 16])
+def test_table_draw_matches_searchsorted_at_ties(d):
+    # The draw counts the cumulative weights at or below u * total, as
+    # searchsorted(side="right") finds them, on every row and across the 8
+    # columns at which numpy starts summing a row pairwise.  With eta = 1/2
+    # the weights are powers of two, and half the rows set u * total onto a
+    # cumulative weight exactly.
+    T = 400
+    rng = np.random.default_rng(d)
+    losses = (rng.random((T, d)) < 0.5).astype(float)
+    cum = np.cumsum(weight_states(0.5, losses)[:-1], axis=1)   # before each round
+    total = cum[:, -1]
+    k = rng.integers(0, d - 1, T)
+    u = np.where(rng.random(T) < 0.5, cum[np.arange(T), k] / total, rng.random(T))
+    cells = np.zeros(T, dtype=np.int8)
+    _, draw = engines._table_rounds(0.5, cells, [cells], losses, u)
+    want = [min(int(np.searchsorted(c, x * c[-1], side="right")), d - 1)
+            for c, x in zip(cum, u)]
+    assert draw[:, 0].tolist() == want
+    ties = sum(x * c[-1] in c for c, x in zip(cum, u))
+    assert ties > T // 4, ties
+
+
 def test_rmw_updates_only_true_label_slice():
     # round 1 on (A,+) with losses (0, 1) moves table (A,+) alone: round 2
     # reads (A,+) as (1, 0.5) and (A,-) still uniform, round 3 reads both
@@ -388,19 +411,31 @@ def test_trajectory_round_columns():
 
 def test_finish_matches_round_by_round_accumulation():
     # the one-pass derivation is bit-identical to accumulating every
-    # aggregate and series with += after each round
-    ens = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
-                             ErrorProfile(0.1, 0.1, 0.4, 0.4),
-                             ErrorProfile(0.2, 0.25, 0.2, 0.3)])
+    # aggregate and series with += after each round.  The second case has 9
+    # experts, past the 8 at which numpy sums a row pairwise, and no group-B
+    # arrival before round 71, so every gap series starts with 70 NaNs.
     rng = np.random.default_rng(5)
-    stream = stream_of([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-                        for _ in range(300)])
-    for engine in ("mw", "group_aware", "fairness_aware"):
+    three = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
+                               ErrorProfile(0.1, 0.1, 0.4, 0.4),
+                               ErrorProfile(0.2, 0.25, 0.2, 0.3)])
+    mixed = stream_of([(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                       for _ in range(300)])
+    nine = SyntheticEnsemble([ErrorProfile(*rng.uniform(0.05, 0.45, 4)) for _ in range(9)])
+    late_b = stream_of([(0 if t < 70 else int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+                        for t in range(300)])
+    cases = [(ens, stream, engine) for ens, stream in ((three, mixed), (nine, late_b))
+             for engine in ("mw", "group_aware", "fairness_aware")]
+    for ens, stream, engine in cases:
         traj = run_trial(config(engine=engine, horizon=300, q_recompute_stride=3),
                          stream, ens)
+        if ens is nine:
+            assert traj.d == 9 and traj.cell[:70].max() < 2 and traj.cell[70:].max() >= 2
+            for series in (traj.fpr_gap, traj.fnr_gap, traj.eer_gap):
+                assert np.isnan(series[:70]).all() and not np.isnan(series[-1])
+        d = ens.d
         L_real = L_exp = 0.0
-        L_z, L_f = np.zeros(2), np.zeros(3)
-        L_fz, L_fzy, right_cum = np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2))
+        L_z, L_f = np.zeros(2), np.zeros(d)
+        L_fz, L_fzy, right_cum = np.zeros((2, d)), np.zeros((2, 2, d)), np.zeros((2, 2))
         counts, confusion = np.zeros((2, 2), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)
         for i in range(traj.T):
             g, y = divmod(int(traj.cell[i]), 2)

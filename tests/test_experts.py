@@ -357,7 +357,13 @@ def test_stump_matches_quadratic_reference():
             x += rng.normal(0, 1e-3, size=(n, k)) * (rng.random((n, k)) < 0.5)
         if case % 7 == 0:   # adjacent doubles: the midpoint rounds onto one of them
             x[:, 0] = np.where(rng.random(n) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+        if case % 5 == 0:   # 0.0 and -0.0 in one column, beside non-zero values
+            x[:, -1] = rng.choice([-0.0, 0.0, -1.0, 0.5], size=n)
+        if case % 11 == 0:  # a column of signed zeros: one value, two bit patterns
+            x[:, 0] = rng.choice([-0.0, 0.0], size=n)
         y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
         model = _train_stump(x, y)
         got = (model.feature, model.threshold, model.polarity, model.constant)
-        assert got == reference_stump(x, y), case
+        want = reference_stump(x, y)
+        assert got == want, case
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), case
