@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import RunConfig, recommended_eta, trial_seed_sequence
+from .domain import CONFIG_KEY, CONFIG_KEYS, Key, RunConfig, recommended_eta, trial_seed_sequence
 from .engines import run_trial
 from .errors import (
     ConfigError,
@@ -87,7 +87,7 @@ _LOG_LEVELS = {
 def parse_config(path) -> dict[str, str]:
     """Read a flat key = value file into an ordered dict of raw strings."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     out: dict[str, str] = {}
@@ -106,11 +106,8 @@ class ExperimentSpec:
 
     run: RunConfig
     raw: dict[str, str]                 # config echo, post-override
-    horizon_explicit: bool
     stream_kind: str                    # "synthetic" | "dataset"
-    stream_p: float | None = None
-    stream_mu_a: float | None = None
-    stream_mu_b: float | None = None
+    stream_params: tuple[float, float, float] | None = None   # synthetic (p, mu_a, mu_b)
     data_path: str | None = None
     data_preset: str | None = None
     split_ratio: float = 0.7
@@ -123,113 +120,54 @@ class ExperimentSpec:
     epsilon: float | None = None        # fairness-bound plug-in override
 
 
-def _as_int(key: str, s: str, minimum: int | None = None) -> int:
-    try:
-        v = int(s)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {s!r}") from None
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {v}")
-    return v
-
-
-def _as_float(key: str, s: str) -> float:
-    try:
-        v = float(s)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {s!r}") from None
-    if not np.isfinite(v):
-        raise ConfigError(f"{key}: must be finite, got {s!r}")
-    return v
-
-
-def _as_prob(key: str, s: str) -> float:
-    v = _as_float(key, s)
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError(f"{key}: must lie in [0, 1], got {v}")
-    return v
-
-
-def _as_ratio(key: str, v: float) -> float:
-    if not 0.0 < v < 1.0:
-        raise ConfigError(f"{key}: must lie in (0, 1), got {v}")
-    return v
-
-
-def _as_bool(key: str, s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {s!r}")
-
-
 def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
-    """Validate raw config keys and assemble an ExperimentSpec."""
+    """Read raw config keys through their CONFIG_KEYS entries and assemble
+    an ExperimentSpec; RunConfig range-checks its own fields."""
     cfg = dict(cfg)
     known: set[str] = set()
 
-    def take(key: str, default: str | None = None) -> str | None:
-        known.add(key)
-        return cfg.get(key, default)
+    def take(name: str, key: Key | None = None):
+        known.add(name)
+        key = key or CONFIG_KEY[name]
+        raw = cfg.get(name, key.default)
+        try:
+            value = None if raw is None else key.parse(raw)
+        except (ValueError, KeyError):
+            raise ConfigError(f"{name}: expected {key.range}, got {raw!r}") from None
+        if key.field is None:
+            key.check(value, name=name)
+        return value
 
-    engine = take("engine", "mw")
-    eta_raw = take("eta", "auto")
-    eta = None if eta_raw == "auto" else _as_float("eta", eta_raw)
-    seed = _as_int("seed", take("seed", "0"), minimum=0)
-    trials = _as_int("trials", take("trials", "1"))
-    lam = tuple(_as_float(k, take(k, "1"))
-                for k in ("lambda.fpr", "lambda.fnr", "lambda.regret"))
-    b_tol = tuple(_as_float(k, take(k, "0")) for k in ("b.fpr", "b.fnr", "b.regret"))
-    budget = tuple(_as_prob(k, take(k, "0.05")) for k in ("budget.fpr", "budget.fnr"))
-    dirichlet_alpha = _as_float("dirichlet_alpha", take("dirichlet_alpha", "1.0"))
-    stride = _as_int("stride", take("stride", "1"))
-    eps_raw = take("epsilon")
-    epsilon = None if eps_raw is None else _as_prob("epsilon", eps_raw)
-
-    stream_kind = take("stream.kind")
-    data_path = take("data.path")
-    data_preset = take("data.preset")
-    split_ratio = _as_ratio("data.split_ratio",
-                            _as_float("data.split_ratio", take("data.split_ratio", "0.7")))
-
+    run = RunConfig(**{key.field: take(key.names[0]) if len(key.names) == 1
+                       else tuple(map(take, key.names)) for key in CONFIG_KEYS if key.field})
+    epsilon, data_path, data_preset, split_ratio = map(
+        take, ("epsilon", "data.path", "data.preset", "data.split_ratio"))
+    stream_kind = take("stream.kind") or (
+        "dataset" if data_path else "synthetic" if "stream.p" in cfg else None)
     if stream_kind is None:
-        stream_kind = "dataset" if data_path else "synthetic" if "stream.p" in cfg else None
-    if stream_kind not in ("synthetic", "dataset"):
         raise ConfigError(
             f"{source}: set stream.kind to synthetic or dataset "
             "(dataset mode also needs data.path)")
 
-    p = mu_a = mu_b = None
+    rates = ("stream.p", "stream.mu_a", "stream.mu_b")
+    stream_params = None
     if stream_kind == "synthetic":
         if data_path or data_preset:
             raise ConfigError("stream.kind=synthetic conflicts with data.* keys")
-        for key in ("stream.p", "stream.mu_a", "stream.mu_b"):
+        for key in rates:
             if key not in cfg:
                 raise ConfigError(f"synthetic stream needs {key}")
-        p = _as_prob("stream.p", take("stream.p"))
-        mu_a = _as_prob("stream.mu_a", take("stream.mu_a"))
-        mu_b = _as_prob("stream.mu_b", take("stream.mu_b"))
+        stream_params = tuple(map(take, rates))
     else:
-        if any(k in cfg for k in ("stream.p", "stream.mu_a", "stream.mu_b")):
+        if any(k in cfg for k in rates):
             raise ConfigError("stream.* rate keys only apply to synthetic streams")
         if not data_path:
             raise ConfigError("dataset stream needs data.path")
         if not data_preset:
             raise ConfigError("dataset stream needs data.preset")
 
-    horizon_raw = take("horizon")
-    horizon_explicit = horizon_raw is not None
-    if horizon_explicit:
-        horizon = _as_int("horizon", horizon_raw)
-    else:
-        horizon = 1000  # dataset mode replaces this with the test length
-
-    source_default = "synthetic" if stream_kind == "synthetic" else "builtin"
-    experts_source = take("experts.source", source_default)
-    if experts_source not in ("synthetic", "file", "builtin"):
-        raise ConfigError(f"experts.source: unknown source {experts_source!r}")
+    experts_source = take("experts.source") or (
+        "synthetic" if stream_kind == "synthetic" else "builtin")
 
     # Only the chosen source's keys are read; any other experts.* key is an error.
     profiles: list[tuple[str, ErrorProfile]] = []
@@ -239,11 +177,7 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
             name = key[len("experts.profile."):]
             if not name:
                 raise ConfigError(f"{key}: profile needs a name suffix")
-            parts = [v.strip() for v in take(key).split(",")]
-            if len(parts) != 4:
-                raise ConfigError(
-                    f"{key}: expected 4 error rates (e_a_neg, e_a_pos, e_b_neg, e_b_pos)")
-            profiles.append((name, ErrorProfile(*(_as_prob(key, v) for v in parts))))
+            profiles.append((name, ErrorProfile(*take(key, CONFIG_KEY["experts.profile.<name>"]))))
         if len(profiles) < 2:
             raise ConfigError("experts.source=synthetic needs at least 2 experts.profile.* keys")
     elif experts_source == "file":
@@ -253,15 +187,8 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     else:  # builtin
         if stream_kind != "dataset":
             raise ConfigError("experts.source=builtin needs a dataset stream to train on")
-        kinds_raw = take("experts.kinds", "logistic,stump")
-        kinds = tuple(s.strip() for s in kinds_raw.split(",") if s.strip())
-        include_group = _as_bool("experts.include_group", take("experts.include_group", "true"))
-        epochs = _as_int("experts.epochs", take("experts.epochs", "500"), minimum=1)
-        if len(kinds) < 2:
-            raise ConfigError("experts.kinds: need at least 2 entries")
-        for k in kinds:
-            if k not in ("logistic", "stump"):
-                raise ConfigError(f"experts.kinds: unknown kind {k!r}")
+        kinds, include_group, epochs = map(
+            take, ("experts.kinds", "experts.include_group", "experts.epochs"))
     stray = sorted(k for k in set(cfg) - known if k.startswith("experts."))
     if stray:
         raise ConfigError(f"{', '.join(stray)}: not read by experts.source={experts_source}")
@@ -269,13 +196,8 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {', '.join(unknown)}")
 
-    run = RunConfig(
-        engine=engine, horizon=horizon, eta=eta, seed=seed, trials=trials,
-        lam=lam, b_tolerance=b_tol, dirichlet_alpha=dirichlet_alpha,
-        q_recompute_stride=stride, fairness_budget=budget)
     return ExperimentSpec(
-        run=run, raw=cfg, horizon_explicit=horizon_explicit,
-        stream_kind=stream_kind, stream_p=p, stream_mu_a=mu_a, stream_mu_b=mu_b,
+        run=run, raw=cfg, stream_kind=stream_kind, stream_params=stream_params,
         data_path=data_path, data_preset=data_preset, split_ratio=split_ratio,
         experts_source=experts_source, profiles=tuple(profiles),
         experts_file=experts_file, experts_kinds=kinds,
@@ -285,7 +207,8 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
 def load_config(args) -> dict[str, str]:
     """The config file's keys with the --seed / --trials overrides applied;
     ``--workers`` below 1 is a config error."""
-    _as_int("--workers", str(args.workers), minimum=1)
+    if args.workers < 1:
+        raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
     cfg = parse_config(args.config)
     for key in ("seed", "trials"):
         if getattr(args, key) is not None:
@@ -317,7 +240,7 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
 
     if spec.stream_kind == "synthetic":
         test = None
-        stream_params = (spec.stream_p, spec.stream_mu_a, spec.stream_mu_b)
+        stream_params = spec.stream_params
     else:
         schema = load_preset(spec.data_preset)
         (x, group, label), report = load_dataset(spec.data_path, schema)
@@ -326,7 +249,7 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, run.seed)
         # Trials read only group and label, so the feature matrix stays here.
         test = (group[test_idx], label[test_idx])
-        if not spec.horizon_explicit:
+        if "horizon" not in spec.raw:
             run = dataclasses.replace(run, horizon=len(test_idx))
         stream_params = None
 
@@ -645,8 +568,8 @@ def cmd_validate_bounds(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _as_ratio("--split-ratio", args.split_ratio)
-    _as_int("--seed", str(args.seed), minimum=0)
+    CONFIG_KEY["data.split_ratio"].check(args.split_ratio, name="--split-ratio")
+    CONFIG_KEY["seed"].check(args.seed, name="--seed")
     schema = load_preset(args.preset)
     (_, group, label), report = load_dataset(args.data, schema)
     stats = dataset_stats(group, label)
@@ -661,23 +584,15 @@ def cmd_stats(args) -> int:
 
 
 def _parse_sweep_values(param: str, text: str) -> list[tuple[str, dict[str, str]]]:
-    """Return (label, config-key overrides) per swept value."""
-    items: list[tuple[str, dict[str, str]]] = []
-    if param in ("eta", "q_recompute_stride"):
-        values = [s.strip() for s in text.split(",") if s.strip()]
-        for v in values:
-            if param == "eta":
-                items.append((v, {"eta": v}))
-            else:
-                items.append((v, {"stride": v}))
-    else:  # lambda | b_tolerance: semicolon-separated comma triples
-        prefix = "lambda" if param == "lambda" else "b"
-        for triple in (s.strip() for s in text.split(";") if s.strip()):
-            parts = [p.strip() for p in triple.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"sweep value {triple!r}: expected 3 comma-separated numbers")
-            items.append((triple, {f"{prefix}.fpr": parts[0], f"{prefix}.fnr": parts[1],
-                                   f"{prefix}.regret": parts[2]}))
+    """Return (label, config-key overrides) per swept value: comma-separated
+    values of one key, or semicolon-separated comma triples of three."""
+    names = next(k.names for k in CONFIG_KEYS if k.field == {"lambda": "lam"}.get(param, param))
+    items = []
+    for value in (v.strip() for v in text.split(";" if len(names) > 1 else ",") if v.strip()):
+        parts = [v.strip() for v in value.split(",")]
+        if len(parts) != len(names):
+            raise ConfigError(f"sweep value {value!r}: expected {len(names)} numbers")
+        items.append((value, dict(zip(names, parts))))
     if not items:
         raise ConfigError("sweep needs at least one value")
     return items

@@ -19,10 +19,11 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidExpertCount, InvalidHorizon
+from .errors import ConfigError, DomainError, InvalidExpertCount, InvalidHorizon
 
 __all__ = [
     "Group",
@@ -36,6 +37,10 @@ __all__ = [
     "trial_seed_sequence",
     "recommended_eta",
     "ENGINES",
+    "gamma",
+    "Key",
+    "CONFIG_KEYS",
+    "CONFIG_KEY",
 ]
 
 
@@ -150,13 +155,105 @@ class WeightTable:
 ENGINES = ("mw", "group_aware", "fairness_aware")
 
 
+def gamma(eta: float) -> float:
+    """ln(1-eta) / ln(1-eta(1+eta)); in (0, 1) on the range the eta entry of
+    CONFIG_KEYS admits, 0 < eta < 1/2 less eta below ~1.11e-16 (gamma = 1.0)."""
+    if not 0.0 < eta < 0.5:
+        raise DomainError(f"gamma requires 0 < eta < 1/2, got {eta}")
+    return math.log1p(-eta) / math.log1p(-eta * (1.0 + eta))
+
+
+def _real(s: str) -> float:
+    if not math.isfinite(v := float(s)):
+        raise ValueError(s)
+    return v
+
+
+@dataclass(frozen=True)
+class Key:
+    """One entry of CONFIG_KEYS: config keys sharing a parser, a raw default
+    (None: required, or set by the mode) and a range.  ``range`` words what
+    ``ok(value, run)`` accepts and what that protects; ``run`` is the
+    RunConfig.  A RunConfig ``field`` holds one value per name."""
+
+    names: tuple[str, ...]
+    parse: Callable[[str], Any] = str
+    default: str | None = None
+    range: str = "any text"
+    ok: Callable[[Any, Any], bool] = lambda value, run: True
+    field: str | None = None
+    error: type = ConfigError
+
+    def check(self, value, run: RunConfig | None = None, name: str | None = None) -> None:
+        """Raise ``error`` unless value is in range; None (unset, or eta auto) is."""
+        if value is not None and not self.ok(value, run):
+            raise self.error(f"{name or self.names[0]}: expected {self.range}, got {value!r}")
+
+
+def _alpha_fits(alpha: float, run: RunConfig | None) -> bool:
+    # Two ulps of horizon + 4 alpha keep t + alpha, t + 2 alpha and t + 4 alpha
+    # apart after rounding at every count t up to the horizon, so each smoothed
+    # rate in assemble_systems' denominators stays inside (0, 1), with no overflow.
+    return alpha > 0.0 and (run is None or run.engine != "fairness_aware"
+                            or alpha >= 2.0 * math.ulp(run.horizon + 4.0 * alpha))
+
+
+_MAX_T = np.iinfo(np.intp).max // (7 * 8)   # a (T, 7) float64 array's bytes fit an intp
+_INT64 = np.iinfo(np.int64).max
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_UNIT = dict(range="a number in [0, 1]", ok=lambda v, run: 0.0 <= v <= 1.0)
+
+
+CONFIG_KEYS = (
+    Key(("engine",), str, "mw", "one of " + ", ".join(ENGINES),
+        lambda v, run: v in ENGINES, "engine"),
+    Key(("horizon",), int, "1000", f"an integer in [1, {_MAX_T}], so (T, 7) float64 arrays "
+        "can be sized", lambda T, run: 1 <= T <= _MAX_T, "horizon", InvalidHorizon),
+    Key(("eta",), lambda s: None if s == "auto" else _real(s), "auto",
+        "auto, or a number in (0, 0.5) with gamma(eta) < 1, which keeps ln(d)/eta finite",
+        lambda eta, run: 0.0 < eta < 0.5 and gamma(eta) < 1.0, "eta"),
+    Key(("seed",), int, "0", "an integer >= 0", lambda v, run: v >= 0, "seed"),
+    Key(("trials",), int, "1", "an integer >= 1", lambda v, run: v >= 1, "trials"),
+    Key(("lambda.fpr", "lambda.fnr", "lambda.regret"), _real, "1", "a number >= 0",
+        lambda v, run: v >= 0.0, "lam"),
+    Key(("b.fpr", "b.fnr", "b.regret"), _real, "0", "a number", field="b_tolerance"),
+    Key(("budget.fpr", "budget.fnr"), _real, "0.05", **_UNIT, field="fairness_budget"),
+    Key(("dirichlet_alpha",), _real, "1.0", "a number > 0; for fairness_aware, at least "
+        "2 ulp(horizon + 4 alpha), which keeps every smoothed rate inside (0, 1)",
+        _alpha_fits, "dirichlet_alpha"),
+    Key(("stride",), int, "1", f"an integer in [1, {_INT64}] (an int64)",
+        lambda v, run: 1 <= v <= _INT64, "q_recompute_stride"),
+    Key(("epsilon",), _real, None, **_UNIT),
+    Key(("stream.kind",), str, None, "synthetic or dataset",
+        lambda v, run: v in ("synthetic", "dataset")),
+    Key(("stream.p", "stream.mu_a", "stream.mu_b"), _real, None, **_UNIT),
+    Key(("data.path",), range="a CSV path"),
+    Key(("data.preset",), range="a preset name or path"),
+    Key(("data.split_ratio",), _real, "0.7", "a number in (0, 1)", lambda v, run: 0.0 < v < 1.0),
+    Key(("experts.source",), str, None, "synthetic, file or builtin",
+        lambda v, run: v in ("synthetic", "file", "builtin")),
+    Key(("experts.profile.<name>",), lambda s: tuple(map(_real, s.split(","))), None,
+        "4 error rates (e_a_neg, e_a_pos, e_b_neg, e_b_pos) in [0, 1]",
+        lambda v, run: len(v) == 4 and all(0.0 <= r <= 1.0 for r in v)),
+    Key(("experts.file",), range="a CSV path"),
+    Key(("experts.kinds",), lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
+        "logistic,stump", "2 or more of logistic, stump",
+        lambda v, run: len(v) >= 2 and set(v) <= {"logistic", "stump"}),
+    Key(("experts.include_group",), lambda s: _FLAGS[s.lower()], "true",
+        "true or false (yes/no, 1/0)"),
+    Key(("experts.epochs",), int, "500", "an integer >= 1", lambda v, run: v >= 1),
+)
+CONFIG_KEY = {name: key for key in CONFIG_KEYS for name in key.names}
+
+
 @dataclass
 class RunConfig:
     """Reproducible description of one experiment.
 
     eta=None means "auto": recommended_eta(T, d) is applied once the expert
     count is known.  lam and b_tolerance order is (fpr, fnr, regret).
-    fairness_budget is the reporting pair (delta_p, delta_n).
+    fairness_budget is the reporting pair (delta_p, delta_n).  Every field
+    is range-checked by its entry in CONFIG_KEYS.
     """
 
     engine: str = "mw"
@@ -174,19 +271,10 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if self.horizon < 1:
-            raise InvalidHorizon(f"horizon must be >= 1, got {self.horizon}")
-        if self.eta is not None and not (0.0 < self.eta < 0.5):
-            raise ConfigError(f"eta must lie in (0, 1/2), got {self.eta}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if len(self.lam) != 3 or any(v < 0 for v in self.lam):
-            raise ConfigError(f"lambda must be 3 nonnegative reals, got {self.lam}")
-        if len(self.b_tolerance) != 3:
-            raise ConfigError("b_tolerance must have 3 components")
-        if not self.dirichlet_alpha > 0:
-            raise ConfigError(f"dirichlet_alpha must be positive, got {self.dirichlet_alpha}")
-        if self.q_recompute_stride < 1:
-            raise ConfigError(f"q_recompute_stride must be >= 1, got {self.q_recompute_stride}")
+        for key in (k for k in CONFIG_KEYS if k.field):
+            value = getattr(self, key.field)
+            values = (value,) if len(key.names) == 1 else tuple(value)
+            if len(values) != len(key.names):
+                raise ConfigError(f"{key.field} needs {len(key.names)} components, got {value!r}")
+            for name, v in zip(key.names, values):
+                key.check(v, self, name)

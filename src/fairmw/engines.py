@@ -113,11 +113,11 @@ def _last(running: np.ndarray) -> float:
 
 def _gap(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
     """|rate_A - rate_B| per round from (T, 2) running counts; NaN until
-    both denominators are positive."""
+    both denominators are positive, as a numerator counts a subset of its
+    denominator's rounds: 0/0 is NaN, and ``abs`` gives it ``np.nan``'s bits."""
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = numerators / denominators
-    return np.where((denominators[:, 0] > 0) & (denominators[:, 1] > 0),
-                    np.abs(rates[:, 0] - rates[:, 1]), np.nan)
+    return np.abs(rates[:, 0] - rates[:, 1])
 
 
 def _gap_series(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -131,7 +131,7 @@ class MatrixEnsemble:
 
 def load_prediction_file(path) -> MatrixEnsemble:
     """Parse the predictions CSV: header of expert names, then 0/1 rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(utf8_lines(fh, path, FormatError))
         try:
             header = next(reader)
@@ -219,8 +219,12 @@ def train_builtin(x: np.ndarray, y: np.ndarray, kind: str, epochs: int = 500,
 
 
 def _train_logistic(x: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> LogisticExpert:
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        scale = x.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
+        raise DegenerateData("feature values too large to standardize: a column's "
+                             "mean or spread overflows")
     scale[scale == 0.0] = 1.0
     xs = x - mean
     xs /= scale

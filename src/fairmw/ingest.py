@@ -1,7 +1,8 @@
 """Dataset loading, binarization, splitting and arrival streams.
 
 Datasets are UTF-8 CSV files with a header row (RFC 4180 quoting is
-accepted).  A DatasetSchema names the label and group columns and how to
+accepted; a leading byte-order mark is skipped, as in presets and
+configs).  A DatasetSchema names the label and group columns and how to
 binarize them; everything else it needs is data, so the three bundled
 presets (adult, german, compas) are editable text files in
 ``fairmw/presets/``.  A loaded dataset is three columns over the kept
@@ -31,8 +32,8 @@ from importlib import resources
 
 import numpy as np
 
-from .domain import NEG, POS, Group, trial_seed_sequence
-from .errors import ConfigError, EmptyDataset, FormatError, SchemaError, utf8_lines
+from .domain import CONFIG_KEY, NEG, POS, Group, trial_seed_sequence
+from .errors import EmptyDataset, FormatError, SchemaError, utf8_lines
 
 __all__ = [
     "DatasetSchema",
@@ -159,7 +160,7 @@ def load_dataset(path, schema: DatasetSchema
     agree on every row.
     """
     report = IngestReport(notes=list(schema.notes))
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(utf8_lines(fh, path, FormatError))
         try:
             header = [h.strip() for h in next(reader)]
@@ -306,8 +307,7 @@ def split_shuffle(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarr
     train, the rest are the test split, in that order."""
     if not n:
         raise EmptyDataset("cannot split an empty dataset")
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split ratio must be in (0,1), got {ratio}")
+    CONFIG_KEY["data.split_ratio"].check(ratio, name="split ratio")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(n)
     cut = int(ratio * n)
@@ -367,10 +367,10 @@ def load_preset(name_or_path) -> DatasetSchema:
     """Load a schema from a bundled preset name or a preset file path."""
     name = str(name_or_path)
     if name in BUNDLED_PRESETS:
-        text = preset_path(name).read_text(encoding="utf-8")
+        text = preset_path(name).read_text(encoding="utf-8-sig")
         source = f"preset:{name}"
     else:
-        with open(name_or_path, encoding="utf-8") as fh:
+        with open(name_or_path, encoding="utf-8-sig") as fh:
             text = "".join(utf8_lines(fh, name, SchemaError))
         source = name
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Group, RunConfig
-from .errors import DomainError, EmptyTrajectory, EngineMismatch
+from .domain import Group, RunConfig, gamma
+from .errors import EmptyTrajectory, EngineMismatch
 from .engines import Trajectory
 from .estimators import smoothed_rates
 
@@ -39,13 +39,6 @@ __all__ = [
     "validate_bounds",
     "measured_epsilon",
 ]
-
-
-def gamma(eta: float) -> float:
-    """ln(1-eta) / ln(1-eta(1+eta)); in (0,1) on the open interval (0, 1/2)."""
-    if not 0.0 < eta < 0.5:
-        raise DomainError(f"gamma requires 0 < eta < 1/2, got {eta}")
-    return math.log1p(-eta) / math.log1p(-eta * (1.0 + eta))
 
 
 @dataclass(frozen=True)

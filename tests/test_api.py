@@ -27,3 +27,20 @@ def test_readme_library_snippet_runs(capsys):
     exec(compile(snippet, "README.md", "exec"), {})
     fpr_gap, fnr_gap, margin = capsys.readouterr().out.split()
     assert float(margin) >= -1e-9
+
+
+def test_readme_config_table_lists_the_config_keys():
+    # README's Config reference is one row per CONFIG_KEYS entry: the same
+    # names, raw defaults (— for none) and range text, in the same order.
+    from fairmw.domain import CONFIG_KEYS
+
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("| Key | Default | Range | Meaning |"):]
+    rows = []
+    for line in section.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        names, default, range_text = (c.strip() for c in line.strip("|").split(" | ")[:3])
+        rows.append((tuple(re.findall(r"`([^`]+)`", names)),
+                     None if default == "—" else default.strip("`"), range_text))
+    assert rows == [(key.names, key.default, key.range) for key in CONFIG_KEYS]

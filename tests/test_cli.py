@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_build_spec_errors():
         build_spec(cfg_dict(**{"experts.profile.y": None}))
     with pytest.raises(ConfigError, match="split_ratio"):
         build_spec(cfg_dict(**{"data.split_ratio": "1.5"}))
-    with pytest.raises(ConfigError, match="unknown engine"):
+    with pytest.raises(ConfigError, match="engine: expected one of"):
         build_spec(cfg_dict(engine="bogus"))
     with pytest.raises(ConfigError, match="eta"):
         build_spec(cfg_dict(eta="0.7"))
@@ -192,6 +193,20 @@ def test_rmw_rounds_csv_has_q_columns(tmp_path):
     assert float(first[7]) == 0.5 and float(first[8]) == 0.5  # round 1 is uniform
     last = lines[-1].split(",")
     assert 0.0 <= float(last[7]) <= 1.0
+
+
+def test_config_byte_order_mark_is_skipped(tmp_path):
+    # the mark used to make the first key unknown (exit 2)
+    plain = write(tmp_path, SYNTH_RMW, "plain.cfg")
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for cfg in (plain, marked):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / cfg.stem),
+                     "--workers", "1"]) == 0
+        outputs.append([(tmp_path / cfg.stem / f).read_bytes()
+                        for f in ("summary.json", "rounds.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
@@ -700,7 +715,50 @@ MALFORMED = {
     "workers_negative": ("validate-bounds --config {d}/good.cfg --workers -2", 2),
     "sweep_workers_zero": ("sweep --config {d}/good.cfg --param eta --values 0.2 "
                            "--workers 0", 2),
+    # Numeric edges, each one edit of a 300-round synthetic config (EDGES).
+    # These four escaped as exit 1 with a raw traceback.
+    "horizon_past_max_dimension": ("run --config {d}/horizon_1e22.cfg", 2),
+    "horizon_past_max_array_size": ("run --config {d}/horizon_2e62.cfg", 2),
+    "stride_past_int64": ("validate-bounds --config {d}/stride_1e23.cfg", 2),
+    # fairness_aware smoothed rates left (0, 1): these exited 4 from inside
+    # the q solve ("non-finite entries in A" or "in p_hat", with a RuntimeWarning)
+    "alpha_subnormal": ("run --config {d}/alpha_1e-320.cfg", 2),
+    "alpha_rate_rounds_to_one": ("run --config {d}/alpha_1.2e-16.cfg", 2),
+    "alpha_rate_rounds_to_one_below_horizon": ("run --config {d}/alpha_binade.cfg", 2),
+    "alpha_overflows": ("run --config {d}/alpha_1e308.cfg", 2),
+    # ln(d)/eta was inf and gamma(eta) 1.0: every margin was written as null
+    # and the run exited 0
+    "eta_subnormal_mw": ("validate-bounds --config {d}/eta_mw.cfg", 2),
+    "eta_subnormal_fairness_aware": ("validate-bounds --config {d}/eta_fairness_aware.cfg", 2),
+    # standardization overflowed with a RuntimeWarning and the run exited 0
+    "feature_overflows_standardization": ("run --config {d}/huge_feature.cfg", 3),
+    # the byte-order mark stayed in the first header name: "column 'sex' not in header"
+    "dataset_with_byte_order_mark": ("stats --data {d}/bom.csv --preset {d}/good.preset", 0),
 }
+
+# config name -> (engine, one line replacing or adding a key); mu_a = 1
+# makes every group-A arrival positive, so mu_hat_A meets each count t.
+EDGES = {
+    "horizon_1e22": ("mw", "horizon = 10000000000000000000000"),
+    "horizon_2e62": ("mw", f"horizon = {2 ** 62}"),
+    "stride_1e23": ("fairness_aware", "stride = 100000000000000000000000"),
+    "alpha_1e-320": ("fairness_aware", "dirichlet_alpha = 1e-320"),
+    "alpha_1.2e-16": ("fairness_aware", "dirichlet_alpha = 1.2e-16\nstream.mu_a = 1"),
+    "alpha_binade": ("fairness_aware", f"dirichlet_alpha = {0.3 * 2.0 ** -44!r}\nstream.mu_a = 1"),
+    "alpha_1e308": ("fairness_aware", "dirichlet_alpha = 1e308"),
+    "eta_mw": ("mw", "eta = 1e-320"),
+    "eta_fairness_aware": ("fairness_aware", "eta = 1e-320"),
+}
+
+
+def edge_config(engine, edit):
+    base = {"engine": engine, "horizon": "300", "eta": "0.2", "seed": "1", "trials": "1",
+            "stream.p": "0.7", "stream.mu_a": "0.3", "stream.mu_b": "0.25",
+            "experts.profile.f1": "0.1, 0.2, 0.1, 0.2", "experts.profile.f2": "0.3, 0.3, 0.3, 0.3"}
+    for line in edit.split("\n"):
+        key, _, value = line.partition(" = ")
+        base[key] = value
+    return "".join(f"{k} = {v}\n" for k, v in base.items())
 
 
 def write_malformed_inputs(d):
@@ -735,6 +793,17 @@ def write_malformed_inputs(d):
             "engine = mw\nhorizon = 2\neta = 0.2\ntrials = 1\n"
             "stream.kind = synthetic\nstream.p = 0.5\nstream.mu_a = 0.4\nstream.mu_b = 0.6\n"
             f"experts.source = file\nexperts.file = {d / name}.csv\n").encode()
+    for name, (engine, edit) in EDGES.items():
+        files[f"{name}.cfg"] = edge_config(engine, edit).encode()
+    files["huge_feature.csv"] = "".join(
+        f"{v},{sex},{income}\n" for v, sex, income in
+        (("age", "sex", "income"), ("1e308", "Male", "high"), ("-1e308", "Female", "low"),
+         ("1e308", "Male", "low"), ("-1e308", "Female", "high"), ("1e308", "Male", "high"),
+         ("-1e308", "Female", "low"))).encode()
+    files["huge_feature.cfg"] = (
+        "engine = mw\ntrials = 1\nstream.kind = dataset\n"
+        f"data.path = {d}/huge_feature.csv\ndata.preset = {d}/good.preset\n").encode()
+    files["bom.csv"] = b"\xef\xbb\xbf" + "sex,age,income\nMale,30,high\nFemale,41,low\n".encode()
     for name, data in files.items():
         (d / name).write_bytes(data)
 
@@ -748,9 +817,12 @@ def test_malformed_inputs_exit_with_documented_code(tmp_path, capsys, case):
         argv += ["--out", str(tmp_path / "out")]
         if "--workers" not in argv:
             argv += ["--workers", "1"]
-    code = main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
     err = capsys.readouterr().err
-    assert code in (2, 3, 4, 5)
+    assert code in (0, 2, 3, 4, 5)
     assert code == expected, err
     assert "Traceback" not in err
-    assert err.startswith("config error: " if expected == 2 else "data error: "), err
+    assert err.startswith({0: "", 2: "config error: ", 3: "data error: "}[expected]), err
+    assert (err == "") == (expected == 0), err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from fairmw.domain import (
+    CONFIG_KEY,
+    CONFIG_KEYS,
     ENGINES,
     NEG,
     POS,
@@ -14,11 +17,13 @@ from fairmw.domain import (
     WEIGHT_FLOOR,
     WeightTable,
     _update_slice,
+    gamma,
     recommended_eta,
     trial_seed_sequence,
     weight_states,
 )
 from fairmw.errors import ConfigError, InvalidExpertCount, InvalidHorizon
+from fairmw.estimators import smoothed_rates
 
 
 def test_recommended_eta_examples():
@@ -198,6 +203,83 @@ def test_run_config_validation():
         RunConfig(dirichlet_alpha=0.0)
     with pytest.raises(ConfigError):
         RunConfig(q_recompute_stride=0)
+
+
+def test_config_keys_cover_every_run_config_field():
+    fields = [key.field for key in CONFIG_KEYS if key.field]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert len({name for key in CONFIG_KEYS for name in key.names}) == sum(
+        len(key.names) for key in CONFIG_KEYS)
+    run = RunConfig()
+    for key in CONFIG_KEYS:   # every default parses and lies in its own range
+        if key.default is not None:
+            key.check(key.parse(key.default), run)
+
+
+def test_horizon_and_stride_size_limits():
+    # Out-of-range sizes are checked here rather than run: the largest
+    # horizon still sizes a (T, 7) float64 array in bytes an intp can count.
+    limit = max(T for T in (2 ** 57, 2 ** 57 + 1, np.iinfo(np.intp).max // 56,
+                            np.iinfo(np.intp).max // 56 + 1)
+                if CONFIG_KEY["horizon"].ok(T, None))
+    assert limit == np.iinfo(np.intp).max // 56
+    assert limit * 7 * np.dtype(np.float64).itemsize <= np.iinfo(np.intp).max
+    RunConfig(horizon=limit)
+    for horizon in (limit + 1, 2 ** 62, 10 ** 22):
+        with pytest.raises(InvalidHorizon, match="horizon"):
+            RunConfig(horizon=horizon)
+    RunConfig(engine="fairness_aware", q_recompute_stride=np.iinfo(np.int64).max)
+    for stride in (2 ** 63, 10 ** 23):
+        with pytest.raises(ConfigError, match="stride"):
+            RunConfig(q_recompute_stride=stride)
+
+
+def test_eta_range_keeps_gamma_below_one():
+    for eta in (5e-324, 1e-320, 1e-17, 1.1e-16):
+        with pytest.raises(ConfigError, match="gamma"):
+            RunConfig(eta=eta)
+    for eta in (1.2e-16, 1e-9, 0.25, 0.49):
+        assert 0.0 < gamma(RunConfig(eta=eta).eta) < 1.0
+        assert math.isfinite(math.log(1000) / eta)
+
+
+@pytest.mark.parametrize("T", [1, 2, 300, 1000, 4097])
+def test_alpha_range_keeps_smoothed_rates_inside_the_unit_interval(T):
+    # For fairness_aware, every alpha the table admits keeps each smoothed
+    # rate strictly inside (0, 1) at every count up to T: one cell holding
+    # all t arrivals is the extreme case of each rate.  mw and group_aware
+    # never smooth, so they only need alpha > 0.
+    t = np.arange(0, T + 1, dtype=float)
+    run = RunConfig(engine="fairness_aware", horizon=T)
+    ok = [a for a in (2.0 * math.ulp(T + 1.0), 1e-9, 0.25, 1.0, 1e300, 4e307)
+          if CONFIG_KEY["dirichlet_alpha"].ok(a, run)]
+    assert len(ok) == 6
+    for alpha in ok:
+        counts = np.zeros((len(t), 2, 2))
+        for cell in np.ndindex(2, 2):
+            counts[:] = 0.0
+            counts[(slice(None), *cell)] = t
+            p_hat, mu_hat = smoothed_rates(counts, alpha)
+            for rate in (p_hat, mu_hat[:, 0], mu_hat[:, 1]):
+                assert np.all((rate > 0.0) & (rate < 1.0)), (alpha, cell)
+    for alpha in (1e-320, 1e-20, 1.2e-16, 0.3 * 2.0 ** -44, 1e308, 1.7e308):
+        with pytest.raises(ConfigError, match="dirichlet_alpha"):
+            RunConfig(engine="fairness_aware", horizon=max(T, 300), dirichlet_alpha=alpha)
+        RunConfig(engine="group_aware", horizon=T, dirichlet_alpha=alpha)
+    with pytest.raises(ConfigError, match="dirichlet_alpha"):
+        RunConfig(engine="mw", dirichlet_alpha=0.0)
+
+
+def test_rejected_small_alphas_do_reach_a_rate_of_one():
+    # The rows the table rejects at T = 300 do break a smoothed rate at some
+    # count below 300: 1.2e-16 at t = 1, and 0.3 ulp(300) at a count one
+    # binade below 300, where checking the horizon alone would admit it.
+    t = np.arange(1, 301, dtype=float)
+    for alpha in (1.2e-16, 0.3 * math.ulp(300.0)):
+        mu = (t + alpha) / (t + 2.0 * alpha)
+        assert np.any(mu == 1.0), alpha
+    alpha = 0.3 * math.ulp(300.0)
+    assert (300.0 + alpha) / (300.0 + 2.0 * alpha) < 1.0
 
 
 def test_trial_seed_sequence_deterministic():

@@ -367,3 +367,12 @@ def test_stump_matches_quadratic_reference():
         want = reference_stump(x, y)
         assert got == want, case
         assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), case
+
+
+def test_prediction_file_byte_order_mark_is_skipped(tmp_path):
+    # the mark used to become part of the first expert's name
+    path = tmp_path / "preds.csv"
+    path.write_bytes(b"\xef\xbb\xbfcareful,coin\n1,0\n0,0\n")
+    ens = load_prediction_file(path)
+    assert ens.names == ["careful", "coin"]
+    assert ens.matrix.tolist() == [[1, 0], [0, 0]]

@@ -481,3 +481,27 @@ def test_preset_repeated_key_is_rejected(tmp_path):
             load_preset(path)
     for name in BUNDLED_PRESETS:   # the bundled presets repeat only note
         load_preset(name)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_is_skipped_in_csv_and_presets(tmp_path, monkeypatch):
+    # The mark used to stay in the first header name or preset key, so a
+    # group column listed first was "not in header" and a preset's first
+    # key was unknown.
+    csv_text = "sex,age,income\nMale,30,high\nFemale,41,low\nMale,35,low\n"
+    (tmp_path / "plain.csv").write_bytes(csv_text.encode())
+    (tmp_path / "bom.csv").write_bytes(BOM + csv_text.encode())
+    (x, group, label), report = load_dataset(tmp_path / "bom.csv", BASIC)
+    (x0, group0, label0), report0 = load_dataset(tmp_path / "plain.csv", BASIC)
+    assert group.tolist() == group0.tolist() == [Group.A, Group.B, Group.A]
+    assert label.tolist() == label0.tolist()
+    assert x.tobytes() == x0.tobytes() and report.to_dict() == report0.to_dict()
+
+    preset = "label.column = income\nlabel.positive = high\ngroup.column = sex\ngroup.a = Male\n"
+    (tmp_path / "bom.preset").write_bytes(BOM + preset.encode())
+    assert load_preset(tmp_path / "bom.preset") == BASIC
+    # the bundled-name branch reads through preset_path
+    monkeypatch.setattr("fairmw.ingest.preset_path", lambda name: tmp_path / "bom.preset")
+    assert load_preset("adult") == BASIC
