@@ -27,10 +27,10 @@ group_aware and fairness_aware run whole-trial array passes
 uniforms are drawn as blocks (the same doubles, same order), weights come
 from per-cell cumprod states, and q is solved in batches.  The passes serve
 mw bit for bit too, but mw stays on the per-round loop (``step``) until
-the benchmark reads fairmw's own peak memory.  Each benchmark operation
-after the first reads the benchmark process's own peak, so mw_long's
-median peak follows how many operations fit into its run: about 164 MB at
-two, 188 MB at three to five and 206 MB at seven or more.
+the benchmark reads fairmw's own peak memory.  An mw_long operation reads
+fairmw's own peak (about 88 MB) only as the first operation of a run;
+every later one reads the benchmark process's high-water mark (188-206
+MB), so the median follows how many operations fit into the run.
 
 Operations that define a trial's bits: batched ``np.matmul`` row dots (one
 BLAS call per row, whose FMA rounding elementwise ops cannot reproduce),
@@ -186,9 +186,8 @@ class Trajectory:
         accumulating it round by round.
         """
         cell = self.cell
-        group = cell >> 1
         self.counts = np.bincount(cell, minlength=4).reshape(2, 2)
-        code = 4 * group + self.outcome   # per group: tp, fp, tn, fn
+        code = 4 * (cell >> 1) + self.outcome   # per group: tp, fp, tn, fn
         self.confusion = np.bincount(code, minlength=8).reshape(2, 4)
         self.fpr_gap, self.fnr_gap, self.eer_gap = _gap_series(code)
 
@@ -196,13 +195,9 @@ class Trajectory:
         run_expected = np.cumsum(self.expected)
         self.L_realized = _last(run_realized)
         self.L_expected = _last(run_expected)
-        self.L_z = np.bincount(group, weights=self.expected, minlength=2)
-        self.right_table_cum = None if self.right is None else (
-            np.bincount(cell, weights=self.right, minlength=4).reshape(2, 2))
 
         d = self.d
         self.L_f = np.zeros(d)
-        self.L_fz = np.zeros((2, d))
         self.L_fzy = np.zeros((2, 2, d))
         best = np.full(self.T, np.inf)   # running min over experts of L_f
         for f in range(d):
@@ -210,7 +205,6 @@ class Trajectory:
             run = np.cumsum(col)
             np.minimum(best, run, out=best)
             self.L_f[f] = _last(run)
-            self.L_fz[:, f] = np.bincount(group, weights=col, minlength=2)
             self.L_fzy[:, :, f] = np.bincount(cell, weights=col, minlength=4).reshape(2, 2)
         self.regret_realized = np.subtract(run_realized, best, out=run_realized)
         self.regret_expected = np.subtract(run_expected, best, out=run_expected)

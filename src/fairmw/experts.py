@@ -176,8 +176,13 @@ class LogisticExpert:
         A batched matmul of one row against the weights is bitwise the
         1-D ``z @ w`` of that row; a gemv over all rows is not.
         """
-        z = x - self.mean
-        z /= self.scale   # in place: the same IEEE operations as (x - mean) / scale
+        with np.errstate(over="ignore"):
+            z = x - self.mean
+            z /= self.scale   # in place: the same IEEE operations as (x - mean) / scale
+        far = np.isinf(z.min(axis=0, initial=0.0)) | np.isinf(z.max(axis=0, initial=0.0))
+        if far.any():
+            raise DegenerateData(f"feature column {int(np.argmax(far))}: a test value "
+                                 "is too far outside the training spread to standardize")
         return np.matmul(z[:, None, :], self.weights[:, None])[:, 0, 0] + self.bias
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -263,7 +268,10 @@ def _train_stump(x: np.ndarray, y: np.ndarray) -> StumpExpert:
         values = column[np.concatenate(([True], column[1:] != column[:-1]))]   # distinct
         if len(values) < 2:
             continue
-        thresholds = (values[:-1] + values[1:]) / 2.0
+        with np.errstate(over="ignore"):
+            thresholds = (values[:-1] + values[1:]) / 2.0
+        huge = np.isinf(thresholds)   # a + b overflowed: halve first, which is exact there
+        thresholds[huge] = values[:-1][huge] / 2.0 + values[1:][huge] / 2.0
         below = np.searchsorted(column, thresholds, side="right")   # predicted 0
         pos_below = np.concatenate(([0], np.cumsum(positive[order])))[below]
         err_pos = pos_below + (n - below) - (n_pos - pos_below)

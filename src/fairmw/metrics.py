@@ -2,15 +2,16 @@
 
 The bound checks are exact inequalities about expectation series, so they
 are evaluated from trajectory aggregates with no Monte Carlo involved.
-``BoundReport.margins`` keys each margin as bounds.json writes it (z a
-group, y "-" or "+", f an expert name):
+Each is checked on every cell the engine updates (``engines.CELL_MAP``),
+and ``BoundReport.margins`` keys it as bounds.json does: by the cell's
+group z and label y ("-" or "+") where the engine keys on them, f an
+expert name.
 
-* ``f`` (mw), ``z/f`` (group_aware, over group z's rounds): for every
-  expert f, (1+eta) * L_f + ln(d)/eta - sum_t expected_loss_t >= 0.
-* ``z/y/f`` (fairness_aware): per cell (z,y) and expert f,
-  (1+eta) * L_{f,z,y} + ln(d)/eta - right_table_expected_loss_{z,y} >= 0.
-* ``z/y`` (fairness_aware): per cell, right_table series
-  >= gamma(eta) * min_f L_{f,z,y}.
+* ``f`` (mw), ``z/f`` (group_aware), ``z/y/f`` (fairness_aware):
+  (1+eta) * L_f + ln(d)/eta - compared >= 0 over the cell's rounds, where
+  compared sums the right-table expected loss if the engine keys on label,
+  the expected loss otherwise.
+* ``z/y`` (fairness_aware): compared >= gamma(eta) * min_f L_f.
 * fairness_bound_rhs: the FPR/FNR bound right-hand sides with plug-in
   estimates (empirical best-in-hindsight cell loss, p and mu smoothed
   from the trial's counts, its final q, supplied or measured epsilon).
@@ -27,7 +28,7 @@ import numpy as np
 
 from .domain import Group, RunConfig, gamma
 from .errors import EmptyTrajectory, EngineMismatch
-from .engines import Trajectory
+from .engines import CELL_MAP, Trajectory
 from .estimators import smoothed_rates
 
 __all__ = [
@@ -121,9 +122,10 @@ def validate_bounds(traj: Trajectory, config: RunConfig,
                     epsilon: float | None = None) -> BoundReport:
     """Evaluate every bound the trajectory's engine admits.
 
-    mw: one regret margin per expert.  group_aware: the same margin per
-    (group, expert) over that group's subsequence.  fairness_aware: the
-    per-cell sandwich margins plus both fairness-bound right-hand sides.
+    Every cell the engine updates gets its margins, visited or not.  A
+    round's losses go to its update cell ``cell & (2 * by_group + by_label)``
+    by ``np.bincount``, in round order.  fairness_aware adds both
+    fairness-bound right-hand sides.
     """
     if traj.T == 0:
         raise EmptyTrajectory("cannot validate bounds on an empty trajectory")
@@ -133,32 +135,22 @@ def validate_bounds(traj: Trajectory, config: RunConfig,
     eta = traj.eta
     g_eta = gamma(eta)
     slack = math.log(traj.d) / eta
-    names = traj.expert_names
-
-    if traj.engine == "mw":
-        lhs = float(traj.expected.sum())
-        margins = {names[f]: (1.0 + eta) * float(traj.L_f[f]) + slack - lhs
-                   for f in range(traj.d)}
-        return BoundReport(gamma_eta=g_eta, margins=margins)
-
+    by_group, by_label = CELL_MAP[traj.engine]
+    mask = 2 * by_group + by_label
+    update = traj.cell & mask
+    compared = np.bincount(update, weights=traj.right if by_label else traj.expected,
+                           minlength=4).tolist()
+    experts = np.column_stack([np.bincount(update, weights=traj.losses[:, f], minlength=4)
+                               for f in range(traj.d)])    # (4 cells, d)
     margins = {}
-    if traj.engine == "group_aware":
-        for g in Group:
-            lhs = float(traj.L_z[g])
-            for f in range(traj.d):
-                margins[f"{g.name}/{names[f]}"] = (
-                    (1.0 + eta) * float(traj.L_fz[g, f]) + slack - lhs)
+    for c in sorted({c & mask for c in range(4)}):
+        key = [Group(c >> 1).name] * by_group + ["-+"[c & 1]] * by_label
+        for name, L_f in zip(traj.expert_names, experts[c].tolist()):
+            margins["/".join(key + [name])] = (1.0 + eta) * L_f + slack - compared[c]
+        if by_label:
+            margins["/".join(key)] = compared[c] - g_eta * float(experts[c].min())
+    if traj.engine != "fairness_aware":
         return BoundReport(gamma_eta=g_eta, margins=margins)
-
-    # fairness_aware
-    for g in Group:
-        for y, sign in ((0, "-"), (1, "+")):
-            cell = f"{g.name}/{sign}"
-            series = float(traj.right_table_cum[g, y])
-            for f in range(traj.d):
-                margins[f"{cell}/{names[f]}"] = (
-                    (1.0 + eta) * float(traj.L_fzy[g, y, f]) + slack - series)
-            margins[cell] = series - g_eta * float(traj.L_fzy[g, y].min())
 
     eps = epsilon if epsilon is not None else measured_epsilon(traj)
     rhs = {"fpr": _fairness_rhs(traj, eta, g_eta, eps, config.dirichlet_alpha, label=0),

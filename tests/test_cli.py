@@ -732,6 +732,9 @@ MALFORMED = {
     "eta_subnormal_fairness_aware": ("validate-bounds --config {d}/eta_fairness_aware.cfg", 2),
     # standardization overflowed with a RuntimeWarning and the run exited 0
     "feature_overflows_standardization": ("run --config {d}/huge_feature.cfg", 3),
+    # a test value far outside a near-constant training column overflowed
+    # in the logistic model's standardization and the run exited 0
+    "test_feature_outside_training_spread": ("run --config {d}/far_feature.cfg", 3),
     # the byte-order mark stayed in the first header name: "column 'sex' not in header"
     "dataset_with_byte_order_mark": ("stats --data {d}/bom.csv --preset {d}/good.preset", 0),
 }
@@ -803,6 +806,13 @@ def write_malformed_inputs(d):
     files["huge_feature.cfg"] = (
         "engine = mw\ntrials = 1\nstream.kind = dataset\n"
         f"data.path = {d}/huge_feature.csv\ndata.preset = {d}/good.preset\n").encode()
+    # seed 0 splits six rows into training rows 3, 2, 5, 4 and test rows 0, 1
+    files["far_feature.csv"] = ("age,sex,income\n1e300,Male,high\n1,Female,low\n1,Male,high\n"
+                                "1.0000000000000002,Female,low\n1,Male,low\n"
+                                "1.0000000000000002,Female,high\n").encode()
+    files["far_feature.cfg"] = (
+        "engine = mw\ntrials = 1\nstream.kind = dataset\n"
+        f"data.path = {d}/far_feature.csv\ndata.preset = {d}/good.preset\n").encode()
     files["bom.csv"] = b"\xef\xbb\xbf" + "sex,age,income\nMale,30,high\nFemale,41,low\n".encode()
     for name, data in files.items():
         (d / name).write_bytes(data)

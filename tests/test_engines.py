@@ -28,7 +28,7 @@ from fairmw.errors import StreamExhausted
 from fairmw.estimators import smoothed_rates
 from fairmw.experts import ErrorProfile, MatrixEnsemble, SyntheticEnsemble
 from fairmw.ingest import synth_stream
-from fairmw.metrics import compute_rates
+from fairmw.metrics import compute_rates, gamma, validate_bounds
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -254,12 +254,14 @@ def config(**kw):
 
 
 def dump(traj):
-    """Every recorded column, aggregate and series as deterministic JSON."""
+    """Every recorded column, aggregate, series and bound margin as
+    deterministic JSON."""
     doc = {"engine": traj.engine, "eta": traj.eta, "experts": traj.expert_names,
-           "T": traj.T, "L_realized": traj.L_realized, "L_expected": traj.L_expected}
+           "T": traj.T, "L_realized": traj.L_realized, "L_expected": traj.L_expected,
+           "margins": validate_bounds(traj, config(engine=traj.engine)).margins}
     for name in ("cell", "outcome", "realized", "expected", "losses", "right", "q_neg",
                  "regret_realized", "regret_expected", "fpr_gap", "fnr_gap", "eer_gap",
-                 "L_z", "L_f", "L_fz", "L_fzy", "counts", "confusion", "right_table_cum"):
+                 "L_f", "L_fzy", "counts", "confusion"):
         value = getattr(traj, name)
         doc[name] = None if value is None else np.nan_to_num(value, nan=-1.0).tolist()
     return json.dumps(doc, sort_keys=True)
@@ -317,20 +319,34 @@ def test_trajectory_loss_decompositions():
     ens = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
                              ErrorProfile(0.1, 0.1, 0.4, 0.4)])
     stream = make_stream("A+ B- A- B+ A+ A- B- B+", reps=10)
-    traj = run_trial(config(engine="fairness_aware", horizon=80), stream, ens)
-    assert abs(traj.L_z.sum() - traj.L_expected) < 1e-9
+    cfg = config(engine="fairness_aware", horizon=80)
+    traj = run_trial(cfg, stream, ens)
     L_zy = np.bincount(traj.cell, weights=traj.expected, minlength=4)
     assert abs(L_zy.sum() - traj.L_expected) < 1e-9
-    assert np.allclose(L_zy.reshape(2, 2).sum(axis=1), traj.L_z, atol=1e-9)
-    assert np.allclose(traj.L_fz.sum(axis=0), traj.L_f, atol=1e-9)
     assert np.allclose(traj.L_fzy.sum(axis=(0, 1)), traj.L_f, atol=1e-9)
     assert int(traj.counts.sum()) == 80
     assert int(traj.confusion.sum()) == 80
-    # right-table running sums match a replay over the recorded rounds
+    # the cell margins read the right-table sums of a replay over the recorded rounds
     replay = np.zeros((2, 2))
     for i in range(traj.T):
         replay[divmod(int(traj.cell[i]), 2)] += traj.right[i]
-    assert replay.tolist() == traj.right_table_cum.tolist()
+    eta, slack = traj.eta, math.log(2) / traj.eta
+    margins = validate_bounds(traj, cfg).margins
+    for g in Group:
+        for y, sign in ((NEG, "-"), (POS, "+")):
+            L_f = traj.L_fzy[g, y].tolist()
+            assert margins[f"{g.name}/{sign}"] == replay[g, y] - gamma(eta) * min(L_f)
+            for name, loss in zip(traj.expert_names, L_f):
+                assert margins[f"{g.name}/{sign}/{name}"] == (
+                    (1.0 + eta) * loss + slack - replay[g, y])
+    # group_aware's per-group margins add up to mw's: the groups' expected
+    # and expert losses add up to L_expected and L_f
+    cfg = config(engine="group_aware", horizon=80)
+    traj = run_trial(cfg, stream, ens)
+    margins = validate_bounds(traj, cfg).margins
+    for name, loss in zip(traj.expert_names, traj.L_f.tolist()):
+        assert abs(margins[f"A/{name}"] + margins[f"B/{name}"]
+                   - ((1.0 + eta) * loss + 2 * slack - traj.L_expected)) < 1e-9
 
 
 def test_trajectory_q_series_validity():
@@ -367,17 +383,22 @@ def test_trajectory_regret_series():
 
 def test_trajectory_round_columns():
     # what record() is handed for each round comes back from the columns,
-    # and finish() derives the aggregates from them and from the
-    # fairness_aware columns
-    traj = Trajectory("fairness_aware", 0.3, ["f0", "f1"], 3)
+    # and finish() and validate_bounds derive the aggregates and margins
+    # from them and from the fairness_aware columns
     rows = [(Group.A, POS, 1, 0.0, 0.4, (1.0, 0.0)),
             (Group.B, NEG, 1, 1.0, 0.6, (1.0, 1.0)),
             (Group.B, POS, 0, 1.0, 0.7, (0.0, 1.0))]
-    for t, (g, y, p, real, exp, losses) in enumerate(rows, start=1):
-        traj.record(t, g, y, p, real, exp, np.array(losses))
-    traj.right[:] = (0.25, 0.5, 0.75)
-    traj.q_neg[:] = (0.3, 0.6)
-    traj.finish()
+
+    def recorded(engine):
+        traj = Trajectory(engine, 0.3, ["f0", "f1"], 3)
+        for t, (g, y, p, real, exp, losses) in enumerate(rows, start=1):
+            traj.record(t, g, y, p, real, exp, np.array(losses))
+        if engine == "fairness_aware":
+            traj.right[:] = (0.25, 0.5, 0.75)
+            traj.q_neg[:] = (0.3, 0.6)
+        return traj.finish()
+
+    traj = recorded("fairness_aware")
     assert len(traj) == 3
     assert traj.cell.tolist() == [1, 2, 3]          # 2 * group + label
     assert traj.outcome.tolist() == [0, 1, 3]       # tp, fp, fn
@@ -386,10 +407,21 @@ def test_trajectory_round_columns():
     assert traj.losses.tolist() == [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     assert traj.q_neg.tolist() == [[0.3, 0.6]] * 3
     assert traj.right.tolist() == [0.25, 0.5, 0.75]
-    assert traj.right_table_cum.tolist() == [[0.0, 0.25], [0.5, 0.75]]
     assert traj.L_f.tolist() == [2.0, 2.0]
-    assert traj.L_fz.tolist() == [[1.0, 0.0], [1.0, 2.0]]
     assert traj.L_fzy[Group.B, NEG].tolist() == [1.0, 1.0]
+    # the right-table sums per cell are (A,-) 0, (A,+) 0.25, (B,-) 0.5, (B,+) 0.75
+    eta, g_eta, slack = 0.3, gamma(0.3), math.log(2) / 0.3
+    margins = validate_bounds(traj, config(engine="fairness_aware")).margins
+    assert {k: v for k, v in margins.items() if k.count("/") == 1} == {
+        "A/-": 0.0, "A/+": 0.25, "B/-": 0.5 - g_eta * 1.0, "B/+": 0.75}
+    assert margins["B/-/f1"] == (1.0 + eta) * 1.0 + slack - 0.5
+    # group_aware compares each group's expected loss with its expert losses,
+    # A (1, 0) and B (1, 2)
+    margins = validate_bounds(recorded("group_aware"), config(engine="group_aware")).margins
+    assert margins == {"A/f0": (1.0 + eta) * 1.0 + slack - 0.4,
+                       "A/f1": (1.0 + eta) * 0.0 + slack - 0.4,
+                       "B/f0": (1.0 + eta) * 1.0 + slack - (0.6 + 0.7),
+                       "B/f1": (1.0 + eta) * 2.0 + slack - (0.6 + 0.7)}
     assert traj.counts.tolist() == [[0, 1], [1, 1]]
     assert traj.confusion.tolist() == [[1, 0, 0, 0], [0, 1, 0, 1]]
     assert traj.L_realized == 2.0 and traj.L_expected == 0.4 + 0.6 + 0.7
@@ -410,10 +442,11 @@ def test_trajectory_round_columns():
 
 
 def test_finish_matches_round_by_round_accumulation():
-    # the one-pass derivation is bit-identical to accumulating every
-    # aggregate and series with += after each round.  The second case has 9
-    # experts, past the 8 at which numpy sums a row pairwise, and no group-B
-    # arrival before round 71, so every gap series starts with 70 NaNs.
+    # the one-pass derivation and the bound margins are bit-identical to
+    # accumulating every aggregate, series and per-cell sum with += after
+    # each round.  The second case has 9 experts, past the 8 at which numpy
+    # sums a row pairwise, and no group-B arrival before round 71, so every
+    # gap series starts with 70 NaNs.
     rng = np.random.default_rng(5)
     three = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
                                ErrorProfile(0.1, 0.1, 0.4, 0.4),
@@ -463,14 +496,25 @@ def test_finish_matches_round_by_round_accumulation():
                                  (traj.eer_gap, eer)):
                 assert np.isnan(series[i]) if want is None else series[i] == want
         assert (traj.L_realized, traj.L_expected) == (L_real, L_exp)
-        for have, want in ((traj.L_z, L_z), (traj.L_f, L_f), (traj.L_fz, L_fz),
-                           (traj.L_fzy, L_fzy), (traj.counts, counts),
+        for have, want in ((traj.L_f, L_f), (traj.L_fzy, L_fzy), (traj.counts, counts),
                            (traj.confusion, confusion)):
             assert have.tolist() == want.tolist()
-        if engine == "fairness_aware":
-            assert traj.right_table_cum.tolist() == right_cum.tolist()
+        eta, slack, names = traj.eta, math.log(d) / traj.eta, traj.expert_names
+        if engine == "mw":
+            want = {f: (1.0 + eta) * L_f[i] + slack - L_exp for i, f in enumerate(names)}
+        elif engine == "group_aware":
+            want = {f"{g.name}/{f}": (1.0 + eta) * L_fz[g, i] + slack - L_z[g]
+                    for g in Group for i, f in enumerate(names)}
         else:
-            assert traj.right is None and traj.right_table_cum is None
+            want = {}
+            for g in Group:
+                for y, sign in ((NEG, "-"), (POS, "+")):
+                    cell = f"{g.name}/{sign}"
+                    want[cell] = right_cum[g, y] - gamma(eta) * L_fzy[g, y].min()
+                    want.update({f"{cell}/{f}": (1.0 + eta) * L_fzy[g, y, i] + slack
+                                 - right_cum[g, y] for i, f in enumerate(names)})
+        assert validate_bounds(traj, config(engine=engine)).margins == want
+        assert (traj.right is None) == (engine != "fairness_aware")
 
 
 def test_group_error_rates():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,29 @@ def test_stump_learns_threshold():
     model = train_builtin(x, y, "stump")
     assert model.constant is None
     assert np.array_equal(model.predict(x), y)
+
+
+@pytest.mark.parametrize("column", [(1e308, 1.5e308), (-1.5e308, -1e308)])
+def test_stump_threshold_between_huge_neighbours(column):
+    # a + b of the two values overflows; the threshold must still fall between them
+    x = np.array(column)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_builtin(x, [0, 1], "stump")
+    assert column[0] < model.threshold < column[1]
+    assert model.predict(x).tolist() == [0, 1]
+
+
+def test_logistic_rejects_test_row_outside_training_spread():
+    # the training column's spread is about 1.6e-16, so 1e300 standardizes
+    # past the largest double
+    model = train_builtin(np.array([[1.0, 0.0], [1.0 + 2.0 ** -52, 1.0]]), [0, 1], "logistic")
+    near = np.array([[1.0, 0.5], [1.0 + 2.0 ** -52, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.predict(near).shape == (2,)
+        with pytest.raises(DegenerateData, match="feature column 0"):
+            model.predict(np.array([[1.0, 0.5], [1e300, 0.5]]))
 
 
 def test_train_builtin_errors():

@@ -190,9 +190,9 @@ GOLDEN = {
         "bounds.json": "8b4f60ff3762052b3a5fa6e841197c8741a23601a64c4036d9d449fd2806aac9",
     },
     "mw": {
-        "summary.json": "2ad773127138a8b19d50f6fb23d9f01aee7857217bab00dcf52609fb49fecf73",
+        "summary.json": "0ff1b8c7d30dad42e75280ceb6423f8091a888b61fd1c3bfc2b07b50e4a47522",
         "rounds.csv": "7b3c05e89de2761565ecae0a3309d94597c85d90cb67d558573e552915984d53",
-        "bounds.json": "ba264d2486a6c891a8e19fcd9f74e0d617552fea6df79687c27a94b262614d2a",
+        "bounds.json": "5e4038db1cc13834f9800ab1fb02bb952806b497f7ce457a6cf120bd19dfb216",
     },
 }
 

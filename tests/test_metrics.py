@@ -180,6 +180,32 @@ def test_unvisited_cell_margins_are_exact():
     assert report.fairness_bound_rhs == {"fpr": None, "fnr": None}
 
 
+def test_margins_cover_every_cell_the_engine_addresses():
+    # the golden configs visit every cell; a trial that leaves out cells its
+    # engine updates must still report their margins, at their zero-sum
+    # values: ln(d)/eta per expert and 0 for the sandwich
+    ens = SyntheticEnsemble([ErrorProfile(0.2, 0.3, 0.25, 0.35),
+                             ErrorProfile(0.3, 0.2, 0.35, 0.25)])
+    slack = math.log(2) / 0.25
+    cfg = RunConfig(engine="group_aware", horizon=20, eta=0.25, seed=1)
+    traj = run_trial(cfg, stream_of([(Group.A, POS), (Group.A, NEG)] * 10), ens)
+    margins = validate_bounds(traj, cfg).margins
+    assert sorted(margins) == ["A/expert_0", "A/expert_1", "B/expert_0", "B/expert_1"]
+    assert margins["B/expert_0"] == margins["B/expert_1"] == slack
+    assert margins["A/expert_0"] != slack
+
+    cfg = RunConfig(engine="fairness_aware", horizon=30, eta=0.25, seed=1)
+    traj = run_trial(cfg, stream_of([(Group.A, POS), (Group.B, NEG), (Group.A, NEG)] * 10),
+                     ens)
+    assert traj.counts[Group.B].tolist() == [10, 0]
+    margins = validate_bounds(traj, cfg).margins
+    assert sorted(k for k in margins if k.startswith("B/")) == [
+        "B/+", "B/+/expert_0", "B/+/expert_1", "B/-", "B/-/expert_0", "B/-/expert_1"]
+    assert margins["B/+"] == 0.0
+    assert margins["B/+/expert_0"] == margins["B/+/expert_1"] == slack
+    assert margins["B/-"] > 0.0
+
+
 def test_rmw_bounds_hold_on_seeded_run():
     ens = SyntheticEnsemble([ErrorProfile(0.35, 0.1, 0.3, 0.15),
                              ErrorProfile(0.1, 0.35, 0.15, 0.3),
