@@ -12,6 +12,7 @@ reports the largest absolute float difference against the old output.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -148,6 +149,23 @@ CASES = {
     "floor_rescale": (EXTREME + SYNTH, {}),
 }
 
+# Three rounds of an even stream: some trials never see a group's negatives
+# or positives, so their rates and gaps are undefined (null in summary.json).
+UNDEFINED_RATES = """\
+horizon = 3
+eta = 0.2
+seed = 3
+trials = 6
+stream.kind = synthetic
+stream.p = 0.5
+stream.mu_a = 0.5
+stream.mu_b = 0.5
+experts.profile.sharp = 0.05,0.45,0.08,0.42
+experts.profile.flat = 0.2,0.2,0.22,0.22
+"""
+CASES.update({f"undefined_rates_{engine}": (f"engine = {engine}\n" + UNDEFINED_RATES, {})
+              for engine in ("mw", "group_aware", "fairness_aware")})
+
 GOLDEN = {
     "dataset_builtin": {
         "summary.json": "d350f1d446ff53f94878d4d0be99037ddef27e30e7863bedfac2efaa6b54ad63",
@@ -194,6 +212,21 @@ GOLDEN = {
         "rounds.csv": "7b3c05e89de2761565ecae0a3309d94597c85d90cb67d558573e552915984d53",
         "bounds.json": "5e4038db1cc13834f9800ab1fb02bb952806b497f7ce457a6cf120bd19dfb216",
     },
+    "undefined_rates_fairness_aware": {
+        "summary.json": "b1c385497270bf4cd4e66a71e00f90105f85588ccaa42d627172cb4b8351471f",
+        "rounds.csv": "4c14580ea27d298ed6494df7947fd5eac49187d069a416f093192cf57d571fbc",
+        "bounds.json": "06465bc1e7f75281a1edf082da3e0685eeaa60bb7eb5c227e8e739346168bd22",
+    },
+    "undefined_rates_group_aware": {
+        "summary.json": "e0ecfe9b2700f4b9350c1145e1c1eebfb3f7cb031fd047e74086865f561cda4f",
+        "rounds.csv": "690ef00bb2f24410fbc390a93e90361124d7d490381e8da25bc50d0a83770897",
+        "bounds.json": "3fcb3b1db2d81f4f06e8e86783ac2ef41e7f5ace956ffac79c428acca1330bfb",
+    },
+    "undefined_rates_mw": {
+        "summary.json": "0525ef470ca631cb3cf63008894f46f743b081b22e39e95ae154de4f56e4c3ed",
+        "rounds.csv": "ca2c95b6a6a560c9f3396856f975f23481d3726c48c957c9731195a7d7b06e3c",
+        "bounds.json": "237731009bfc56fb9160d7a4b5fa330378611f1257d18dbfc544ec1d88aac7ba",
+    },
 }
 
 # SHA-256 of ``fairmw stats`` stdout on the toy census CSV and TOY_PRESET.
@@ -227,6 +260,20 @@ def test_dataset_group_aware_case_drops_for_both_reasons(tmp_path, monkeypatch):
         (tmp_path / fname).write_text(content, encoding="utf-8")
     report = load_dataset("toy.csv", load_preset("toy.preset"))[1]
     assert report.drops["filtered"] > 0 and report.drops["group_not_listed"] > 0
+
+
+def test_undefined_rates_cases_leave_rates_undefined(tmp_path, monkeypatch):
+    # The cases pin undefined rates only if some trials really have them:
+    # every rate is null in some trial, and no aggregate counts them all.
+    text, _ = CASES["undefined_rates_mw"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(text, encoding="utf-8")
+    assert main(["run", "--config", "exp.cfg", "--out", "out", "--workers", "1"]) == 0
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    for key in ("fpr_a", "fpr_b", "fnr_a", "fnr_b", "err_b", "fpr_gap", "fnr_gap", "eer_gap"):
+        assert any(r[key] is None for r in doc["trial_results"]), key
+    counts = {k: v["count"] for k, v in doc["aggregate"].items()}
+    assert counts["fpr_gap"] == 1 and counts["err_a"] == 6, counts
 
 
 def test_stats_digest(tmp_path, monkeypatch, capsys):
