@@ -12,7 +12,7 @@ from .domain import (
 from .engines import Trajectory, run_trial
 from .errors import FairmwError
 from .experts import ErrorProfile, SyntheticEnsemble, MatrixEnsemble, train_builtin
-from .metrics import FairnessReport, BoundReport, gamma, compute_rates, regret, validate_bounds
+from .metrics import BoundReport, gamma, validate_bounds
 from .ingest import DatasetSchema, load_dataset, load_preset, dataset_stats, split_shuffle, synth_stream
 
 __version__ = "0.1.0"
@@ -32,11 +32,8 @@ __all__ = [
     "SyntheticEnsemble",
     "MatrixEnsemble",
     "train_builtin",
-    "FairnessReport",
     "BoundReport",
     "gamma",
-    "compute_rates",
-    "regret",
     "validate_bounds",
     "DatasetSchema",
     "load_dataset",

@@ -59,7 +59,7 @@ from .ingest import (
     split_shuffle,
     synth_stream,
 )
-from .metrics import compute_rates, regret, validate_bounds
+from .metrics import validate_bounds
 
 __all__ = ["main", "parse_config", "build_spec", "ExperimentSpec"]
 
@@ -152,8 +152,10 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     rates = ("stream.p", "stream.mu_a", "stream.mu_b")
     stream_params = None
     if stream_kind == "synthetic":
-        if data_path or data_preset:
-            raise ConfigError("stream.kind=synthetic conflicts with data.* keys")
+        data_keys = sorted(k for k in cfg if k.startswith("data."))
+        if data_keys:
+            raise ConfigError(
+                f"{', '.join(data_keys)}: stream.kind=synthetic conflicts with data.* keys")
         for key in rates:
             if key not in cfg:
                 raise ConfigError(f"synthetic stream needs {key}")
@@ -329,8 +331,7 @@ def _run_one_trial(trial: int) -> dict:
     traj = run_trial(cfg, stream, ensemble, trial)
 
     report = validate_bounds(traj, cfg, epsilon=pl.epsilon)
-    rates = compute_rates(traj.confusion)
-    reg_real, reg_exp = regret(traj)
+    (fpr_a, fpr_b), (fnr_a, fnr_b), (err_a, err_b) = traj.rates.tolist()
     violations = sorted((k, v) for k, v in report.margins.items() if v < MARGIN_THRESHOLD)
     q_final = None   # fairness_aware: q_{z,-} of the last round, then q_{z,+} = 1 - q_{z,-}
     if traj.q_neg is not None:
@@ -340,11 +341,11 @@ def _run_one_trial(trial: int) -> dict:
     summary = {
         "trial": trial,
         "error_rate": traj.error_rate(),
-        "err_a": rates.err_a, "err_b": rates.err_b,
-        "fpr_a": rates.fpr_a, "fpr_b": rates.fpr_b,
-        "fnr_a": rates.fnr_a, "fnr_b": rates.fnr_b,
-        "fpr_gap": rates.fpr_gap, "fnr_gap": rates.fnr_gap, "eer_gap": rates.eer_gap,
-        "regret_realized": reg_real, "regret_expected": reg_exp,
+        "err_a": err_a, "err_b": err_b,
+        "fpr_a": fpr_a, "fpr_b": fpr_b,
+        "fnr_a": fnr_a, "fnr_b": fnr_b,
+        **{key: float(getattr(traj, key)[-1]) for key in
+           ("fpr_gap", "fnr_gap", "eer_gap", "regret_realized", "regret_expected")},
         "min_bound_margin": report.min_margin(),
         "gamma_eta": report.gamma_eta,
         "epsilon_used": report.epsilon_used,
@@ -458,8 +459,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _aggregate(results: list[dict], key: str) -> dict:
-    vals = [r["summary"][key] for r in results]
-    defined = np.array([v for v in vals if v is not None], dtype=float)
+    """Mean, std and count of a summary key over the trials that define it:
+    None and NaN are undefined."""
+    vals = np.array([r["summary"][key] for r in results], dtype=float)   # None -> NaN
+    defined = vals[~np.isnan(vals)]
     if defined.size == 0:
         return {"mean": None, "std": None, "count": 0}
     return {"mean": float(defined.mean()), "std": float(defined.std()),

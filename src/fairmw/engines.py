@@ -106,30 +106,27 @@ def step(weights: WeightTable, engine: str, eta: float, predictions: np.ndarray,
     return expert, losses, right
 
 
-def _last(running: np.ndarray) -> float:
-    """Final value of a running sum; 0.0 for an empty trial."""
-    return float(running[-1]) if len(running) else 0.0
+def _rate_series(code: np.ndarray):
+    """Yield the FPR, FNR and error-rate series by group, each (T, 2) [round,
+    group], from per-round confusion codes 4 * group + (tp, fp, tn, fn).
+    Each is divided out after the previous one is dropped, so a caller that
+    drops each too holds one at a time.
 
-
-def _gap(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
-    """|rate_A - rate_B| per round from (T, 2) running counts; NaN until
-    both denominators are positive, as a numerator counts a subset of its
-    denominator's rounds: 0/0 is NaN, and ``abs`` gives it ``np.nan``'s bits."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = numerators / denominators
-    return np.abs(rates[:, 0] - rates[:, 1])
-
-
-def _gap_series(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FPR, FNR and error-rate gap series from per-round confusion codes
-    4 * group + (tp, fp, tn, fn)."""
+    A rate is NaN until its group has a round in the denominator: each
+    numerator counts a subset of its denominator's rounds, so 0/0 is NaN.
+    The counts stay below 2**53, so each division rounds exactly as
+    Python's int / int does."""
     T = len(code)
     running = np.zeros((T, 8), dtype=np.int32)
     running[np.arange(T), code] = 1
     np.cumsum(running, axis=0, out=running)
     tp, fp, tn, fn = running.reshape(T, 2, 4).transpose(2, 0, 1)  # each (T, 2)
     neg, pos = fp + tn, tp + fn
-    return _gap(fp, neg), _gap(fn, pos), _gap(fp + fn, neg + pos)
+    for numerators, denominators in ((fp, neg), (fn, pos), (fp + fn, neg + pos)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = numerators / denominators
+        yield rates
+        del rates
 
 
 class Trajectory:
@@ -140,8 +137,8 @@ class Trajectory:
     prediction, the realized and expected losses, the per-expert losses
     and, for fairness_aware, the right-table expected loss and the two
     q_{z,-} that rounds.csv writes, plus its final ``alpha_sums``.  ``finish``
-    then derives every aggregate and series in one pass.  Cumulative losses
-    marked "expected" integrate the per-round expectation of the selection
+    then derives the final rates and every series in one pass.  Regret
+    marked "expected" integrates the per-round expectation of the selection
     distribution actually used; "realized" integrates the sampled expert's
     loss.  Gap series hold NaN on rounds where a defining rate has no
     observations yet.
@@ -179,35 +176,36 @@ class Trajectory:
         self.losses[i] = losses
 
     def finish(self) -> "Trajectory":
-        """Derive the aggregates and the regret and gap series; returns self.
+        """Derive the per-cell sums, the final rates and the regret and gap
+        series; returns self.
 
+        ``rates`` is (3, 2): the final FPR, FNR and error rate [rate, group],
+        NaN where undefined; each gap series is |rate_A - rate_B| per round.
         Running sums are ``np.cumsum`` and per-cell sums ``np.bincount``;
         both add in round order, so every value is bit-identical to
         accumulating it round by round.
         """
         cell = self.cell
         self.counts = np.bincount(cell, minlength=4).reshape(2, 2)
-        code = 4 * (cell >> 1) + self.outcome   # per group: tp, fp, tn, fn
-        self.confusion = np.bincount(code, minlength=8).reshape(2, 4)
-        self.fpr_gap, self.fnr_gap, self.eer_gap = _gap_series(code)
-
-        run_realized = np.cumsum(self.realized)
-        run_expected = np.cumsum(self.expected)
-        self.L_realized = _last(run_realized)
-        self.L_expected = _last(run_expected)
+        self.rates = np.empty((3, 2))
+        gaps = []
+        for rates in _rate_series(4 * (cell >> 1) + self.outcome):
+            self.rates[len(gaps)] = rates[-1]
+            gaps.append(np.abs(rates[:, 0] - rates[:, 1]))
+            del rates    # one (T, 2) series alive at a time
+        self.fpr_gap, self.fnr_gap, self.eer_gap = gaps
 
         d = self.d
-        self.L_f = np.zeros(d)
         self.L_fzy = np.zeros((2, 2, d))
-        best = np.full(self.T, np.inf)   # running min over experts of L_f
+        best = np.full(self.T, np.inf)   # running min over experts of their cumulative loss
         for f in range(d):
             col = self.losses[:, f]
-            run = np.cumsum(col)
-            np.minimum(best, run, out=best)
-            self.L_f[f] = _last(run)
+            np.minimum(best, np.cumsum(col), out=best)
             self.L_fzy[:, :, f] = np.bincount(cell, weights=col, minlength=4).reshape(2, 2)
-        self.regret_realized = np.subtract(run_realized, best, out=run_realized)
-        self.regret_expected = np.subtract(run_expected, best, out=run_expected)
+        self.regret_realized = np.cumsum(self.realized)
+        self.regret_realized -= best
+        self.regret_expected = np.cumsum(self.expected)
+        self.regret_expected -= best
         return self
 
     def error_rate(self) -> float:

@@ -1,4 +1,4 @@
-"""Fairness/performance metrics and deterministic bound evaluators.
+"""Deterministic bound evaluators.
 
 The bound checks are exact inequalities about expectation series, so they
 are evaluated from trajectory aggregates with no Monte Carlo involved.
@@ -8,10 +8,10 @@ group z and label y ("-" or "+") where the engine keys on them, f an
 expert name.
 
 * ``f`` (mw), ``z/f`` (group_aware), ``z/y/f`` (fairness_aware):
-  (1+eta) * L_f + ln(d)/eta - compared >= 0 over the cell's rounds, where
-  compared sums the right-table expected loss if the engine keys on label,
-  the expected loss otherwise.
-* ``z/y`` (fairness_aware): compared >= gamma(eta) * min_f L_f.
+  (1+eta) * loss_f + ln(d)/eta - compared >= 0 over the cell's rounds,
+  where loss_f sums expert f's losses and compared sums the right-table
+  expected loss if the engine keys on label, the expected loss otherwise.
+* ``z/y`` (fairness_aware): compared >= gamma(eta) * min_f loss_f.
 * fairness_bound_rhs: the FPR/FNR bound right-hand sides with plug-in
   estimates (empirical best-in-hindsight cell loss, p and mu smoothed
   from the trial's counts, its final q, supplied or measured epsilon).
@@ -33,62 +33,10 @@ from .estimators import smoothed_rates
 
 __all__ = [
     "gamma",
-    "FairnessReport",
-    "compute_rates",
-    "regret",
     "BoundReport",
     "validate_bounds",
     "measured_epsilon",
 ]
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    """Per-group realized rates; entries are None until defined."""
-
-    fpr_a: float | None
-    fpr_b: float | None
-    fnr_a: float | None
-    fnr_b: float | None
-    err_a: float | None
-    err_b: float | None
-    fpr_gap: float | None
-    fnr_gap: float | None
-    eer_gap: float | None
-
-
-def compute_rates(confusion) -> FairnessReport:
-    """Rates from the trajectory's (2, 4) per-group (tp, fp, tn, fn) counts.
-
-    Row 0 is group A, row 1 group B.  A rate whose denominator is zero is
-    None, and any gap involving it is None as well — undefined, not zero.
-    """
-    vals = {}
-    for g, (tp, fp, tn, fn) in zip(Group, confusion):
-        neg = fp + tn
-        pos = tp + fn
-        n = neg + pos
-        vals[g, "fpr"] = fp / neg if neg > 0 else None
-        vals[g, "fnr"] = fn / pos if pos > 0 else None
-        vals[g, "err"] = (fp + fn) / n if n > 0 else None
-
-    def gap(key):
-        a, b = vals[Group.A, key], vals[Group.B, key]
-        return abs(a - b) if a is not None and b is not None else None
-
-    return FairnessReport(
-        fpr_a=vals[Group.A, "fpr"], fpr_b=vals[Group.B, "fpr"],
-        fnr_a=vals[Group.A, "fnr"], fnr_b=vals[Group.B, "fnr"],
-        err_a=vals[Group.A, "err"], err_b=vals[Group.B, "err"],
-        fpr_gap=gap("fpr"), fnr_gap=gap("fnr"), eer_gap=gap("err"))
-
-
-def regret(traj: Trajectory) -> tuple[float, float]:
-    """(realized, expected) cumulative loss minus the best fixed expert."""
-    if traj.T == 0:
-        raise EmptyTrajectory("regret of an empty trajectory")
-    best = float(traj.L_f.min())
-    return traj.L_realized - best, traj.L_expected - best
 
 
 @dataclass
@@ -145,8 +93,8 @@ def validate_bounds(traj: Trajectory, config: RunConfig,
     margins = {}
     for c in sorted({c & mask for c in range(4)}):
         key = [Group(c >> 1).name] * by_group + ["-+"[c & 1]] * by_label
-        for name, L_f in zip(traj.expert_names, experts[c].tolist()):
-            margins["/".join(key + [name])] = (1.0 + eta) * L_f + slack - compared[c]
+        for name, loss in zip(traj.expert_names, experts[c].tolist()):
+            margins["/".join(key + [name])] = (1.0 + eta) * loss + slack - compared[c]
         if by_label:
             margins["/".join(key)] = compared[c] - g_eta * float(experts[c].min())
     if traj.engine != "fairness_aware":

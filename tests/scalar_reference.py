@@ -18,6 +18,9 @@ int8 columns a trial takes.
 ``objective`` are one-system views of ``fairmw.qopt``'s batched assembly
 and solve, which the solver tests are written against; ``dirichlet_rate``
 is the per-cell posterior predictive rate of the (group, label) counts.
+``group_rates`` and ``gap`` divide a trial's per-group rates out of its
+confusion counts and compare them in Python numbers, the reference for
+``Trajectory.rates`` and its gap series.
 
 ``encode_features`` and ``builtin_payload`` are the builtin-expert set-up
 as it ran before it kept one full-size feature matrix at a time: one array
@@ -166,6 +169,24 @@ def rates(counts, alpha_prior):
     return ((t_a + 2.0 * alpha_prior) / (t_a + t_b + 4.0 * alpha_prior),
             (a_pos + alpha_prior) / (t_a + 2.0 * alpha_prior),
             (b_pos + alpha_prior) / (t_b + 2.0 * alpha_prior))
+
+
+def group_rates(confusion):
+    """Per-group (FPR, FNR, error rate) rows, each (A, B), from (2, 4)
+    per-group (tp, fp, tn, fn) counts, in Python ints and floats; a rate
+    whose denominator is zero is None."""
+    out = {"fpr": [], "fnr": [], "err": []}
+    for tp, fp, tn, fn in (tuple(int(c) for c in row) for row in confusion):
+        neg, pos = fp + tn, tp + fn
+        out["fpr"].append(fp / neg if neg > 0 else None)
+        out["fnr"].append(fn / pos if pos > 0 else None)
+        out["err"].append((fp + fn) / (neg + pos) if neg + pos > 0 else None)
+    return [out["fpr"], out["fnr"], out["err"]]
+
+
+def gap(a, b):
+    """|a - b|, or None when either rate is undefined."""
+    return abs(a - b) if a is not None and b is not None else None
 
 
 def _sample(w, rng):

@@ -30,7 +30,7 @@ from fairmw.engines import run_trial
 from fairmw.errors import DomainError
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
 from fairmw.ingest import dataset_stats, load_dataset, load_preset, split_shuffle, synth_stream
-from fairmw.metrics import gamma, regret, validate_bounds
+from fairmw.metrics import gamma, validate_bounds
 from fairmw.qopt import REG_WEIGHT
 from scalar_reference import ConstraintSystem, dirichlet_rate, objective, solve_q
 
@@ -116,7 +116,7 @@ def test_criterion_3_sublinear_regret():
             total = 0.0
             for trial in range(20):
                 stream = synth_trial_stream(0.5, 0.5, 0.5, T, cfg.seed, trial)
-                total += regret(run_trial(cfg, stream, ens, trial))[0]
+                total += run_trial(cfg, stream, ens, trial).regret_realized[-1]
             return total / 20.0
 
         at_20000 = mean_realized_regret(20000)

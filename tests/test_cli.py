@@ -105,6 +105,8 @@ def test_build_spec_errors():
         build_spec({"engine": "mw"})
     with pytest.raises(ConfigError, match="conflicts with data"):
         build_spec(cfg_dict(**{"data.path": "x.csv"}))
+    with pytest.raises(ConfigError, match="data.split_ratio: stream.kind=synthetic conflicts"):
+        build_spec(cfg_dict(**{"data.split_ratio": "0.5"}))
     with pytest.raises(ConfigError, match="expected an integer"):
         build_spec(cfg_dict(trials="two"))
     # expert keys that the chosen experts.source would ignore
@@ -381,7 +383,7 @@ def test_dataset_file_experts_follow_the_stream(tmp_path, monkeypatch):
 
     def recording(config, stream, ensemble, trial=0):
         traj = run_trial(config, stream, ensemble, trial)
-        losses.append(traj.L_f.tolist())
+        losses.append(traj.losses.sum(axis=0).tolist())
         return traj
 
     monkeypatch.setattr(cli, "run_trial", recording)
@@ -737,6 +739,8 @@ MALFORMED = {
     "test_feature_outside_training_spread": ("run --config {d}/far_feature.cfg", 3),
     # the byte-order mark stayed in the first header name: "column 'sex' not in header"
     "dataset_with_byte_order_mark": ("stats --data {d}/bom.csv --preset {d}/good.preset", 0),
+    # a synthetic stream read no split ratio, yet summary.json echoed it and the run exited 0
+    "synthetic_with_split_ratio": ("run --config {d}/split_ratio_synthetic.cfg", 2),
 }
 
 # config name -> (engine, one line replacing or adding a key); mu_a = 1
@@ -751,6 +755,7 @@ EDGES = {
     "alpha_1e308": ("fairness_aware", "dirichlet_alpha = 1e308"),
     "eta_mw": ("mw", "eta = 1e-320"),
     "eta_fairness_aware": ("fairness_aware", "eta = 1e-320"),
+    "split_ratio_synthetic": ("mw", "data.split_ratio = 0.5"),
 }
 
 

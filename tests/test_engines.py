@@ -28,7 +28,7 @@ from fairmw.errors import StreamExhausted
 from fairmw.estimators import smoothed_rates
 from fairmw.experts import ErrorProfile, MatrixEnsemble, SyntheticEnsemble
 from fairmw.ingest import synth_stream
-from fairmw.metrics import compute_rates, gamma, validate_bounds
+from fairmw.metrics import gamma, validate_bounds
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -257,11 +257,10 @@ def dump(traj):
     """Every recorded column, aggregate, series and bound margin as
     deterministic JSON."""
     doc = {"engine": traj.engine, "eta": traj.eta, "experts": traj.expert_names,
-           "T": traj.T, "L_realized": traj.L_realized, "L_expected": traj.L_expected,
-           "margins": validate_bounds(traj, config(engine=traj.engine)).margins}
+           "T": traj.T, "margins": validate_bounds(traj, config(engine=traj.engine)).margins}
     for name in ("cell", "outcome", "realized", "expected", "losses", "right", "q_neg",
                  "regret_realized", "regret_expected", "fpr_gap", "fnr_gap", "eer_gap",
-                 "L_f", "L_fzy", "counts", "confusion"):
+                 "rates", "L_fzy", "counts"):
         value = getattr(traj, name)
         doc[name] = None if value is None else np.nan_to_num(value, nan=-1.0).tolist()
     return json.dumps(doc, sort_keys=True)
@@ -322,10 +321,12 @@ def test_trajectory_loss_decompositions():
     cfg = config(engine="fairness_aware", horizon=80)
     traj = run_trial(cfg, stream, ens)
     L_zy = np.bincount(traj.cell, weights=traj.expected, minlength=4)
-    assert abs(L_zy.sum() - traj.L_expected) < 1e-9
-    assert np.allclose(traj.L_fzy.sum(axis=(0, 1)), traj.L_f, atol=1e-9)
+    assert abs(L_zy.sum() - np.cumsum(traj.expected)[-1]) < 1e-9
+    assert np.allclose(traj.L_fzy.sum(axis=(0, 1)), traj.losses.sum(axis=0), atol=1e-9)
     assert int(traj.counts.sum()) == 80
-    assert int(traj.confusion.sum()) == 80
+    # each group's error rate times its arrivals counts its realized errors
+    errors = np.bincount(traj.cell >> 1, weights=traj.realized, minlength=2)
+    assert (traj.rates[2] * traj.counts.sum(axis=1)).round().tolist() == errors.tolist()
     # the cell margins read the right-table sums of a replay over the recorded rounds
     replay = np.zeros((2, 2))
     for i in range(traj.T):
@@ -340,13 +341,14 @@ def test_trajectory_loss_decompositions():
                 assert margins[f"{g.name}/{sign}/{name}"] == (
                     (1.0 + eta) * loss + slack - replay[g, y])
     # group_aware's per-group margins add up to mw's: the groups' expected
-    # and expert losses add up to L_expected and L_f
+    # and expert losses add up to the trial's
     cfg = config(engine="group_aware", horizon=80)
     traj = run_trial(cfg, stream, ens)
     margins = validate_bounds(traj, cfg).margins
-    for name, loss in zip(traj.expert_names, traj.L_f.tolist()):
+    L_expected = np.cumsum(traj.expected)[-1]
+    for name, loss in zip(traj.expert_names, traj.losses.sum(axis=0).tolist()):
         assert abs(margins[f"A/{name}"] + margins[f"B/{name}"]
-                   - ((1.0 + eta) * loss + 2 * slack - traj.L_expected)) < 1e-9
+                   - ((1.0 + eta) * loss + 2 * slack - L_expected)) < 1e-9
 
 
 def test_trajectory_q_series_validity():
@@ -374,9 +376,9 @@ def test_trajectory_regret_series():
                              ErrorProfile(0.45, 0.45, 0.45, 0.45)])
     stream = make_stream("A+ B- A- B+", reps=50)
     traj = run_trial(config(horizon=200, eta=None), stream, ens)
-    best = traj.L_f.min()
-    assert abs(traj.regret_expected[-1] - (traj.L_expected - best)) < 1e-9
-    assert abs(traj.regret_realized[-1] - (traj.L_realized - best)) < 1e-9
+    best = traj.losses.sum(axis=0).min()
+    assert abs(traj.regret_expected[-1] - (np.cumsum(traj.expected)[-1] - best)) < 1e-9
+    assert abs(traj.regret_realized[-1] - (np.cumsum(traj.realized)[-1] - best)) < 1e-9
     # eta=None resolves to the recommended schedule, recorded on the trajectory
     assert 0.0 < traj.eta < 0.5
 
@@ -407,7 +409,7 @@ def test_trajectory_round_columns():
     assert traj.losses.tolist() == [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     assert traj.q_neg.tolist() == [[0.3, 0.6]] * 3
     assert traj.right.tolist() == [0.25, 0.5, 0.75]
-    assert traj.L_f.tolist() == [2.0, 2.0]
+    assert traj.losses.sum(axis=0).tolist() == [2.0, 2.0]
     assert traj.L_fzy[Group.B, NEG].tolist() == [1.0, 1.0]
     # the right-table sums per cell are (A,-) 0, (A,+) 0.25, (B,-) 0.5, (B,+) 0.75
     eta, g_eta, slack = 0.3, gamma(0.3), math.log(2) / 0.3
@@ -423,8 +425,11 @@ def test_trajectory_round_columns():
                        "B/f0": (1.0 + eta) * 1.0 + slack - (0.6 + 0.7),
                        "B/f1": (1.0 + eta) * 2.0 + slack - (0.6 + 0.7)}
     assert traj.counts.tolist() == [[0, 1], [1, 1]]
-    assert traj.confusion.tolist() == [[1, 0, 0, 0], [0, 1, 0, 1]]
-    assert traj.L_realized == 2.0 and traj.L_expected == 0.4 + 0.6 + 0.7
+    # A: one true positive; B: one false positive and one false negative
+    assert np.nan_to_num(traj.rates, nan=-1.0).tolist() == [[-1.0, 1.0], [0.0, 1.0],
+                                                            [0.0, 1.0]]
+    assert np.cumsum(traj.realized)[-1] == 2.0
+    assert np.cumsum(traj.expected)[-1] == 0.4 + 0.6 + 0.7
     # running best expert: 0, 1, 2 -> regrets are the running sums minus it
     assert traj.regret_realized.tolist() == [0.0, 0.0, 0.0]
     assert traj.regret_expected.tolist() == [0.4, 0.4 + 0.6 - 1.0, 0.4 + 0.6 + 0.7 - 2.0]
@@ -444,9 +449,10 @@ def test_trajectory_round_columns():
 def test_finish_matches_round_by_round_accumulation():
     # the one-pass derivation and the bound margins are bit-identical to
     # accumulating every aggregate, series and per-cell sum with += after
-    # each round.  The second case has 9 experts, past the 8 at which numpy
-    # sums a row pairwise, and no group-B arrival before round 71, so every
-    # gap series starts with 70 NaNs.
+    # each round, and the rates and gaps to the scalar reference's (NaN
+    # standing for None).  The second case has 9 experts, past the 8 at
+    # which numpy sums a row pairwise, and no group-B arrival before round
+    # 71, so every gap series starts with 70 NaNs.
     rng = np.random.default_rng(5)
     three = SyntheticEnsemble([ErrorProfile(0.3, 0.2, 0.1, 0.4),
                                ErrorProfile(0.1, 0.1, 0.4, 0.4),
@@ -485,19 +491,12 @@ def test_finish_matches_round_by_round_accumulation():
             best = float(L_f.min())
             assert traj.regret_realized[i] == L_real - best
             assert traj.regret_expected[i] == L_exp - best
-            tp, fp, tn, fn = confusion.T
-            neg, pos = fp + tn, tp + fn
-            err = fp + fn
-            fpr = abs(fp[0] / neg[0] - fp[1] / neg[1]) if neg.all() else None
-            fnr = abs(fn[0] / pos[0] - fn[1] / pos[1]) if pos.all() else None
-            tot = neg + pos
-            eer = abs(err[0] / tot[0] - err[1] / tot[1]) if tot.all() else None
-            for series, want in ((traj.fpr_gap, fpr), (traj.fnr_gap, fnr),
-                                 (traj.eer_gap, eer)):
+            rates = scalar_reference.group_rates(confusion)
+            for series, (a, b) in zip((traj.fpr_gap, traj.fnr_gap, traj.eer_gap), rates):
+                want = scalar_reference.gap(a, b)
                 assert np.isnan(series[i]) if want is None else series[i] == want
-        assert (traj.L_realized, traj.L_expected) == (L_real, L_exp)
-        for have, want in ((traj.L_f, L_f), (traj.L_fzy, L_fzy), (traj.counts, counts),
-                           (traj.confusion, confusion)):
+        assert np.array_equal(traj.rates, np.array(rates, dtype=float), equal_nan=True)
+        for have, want in ((traj.L_fzy, L_fzy), (traj.counts, counts)):
             assert have.tolist() == want.tolist()
         eta, slack, names = traj.eta, math.log(d) / traj.eta, traj.expert_names
         if engine == "mw":
@@ -527,10 +526,8 @@ def test_group_error_rates():
     traj.finish()
     # only fairness_aware keeps a right-table and q column
     assert traj.right is None and traj.q_neg is None
-    # per-group error rates come from the confusion counts
-    rates = compute_rates(traj.confusion)
-    assert rates.err_a == 0.5  # one miss out of two A rounds
-    assert rates.err_b == 0.0
+    # per-group error rates: one miss out of two A rounds, none of two B rounds
+    assert traj.rates[2].tolist() == [0.5, 0.0]
     assert traj.error_rate() == 0.25
 
 
@@ -558,8 +555,8 @@ def test_mw_theorem_regret_bound_random_runs():
                             for _ in range(T)])
         traj = run_trial(config(horizon=T, eta=eta, seed=int(rng.integers(1 << 30))),
                          stream, SyntheticEnsemble(profiles))
-        bound = (1.0 + eta) * traj.L_f.min() + math.log(d) / eta
-        assert traj.L_expected <= bound + 1e-9
+        bound = (1.0 + eta) * traj.losses.sum(axis=0).min() + math.log(d) / eta
+        assert np.cumsum(traj.expected)[-1] <= bound + 1e-9
 
 
 def fair_case(T, experts=None, **kw):

@@ -16,10 +16,8 @@ from fairmw.errors import (
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
 from fairmw.metrics import (
     BoundReport,
-    compute_rates,
     gamma,
     measured_epsilon,
-    regret,
     validate_bounds,
 )
 
@@ -49,64 +47,74 @@ def test_gamma_monotone_and_bounded():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_compute_rates_hand_example():
-    confusion = np.array([[9, 2, 8, 1], [8, 1, 9, 2]], dtype=np.int64)
-    r = compute_rates(confusion)
-    assert abs(r.fpr_a - 0.2) < 1e-15
-    assert abs(r.fnr_a - 0.1) < 1e-15
-    assert abs(r.err_a - 0.15) < 1e-15
-    assert abs(r.fpr_gap - 0.1) < 1e-15
-    assert abs(r.fnr_gap - 0.1) < 1e-15
-    assert r.eer_gap == 0.0
-
-
-def test_compute_rates_mapping_input():
-    # row 0 of the (2, 4) counts maps to group A, row 1 to group B
-    confusion = np.array([[9, 2, 8, 1], [8, 1, 9, 2]], dtype=np.int64)
-    r = compute_rates(confusion)
-    assert abs(r.fpr_b - 0.1) < 1e-15
-    assert abs(r.fnr_b - 0.2) < 1e-15
-    assert abs(r.fpr_a - 0.2) < 1e-15
-    assert abs(r.fnr_a - 0.1) < 1e-15
-
-
-def test_compute_rates_undefined_cells():
-    # group A saw no negatives: its fpr and the fpr gap are None, not 0
-    confusion = np.array([[2, 0, 0, 1], [1, 1, 1, 1]], dtype=np.int64)
-    r = compute_rates(confusion)
-    assert r.fpr_a is None
-    assert r.fpr_gap is None
-    assert r.fnr_gap is not None
-
-
 def fabricate(engine, eta, names, rows):
-    """rows: (group, label, expected_loss, realized_loss, per-expert losses)."""
+    """rows: (group, label, expected_loss, realized_loss, per-expert losses);
+    the prediction is wrong on a round with a realized loss."""
     traj = Trajectory(engine, eta, names, len(rows))
     for t, (g, y, exp, real, losses) in enumerate(rows, start=1):
-        traj.record(t, g, y, prediction=1 - y, realized=real, expected=exp,
+        traj.record(t, g, y, prediction=1 - y if real else y, realized=real, expected=exp,
                     losses=np.asarray(losses, dtype=float))
     return traj.finish()
+
+
+def from_confusion(confusion):
+    """A one-expert trajectory whose rounds have (2, 4) per-group
+    (tp, fp, tn, fn) counts ``confusion``."""
+    rows = [(g, y, 0.0, wrong, (wrong,))
+            for g, row in zip(Group, confusion)
+            for (y, wrong), n in zip(((POS, 0.0), (NEG, 1.0), (NEG, 0.0), (POS, 1.0)), row)
+            for _ in range(n)]
+    return fabricate("mw", 0.3, ["f1"], rows)
+
+
+def final_gaps(traj):
+    return [traj.fpr_gap[-1], traj.fnr_gap[-1], traj.eer_gap[-1]]
+
+
+def test_final_rates_hand_example():
+    traj = from_confusion([[9, 2, 8, 1], [8, 1, 9, 2]])
+    (fpr_a, _), (fnr_a, _), (err_a, _) = traj.rates.tolist()
+    fpr_gap, fnr_gap, eer_gap = final_gaps(traj)
+    assert abs(fpr_a - 0.2) < 1e-15
+    assert abs(fnr_a - 0.1) < 1e-15
+    assert abs(err_a - 0.15) < 1e-15
+    assert abs(fpr_gap - 0.1) < 1e-15
+    assert abs(fnr_gap - 0.1) < 1e-15
+    assert eer_gap == 0.0
+
+
+def test_final_rates_column_per_group():
+    # column 0 of the (3, 2) rates is group A, column 1 group B
+    traj = from_confusion([[9, 2, 8, 1], [8, 1, 9, 2]])
+    fpr, fnr, _ = traj.rates
+    assert abs(fpr[Group.B] - 0.1) < 1e-15
+    assert abs(fnr[Group.B] - 0.2) < 1e-15
+    assert abs(fpr[Group.A] - 0.2) < 1e-15
+    assert abs(fnr[Group.A] - 0.1) < 1e-15
+
+
+def test_final_rates_undefined_cells():
+    # group A saw no negatives: its fpr and the fpr gap are NaN, not 0
+    traj = from_confusion([[2, 0, 0, 1], [1, 1, 1, 1]])
+    fpr_gap, fnr_gap, _ = final_gaps(traj)
+    assert np.isnan(traj.rates[0, Group.A])
+    assert np.isnan(fpr_gap)
+    assert not np.isnan(fnr_gap)
 
 
 def test_regret_hand_example():
     per_round = (3 / 7, 4 / 7, 1.0)
     rows = [(Group.A, POS, 0.6, 5 / 7, per_round)] * 7
     traj = fabricate("mw", 0.3, ["f1", "f2", "f3"], rows)
-    realized, expected = regret(traj)
-    assert abs(realized - 2.0) < 1e-9
-    assert abs(expected - 1.2) < 1e-9
+    assert abs(traj.regret_realized[-1] - 2.0) < 1e-9
+    assert abs(traj.regret_expected[-1] - 1.2) < 1e-9
 
 
 def test_regret_can_be_negative():
     rows = [(Group.A, POS, 0.0, 0.0, (0.5, 1.0))] * 4
-    realized, expected = regret(fabricate("mw", 0.3, ["f1", "f2"], rows))
-    assert abs(realized - (-2.0)) < 1e-9
-    assert abs(expected - (-2.0)) < 1e-9
-
-
-def test_regret_empty_trajectory():
-    with pytest.raises(EmptyTrajectory):
-        regret(Trajectory("mw", 0.3, ["f1", "f2"], 0))
+    traj = fabricate("mw", 0.3, ["f1", "f2"], rows)
+    assert abs(traj.regret_realized[-1] - (-2.0)) < 1e-9
+    assert abs(traj.regret_expected[-1] - (-2.0)) < 1e-9
 
 
 def test_measured_epsilon():
