@@ -70,7 +70,6 @@ MARGIN_THRESHOLD = -1e-9
 ROUNDS_HEADER = ("t,engine,trial_mean_regret_realized,trial_mean_regret_expected,"
                  "fpr_gap,fnr_gap,eer_gap,q_a_neg,q_b_neg")
 ROUNDS_CHUNK = 8192  # rounds.csv rows formatted per write
-GATHER_ROWS = 4096   # feature rows copied per block when splitting
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -240,20 +239,17 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
     run = spec.run
     info: dict = {"ingest_report": None, "data_stats": None}
 
-    if spec.stream_kind == "synthetic":
-        test = None
-        stream_params = spec.stream_params
-    else:
+    test = None   # dataset mode: the test split's (group, label)
+    if spec.stream_kind == "dataset":
         schema = load_preset(spec.data_preset)
-        (x, group, label), report = load_dataset(spec.data_path, schema)
+        (features, group, label), report = load_dataset(spec.data_path, schema)
         info["ingest_report"] = report.to_dict()
         info["data_stats"] = dataset_stats(group, label).to_dict()
         train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, run.seed)
-        # Trials read only group and label, so the feature matrix stays here.
+        # Trials read only group and label; only builtin experts read features.
         test = (group[test_idx], label[test_idx])
         if "horizon" not in spec.raw:
             run = dataclasses.replace(run, horizon=len(test_idx))
-        stream_params = None
 
     if spec.experts_source == "synthetic":
         ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
@@ -268,10 +264,11 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
                     f"the dataset keeps {len(label)} rows (one row per kept row)")
             ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[test_idx])
     else:  # builtin: every model predicts the test split once
-        # x goes before the first model trains: its rows are gathered in split
-        # order, training rows then test rows, into one new matrix.
-        x = _gather_rows(x, group if spec.include_group else None,
-                         np.concatenate((train_idx, test_idx)))
+        # The one feature matrix is written in split order, training rows then
+        # test rows; the coded columns go before the first model trains.
+        x = features.matrix(np.concatenate((train_idx, test_idx)),
+                            group if spec.include_group else None)
+        del features
         models = [train_builtin(x[:len(train_idx)], label[train_idx], kind, epochs=spec.epochs,
                                 seed=run.seed + 7919 * i)
                   for i, kind in enumerate(spec.experts_kinds)]
@@ -288,18 +285,7 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
     info["eta"] = run.eta if run.eta is not None else recommended_eta(run.horizon, ensemble.d)
     logger.info("prepared %s run: d=%d, horizon=%d, eta=%g",
                 run.engine, ensemble.d, run.horizon, info["eta"])
-    return TrialPayload(run, stream_params, test, ensemble, epsilon), info
-
-
-def _gather_rows(x: np.ndarray, group: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
-    """Rows idx of x, ending in group[idx] when group is given; copied in
-    blocks, as a gather into a column slice would buffer all its rows."""
-    out = np.empty((len(idx), x.shape[1] + (group is not None)))
-    for lo in range(0, len(idx), GATHER_ROWS):
-        out[lo:lo + GATHER_ROWS, :x.shape[1]] = x[idx[lo:lo + GATHER_ROWS]]
-    if group is not None:
-        out[:, -1] = group[idx]
-    return out
+    return TrialPayload(run, spec.stream_params, test, ensemble, epsilon), info
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from .domain import (
     trial_seed_sequence,
     weight_states,
 )
-from .errors import StreamExhausted
+from .errors import EmptyTrajectory, StreamExhausted
 from .estimators import smoothed_rates
 from .qopt import assemble_systems, solve_q_batch
 
@@ -145,6 +145,8 @@ class Trajectory:
     """
 
     def __init__(self, engine: str, eta: float, expert_names: list[str], T: int):
+        if T < 1:
+            raise EmptyTrajectory(f"a trajectory needs at least one round, got T = {T}")
         self.engine = engine
         self.eta = eta
         self.expert_names = list(expert_names)
@@ -176,14 +178,13 @@ class Trajectory:
         self.losses[i] = losses
 
     def finish(self) -> "Trajectory":
-        """Derive the per-cell sums, the final rates and the regret and gap
+        """Derive the per-cell counts, the final rates and the regret and gap
         series; returns self.
 
         ``rates`` is (3, 2): the final FPR, FNR and error rate [rate, group],
         NaN where undefined; each gap series is |rate_A - rate_B| per round.
-        Running sums are ``np.cumsum`` and per-cell sums ``np.bincount``;
-        both add in round order, so every value is bit-identical to
-        accumulating it round by round.
+        Running sums are ``np.cumsum``, which adds in round order, so every
+        value is bit-identical to accumulating it round by round.
         """
         cell = self.cell
         self.counts = np.bincount(cell, minlength=4).reshape(2, 2)
@@ -195,13 +196,9 @@ class Trajectory:
             del rates    # one (T, 2) series alive at a time
         self.fpr_gap, self.fnr_gap, self.eer_gap = gaps
 
-        d = self.d
-        self.L_fzy = np.zeros((2, 2, d))
         best = np.full(self.T, np.inf)   # running min over experts of their cumulative loss
-        for f in range(d):
-            col = self.losses[:, f]
-            np.minimum(best, np.cumsum(col), out=best)
-            self.L_fzy[:, :, f] = np.bincount(cell, weights=col, minlength=4).reshape(2, 2)
+        for f in range(self.d):
+            np.minimum(best, np.cumsum(self.losses[:, f]), out=best)
         self.regret_realized = np.cumsum(self.realized)
         self.regret_realized -= best
         self.regret_expected = np.cumsum(self.expected)
@@ -209,7 +206,7 @@ class Trajectory:
         return self
 
     def error_rate(self) -> float:
-        return float(self.realized.sum() / self.T) if self.T else 0.0
+        return float(self.realized.sum() / self.T)
 
 
 def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory:

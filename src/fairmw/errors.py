@@ -45,7 +45,7 @@ class DegenerateData(FairmwError):
 
 
 class EmptyTrajectory(FairmwError):
-    """A metric was requested on a zero-round trajectory."""
+    """A trajectory was built with no rounds."""
 
 
 class EngineMismatch(FairmwError):

@@ -6,8 +6,7 @@ configs).  A DatasetSchema names the label and group columns and how to
 binarize them; everything else it needs is data, so the three bundled
 presets (adult, german, compas) are editable text files in
 ``fairmw/presets/``.  A loaded dataset is three columns over the kept
-rows: the (n, k) float64 encoded feature matrix and the int8 group and
-label vectors.
+rows: coded feature columns, the int8 group vector and the int8 labels.
 
 Binarization values are strings.  A value may list alternatives
 separated by ``|`` ("good|1"), or be a numeric comparison such as
@@ -38,6 +37,7 @@ from .errors import EmptyDataset, FormatError, SchemaError, utf8_lines
 __all__ = [
     "DatasetSchema",
     "DatasetStats",
+    "FeatureColumns",
     "IngestReport",
     "load_dataset",
     "dataset_stats",
@@ -147,12 +147,39 @@ class DatasetStats:
         return asdict(self)
 
 
-def load_dataset(path, schema: DatasetSchema
-                 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], IngestReport]:
-    """Read one CSV into ``(x, group, label)`` plus an audit report.
+@dataclass(frozen=True, eq=False)
+class FeatureColumns:
+    """Row i of feature column j is its ``codes[j][i]``-th distinct cell, by
+    first occurrence.  ``values[j]`` holds a numeric column's distinct cells
+    as floats; a one-hot column has None there and ``widths[j]`` categories."""
 
-    ``x`` is the (n, k) float64 feature matrix of the n kept rows in CSV
-    order; ``group`` (``Group.A`` = 0) and ``label`` are int8 vectors.
+    codes: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray | None, ...]
+    widths: tuple[int, ...]
+
+    def matrix(self, rows: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
+        """The float64 (len(rows), sum(widths)) feature matrix of the given
+        rows in their order, ending in ``last[rows]`` when ``last`` is given."""
+        out = np.zeros((len(rows), sum(self.widths) + (last is not None)))
+        at, j = np.arange(len(rows)), 0
+        for code, values, width in zip(self.codes, self.values, self.widths):
+            if values is None:
+                out[at, j + code[rows]] = 1.0
+            else:
+                out[:, j] = values[code[rows]]
+            j += width
+        if last is not None:
+            out[:, -1] = last[rows]
+        return out
+
+
+def load_dataset(path, schema: DatasetSchema
+                 ) -> tuple[tuple[FeatureColumns, np.ndarray, np.ndarray], IngestReport]:
+    """Read one CSV into ``(features, group, label)`` plus an audit report.
+
+    ``features`` code the n kept rows' feature columns, which
+    ``features.matrix`` writes in any row order; ``group`` (``Group.A`` = 0)
+    and ``label`` are int8 vectors in CSV order.
     Numeric feature columns must be finite.  The rest are one-hot encoded
     with category order fixed by first occurrence among kept rows, and the
     ordering is emitted in the report so downstream training is auditable.
@@ -252,38 +279,33 @@ def load_dataset(path, schema: DatasetSchema
         raise SchemaError(
             f"{path}: positive value {schema.positive_value!r} matched no row")
 
-    x, report.encoding = _encode_features(path, feature_names, codes, seen, len(labels))
+    features, report.encoding = _code_columns(path, feature_names, codes, seen)
     report.rows_kept = len(labels)
-    return (x, np.array(groups, dtype=np.int8), np.array(labels, dtype=np.int8)), report
+    return (features, np.array(groups, dtype=np.int8), np.array(labels, dtype=np.int8)), report
 
 
-def _encode_features(path, names: list[str], codes: list[list[int]],
-                     seen: list[dict[str, int]], n: int):
-    """Numeric columns pass through; the rest one-hot by first occurrence,
-    all written into one (n, width) matrix.  Column j's row i holds the
-    ``codes[j][i]``-th distinct cell of ``seen[j]``."""
-    numeric, encoding = [], []   # per column: its distinct cells as floats, or None
+def _code_columns(path, names: list[str], codes: list[list[int]],
+                  seen: list[dict[str, int]]) -> tuple[FeatureColumns, list]:
+    """Classify each column: numeric when every distinct cell of ``seen[j]``
+    parses as a finite number, one-hot by first occurrence otherwise.
+    Column j's row i holds the ``codes[j][i]``-th distinct cell."""
+    values, encoding = [], []
     for name, first in zip(names, seen):
         try:
-            numeric.append(np.array([float(v) for v in first]))
+            distinct = np.array([float(v) for v in first])
         except ValueError:
-            numeric.append(None)
+            values.append(None)
             encoding.append((name, "one-hot", tuple(first)))
             continue
-        bad = np.flatnonzero(~np.isfinite(numeric[-1]))
+        bad = np.flatnonzero(~np.isfinite(distinct))
         if bad.size:
             raise SchemaError(f"{path}: feature column {name!r} holds "
                               f"{list(first)[bad[0]]!r}, which is not a finite number")
+        values.append(distinct)
         encoding.append((name, "numeric", ()))
-    x, j = np.zeros((n, sum(len(cats) or 1 for _, _, cats in encoding))), 0
-    for code, distinct, (_, _, cats) in zip(codes, numeric, encoding):
-        code = np.array(code, dtype=np.intp)
-        if distinct is None:
-            x[np.arange(n), j + code] = 1.0
-        else:
-            x[:, j] = distinct[code]
-        j += len(cats) or 1
-    return x, encoding
+    codes = tuple(np.array(code, dtype=np.intp) for code in codes)
+    widths = tuple(len(cats) or 1 for _, _, cats in encoding)
+    return FeatureColumns(codes, tuple(values), widths), encoding
 
 
 def dataset_stats(group: np.ndarray, label: np.ndarray) -> DatasetStats:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Group, RunConfig, gamma
-from .errors import EmptyTrajectory, EngineMismatch
+from .errors import EngineMismatch
 from .engines import CELL_MAP, Trajectory
 from .estimators import smoothed_rates
 
@@ -50,20 +50,15 @@ class BoundReport:
         return min(self.margins.values()) if self.margins else None
 
 
-def measured_epsilon(traj: Trajectory) -> float:
-    """Max per-expert empirical cross-group error-rate gap over both labels.
+def measured_epsilon(traj: Trajectory, cell_losses: np.ndarray) -> float:
+    """Max per-expert empirical cross-group error-rate gap over both labels,
+    from each expert's (2, 2, d) [group, label, expert] loss sums.
 
     Cells without observations are skipped; 0.0 when nothing is comparable.
     """
-    eps = 0.0
-    for y in (0, 1):
-        ca, cb = traj.counts[0, y], traj.counts[1, y]
-        if ca == 0 or cb == 0:
-            continue
-        rate_a = traj.L_fzy[0, y] / ca
-        rate_b = traj.L_fzy[1, y] / cb
-        eps = max(eps, float(np.max(np.abs(rate_a - rate_b))))
-    return eps
+    both = traj.counts.min(axis=0) > 0    # labels observed in both groups
+    rates = cell_losses[:, both] / traj.counts[:, both, None]
+    return float(np.abs(rates[0] - rates[1]).max(initial=0.0))
 
 
 def validate_bounds(traj: Trajectory, config: RunConfig,
@@ -73,10 +68,8 @@ def validate_bounds(traj: Trajectory, config: RunConfig,
     Every cell the engine updates gets its margins, visited or not.  A
     round's losses go to its update cell ``cell & (2 * by_group + by_label)``
     by ``np.bincount``, in round order.  fairness_aware adds both
-    fairness-bound right-hand sides.
+    fairness-bound right-hand sides, which read the same cell sums.
     """
-    if traj.T == 0:
-        raise EmptyTrajectory("cannot validate bounds on an empty trajectory")
     if traj.engine != config.engine:
         raise EngineMismatch(
             f"trajectory from engine {traj.engine!r}, config says {config.engine!r}")
@@ -100,24 +93,25 @@ def validate_bounds(traj: Trajectory, config: RunConfig,
     if traj.engine != "fairness_aware":
         return BoundReport(gamma_eta=g_eta, margins=margins)
 
-    eps = epsilon if epsilon is not None else measured_epsilon(traj)
-    rhs = {"fpr": _fairness_rhs(traj, eta, g_eta, eps, config.dirichlet_alpha, label=0),
-           "fnr": _fairness_rhs(traj, eta, g_eta, eps, config.dirichlet_alpha, label=1)}
+    cell_losses = experts.reshape(2, 2, traj.d)
+    eps = epsilon if epsilon is not None else measured_epsilon(traj, cell_losses)
+    rhs = {key: _fairness_rhs(traj, cell_losses, eta, g_eta, eps, config.dirichlet_alpha, label)
+           for label, key in enumerate(("fpr", "fnr"))}
     return BoundReport(gamma_eta=g_eta, margins=margins,
                        fairness_bound_rhs=rhs, epsilon_used=eps)
 
 
-def _fairness_rhs(traj: Trajectory, eta: float, g_eta: float, eps: float,
-                  alpha_prior: float, label: int) -> float | None:
+def _fairness_rhs(traj: Trajectory, cell_losses: np.ndarray, eta: float, g_eta: float,
+                  eps: float, alpha_prior: float, label: int) -> float | None:
     """Right-hand side of the FPR (label=0) or FNR (label=1) bound, from the
-    trajectory's final q and alpha sums and p and mu smoothed from its
-    counts with prior mass ``alpha_prior``."""
+    trajectory's final q, alpha sums and per-cell expert losses, and p and
+    mu smoothed from its counts with prior mass ``alpha_prior``."""
     if traj.alpha_sums is None:
         return None
     c_b = int(traj.counts[Group.B, label])
     if c_b == 0:
         return None
-    best_b = float(traj.L_fzy[Group.B, label].min()) / c_b
+    best_b = float(cell_losses[Group.B, label].min()) / c_b
     p_hat, mu_hat = smoothed_rates(traj.counts, alpha_prior)
     p, mu_a, mu_b = float(p_hat), float(mu_hat[Group.A]), float(mu_hat[Group.B])
     T = traj.T

@@ -26,8 +26,9 @@ confusion counts and compare them in Python numbers, the reference for
 as it ran before it kept one full-size feature matrix at a time: one array
 per encoded column joined by ``np.hstack``, the group column appended by
 ``np.column_stack``, the splits taken by fancy indexing, and logistic
-inputs standardized as ``(x - mean) / scale``.  The in-place encoder,
-gather and standardization must reproduce them bit for bit.
+inputs standardized as ``(x - mean) / scale``.  The one matrix written
+from the coded columns in split order, and the in-place standardization,
+must reproduce them bit for bit.
 ``write_census_csv`` writes the census-shaped file those tests read.
 """
 

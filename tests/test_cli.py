@@ -441,18 +441,26 @@ def model_bits(model):
 @pytest.mark.parametrize("include_group", [True, False])
 def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
                                                          include_group):
-    # Encoding in place, gathering the split and standardizing in place
-    # change no byte of the matrices, the models or the predictions.
+    # Writing the one matrix from coded columns in split order and
+    # standardizing in place change no byte of the matrices, the models or
+    # the predictions.
     spec = build_spec(parse_config(write(
         tmp_path, census_builtin_cfg(tmp_path, 1500, include_group, epochs=200))))
-    schema = load_preset("adult")
+    reference, code_columns = [], ingest._code_columns
+
+    def encoding_reference(path, names, codes, seen):
+        reference.append(scalar_reference.encode_features(path, names, codes, seen,
+                                                          len(codes[0])))
+        return code_columns(path, names, codes, seen)
+
     with monkeypatch.context() as m:
-        m.setattr(ingest, "_encode_features", scalar_reference.encode_features)
-        (x, group, label), report = load_dataset(spec.data_path, schema)
-    (got, _, _), got_report = load_dataset(spec.data_path, schema)
-    assert {kind for _, kind, _ in report.encoding} == {"numeric", "one-hot"}
-    assert ("source", "one-hot", ("CPS",)) in report.encoding
-    assert got_report.to_dict() == report.to_dict()
+        m.setattr(ingest, "_code_columns", encoding_reference)
+        (features, group, label), report = load_dataset(spec.data_path, load_preset("adult"))
+    (x, encoding), = reference
+    assert report.encoding == encoding
+    assert {kind for _, kind, _ in encoding} == {"numeric", "one-hot"}
+    assert ("source", "one-hot", ("CPS",)) in encoding
+    got = features.matrix(np.arange(len(label)))
     assert got.shape == x.shape and got.tobytes() == x.tobytes()
 
     trained, predicted = [], []
@@ -502,10 +510,12 @@ def test_builtin_run_does_not_import_numpy_ma(tmp_path):
 
 
 def test_builtin_setup_memory(tmp_path):
-    # Builtin set-up peaks where x and its gathered split rows are both
-    # alive, at about 2.2 M for M = n (k + 1) 8, the bytes of the kept
-    # matrix with its group column.  Keeping the group-stacked matrix beside
-    # the training rows and standardizing through a temporary peaked at 3.1 M.
+    # Builtin set-up peaks where a logistic model standardizes its training
+    # rows beside the split-order matrix, at about 1.75 M for
+    # M = n (k + 1) 8, the bytes of the kept matrix with its group column.
+    # Gathering the split from a CSV-order matrix peaked at 2.2 M, and
+    # keeping the group-stacked matrix beside the training rows and
+    # standardizing through a temporary at 3.1 M.
     spec = build_spec(parse_config(write(tmp_path, census_builtin_cfg(tmp_path, 20000,
                                                                      epochs=2))))
     np.random.default_rng(0)   # numpy.random is imported before tracing starts
@@ -519,7 +529,36 @@ def test_builtin_setup_memory(tmp_path):
     k = sum(len(cats) or 1 for _, _, cats in report["encoding"])
     M = report["rows_kept"] * (k + 1) * 8
     assert report["rows_kept"] > 18000 and k > 70
-    assert peak < 2.7 * M, peak / M
+    assert peak < 2.1 * M, peak / M
+
+
+def test_stats_and_file_experts_build_no_feature_matrix(tmp_path, capsys):
+    # Only builtin experts read features, so `fairmw stats` and the set-up
+    # of file experts on the census CSV peak below the bytes of its kept
+    # (n, k) feature matrix, at about 0.6 of them; both built the matrix
+    # and peaked at 1.45 of them.
+    scalar_reference.write_census_csv(tmp_path / "census.csv", 20000, seed=5)
+    (features, _, label), _ = load_dataset(tmp_path / "census.csv", load_preset("adult"))
+    n, k = len(label), sum(features.widths)
+    del features
+    preds = np.random.default_rng(3).integers(0, 2, (n, 2)).tolist()
+    write(tmp_path, "f1,f2\n" + "".join(f"{a},{b}\n" for a, b in preds), "preds.csv")
+    spec = build_spec(parse_config(write(tmp_path, (
+        f"engine = group_aware\nseed = 11\nstream.kind = dataset\n"
+        f"data.path = {tmp_path / 'census.csv'}\ndata.preset = adult\n"
+        f"experts.source = file\nexperts.file = {tmp_path / 'preds.csv'}\n"))))
+    np.random.default_rng(0)   # numpy.random is imported before tracing starts
+    stats = ["stats", "--data", str(tmp_path / "census.csv"), "--preset", "adult"]
+    for call in (lambda: main(stats), lambda: cli.prepare_payload(spec)[0]):
+        tracemalloc.start()
+        try:
+            assert call() is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8, peak / (n * k * 8)
+    assert n > 18000 and k > 70
+    assert json.loads(capsys.readouterr().out)["stats"]["n_total"] == n
 
 
 def test_validate_bounds_ok(tmp_path):
@@ -710,6 +749,9 @@ MALFORMED = {
     "prediction_file_wrong_length": ("run --config {d}/short_preds.cfg", 3),
     # float() parses "nan": the logistic expert's weights went NaN and the run exited 0
     "non_finite_feature": ("run --config {d}/nan_feature.cfg", 3),
+    # neither path builds a feature matrix, yet the columns are still checked
+    "non_finite_feature_stats": ("stats --data {d}/inf_feature.csv --preset {d}/good.preset", 3),
+    "non_finite_feature_file_experts": ("run --config {d}/inf_feature.cfg", 3),
     # the first "age" column was silently replaced by the second
     "duplicate_dataset_column": ("stats --data {d}/dup_column.csv --preset {d}/good.preset", 3),
     # --workers 0 and below used to run serially and exit 0
@@ -793,6 +835,12 @@ def write_malformed_inputs(d):
                  "engine = mw\ntrials = 1\nstream.kind = dataset\n"
                  f"data.path = {d}/nan_feature.csv\ndata.preset = {d}/good.preset\n"
                  "experts.source = builtin\n").encode(),
+             "inf_feature.csv": census.replace("41,", "inf,").encode(),
+             "inf_preds.csv": b"f1,f2\n1,0\n0,1\n1,1\n0,0\n",
+             "inf_feature.cfg": (
+                 "engine = mw\ntrials = 1\nstream.kind = dataset\n"
+                 f"data.path = {d}/inf_feature.csv\ndata.preset = {d}/good.preset\n"
+                 f"experts.source = file\nexperts.file = {d}/inf_preds.csv\n").encode(),
              "dup_column.csv": census.replace("age,", "age,age,").replace(
                  "\n30,", "\n30,31,").replace("\n41,", "\n41,41,").replace(
                  "\n35,", "\n35,35,").replace("\n52,", "\n52,52,").encode()}

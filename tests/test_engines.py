@@ -260,7 +260,7 @@ def dump(traj):
            "T": traj.T, "margins": validate_bounds(traj, config(engine=traj.engine)).margins}
     for name in ("cell", "outcome", "realized", "expected", "losses", "right", "q_neg",
                  "regret_realized", "regret_expected", "fpr_gap", "fnr_gap", "eer_gap",
-                 "rates", "L_fzy", "counts"):
+                 "rates", "counts"):
         value = getattr(traj, name)
         doc[name] = None if value is None else np.nan_to_num(value, nan=-1.0).tolist()
     return json.dumps(doc, sort_keys=True)
@@ -322,24 +322,29 @@ def test_trajectory_loss_decompositions():
     traj = run_trial(cfg, stream, ens)
     L_zy = np.bincount(traj.cell, weights=traj.expected, minlength=4)
     assert abs(L_zy.sum() - np.cumsum(traj.expected)[-1]) < 1e-9
-    assert np.allclose(traj.L_fzy.sum(axis=(0, 1)), traj.losses.sum(axis=0), atol=1e-9)
     assert int(traj.counts.sum()) == 80
     # each group's error rate times its arrivals counts its realized errors
     errors = np.bincount(traj.cell >> 1, weights=traj.realized, minlength=2)
     assert (traj.rates[2] * traj.counts.sum(axis=1)).round().tolist() == errors.tolist()
-    # the cell margins read the right-table sums of a replay over the recorded rounds
-    replay = np.zeros((2, 2))
+    # the cell margins read the right-table and expert-loss sums of a replay
+    # over the recorded rounds
+    replay, replay_losses = np.zeros((2, 2)), np.zeros((2, 2, 2))
     for i in range(traj.T):
         replay[divmod(int(traj.cell[i]), 2)] += traj.right[i]
+        replay_losses[divmod(int(traj.cell[i]), 2)] += traj.losses[i]
     eta, slack = traj.eta, math.log(2) / traj.eta
     margins = validate_bounds(traj, cfg).margins
-    for g in Group:
-        for y, sign in ((NEG, "-"), (POS, "+")):
-            L_f = traj.L_fzy[g, y].tolist()
-            assert margins[f"{g.name}/{sign}"] == replay[g, y] - gamma(eta) * min(L_f)
-            for name, loss in zip(traj.expert_names, L_f):
-                assert margins[f"{g.name}/{sign}/{name}"] == (
-                    (1.0 + eta) * loss + slack - replay[g, y])
+    cells = [(g, y, f"{g.name}/{sign}") for g in Group for y, sign in ((NEG, "-"), (POS, "+"))]
+    for g, y, cell in cells:
+        L_f = replay_losses[g, y].tolist()
+        assert margins[cell] == replay[g, y] - gamma(eta) * min(L_f)
+        for name, loss in zip(traj.expert_names, L_f):
+            assert margins[f"{cell}/{name}"] == (1.0 + eta) * loss + slack - replay[g, y]
+    # the four cells' expert losses, read back from the margins, add up to
+    # each expert's loss over the trial
+    for f, name in enumerate(traj.expert_names):
+        read = sum(margins[f"{cell}/{name}"] - slack + replay[g, y] for g, y, cell in cells)
+        assert abs(read / (1.0 + eta) - traj.losses[:, f].sum()) < 1e-9
     # group_aware's per-group margins add up to mw's: the groups' expected
     # and expert losses add up to the trial's
     cfg = config(engine="group_aware", horizon=80)
@@ -410,13 +415,13 @@ def test_trajectory_round_columns():
     assert traj.q_neg.tolist() == [[0.3, 0.6]] * 3
     assert traj.right.tolist() == [0.25, 0.5, 0.75]
     assert traj.losses.sum(axis=0).tolist() == [2.0, 2.0]
-    assert traj.L_fzy[Group.B, NEG].tolist() == [1.0, 1.0]
     # the right-table sums per cell are (A,-) 0, (A,+) 0.25, (B,-) 0.5, (B,+) 0.75
     eta, g_eta, slack = 0.3, gamma(0.3), math.log(2) / 0.3
     margins = validate_bounds(traj, config(engine="fairness_aware")).margins
     assert {k: v for k, v in margins.items() if k.count("/") == 1} == {
         "A/-": 0.0, "A/+": 0.25, "B/-": 0.5 - g_eta * 1.0, "B/+": 0.75}
-    assert margins["B/-/f1"] == (1.0 + eta) * 1.0 + slack - 0.5
+    # each expert lost the one (B,-) round
+    assert margins["B/-/f0"] == margins["B/-/f1"] == (1.0 + eta) * 1.0 + slack - 0.5
     # group_aware compares each group's expected loss with its expert losses,
     # A (1, 0) and B (1, 2)
     margins = validate_bounds(recorded("group_aware"), config(engine="group_aware")).margins
@@ -496,8 +501,7 @@ def test_finish_matches_round_by_round_accumulation():
                 want = scalar_reference.gap(a, b)
                 assert np.isnan(series[i]) if want is None else series[i] == want
         assert np.array_equal(traj.rates, np.array(rates, dtype=float), equal_nan=True)
-        for have, want in ((traj.L_fzy, L_fzy), (traj.counts, counts)):
-            assert have.tolist() == want.tolist()
+        assert traj.counts.tolist() == counts.tolist()
         eta, slack, names = traj.eta, math.log(d) / traj.eta, traj.expert_names
         if engine == "mw":
             want = {f: (1.0 + eta) * L_f[i] + slack - L_exp for i, f in enumerate(names)}

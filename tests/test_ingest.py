@@ -9,7 +9,7 @@ from fairmw.errors import ConfigError, EmptyDataset, SchemaError
 from fairmw.ingest import (
     BUNDLED_PRESETS,
     DatasetSchema,
-    _encode_features,
+    _code_columns,
     dataset_stats,
     load_dataset,
     load_preset,
@@ -27,6 +27,13 @@ BASIC = DatasetSchema(
 )
 
 
+def load_matrix(path, schema):
+    """``load_dataset`` with its features written as the kept rows' matrix
+    in CSV order."""
+    (features, group, label), report = load_dataset(path, schema)
+    return (features.matrix(np.arange(len(label))), group, label), report
+
+
 def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -35,7 +42,7 @@ def write_csv(tmp_path, text, name="data.csv"):
 
 def test_basic_parse(tmp_path):
     path = write_csv(tmp_path, "age,sex,income\n39,Male,high\n26,Female,low\n41,Male,low\n")
-    (x, group, label), report = load_dataset(path, BASIC)
+    (x, group, label), report = load_matrix(path, BASIC)
     assert report.rows_read == 3
     assert report.rows_kept == 3
     assert report.drops == {}
@@ -55,7 +62,7 @@ def test_missing_cells_drop_rows(tmp_path):
         "?,Female,high\n"    # missing feature
         "30,Female\n"        # ragged
     ))
-    (x, group, label), report = load_dataset(path, BASIC)
+    (x, group, label), report = load_matrix(path, BASIC)
     assert report.rows_read == 5
     assert report.rows_kept == 1
     assert report.drops == {
@@ -66,7 +73,7 @@ def test_missing_cells_drop_rows(tmp_path):
 def test_no_kept_rows_give_an_empty_feature_matrix(tmp_path):
     # every row dropped: the (0, k) matrix still has one column per feature
     path = write_csv(tmp_path, "age, job ,sex,income\n39,clerk,Male,?\n ? ,trade,Female,low\n")
-    (x, group, label), report = load_dataset(path, BASIC)
+    (x, group, label), report = load_matrix(path, BASIC)
     assert report.rows_kept == 0
     assert report.drops == {"missing_label": 1, "missing_feature": 1}
     assert x.shape == (0, 2) and x.dtype == np.float64
@@ -76,18 +83,19 @@ def test_no_kept_rows_give_an_empty_feature_matrix(tmp_path):
 def test_one_and_no_feature_columns(tmp_path):
     # the row scan reads one feature cell, or none, like any other count
     text = "age,sex,income\n 39 ,Male,high\n?,Female,low\n41,Female, low \n"
-    (x, group, label), report = load_dataset(write_csv(tmp_path, text), BASIC)
+    (x, group, label), report = load_matrix(write_csv(tmp_path, text), BASIC)
     assert x.tolist() == [[39.0], [41.0]] and label.tolist() == [POS, NEG]
     assert report.drops == {"missing_feature": 1}
     bare = DatasetSchema("income", "high", "sex", "Male", feature_columns=())
-    (x, group, label), report = load_dataset(write_csv(tmp_path, text), bare)
+    (x, group, label), report = load_matrix(write_csv(tmp_path, text), bare)
     assert x.shape == (3, 0) and group.tolist() == [Group.A, Group.B, Group.B]
     assert report.drops == {} and report.encoding == []
 
 
 def test_encoder_matches_copying_reference():
-    # one matrix written in place holds the bytes of the per-column pieces
-    # joined by np.hstack, and zero kept rows still give a (0, k) matrix
+    # the matrix written straight from the coded columns holds the bytes of
+    # the per-column pieces joined by np.hstack, and zero kept rows still
+    # give a (0, k) matrix
     names = ["age", "job", "site", "hours"]
     rows = [("39", "tech", "A", "40"), ("-0.0", "admin", "A", "1e3"),
             ("41", "tech", "A", "38.5"), ("7", "sales", "A", "40")]
@@ -95,24 +103,55 @@ def test_encoder_matches_copying_reference():
     seen = [{v: i for i, v in enumerate(dict.fromkeys(c))} for c in columns]
     codes = [[first[v] for v in c] for first, c in zip(seen, columns)]
     for n, cells in ((4, (codes, seen)), (0, ([[]] * 4, [{}] * 4))):
-        got, encoding = _encode_features("f.csv", names, *cells, n)
+        features, encoding = _code_columns("f.csv", names, *cells)
         want, want_encoding = scalar_reference.encode_features("f.csv", names, *cells, n)
         assert encoding == want_encoding
+        got = features.matrix(np.arange(n))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert got.shape == (0, 4)
     assert [kind for _, kind, _ in encoding] == ["numeric"] * 4
 
 
+def test_matrix_in_any_row_order_matches_the_gathered_reference():
+    # Written for a permuted row order with the group column last, the
+    # matrix is the reference's CSV-order matrix with the group column
+    # stacked on, then indexed by the rows: the split-order gather that
+    # builtin experts train on.
+    rng = np.random.default_rng(8)
+    n = 300
+    columns = [rng.integers(0, 40, n).astype(str).tolist(),
+               rng.choice(["tech", "admin", "sales", "crafts"], n).tolist(),
+               [repr(v) for v in rng.standard_normal(n).tolist()],
+               rng.choice(["US", "CA"], n).tolist()]
+    columns[2][5] = "-0.0"
+    seen = [{v: i for i, v in enumerate(dict.fromkeys(c))} for c in columns]
+    codes = [[first[v] for v in c] for first, c in zip(seen, columns)]
+    names = ["age", "job", "score", "country"]
+    group = (rng.random(n) < 0.6).astype(np.int8)
+    features, encoding = _code_columns("f.csv", names, codes, seen)
+    x, want_encoding = scalar_reference.encode_features("f.csv", names, codes, seen, n)
+    assert encoding == want_encoding and "-0.0" in seen[2]
+    assert [kind for _, kind, _ in encoding] == ["numeric", "one-hot", "numeric", "one-hot"]
+    for rows in (rng.permutation(n), rng.permutation(n)[:17], np.arange(0)):
+        for last in (group, None):
+            want = (np.column_stack((x, group)) if last is not None else x)[rows]
+            got = features.matrix(rows, last)
+            assert got.dtype == np.float64
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_load_dataset_memory(tmp_path):
-    # Loading peaks at about 1.45 times the bytes of the kept matrix: the
-    # matrix, the per-column cell codes and the row scan's lists.  Encoding
-    # each column into its own array before np.hstack peaked at 2.4 times.
+    # Loading and then writing the kept rows' matrix peaks at about 1.25
+    # times the bytes of the matrix: the matrix beside the per-column cell
+    # codes.  Loading alone peaks at 0.6 times, in the row scan's lists.
+    # Encoding each column into its own array before np.hstack peaked at
+    # 2.4 times.
     path = tmp_path / "census.csv"
     scalar_reference.write_census_csv(path, 10000, seed=5)
     schema = load_preset("adult")
     tracemalloc.start()
     try:
-        (x, _, _), _ = load_dataset(path, schema)
+        (x, _, _), _ = load_matrix(path, schema)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -132,7 +171,7 @@ def test_group_b_value_restricts(tmp_path):
         label_column="y", positive_value="1", group_column="race",
         group_a_value="White", group_b_value="Black")
     path = write_csv(tmp_path, "race,y\nWhite,1\nBlack,0\nAsian,1\nBlack,1\n")
-    (x, group, label), report = load_dataset(path, schema)
+    (x, group, label), report = load_matrix(path, schema)
     assert x.shape == (3, 0) and len(label) == 3
     assert report.drops == {"group_not_listed": 1}
     assert group.tolist() == [Group.A, Group.B, Group.B]
@@ -172,7 +211,7 @@ def test_duplicate_header_name(tmp_path):
 
     # a repeated column that agrees on every row is one column
     same = write_csv(tmp_path, "x,x,sex,income\n1,1,Male,high\n2,2,Female,low\n", "same.csv")
-    (x, _, _), report = load_dataset(same, BASIC)
+    (x, _, _), report = load_matrix(same, BASIC)
     assert x.tolist() == [[1.0], [2.0]]
     assert report.encoding == [("x", "numeric", ())]
 
@@ -219,7 +258,7 @@ def test_filters(tmp_path):
         "41,M,-1,b,1\n"    # flag == -1
         "abc,M,0,a,1\n"    # non-numeric age fails the numeric filter
     ))
-    (x, group, label), report = load_dataset(path, schema)
+    (x, group, label), report = load_matrix(path, schema)
     assert len(x) == len(group) == len(label) == 1
     assert report.drops == {"filtered": 5}
 
@@ -241,7 +280,7 @@ def test_one_hot_first_occurrence(tmp_path):
         "tech,0.5,Male,low\n"
         "sales,3.0,Female,high\n"
     ))
-    (x, _, _), report = load_dataset(path, BASIC)
+    (x, _, _), report = load_matrix(path, BASIC)
     assert report.encoding == [
         ("job", "one-hot", ("tech", "admin", "sales")),
         ("score", "numeric", ()),
@@ -259,7 +298,7 @@ def test_numeric_roundtrip(tmp_path):
              "high" if rng.random() < 0.4 else "low") for _ in range(30)]
     text = "age,score,sex,income\n" + "".join(
         f"{a},{s},{g},{y}\n" for a, s, g, y in rows)
-    (x, group, label), _ = load_dataset(write_csv(tmp_path, text), BASIC)
+    (x, group, label), _ = load_matrix(write_csv(tmp_path, text), BASIC)
 
     out = "age,score,sex,income\n" + "".join(
         "{},{},{},{}\n".format(
@@ -267,7 +306,7 @@ def test_numeric_roundtrip(tmp_path):
             "Male" if g == Group.A else "Female",
             "high" if y == POS else "low")
         for row, g, y in zip(x, group, label))
-    (x2, group2, label2), _ = load_dataset(write_csv(tmp_path, out, "again.csv"), BASIC)
+    (x2, group2, label2), _ = load_matrix(write_csv(tmp_path, out, "again.csv"), BASIC)
     assert len(label2) == len(label)
     assert np.array_equal(group, group2) and np.array_equal(label, label2)
     assert np.array_equal(x, x2)
@@ -493,8 +532,8 @@ def test_byte_order_mark_is_skipped_in_csv_and_presets(tmp_path, monkeypatch):
     csv_text = "sex,age,income\nMale,30,high\nFemale,41,low\nMale,35,low\n"
     (tmp_path / "plain.csv").write_bytes(csv_text.encode())
     (tmp_path / "bom.csv").write_bytes(BOM + csv_text.encode())
-    (x, group, label), report = load_dataset(tmp_path / "bom.csv", BASIC)
-    (x0, group0, label0), report0 = load_dataset(tmp_path / "plain.csv", BASIC)
+    (x, group, label), report = load_matrix(tmp_path / "bom.csv", BASIC)
+    (x0, group0, label0), report0 = load_matrix(tmp_path / "plain.csv", BASIC)
     assert group.tolist() == group0.tolist() == [Group.A, Group.B, Group.A]
     assert label.tolist() == label0.tolist()
     assert x.tobytes() == x0.tobytes() and report.to_dict() == report0.to_dict()

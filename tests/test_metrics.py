@@ -57,6 +57,15 @@ def fabricate(engine, eta, names, rows):
     return traj.finish()
 
 
+def cell_losses(traj):
+    """Each expert's loss sums per (group, label) cell, (2, 2, d), summed
+    round by round."""
+    out = np.zeros((2, 2, traj.d))
+    for c, losses in zip(traj.cell.tolist(), traj.losses):
+        out[c >> 1, c & 1] += losses
+    return out
+
+
 def from_confusion(confusion):
     """A one-expert trajectory whose rounds have (2, 4) per-group
     (tp, fp, tn, fn) counts ``confusion``."""
@@ -126,7 +135,9 @@ def test_measured_epsilon():
     ]
     traj = fabricate("mw", 0.3, ["f1", "f2"], rows)
     # negatives: A rates (0.5, 1.0), B rates (0.0, 1.0) -> max gap 0.5
-    assert abs(measured_epsilon(traj) - 0.5) < 1e-12
+    losses = np.array([[[1.0, 2.0], [1.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    assert cell_losses(traj).tolist() == losses.tolist()
+    assert abs(measured_epsilon(traj, losses) - 0.5) < 1e-12
 
 
 def test_theorem1_margins_hand_example():
@@ -161,9 +172,10 @@ def test_engine_mismatch():
     traj = fabricate("mw", 0.3, ["f1", "f2"], [(Group.A, POS, 0.5, 0.0, (0, 1))])
     with pytest.raises(EngineMismatch):
         validate_bounds(traj, RunConfig(engine="group_aware", horizon=1, eta=0.3))
-    with pytest.raises(EmptyTrajectory):
-        validate_bounds(Trajectory("mw", 0.3, ["f1", "f2"], 0),
-                        RunConfig(engine="mw", horizon=1, eta=0.3))
+    # no trajectory is empty: one of zero rounds, or fewer, is not built
+    for T in (0, -1):
+        with pytest.raises(EmptyTrajectory, match=f"got T = {T}"):
+            Trajectory("mw", 0.3, ["f1", "f2"], T)
 
 
 def test_unvisited_cell_margins_are_exact():
@@ -229,7 +241,7 @@ def test_rmw_bounds_hold_on_seeded_run():
     assert report.fairness_bound_rhs["fpr"] is not None
     assert report.fairness_bound_rhs["fpr"] >= 0.0
     assert report.fairness_bound_rhs["fnr"] >= 0.0
-    assert report.epsilon_used == measured_epsilon(traj)
+    assert report.epsilon_used == measured_epsilon(traj, cell_losses(traj))
 
 
 def test_epsilon_override_feeds_the_rhs():
@@ -263,13 +275,14 @@ def test_fairness_rhs_reads_the_trial_at_a_non_default_prior():
                     lam=(1.0, 1.0, 1.0 / 300), dirichlet_alpha=0.25, q_recompute_stride=7)
     ref = scalar_reference.fairness_aware_trial(cfg, stream, ens)
     p, mu_a, mu_b = scalar_reference.rates(ref.counts, 0.25)
-    eta, g_eta, eps, T = ref.eta, gamma(ref.eta), measured_epsilon(ref), ref.T
+    L_fzy = cell_losses(ref)
+    eta, g_eta, eps, T = ref.eta, gamma(ref.eta), measured_epsilon(ref, L_fzy), ref.T
     q_a, q_b = ref.q_neg[-1].tolist()
     want = {}
     for key, y, (qa, qb), den_a, den_b in (
             ("fpr", NEG, (q_a, q_b), p * (1.0 - mu_a) * T, (1.0 - p) * (1.0 - mu_b) * T),
             ("fnr", POS, (1.0 - q_a, 1.0 - q_b), p * mu_a * T, (1.0 - p) * mu_b * T)):
-        best_b = float(ref.L_fzy[Group.B, y].min()) / int(ref.counts[Group.B, y])
+        best_b = float(L_fzy[Group.B, y].min()) / int(ref.counts[Group.B, y])
         s_a, s_b = ref.alpha_sums[:, y].tolist()
         want[key] = abs((1.0 + eta - g_eta) * best_b + eps * (1.0 + eta)
                         + (qa * s_a / den_a - qb * s_b / den_b))
