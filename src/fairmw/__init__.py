@@ -5,7 +5,6 @@ from .domain import (
     NEG,
     POS,
     RunConfig,
-    WeightTable,
     recommended_eta,
     trial_seed_sequence,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "NEG",
     "POS",
     "RunConfig",
-    "WeightTable",
     "recommended_eta",
     "trial_seed_sequence",
     "Trajectory",

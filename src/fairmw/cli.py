@@ -106,17 +106,17 @@ class ExperimentSpec:
     run: RunConfig
     raw: dict[str, str]                 # config echo, post-override
     stream_kind: str                    # "synthetic" | "dataset"
-    stream_params: tuple[float, float, float] | None = None   # synthetic (p, mu_a, mu_b)
-    data_path: str | None = None
-    data_preset: str | None = None
-    split_ratio: float = 0.7
-    experts_source: str = "synthetic"   # synthetic | file | builtin
-    profiles: tuple[tuple[str, ErrorProfile], ...] = ()
-    experts_file: str | None = None
-    experts_kinds: tuple[str, ...] = ()
-    include_group: bool = True
-    epochs: int = 500
-    epsilon: float | None = None        # fairness-bound plug-in override
+    stream_params: tuple[float, float, float] | None   # synthetic (p, mu_a, mu_b)
+    data_path: str | None
+    data_preset: str | None
+    split_ratio: float
+    experts_source: str                 # synthetic | file | builtin
+    profiles: tuple[tuple[str, ErrorProfile], ...]
+    experts_file: str | None
+    experts_kinds: tuple[str, ...]
+    include_group: bool
+    epochs: int
+    epsilon: float | None               # fairness-bound plug-in override
 
 
 def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
@@ -636,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="dataset statistics as JSON on stdout")
     p_stats.add_argument("--data", required=True, help="dataset CSV path")
     p_stats.add_argument("--preset", required=True, help="schema preset name or path")
-    p_stats.add_argument("--split-ratio", type=float, default=0.7)
-    p_stats.add_argument("--seed", type=int, default=0)
+    for flag, key, kind in (("--split-ratio", "data.split_ratio", float), ("--seed", "seed", int)):
+        p_stats.add_argument(flag, type=kind, default=CONFIG_KEY[key].default)  # parsed by kind
     p_stats.set_defaults(func=cmd_stats)
 
     p_sweep = sub.add_parser("sweep", help="repeat a run across parameter values")

@@ -29,7 +29,6 @@ __all__ = [
     "Group",
     "NEG",
     "POS",
-    "WeightTable",
     "RunConfig",
     "WEIGHT_FLOOR",
     "RESCALE_THRESHOLD",
@@ -122,34 +121,6 @@ def weight_states(eta: float, losses: np.ndarray) -> np.ndarray:
             np.multiply(states[hi], math.ldexp(1.0, -e), out=states[hi])
         lo = hi
     return states
-
-
-class WeightTable:
-    """Expert weights indexed [group, label, expert], shape (2, 2, d).
-
-    Every engine keeps its weights in one such table and reads and updates
-    one (group, label) cell per round; see ``fairmw.engines`` for which
-    cell each engine uses.  All updates go through _update_slice, so
-    identical loss sequences give bit-identical weights whichever engine
-    drives them.
-    """
-
-    def __init__(self, d: int):
-        if d < 2:
-            raise InvalidExpertCount(f"need at least 2 experts, got {d}")
-        self.array = np.ones((2, 2, d))
-
-    @property
-    def d(self) -> int:
-        return self.array.shape[-1]
-
-    def slice(self, group: Group = Group.A, label: int = NEG) -> np.ndarray:
-        """1-D view of one cell's weights."""
-        return self.array[group, label]
-
-    def update(self, eta: float, losses: np.ndarray,
-               group: Group = Group.A, label: int = NEG) -> None:
-        _update_slice(self.slice(group, label), eta, losses)
 
 
 ENGINES = ("mw", "group_aware", "fairness_aware")

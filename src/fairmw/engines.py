@@ -26,11 +26,12 @@ group_aware and fairness_aware run whole-trial array passes
 (``_cell_trial``): the (T, d) expert and the (T, cells read) engine
 uniforms are drawn as blocks (the same doubles, same order), weights come
 from per-cell cumprod states, and q is solved in batches.  The passes serve
-mw bit for bit too, but mw stays on the per-round loop (``step``) until
-the benchmark reads fairmw's own peak memory.  An mw_long operation reads
-fairmw's own peak (about 88 MB) only as the first operation of a run;
-every later one reads the benchmark process's high-water mark (188-206
-MB), so the median follows how many operations fit into the run.
+mw bit for bit too, but mw stays on a per-round loop over one weight
+vector (``_mw_rounds``) until the benchmark reads fairmw's own peak
+memory.  An mw_long operation reads fairmw's own peak (89-97 MB) only as
+a run's first operation; operations 2-3 read the benchmark's high-water
+mark (188.1 MB) and later ones 205.7 MB, so the median follows how many
+operations fit into the run.
 
 Operations that define a trial's bits: batched ``np.matmul`` row dots (one
 BLAS call per row, whose FMA rounding elementwise ops cannot reproduce),
@@ -49,12 +50,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import domain
 from .domain import (
     NEG,
     POS,
     Group,
     RunConfig,
-    WeightTable,
     recommended_eta,
     trial_seed_sequence,
     weight_states,
@@ -67,7 +68,6 @@ __all__ = [
     "CELL_MAP",
     "Q_BLOCK",
     "Trajectory",
-    "step",
     "run_trial",
     "trial_seed_sequence",
 ]
@@ -89,21 +89,6 @@ def _sample(w: np.ndarray, u: float) -> int:
     cum = np.cumsum(w)
     idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
     return min(idx, len(w) - 1)
-
-
-def step(weights: WeightTable, engine: str, eta: float, predictions: np.ndarray,
-         group: Group, label: int, u: float):
-    """One mw round as ``run_trial`` plays it (tests also drive other cells):
-    returns ``(expert, losses, right)``, the inverse-CDF draw with uniform u
-    from the cell, its 0/1 losses and pre-update expected loss; then updates it."""
-    by_group, by_label = CELL_MAP[engine]
-    cell = (group if by_group else Group.A, label if by_label else NEG)
-    losses = (predictions != label).astype(np.float64)
-    w = weights.slice(*cell)
-    right = float(w @ losses) / float(w.sum())
-    expert = _sample(w, u)
-    weights.update(eta, losses, *cell)
-    return expert, losses, right
 
 
 def _rate_series(code: np.ndarray):
@@ -165,18 +150,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.T
 
-    def record(self, t: int, group: Group, label: int, prediction: int,
-               realized: float, expected: float, losses: np.ndarray) -> None:
-        """Store round t (1-based) of an mw trial; ``losses`` are the
-        per-expert losses of the round.  group_aware and fairness_aware
-        trials fill the columns in array passes instead (``_cell_trial``)."""
-        i = t - 1
-        self.cell[i] = 2 * group + label
-        self.outcome[i] = (1 - label) if prediction == 1 else 2 + label
-        self.realized[i] = realized
-        self.expected[i] = expected
-        self.losses[i] = losses
-
     def finish(self) -> "Trajectory":
         """Derive the per-cell counts, the final rates and the regret and gap
         series; returns self.
@@ -215,11 +188,10 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     The stream is the arrivals' int8 ``(group, label)`` columns
     (``ingest.synth_stream`` returns them).  Its first config.horizon
     rounds are played in order; shorter streams, an empty one included,
-    raise StreamExhausted.  For
-    fairness_aware, q starts uniform and is re-solved from running alpha
-    sums and rate estimates whenever (t-1) % q_recompute_stride == 0
-    (t >= 2), with elapsed rounds t-1 in the constraint denominators; see
-    ``_cell_trial``.
+    raise StreamExhausted.  For fairness_aware, q starts uniform and is
+    re-solved from running alpha sums and rate estimates whenever
+    (t-1) % q_recompute_stride == 0 (t >= 2), with elapsed rounds t-1 in
+    the constraint denominators; see ``_cell_trial``.
     """
     n = len(stream[0])
     T = config.horizon
@@ -236,20 +208,35 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
 
     traj = Trajectory(config.engine, eta, ensemble.names, T)
     group, label = stream[0][:T], stream[1][:T]
-    if config.engine != "mw":    # mw stays per-round; see the module docstring
-        return _cell_trial(config, group, label, ensemble, expert_rng, engine_rng, traj)
-    weights = WeightTable(ensemble.d)
-    for t, (g, y) in enumerate(zip(group.tolist(), label.tolist()), start=1):
-        preds = ensemble.round_predictions(t, g, y, expert_rng)
-        chosen, losses, right = step(weights, config.engine, eta, preds, g, y,
-                                     engine_rng.random())
-        traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), right, losses)
+    traj.cell[:] = 2 * group + label
+    if config.engine == "mw":    # mw stays per-round; see the module docstring
+        chosen = _mw_rounds(group, label, ensemble, expert_rng, engine_rng, traj)
+    else:
+        chosen = _cell_trial(config, group, label, ensemble, expert_rng, engine_rng, traj)
+    traj.realized[:] = traj.losses[np.arange(T), chosen]
+    del chosen    # before finish
+    traj.outcome[:] = np.where(traj.realized > 0.0, 2 * label + 1, 2 - 2 * label)  # fp/fn, tp/tn
     return traj.finish()
 
 
+def _mw_rounds(group: np.ndarray, label: np.ndarray, ensemble, expert_rng, engine_rng,
+               traj: Trajectory) -> np.ndarray:
+    """mw round by round on one weight vector: fill the losses and expected
+    columns, and return the experts drawn under the pre-update weights."""
+    w, chosen = np.ones(traj.d), np.empty(traj.T, dtype=np.intp)
+    for i, (g, y) in enumerate(zip(group.tolist(), label.tolist())):
+        losses = (ensemble.round_predictions(i + 1, g, y, expert_rng) != y).astype(np.float64)
+        traj.losses[i] = losses
+        traj.expected[i] = float(w @ losses) / float(w.sum())
+        chosen[i] = _sample(w, engine_rng.random())
+        domain._update_slice(w, traj.eta, losses)
+    return chosen
+
+
 def _cell_trial(config: RunConfig, group: np.ndarray, label: np.ndarray, ensemble,
-                expert_rng, engine_rng, traj: Trajectory) -> Trajectory:
-    """A trial of any engine as whole-trial array passes over its cells.
+                expert_rng, engine_rng, traj: Trajectory) -> np.ndarray:
+    """A trial of any engine as whole-trial array passes over its cells:
+    fill the losses and expected columns, and return the chosen experts.
 
     Nothing a round draws feeds back into the weights.  So the losses come
     first, then ``_table_rounds`` gives every round the expected loss and
@@ -261,7 +248,6 @@ def _cell_trial(config: RunConfig, group: np.ndarray, label: np.ndarray, ensembl
     ``group`` and ``label`` are the trial's T int8 arrival columns."""
     T, eta = traj.T, traj.eta
     by_group, by_label = CELL_MAP[config.engine]
-    traj.cell[:] = 2 * group + label
     traj.losses[:] = ensemble.prediction_block(group, label, expert_rng) != label[:, None]
     update = 2 * group * by_group + label * by_label
     reads = [update & 2, update | 1] if by_label else [update]
@@ -282,12 +268,7 @@ def _cell_trial(config: RunConfig, group: np.ndarray, label: np.ndarray, ensembl
         traj.expected[:] = q_right * traj.right + (1.0 - q_right) * wrong
     else:
         traj.expected[:], chosen = loss[:, 0], draw[:, 0]
-        del loss
-    traj.realized[:] = traj.losses[rows, chosen]
-    prediction = np.where(traj.realized > 0.0, 1 - label, label)
-    traj.outcome[:] = np.where(prediction == 1, 1 - label, 2 + label)
-    del u, draw, chosen, rows, prediction, update, reads    # before finish
-    return traj.finish()
+    return chosen
 
 
 def _table_rounds(eta: float, update: np.ndarray, reads: list[np.ndarray],

@@ -112,6 +112,12 @@ class DatasetSchema:
     def __post_init__(self):
         if self.label_column == self.group_column:
             raise SchemaError("label and group columns must differ")
+        features = () if self.feature_columns == "all-remaining" else self.feature_columns
+        for role, column in (("label", self.label_column), ("group", self.group_column)):
+            if column in features:
+                raise SchemaError(f"features: {column!r} is the {role} column")
+        if len(set(features)) < len(features):
+            raise SchemaError(f"features: {', '.join(features)} names a column twice")
 
 
 @dataclass

@@ -6,8 +6,11 @@ accumulates the alpha sums and the arrival counts round by round in their
 own arrays, assembles and solves one system in Python floats before each
 stride round, then draws the table from q and then the expert, each with
 its own engine-rng call.  ``cell_trial`` is the mw/group_aware loop: one
-engine-rng draw from the round's cell, then one WeightTable update of it.
-The batched solver and the array passes must reproduce them bit for bit.
+engine-rng draw from the round's cell, then one update of it.  Both keep
+a (group, label, expert) weight table and update its cells through
+``fairmw.domain._update_slice``, and fill the trajectory's columns round
+by round.  The batched solver and the array passes must reproduce them
+bit for bit.  ``record`` fills one round of a trajectory's columns.
 
 ``example_stream`` is the per-arrival synthetic stream loop, two scalar
 draws per arrival, that ``fairmw.ingest.synth_stream`` must reproduce bit
@@ -38,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fairmw import domain
 from fairmw.domain import (
     NEG,
     POS,
     Group,
-    WeightTable,
     recommended_eta,
     trial_seed_sequence,
 )
@@ -196,6 +199,15 @@ def _sample(w, rng):
     return min(idx, len(w) - 1)
 
 
+def record(traj, i, g, y, prediction, realized, expected, losses):
+    """Fill round i (0-based) of the trajectory's round columns."""
+    traj.cell[i] = 2 * g + y
+    traj.outcome[i] = (1 - y) if prediction == 1 else 2 + y
+    traj.realized[i] = realized
+    traj.expected[i] = expected
+    traj.losses[i] = losses
+
+
 def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
     """The per-round fairness_aware loop: solve, table draw, expert draw."""
     T = config.horizon
@@ -206,7 +218,7 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
     rng = np.random.default_rng(engine_ss)
     b, lam = np.asarray(config.b_tolerance, float), np.asarray(config.lam, float)
     traj = Trajectory("fairness_aware", eta, ensemble.names, T)
-    weights = WeightTable(d)
+    weights = np.ones((2, 2, d))                    # [group, label, expert]
     alpha_sums = np.zeros((2, 2))                   # [group, label]
     counts = np.zeros((2, 2), dtype=np.int64)       # [group, label]
     q = (0.5, 0.5, 0.5, 0.5)                        # canonical cell order
@@ -220,19 +232,19 @@ def fairness_aware_trial(config, stream, ensemble, trial=0) -> Trajectory:
             a_star, b_star = solve(a, b, lam)
             q = (a_star, b_star, 1.0 - a_star, 1.0 - b_star)
         losses = (preds != y).astype(np.float64)
-        w = weights.slice(g, y)
+        w = weights[g, y]
         right = float(w @ losses) / float(w.sum())
         q_neg, q_pos = q[g], q[g + 2]
         table = NEG if rng.random() < q_neg else POS
-        w_wrong = weights.slice(g, 1 - y)
+        w_wrong = weights[g, 1 - y]
         wrong = float(w_wrong @ losses) / float(w_wrong.sum())
         q_right = q_pos if y == POS else q_neg
         expected = q_right * right + (1.0 - q_right) * wrong
         alpha_sums[g, 1 - y] += wrong - right
         counts[g, y] += 1
-        chosen = _sample(weights.slice(g, table), rng)
-        weights.update(eta, losses, g, y)
-        traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), expected, losses)
+        chosen = _sample(weights[g, table], rng)
+        domain._update_slice(w, eta, losses)
+        record(traj, t - 1, g, y, int(preds[chosen]), float(losses[chosen]), expected, losses)
         traj.right[t - 1] = right
         traj.q_neg[t - 1] = q[:2]
     traj.alpha_sums = alpha_sums
@@ -250,18 +262,18 @@ def cell_trial(config, stream, ensemble, trial=0) -> Trajectory:
     rng = np.random.default_rng(engine_ss)
     by_group, by_label = CELL_MAP[config.engine]
     traj = Trajectory(config.engine, eta, ensemble.names, T)
-    weights = WeightTable(d)
+    weights = np.ones((2, 2, d))                    # [group, label, expert]
     group, label = stream
     for t in range(1, T + 1):
         g, y = int(group[t - 1]), int(label[t - 1])
         preds = ensemble.round_predictions(t, g, y, expert_rng)
         cell = (g if by_group else Group.A, y if by_label else NEG)
         losses = (preds != y).astype(np.float64)
-        w = weights.slice(*cell)
+        w = weights[cell]
         right = float(w @ losses) / float(w.sum())
         chosen = _sample(w, rng)
-        weights.update(eta, losses, *cell)
-        traj.record(t, g, y, int(preds[chosen]), float(losses[chosen]), right, losses)
+        domain._update_slice(w, eta, losses)
+        record(traj, t - 1, g, y, int(preds[chosen]), float(losses[chosen]), right, losses)
     return traj.finish()
 
 

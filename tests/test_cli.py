@@ -783,6 +783,10 @@ MALFORMED = {
     "dataset_with_byte_order_mark": ("stats --data {d}/bom.csv --preset {d}/good.preset", 0),
     # a synthetic stream read no split ratio, yet summary.json echoed it and the run exited 0
     "synthetic_with_split_ratio": ("run --config {d}/split_ratio_synthetic.cfg", 2),
+    # the builtin experts trained on the label column and the run exited 0 at error rate 0
+    "features_name_the_label": ("run --config {d}/label_feature.cfg", 3),
+    # the builtin experts saw the group column whatever experts.include_group said
+    "features_name_the_group": ("run --config {d}/group_feature.cfg", 3),
 }
 
 # config name -> (engine, one line replacing or adding a key); mu_a = 1
@@ -867,6 +871,12 @@ def write_malformed_inputs(d):
         "engine = mw\ntrials = 1\nstream.kind = dataset\n"
         f"data.path = {d}/far_feature.csv\ndata.preset = {d}/good.preset\n").encode()
     files["bom.csv"] = b"\xef\xbb\xbf" + "sex,age,income\nMale,30,high\nFemale,41,low\n".encode()
+    for name, column in (("label_feature", "income"), ("group_feature", "sex")):
+        files[f"{name}.preset"] = f"{preset}features = age,{column}\n".encode()
+        files[f"{name}.cfg"] = (
+            "engine = mw\ntrials = 1\nstream.kind = dataset\n"
+            f"data.path = {d}/good.csv\ndata.preset = {d}/{name}.preset\n"
+            "experts.source = builtin\nexperts.include_group = false\n").encode()
     for name, data in files.items():
         (d / name).write_bytes(data)
 

@@ -15,7 +15,6 @@ from fairmw.domain import (
     RESCALE_THRESHOLD,
     RunConfig,
     WEIGHT_FLOOR,
-    WeightTable,
     _update_slice,
     gamma,
     recommended_eta,
@@ -102,34 +101,38 @@ def test_cell_order_and_index():
 
 
 def test_weight_table_shapes():
-    assert WeightTable(3).array.shape == (2, 2, 3)
-    assert WeightTable(5).d == 5
-    assert WeightTable(3).slice().shape == (3,)
-    assert np.all(WeightTable(3).array == 1.0)
-    with pytest.raises(InvalidExpertCount):
-        WeightTable(1)
+    # a cell of a (group, label, expert) weight table is a 1-D view, which
+    # _update_slice updates in place; weight_states gives its rows from ones
+    table = np.ones((2, 2, 5))
+    cell = table[Group.A, POS]
+    assert cell.shape == (5,) and cell.base is table
+    losses = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+    _update_slice(cell, 0.5, losses)
+    assert table[Group.A, POS].tolist() == [0.5, 1.0, 1.0, 1.0, 0.5]
+    states = weight_states(0.5, losses[None])
+    assert states.shape == (2, 5) and states[0].tolist() == [1.0] * 5
+    assert states[1].tobytes() == cell.tobytes()
 
 
 def test_weight_table_slice_isolation():
-    table = WeightTable(4)
-    before = table.array.copy()
-    table.update(0.3, np.array([1.0, 0.0, 1.0, 0.5]), Group.A, POS)
+    table = np.ones((2, 2, 4))
+    before = table.copy()
+    _update_slice(table[Group.A, POS], 0.3, np.array([1.0, 0.0, 1.0, 0.5]))
     # only the (A,+) slice moved; every other slice is bit-identical
     for g in (Group.A, Group.B):
         for y in (NEG, POS):
             if (g, y) == (Group.A, POS):
-                assert not np.array_equal(table.array[g, y], before[g, y])
+                assert not np.array_equal(table[g, y], before[g, y])
             else:
-                assert np.array_equal(table.array[g, y], before[g, y])
+                assert np.array_equal(table[g, y], before[g, y])
 
 
 def test_weight_table_pi_normalized():
     rng = np.random.default_rng(5)
-    table = WeightTable(6)
+    table = np.ones((2, 6))    # one slice per group
     for _ in range(50):
-        g = Group(int(rng.integers(0, 2)))
-        table.update(0.2, rng.uniform(0, 1, size=6), g)
-        w = table.slice(g)
+        w = table[int(rng.integers(0, 2))]
+        _update_slice(w, 0.2, rng.uniform(0, 1, size=6))
         pi = w / w.sum()
         assert abs(pi.sum() - 1.0) <= 1e-12
         assert np.all(pi >= 0)
@@ -137,26 +140,22 @@ def test_weight_table_pi_normalized():
 
 def test_weight_table_entries_in_unit_interval():
     rng = np.random.default_rng(9)
-    table = WeightTable(3)
+    table = np.ones((2, 2, 3))
     for _ in range(400):
-        g = Group(int(rng.integers(0, 2)))
-        y = int(rng.integers(0, 2))
-        table.update(0.45, rng.uniform(0, 1, size=3), g, y)
-    assert np.all((table.array > 0.0) & (table.array <= 1.0))
+        g, y = rng.integers(0, 2, size=2)
+        _update_slice(table[g, y], 0.45, rng.uniform(0, 1, size=3))
+    assert np.all((table > 0.0) & (table <= 1.0))
 
 
 def test_rescale_preserves_pi_exactly():
     # push a slice's max below 2**-512 and check the selection distribution
     # is preserved bit-for-bit by the power-of-two rescale
-    table = WeightTable(2)
-    sl = table.slice(Group.A, NEG)
-    sl[:] = (math.ldexp(1.0, -512), math.ldexp(1.0, -514))
-    table.update(0.5, np.array([1.0, 1.0]), Group.A, NEG)
+    w = np.array([math.ldexp(1.0, -512), math.ldexp(1.0, -514)])
+    _update_slice(w, 0.5, np.array([1.0, 1.0]))
     # raw update would give (2**-513, 2**-515); rescale multiplies by 2**512
-    scaled = table.slice(Group.A, NEG)
-    assert scaled.max() == 0.5
+    assert w.max() == 0.5
     raw = np.array([math.ldexp(1.0, -513), math.ldexp(1.0, -515)])
-    assert np.array_equal(scaled / scaled.sum(), raw / raw.sum())
+    assert np.array_equal(w / w.sum(), raw / raw.sum())
 
 
 @pytest.mark.parametrize("d, eta, p_loss", [(3, 0.49, 0.7), (16, 0.45, 0.6), (2, 0.1, 0.5),

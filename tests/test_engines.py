@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -13,8 +14,6 @@ from fairmw.domain import (
     NEG,
     POS,
     RunConfig,
-    WeightTable,
-    recommended_eta,
     weight_states,
 )
 import scalar_reference
@@ -23,7 +22,7 @@ from fairmw import engines, qopt
 from fairmw.qopt import check_q
 from fairmw.cli import build_spec, parse_config, prepare_payload
 from fairmw.domain import trial_seed_sequence
-from fairmw.engines import CELL_MAP, Trajectory, run_trial, step
+from fairmw.engines import CELL_MAP, Trajectory, run_trial
 from fairmw.errors import StreamExhausted
 from fairmw.estimators import smoothed_rates
 from fairmw.experts import ErrorProfile, MatrixEnsemble, SyntheticEnsemble
@@ -44,86 +43,109 @@ def file_ensemble(rows):
     return MatrixEnsemble(names, matrix)
 
 
-def preds(*values):
-    return np.array(values, dtype=np.int8)
+def mw_trial(pattern, rows, eta, seed=0):
+    """An mw trial through ``run_trial`` on a prediction matrix, and the
+    engine uniforms its rounds draw from."""
+    stream, ens = make_stream(pattern), file_ensemble(rows)
+    T = len(stream[0])
+    traj = run_trial(config(horizon=T, eta=eta, seed=seed), stream, ens)
+    return traj, np.random.default_rng(trial_seed_sequence(seed, 0)[2]).random(T)
 
 
 def test_mw_step_hand_example():
-    weights = WeightTable(2)
-    expert, losses, right = step(weights, "mw", 0.5, preds(1, 0), Group.A, POS, 0.6)
-    assert right == 0.5
-    assert expert == 1   # 0.6 * 2 lands past the first expert's unit mass
-    assert np.array_equal(losses, [0.0, 1.0])
-    assert np.array_equal(weights.slice(), [1.0, 0.5])
+    # round 1 reads uniform weights; expert 1 misses, so round 2 reads (1, 0.75)
+    traj, u = mw_trial("A+ A+", [[1, 0], [1, 0]], 0.25)
+    assert traj.expected.tolist() == [0.5, 0.75 / 1.75]
+    assert traj.losses.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+    # a uniform u draws expert 1 once u * total is past expert 0's unit mass
+    chosen = [int(u[0] * 2 >= 1), int(u[1] * 1.75 >= 1)]
+    assert traj.realized.tolist() == [float(c) for c in chosen]
+    assert traj.outcome.tolist() == [3 if c else 0 for c in chosen]   # fn or tp
 
 
 def test_step_zero_one_losses():
     # losses are 1.0 exactly where an expert's prediction misses the label
-    weights = WeightTable(4)
-    _, losses, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, POS, 0.5)
-    assert losses.dtype == np.float64
-    assert losses.tolist() == [0.0, 1.0, 0.0, 1.0]
-    _, losses, _ = step(weights, "mw", 0.3, preds(1, 0, 1, 0), Group.B, NEG, 0.5)
-    assert losses.tolist() == [1.0, 0.0, 1.0, 0.0]
+    traj, _ = mw_trial("B+ B-", [[1, 0, 1, 0], [1, 0, 1, 0]], 0.3)
+    assert traj.losses.dtype == np.float64
+    assert traj.losses.tolist() == [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]
 
 
 def test_mw_unanimous_correct_round_keeps_weights():
-    weights = WeightTable(3)
-    before = weights.array.copy()
-    step(weights, "mw", 0.3, preds(1, 1, 1), Group.B, POS, 0.5)
-    assert np.array_equal(weights.array, before)
+    # a round every expert gets right leaves the weights as they were: the
+    # round after it reads what it would have read without it
+    with_it, _ = mw_trial("A+ B+ A+", [[1, 0, 1], [1, 1, 1], [1, 0, 0]], 0.3)
+    without, _ = mw_trial("A+ A+", [[1, 0, 1], [1, 0, 0]], 0.3)
+    assert with_it.expected[1] == 0.0
+    assert with_it.expected[2] == without.expected[1]
+    assert abs(without.expected[1] - 1.7 / 2.7) < 1e-15
 
 
 def test_mw_sampling_ignores_floored_expert():
     # with weights (1, 1e-300) the cumulative mass at index 0 already
-    # equals the total, so the first expert is drawn
-    weights = WeightTable(2)
-    weights.slice()[:] = (1.0, 1e-300)
+    # equals the total, so the first expert is drawn; an update that misses
+    # with expert 1 keeps it at the floor
     rng = np.random.default_rng(7)
+    w = np.array([1.0, 1e-300])
     for _ in range(200):
-        chosen, _, _ = step(weights, "mw", 0.1, preds(1, 0), Group.A, POS, rng.random())
-        assert chosen == 0
-        weights.slice()[:] = (1.0, 1e-300)
+        assert engines._sample(w, rng.random()) == 0
+        fairmw.domain._update_slice(w, 0.1, np.array([0.0, 1.0]))
+        assert w.tolist() == [1.0, WEIGHT_FLOOR]
+
+
+def update_cells(engine, cells):
+    """The cell each round updates, as ``_cell_trial`` addresses it from
+    the arrivals' cells 2 * group + label."""
+    by_group, by_label = CELL_MAP[engine]
+    cells = np.array(cells, dtype=np.int8)
+    return (cells & 2) * by_group + (cells & 1) * by_label
+
+
+def cell_rounds(engine, eta, cells, losses, u):
+    """Expected loss and draw of each round's update cell."""
+    update = update_cells(engine, cells)
+    return engines._table_rounds(eta, update, [update], losses, u)
+
+
+def read_all_cells(eta, update, losses):
+    """Expected loss of every cell, (T, 4), under the weights each round
+    reads after the updates ``update`` addresses."""
+    T = len(update)
+    loss, _ = engines._table_rounds(eta, update, [np.full(T, c) for c in range(4)],
+                                    np.array(losses, dtype=float), np.full(T, 0.5))
+    return loss
 
 
 def test_cell_map_addresses_one_cell_per_round():
-    # mw reads and updates (A,-) whatever arrives, group_aware (g,-) and
-    # fairness_aware (g,y); every other cell keeps its bit pattern
-    arrivals = [(Group.A, NEG), (Group.A, POS), (Group.B, NEG), (Group.B, POS)]
+    # mw updates (A,-) whatever arrives, group_aware (g,-) and fairness_aware
+    # (g,y); every other cell keeps its uniform weights
     for engine, (by_group, by_label) in CELL_MAP.items():
-        for g, y in arrivals:
-            weights = WeightTable(2)
-            step(weights, engine, 0.4, preds(1 - y, y), g, y, 0.5)
-            cell = (g if by_group else Group.A, y if by_label else NEG)
-            moved = {(gg, yy) for gg in (0, 1) for yy in (0, 1)
-                     if not np.array_equal(weights.array[gg, yy], [1.0, 1.0])}
-            assert moved == {cell}, (engine, g, y)
+        for g, y in [(Group.A, NEG), (Group.A, POS), (Group.B, NEG), (Group.B, POS)]:
+            update = update_cells(engine, [2 * g + y] * 2)
+            loss = read_all_cells(0.4, update, [[1, 0], [1, 0]])
+            cell = 2 * (g if by_group else Group.A) + (y if by_label else NEG)
+            assert {c for c in range(4) if loss[1, c] != 0.5} == {cell}, (engine, g, y)
 
 
 def test_group_aware_updates_only_arriving_group():
-    weights = WeightTable(2)
-    before_b = weights.slice(Group.B).copy()
-    step(weights, "group_aware", 0.4, preds(0, 1), Group.A, POS, 0.5)
-    assert np.array_equal(weights.slice(Group.B), before_b)
-    assert not np.array_equal(weights.slice(Group.A), [1.0, 1.0])
+    # an A arrival moves (A,-) and leaves (B,-) uniform
+    loss = read_all_cells(0.4, update_cells("group_aware", [A_POS] * 2), [[1, 0], [1, 0]])
+    assert loss[1, B_NEG] == 0.5
+    assert loss[1, A_NEG] == 0.6 / 1.6
 
 
 def test_group_aware_matches_mw_on_filtered_subsequence():
-    # weights and expected losses are rng-free, so the A slice of an
-    # interleaved run must match a plain mw run over just the A rounds
+    # weights and expected losses are rng-free, so the A rounds of an
+    # interleaved group_aware run must match a plain mw run over just them,
+    # and with the same uniforms draw the same experts
     rng = np.random.default_rng(11)
-    rounds = [(Group(int(rng.integers(0, 2))), int(rng.integers(0, 2)),
-               rng.integers(0, 2, size=3).astype(np.int8)) for _ in range(40)]
-    ga = WeightTable(3)
-    mw = WeightTable(3)
-    expected_ga, expected_mw = [], []
-    for g, y, p in rounds:
-        out = step(ga, "group_aware", 0.25, p, g, y, 0.5)
-        if g == Group.A:
-            expected_ga.append(out[2])
-            expected_mw.append(step(mw, "mw", 0.25, p, g, y, 0.5)[2])
-    assert expected_ga == expected_mw
-    assert np.array_equal(ga.slice(Group.A), mw.slice())
+    cells = rng.integers(0, 4, size=40)
+    losses = rng.integers(0, 2, size=(40, 3)).astype(float)
+    u = rng.random(40)
+    on_a = cells < 2
+    ga = cell_rounds("group_aware", 0.25, cells, losses, u)
+    mw = cell_rounds("mw", 0.25, cells[on_a], losses[on_a], u[on_a])
+    for got, want in zip(ga, mw):
+        assert got[on_a].tolist() == want.tolist()
 
 
 # fairness_aware rounds come from engines._table_rounds: per round, the
@@ -215,11 +237,12 @@ def test_rmw_degenerate_q_reduces_to_mw_on_slice():
     u = rng.random(30)
     losses = (p != POS).astype(float)
     loss, draw = table_rounds(0.2, [A_POS] * 30, losses, u)
-    mw = WeightTable(3)
+    w = np.ones(3)    # mw's one weight vector, round by round
     for i in range(30):
-        expert, _, right = step(mw, "mw", 0.2, p[i], Group.A, POS, u[i])
-        assert loss[i, POS] == right and draw[i, POS] == expert
-    assert np.array_equal(weight_states(0.2, losses)[-1], mw.slice())
+        right = float(w @ losses[i]) / float(w.sum())
+        assert loss[i, POS] == right and draw[i, POS] == engines._sample(w, u[i])
+        fairmw.domain._update_slice(w, 0.2, losses[i])
+    assert np.array_equal(weight_states(0.2, losses)[-1], w)
 
 
 def test_rmw_table_draw_follows_q(monkeypatch):
@@ -389,17 +412,15 @@ def test_trajectory_regret_series():
 
 
 def test_trajectory_round_columns():
-    # what record() is handed for each round comes back from the columns,
-    # and finish() and validate_bounds derive the aggregates and margins
-    # from them and from the fairness_aware columns
-    rows = [(Group.A, POS, 1, 0.0, 0.4, (1.0, 0.0)),
-            (Group.B, NEG, 1, 1.0, 0.6, (1.0, 1.0)),
-            (Group.B, POS, 0, 1.0, 0.7, (0.0, 1.0))]
-
+    # finish() and validate_bounds derive the aggregates and margins from
+    # the round columns and the fairness_aware columns
     def recorded(engine):
         traj = Trajectory(engine, 0.3, ["f0", "f1"], 3)
-        for t, (g, y, p, real, exp, losses) in enumerate(rows, start=1):
-            traj.record(t, g, y, p, real, exp, np.array(losses))
+        traj.cell[:] = (1, 2, 3)        # (A,+), (B,-), (B,+)
+        traj.outcome[:] = (0, 1, 3)     # tp, fp, fn
+        traj.realized[:] = (0.0, 1.0, 1.0)
+        traj.expected[:] = (0.4, 0.6, 0.7)
+        traj.losses[:] = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
         if engine == "fairness_aware":
             traj.right[:] = (0.25, 0.5, 0.75)
             traj.q_neg[:] = (0.3, 0.6)
@@ -407,14 +428,6 @@ def test_trajectory_round_columns():
 
     traj = recorded("fairness_aware")
     assert len(traj) == 3
-    assert traj.cell.tolist() == [1, 2, 3]          # 2 * group + label
-    assert traj.outcome.tolist() == [0, 1, 3]       # tp, fp, fn
-    assert traj.realized.tolist() == [0.0, 1.0, 1.0]
-    assert traj.expected.tolist() == [0.4, 0.6, 0.7]
-    assert traj.losses.tolist() == [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    assert traj.q_neg.tolist() == [[0.3, 0.6]] * 3
-    assert traj.right.tolist() == [0.25, 0.5, 0.75]
-    assert traj.losses.sum(axis=0).tolist() == [2.0, 2.0]
     # the right-table sums per cell are (A,-) 0, (A,+) 0.25, (B,-) 0.5, (B,+) 0.75
     eta, g_eta, slack = 0.3, gamma(0.3), math.log(2) / 0.3
     margins = validate_bounds(traj, config(engine="fairness_aware")).margins
@@ -439,16 +452,17 @@ def test_trajectory_round_columns():
     assert traj.regret_realized.tolist() == [0.0, 0.0, 0.0]
     assert traj.regret_expected.tolist() == [0.4, 0.4 + 0.6 - 1.0, 0.4 + 0.6 + 0.7 - 2.0]
 
-    # a real run: columns agree with the stream and with each other
+    # real runs: every engine's columns agree with the stream and with each other
     ens = SyntheticEnsemble([ErrorProfile(0.2, 0.3, 0.4, 0.1),
                              ErrorProfile(0.3, 0.1, 0.2, 0.4)])
     stream = make_stream("A+ B- A- B+ A- B+")
-    traj = run_trial(config(engine="fairness_aware", horizon=6), stream, ens)
-    assert traj.cell.tolist() == (2 * stream[0] + stream[1]).tolist()
+    for engine in CELL_MAP:
+        traj = run_trial(config(engine=engine, horizon=6), stream, ens)
+        assert traj.cell.tolist() == (2 * stream[0] + stream[1]).tolist()
+        # fp and fn are the wrong predictions
+        wrong = (traj.outcome == 1) | (traj.outcome == 3)
+        assert traj.realized.tolist() == wrong.astype(float).tolist()
     assert np.all(np.isfinite(traj.q_neg))
-    # fp and fn are the wrong predictions
-    wrong = (traj.outcome == 1) | (traj.outcome == 3)
-    assert traj.realized.tolist() == wrong.astype(float).tolist()
 
 
 def test_finish_matches_round_by_round_accumulation():
@@ -521,12 +535,11 @@ def test_finish_matches_round_by_round_accumulation():
 
 
 def test_group_error_rates():
+    # rounds (A,+) predicted 1, (A,+) predicted 0, then (B,-) predicted 0 twice
     traj = Trajectory("mw", 0.3, ["f0", "f1"], 4)
-    rows = [(Group.A, POS, 1), (Group.A, POS, 0), (Group.B, NEG, 0), (Group.B, NEG, 0)]
-    for t, (g, y, pred) in enumerate(rows, start=1):
-        losses = np.array([float(pred != y), 0.0])
-        traj.record(t, g, y, prediction=pred, realized=float(pred != y),
-                    expected=0.0, losses=losses)
+    traj.cell[:] = (1, 1, 2, 2)
+    traj.outcome[:] = (0, 3, 2, 2)      # tp, fn, tn, tn
+    traj.realized[:] = traj.losses[:, 0] = (0.0, 1.0, 0.0, 0.0)
     traj.finish()
     # only fairness_aware keeps a right-table and q column
     assert traj.right is None and traj.q_neg is None
@@ -614,7 +627,7 @@ def assert_same_trial(got, want):
 ])
 def test_two_stage_trial_matches_per_round_reference(T, kw, monkeypatch):
     # the per-round loop solved q before each stride round, drew the table,
-    # then the expert, from the engine rng, and updated one WeightTable cell;
+    # then the expert, from the engine rng, and updated one weight table cell;
     # the array passes must give every column and final bit for bit
     kw = dict(kw)
     hits = kw.pop("hits", {})
@@ -645,13 +658,12 @@ def watch_weight_updates(monkeypatch):
 
 def test_fairness_aware_runs_without_per_round_calls(monkeypatch):
     # fairness_aware and group_aware trials are whole-trial array passes: no
-    # step, no WeightTable update and no per-round predictions, whatever the
-    # experts
+    # per-round draw, weight update or predictions, whatever the experts
     def forbidden(*args, **kw):
         raise AssertionError("per-round call in an array-pass trial")
 
-    monkeypatch.setattr(engines, "step", forbidden)
-    monkeypatch.setattr(WeightTable, "update", forbidden)
+    monkeypatch.setattr(engines, "_sample", forbidden)
+    monkeypatch.setattr(fairmw.domain, "_update_slice", forbidden)
     monkeypatch.setattr(SyntheticEnsemble, "round_predictions", forbidden)
     monkeypatch.setattr(MatrixEnsemble, "round_predictions", forbidden)
     for engine in ("fairness_aware", "group_aware"):
@@ -660,29 +672,27 @@ def test_fairness_aware_runs_without_per_round_calls(monkeypatch):
                                          q_recompute_stride=3)
             traj = run_trial(cfg, stream, ens)
             assert traj.T == 300 and np.all(np.isfinite(traj.expected))
-    # mw deliberately stays on the per-round loop: one step per round
+    # mw deliberately stays on its per-round loop: one prediction draw per round
     monkeypatch.undo()
-    calls = []
+    rounds = []
+    predict = SyntheticEnsemble.round_predictions
 
-    def counting(*args):
-        calls.append(args)
-        return step(*args)
+    def counting(self, t, *args):
+        rounds.append(t)
+        return predict(self, t, *args)
 
-    monkeypatch.setattr(engines, "step", counting)
+    monkeypatch.setattr(SyntheticEnsemble, "round_predictions", counting)
     cfg, stream, ens = fair_case(300, engine="mw")
     run_trial(cfg, stream, ens)
-    assert len(calls) == 300
+    assert rounds == list(range(1, 301))
 
 
 def cell_kernel(cfg, stream, ens, trial=0):
-    """The array passes of any engine, set up as ``run_trial`` sets them up
-    (``run_trial`` itself keeps mw on ``step``)."""
-    eta = cfg.eta if cfg.eta is not None else recommended_eta(cfg.horizon, ens.d)
-    _, expert_ss, engine_ss = trial_seed_sequence(cfg.seed, trial)
-    group, label = (col[:cfg.horizon] for col in stream)
-    return engines._cell_trial(cfg, group, label, ens, np.random.default_rng(expert_ss),
-                               np.random.default_rng(engine_ss),
-                               Trajectory(cfg.engine, eta, ens.names, cfg.horizon))
+    """A trial of any engine through the array passes: ``run_trial`` with
+    its mw loop replaced by ``_cell_trial``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engines, "_mw_rounds", functools.partial(engines._cell_trial, cfg))
+        return run_trial(cfg, stream, ens, trial)
 
 
 def golden_group_aware(tmp_path):
@@ -698,7 +708,9 @@ def golden_group_aware(tmp_path):
     return cfg, stream, payload.ensemble
 
 
-@pytest.mark.parametrize("engine", ["group_aware", "mw"])
+@pytest.mark.parametrize("engine, kernel", [("group_aware", run_trial), ("mw", cell_kernel),
+                                            ("mw", run_trial)],
+                         ids=["group_aware", "mw", "mw_loop"])
 @pytest.mark.parametrize("T, kw", [
     ("golden", {}),
     # every expert mostly wrong at eta's cap: the reference floors and rescales
@@ -712,11 +724,13 @@ def golden_group_aware(tmp_path):
     (1, {}),
     (2, {}),
 ])
-def test_cell_kernel_matches_per_round_reference(engine, T, kw, monkeypatch, tmp_path):
+def test_cell_kernel_matches_per_round_reference(engine, kernel, T, kw, monkeypatch,
+                                                  tmp_path):
     # the per-round loop drew each round's expert from its cell with one
-    # engine-rng call and updated one WeightTable cell; the array passes must
-    # give every column, aggregate and series bit for bit (group_aware through
-    # run_trial, mw through the kernel entry)
+    # engine-rng call and updated one cell of its weight table; the array
+    # passes and mw's loop must give every column, aggregate and series bit
+    # for bit (group_aware and mw_loop through run_trial, mw through the
+    # array passes)
     kw = dict(kw)
     hits, only_a = kw.pop("hits", {}), kw.pop("only_a", False)
     events = watch_weight_updates(monkeypatch)
@@ -728,7 +742,6 @@ def test_cell_kernel_matches_per_round_reference(engine, T, kw, monkeypatch, tmp
         if only_a:
             stream = (np.zeros_like(stream[0]), stream[1])
         streams = lambda trial: stream    # noqa: E731
-    kernel = run_trial if engine == "group_aware" else cell_kernel
     for trial in (0, 1):
         got = kernel(cfg, streams(trial), ens, trial)
         assert_same_trial(got, scalar_reference.cell_trial(cfg, streams(trial), ens, trial))

@@ -10,7 +10,7 @@ trial reports against round-by-round replays.
 import numpy as np
 
 from fairmw import engines
-from fairmw.domain import NEG, POS, Group, RunConfig, WeightTable, weight_states
+from fairmw.domain import NEG, POS, Group, RunConfig, _update_slice, weight_states
 from fairmw.engines import run_trial
 from fairmw.estimators import smoothed_rates
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
@@ -133,16 +133,16 @@ def test_alpha_tracker_replay_equality():
     # cell; no other cell ever moves
     cfg, stream, ens = fair_trial(300, seed=6, q_recompute_stride=3)
     traj = run_trial(cfg, stream, ens)
-    weights = WeightTable(3)
+    weights = np.ones((2, 2, 3))    # [group, label, expert]
     alpha = np.zeros((2, 2))
     counts = np.zeros((2, 2), dtype=np.int64)
     for i in range(traj.T):
         g, y = divmod(int(traj.cell[i]), 2)
-        w_right, w_wrong = weights.slice(g, y), weights.slice(g, 1 - y)
+        w_right, w_wrong = weights[g, y], weights[g, 1 - y]
         alpha[g, 1 - y] += (float(w_wrong @ traj.losses[i]) / float(w_wrong.sum())
                             - float(w_right @ traj.losses[i]) / float(w_right.sum()))
         counts[g, y] += 1
-        weights.update(cfg.eta, traj.losses[i], g, y)
+        _update_slice(w_right, cfg.eta, traj.losses[i])
     assert traj.alpha_sums.tobytes() == alpha.tobytes()
     assert traj.counts.tolist() == counts.tolist()
 

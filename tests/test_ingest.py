@@ -193,6 +193,12 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="columns must differ"):
         DatasetSchema(label_column="x", positive_value="1",
                       group_column="x", group_a_value="1")
+    # a features list may not name the label or group column, nor a name twice
+    for features, message in ((("age", "income"), "'income' is the label column"),
+                              (("sex",), "'sex' is the group column"),
+                              (("age", "zip", "age"), "age, zip, age names a column twice")):
+        with pytest.raises(SchemaError, match=message):
+            DatasetSchema("income", "high", "sex", "Male", feature_columns=features)
 
     bad_feature = DatasetSchema(
         label_column="income", positive_value="high", group_column="sex",

@@ -51,9 +51,8 @@ def fabricate(engine, eta, names, rows):
     """rows: (group, label, expected_loss, realized_loss, per-expert losses);
     the prediction is wrong on a round with a realized loss."""
     traj = Trajectory(engine, eta, names, len(rows))
-    for t, (g, y, exp, real, losses) in enumerate(rows, start=1):
-        traj.record(t, g, y, prediction=1 - y if real else y, realized=real, expected=exp,
-                    losses=np.asarray(losses, dtype=float))
+    for i, (g, y, exp, real, losses) in enumerate(rows):
+        scalar_reference.record(traj, i, g, y, 1 - y if real else y, real, exp, losses)
     return traj.finish()
 
 
