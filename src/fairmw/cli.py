@@ -35,14 +35,7 @@ import numpy as np
 
 from .domain import CONFIG_KEY, CONFIG_KEYS, Key, RunConfig, recommended_eta, trial_seed_sequence
 from .engines import run_trial
-from .errors import (
-    ConfigError,
-    DegenerateData,
-    EmptyDataset,
-    FairmwError,
-    FormatError,
-    SchemaError,
-)
+from .errors import ConfigError, DataError, FairmwError
 from .experts import (
     ErrorProfile,
     MatrixEnsemble,
@@ -121,12 +114,17 @@ class ExperimentSpec:
 
 def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
     """Read raw config keys through their CONFIG_KEYS entries and assemble
-    an ExperimentSpec; RunConfig range-checks its own fields."""
+    an ExperimentSpec; RunConfig range-checks its own fields.
+
+    stream.kind and experts.source are resolved first.  A set key of an
+    inactive mode is rejected, and an unset key with no default is required
+    while its mode is active."""
     cfg = dict(cfg)
-    known: set[str] = set()
+    profile = CONFIG_KEY["experts.profile.<name>"]
+    keys = {name: CONFIG_KEY.get(name, profile if name.startswith("experts.profile.") else None)
+            for name in cfg}
 
     def take(name: str, key: Key | None = None):
-        known.add(name)
         key = key or CONFIG_KEY[name]
         raw = cfg.get(name, key.default)
         try:
@@ -139,70 +137,48 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
 
     run = RunConfig(**{key.field: take(key.names[0]) if len(key.names) == 1
                        else tuple(map(take, key.names)) for key in CONFIG_KEYS if key.field})
-    epsilon, data_path, data_preset, split_ratio = map(
-        take, ("epsilon", "data.path", "data.preset", "data.split_ratio"))
     stream_kind = take("stream.kind") or (
-        "dataset" if data_path else "synthetic" if "stream.p" in cfg else None)
+        "dataset" if cfg.get("data.path") else "synthetic" if "stream.p" in cfg else None)
     if stream_kind is None:
         raise ConfigError(
             f"{source}: set stream.kind to synthetic or dataset "
             "(dataset mode also needs data.path)")
-
-    rates = ("stream.p", "stream.mu_a", "stream.mu_b")
-    stream_params = None
-    if stream_kind == "synthetic":
-        data_keys = sorted(k for k in cfg if k.startswith("data."))
-        if data_keys:
-            raise ConfigError(
-                f"{', '.join(data_keys)}: stream.kind=synthetic conflicts with data.* keys")
-        for key in rates:
-            if key not in cfg:
-                raise ConfigError(f"synthetic stream needs {key}")
-        stream_params = tuple(map(take, rates))
-    else:
-        if any(k in cfg for k in rates):
-            raise ConfigError("stream.* rate keys only apply to synthetic streams")
-        if not data_path:
-            raise ConfigError("dataset stream needs data.path")
-        if not data_preset:
-            raise ConfigError("dataset stream needs data.preset")
-
     experts_source = take("experts.source") or (
         "synthetic" if stream_kind == "synthetic" else "builtin")
+    if experts_source == "builtin" and stream_kind != "dataset":
+        raise ConfigError("experts.source=builtin needs a dataset stream to train on")
 
-    # Only the chosen source's keys are read; any other experts.* key is an error.
-    profiles: list[tuple[str, ErrorProfile]] = []
-    experts_file, kinds, include_group, epochs = None, (), True, 500
-    if experts_source == "synthetic":
-        for key in [k for k in cfg if k.startswith("experts.profile.")]:
-            name = key[len("experts.profile."):]
-            if not name:
-                raise ConfigError(f"{key}: profile needs a name suffix")
-            profiles.append((name, ErrorProfile(*take(key, CONFIG_KEY["experts.profile.<name>"]))))
-        if len(profiles) < 2:
-            raise ConfigError("experts.source=synthetic needs at least 2 experts.profile.* keys")
-    elif experts_source == "file":
-        experts_file = take("experts.file")
-        if not experts_file:
-            raise ConfigError("experts.source=file needs experts.file")
-    else:  # builtin
-        if stream_kind != "dataset":
-            raise ConfigError("experts.source=builtin needs a dataset stream to train on")
-        kinds, include_group, epochs = map(
-            take, ("experts.kinds", "experts.include_group", "experts.epochs"))
-    stray = sorted(k for k in set(cfg) - known if k.startswith("experts."))
-    if stray:
-        raise ConfigError(f"{', '.join(stray)}: not read by experts.source={experts_source}")
-    unknown = sorted(set(cfg) - known)
+    unknown = sorted(name for name, key in keys.items() if key is None)
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {', '.join(unknown)}")
+    active = (f"stream.kind={stream_kind}", f"experts.source={experts_source}")
+    for name in sorted(keys):
+        if keys[name].mode not in (None, *active):
+            raise ConfigError(f"{name}: only read when {keys[name].mode}")
+    for key in CONFIG_KEYS:
+        if key.mode in active and key.default is None and key is not profile:
+            for name in key.names:
+                if not cfg.get(name):
+                    raise ConfigError(f"{key.mode} needs {name}")
+
+    profiles: list[tuple[str, ErrorProfile]] = []
+    for name in (name for name, key in keys.items() if key is profile):
+        if name == "experts.profile.":
+            raise ConfigError(f"{name}: profile needs a name suffix")
+        profiles.append((name[len("experts.profile."):], ErrorProfile(*take(name, profile))))
+    if experts_source == "synthetic" and len(profiles) < 2:
+        raise ConfigError("experts.source=synthetic needs at least 2 experts.profile.* keys")
+    stream_params = None
+    if stream_kind == "synthetic":
+        stream_params = tuple(map(take, ("stream.p", "stream.mu_a", "stream.mu_b")))
 
     return ExperimentSpec(
         run=run, raw=cfg, stream_kind=stream_kind, stream_params=stream_params,
-        data_path=data_path, data_preset=data_preset, split_ratio=split_ratio,
-        experts_source=experts_source, profiles=tuple(profiles),
-        experts_file=experts_file, experts_kinds=kinds,
-        include_group=include_group, epochs=epochs, epsilon=epsilon)
+        data_path=take("data.path"), data_preset=take("data.preset"),
+        split_ratio=take("data.split_ratio"), experts_source=experts_source,
+        profiles=tuple(profiles), experts_file=take("experts.file"),
+        experts_kinds=take("experts.kinds"), include_group=take("experts.include_group"),
+        epochs=take("experts.epochs"), epsilon=take("epsilon"))
 
 
 def load_config(args) -> dict[str, str]:
@@ -259,7 +235,7 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         if spec.stream_kind == "dataset":
             # One row per kept dataset row, in CSV order: key it to the test split.
             if ensemble.num_rounds != len(label):
-                raise FormatError(
+                raise DataError(
                     f"{spec.experts_file}: {ensemble.num_rounds} prediction rows, but "
                     f"the dataset keeps {len(label)} rows (one row per kept row)")
             ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[test_idx])
@@ -665,18 +641,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (SchemaError, FormatError, EmptyDataset, DegenerateData, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
     except FairmwError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 4
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return e.code
+    except OSError as e:
+        print(f"{DataError.prefix}: {e}", file=sys.stderr)
+        return DataError.code
     except MemoryError:
-        print("runtime error: out of memory", file=sys.stderr)
-        return 4
+        print(f"{FairmwError.prefix}: out of memory", file=sys.stderr)
+        return FairmwError.code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvalidExpertCount, InvalidHorizon
+from .errors import ConfigError, FairmwError
 
 __all__ = [
     "Group",
@@ -73,9 +73,9 @@ def recommended_eta(T: int, d: int) -> float:
     even for very short horizons.
     """
     if d < 2:
-        raise InvalidExpertCount(f"need at least 2 experts, got {d}")
+        raise FairmwError(f"need at least 2 experts, got {d}")
     if T < 1:
-        raise InvalidHorizon(f"horizon must be >= 1, got {T}")
+        raise ConfigError(f"horizon must be >= 1, got {T}")
     return min(math.sqrt(math.log(d) / T), 0.49)
 
 
@@ -130,7 +130,7 @@ def gamma(eta: float) -> float:
     """ln(1-eta) / ln(1-eta(1+eta)); in (0, 1) on the range the eta entry of
     CONFIG_KEYS admits, 0 < eta < 1/2 less eta below ~1.11e-16 (gamma = 1.0)."""
     if not 0.0 < eta < 0.5:
-        raise DomainError(f"gamma requires 0 < eta < 1/2, got {eta}")
+        raise FairmwError(f"gamma requires 0 < eta < 1/2, got {eta}")
     return math.log1p(-eta) / math.log1p(-eta * (1.0 + eta))
 
 
@@ -145,7 +145,9 @@ class Key:
     """One entry of CONFIG_KEYS: config keys sharing a parser, a raw default
     (None: required, or set by the mode) and a range.  ``range`` words what
     ``ok(value, run)`` accepts and what that protects; ``run`` is the
-    RunConfig.  A RunConfig ``field`` holds one value per name."""
+    RunConfig.  A RunConfig ``field`` holds one value per name.  ``mode``
+    is the ``key=value`` setting under which the keys are read (None: read
+    in every mode); setting one under another mode is a config error."""
 
     names: tuple[str, ...]
     parse: Callable[[str], Any] = str
@@ -153,12 +155,12 @@ class Key:
     range: str = "any text"
     ok: Callable[[Any, Any], bool] = lambda value, run: True
     field: str | None = None
-    error: type = ConfigError
+    mode: str | None = None
 
     def check(self, value, run: RunConfig | None = None, name: str | None = None) -> None:
-        """Raise ``error`` unless value is in range; None (unset, or eta auto) is."""
+        """Raise ConfigError unless value is in range; None (unset, or eta auto) is."""
         if value is not None and not self.ok(value, run):
-            raise self.error(f"{name or self.names[0]}: expected {self.range}, got {value!r}")
+            raise ConfigError(f"{name or self.names[0]}: expected {self.range}, got {value!r}")
 
 
 def _alpha_fits(alpha: float, run: RunConfig | None) -> bool:
@@ -173,13 +175,14 @@ _MAX_T = np.iinfo(np.intp).max // (7 * 8)   # a (T, 7) float64 array's bytes fit
 _INT64 = np.iinfo(np.int64).max
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _UNIT = dict(range="a number in [0, 1]", ok=lambda v, run: 0.0 <= v <= 1.0)
+_DATASET, _BUILTIN = "stream.kind=dataset", "experts.source=builtin"
 
 
 CONFIG_KEYS = (
     Key(("engine",), str, "mw", "one of " + ", ".join(ENGINES),
         lambda v, run: v in ENGINES, "engine"),
     Key(("horizon",), int, "1000", f"an integer in [1, {_MAX_T}], so (T, 7) float64 arrays "
-        "can be sized", lambda T, run: 1 <= T <= _MAX_T, "horizon", InvalidHorizon),
+        "can be sized", lambda T, run: 1 <= T <= _MAX_T, "horizon"),
     Key(("eta",), lambda s: None if s == "auto" else _real(s), "auto",
         "auto, or a number in (0, 0.5) with gamma(eta) < 1, which keeps ln(d)/eta finite",
         lambda eta, run: 0.0 < eta < 0.5 and gamma(eta) < 1.0, "eta"),
@@ -197,22 +200,26 @@ CONFIG_KEYS = (
     Key(("epsilon",), _real, None, **_UNIT),
     Key(("stream.kind",), str, None, "synthetic or dataset",
         lambda v, run: v in ("synthetic", "dataset")),
-    Key(("stream.p", "stream.mu_a", "stream.mu_b"), _real, None, **_UNIT),
-    Key(("data.path",), range="a CSV path"),
-    Key(("data.preset",), range="a preset name or path"),
-    Key(("data.split_ratio",), _real, "0.7", "a number in (0, 1)", lambda v, run: 0.0 < v < 1.0),
+    Key(("stream.p", "stream.mu_a", "stream.mu_b"), _real, None, **_UNIT,
+        mode="stream.kind=synthetic"),
+    Key(("data.path",), range="a CSV path", mode=_DATASET),
+    Key(("data.preset",), range="a preset name or path", mode=_DATASET),
+    Key(("data.split_ratio",), _real, "0.7", "a number in (0, 1)", lambda v, run: 0.0 < v < 1.0,
+        mode=_DATASET),
     Key(("experts.source",), str, None, "synthetic, file or builtin",
         lambda v, run: v in ("synthetic", "file", "builtin")),
     Key(("experts.profile.<name>",), lambda s: tuple(map(_real, s.split(","))), None,
         "4 error rates (e_a_neg, e_a_pos, e_b_neg, e_b_pos) in [0, 1]",
-        lambda v, run: len(v) == 4 and all(0.0 <= r <= 1.0 for r in v)),
-    Key(("experts.file",), range="a CSV path"),
+        lambda v, run: len(v) == 4 and all(0.0 <= r <= 1.0 for r in v),
+        mode="experts.source=synthetic"),
+    Key(("experts.file",), range="a CSV path", mode="experts.source=file"),
     Key(("experts.kinds",), lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
         "logistic,stump", "2 or more of logistic, stump",
-        lambda v, run: len(v) >= 2 and set(v) <= {"logistic", "stump"}),
+        lambda v, run: len(v) >= 2 and set(v) <= {"logistic", "stump"}, mode=_BUILTIN),
     Key(("experts.include_group",), lambda s: _FLAGS[s.lower()], "true",
-        "true or false (yes/no, 1/0)"),
-    Key(("experts.epochs",), int, "500", "an integer >= 1", lambda v, run: v >= 1),
+        "true or false (yes/no, 1/0)", mode=_BUILTIN),
+    Key(("experts.epochs",), int, "500", "an integer >= 1", lambda v, run: v >= 1,
+        mode=_BUILTIN),
 )
 CONFIG_KEY = {name: key for key in CONFIG_KEYS for name in key.names}
 

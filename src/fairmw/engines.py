@@ -60,7 +60,7 @@ from .domain import (
     trial_seed_sequence,
     weight_states,
 )
-from .errors import EmptyTrajectory, StreamExhausted
+from .errors import FairmwError
 from .estimators import smoothed_rates
 from .qopt import assemble_systems, solve_q_batch
 
@@ -131,7 +131,7 @@ class Trajectory:
 
     def __init__(self, engine: str, eta: float, expert_names: list[str], T: int):
         if T < 1:
-            raise EmptyTrajectory(f"a trajectory needs at least one round, got T = {T}")
+            raise FairmwError(f"a trajectory needs at least one round, got T = {T}")
         self.engine = engine
         self.eta = eta
         self.expert_names = list(expert_names)
@@ -188,7 +188,7 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     The stream is the arrivals' int8 ``(group, label)`` columns
     (``ingest.synth_stream`` returns them).  Its first config.horizon
     rounds are played in order; shorter streams, an empty one included,
-    raise StreamExhausted.  For fairness_aware, q starts uniform and is
+    raise FairmwError.  For fairness_aware, q starts uniform and is
     re-solved from running alpha sums and rate estimates whenever
     (t-1) % q_recompute_stride == 0 (t >= 2), with elapsed rounds t-1 in
     the constraint denominators; see ``_cell_trial``.
@@ -196,9 +196,9 @@ def run_trial(config: RunConfig, stream, ensemble, trial: int = 0) -> Trajectory
     n = len(stream[0])
     T = config.horizon
     if T > n:
-        raise StreamExhausted(f"stream has {n} examples, horizon {T}")
+        raise FairmwError(f"stream has {n} examples, horizon {T}")
     if ensemble.num_rounds is not None and ensemble.num_rounds < T:
-        raise StreamExhausted(
+        raise FairmwError(
             f"ensemble covers {ensemble.num_rounds} rounds, horizon {T}")
 
     eta = config.eta if config.eta is not None else recommended_eta(T, ensemble.d)

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Group
-from .errors import (ConfigError, DegenerateData, DomainError, FormatError,
-                     InvalidExpertCount, StreamExhausted, utf8_lines)
+from .errors import ConfigError, DataError, FairmwError, utf8_lines
 
 __all__ = [
     "ErrorProfile",
@@ -56,7 +55,7 @@ class ErrorProfile:
     def __post_init__(self):
         for v in (self.e_a_neg, self.e_a_pos, self.e_b_neg, self.e_b_pos):
             if not 0.0 <= v <= 1.0:
-                raise DomainError(f"error rate {v} outside [0, 1]")
+                raise FairmwError(f"error rate {v} outside [0, 1]")
 
     def rate(self, group: Group, label: int) -> float:
         if group == Group.A:
@@ -80,7 +79,7 @@ class SyntheticEnsemble:
 
     def __init__(self, profiles: list[ErrorProfile], names: list[str] | None = None):
         if len(profiles) < 2:
-            raise InvalidExpertCount(f"need at least 2 experts, got {len(profiles)}")
+            raise FairmwError(f"need at least 2 experts, got {len(profiles)}")
         self.profiles = list(profiles)
         self.names = list(names) if names else [f"expert_{i}" for i in range(len(profiles))]
         _check_names(self.names, len(profiles))
@@ -109,7 +108,7 @@ class MatrixEnsemble:
 
     def __init__(self, names: list[str], matrix: np.ndarray):
         if len(names) < 2:
-            raise InvalidExpertCount(f"need at least 2 experts, got {len(names)}")
+            raise FairmwError(f"need at least 2 experts, got {len(names)}")
         _check_names(names, len(names))
         self.names = list(names)
         self.matrix = matrix
@@ -121,7 +120,7 @@ class MatrixEnsemble:
 
     def round_predictions(self, t: int, group: int, label: int, rng=None) -> np.ndarray:
         if t > self.num_rounds:
-            raise StreamExhausted(
+            raise FairmwError(
                 f"prediction matrix has {self.num_rounds} rounds, round {t} requested")
         return self.matrix[t - 1]
 
@@ -132,28 +131,28 @@ class MatrixEnsemble:
 def load_prediction_file(path) -> MatrixEnsemble:
     """Parse the predictions CSV: header of expert names, then 0/1 rows."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(utf8_lines(fh, path, FormatError))
+        reader = csv.reader(utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
-            raise FormatError(f"{path}: empty file, expected a header row") from None
+            raise DataError(f"{path}: empty file, expected a header row") from None
         names = [h.strip() for h in header]
         if len(names) < 2 or any(not n for n in names):
-            raise FormatError(f"{path}: bad header {header!r}")
+            raise DataError(f"{path}: bad header {header!r}")
         if len(set(names)) != len(names):
-            raise FormatError(f"{path}: duplicate expert names in header")
+            raise DataError(f"{path}: duplicate expert names in header")
         rows = []
         for rownum, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(names):
-                raise FormatError(
+                raise DataError(
                     f"{path}: row {rownum} has {len(row)} cells, expected {len(names)}")
             parsed = []
             for colnum, cell in enumerate(row, start=1):
                 cell = cell.strip()
                 if cell not in ("0", "1"):
-                    raise FormatError(
+                    raise DataError(
                         f"{path}: row {rownum}, column {colnum}: {cell!r} is not 0 or 1")
                 parsed.append(int(cell))
             rows.append(parsed)
@@ -181,8 +180,8 @@ class LogisticExpert:
             z /= self.scale   # in place: the same IEEE operations as (x - mean) / scale
         far = np.isinf(z.min(axis=0, initial=0.0)) | np.isinf(z.max(axis=0, initial=0.0))
         if far.any():
-            raise DegenerateData(f"feature column {int(np.argmax(far))}: a test value "
-                                 "is too far outside the training spread to standardize")
+            raise DataError(f"feature column {int(np.argmax(far))}: a test value "
+                            "is too far outside the training spread to standardize")
         return np.matmul(z[:, None, :], self.weights[:, None])[:, 0, 0] + self.bias
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -211,9 +210,9 @@ def train_builtin(x: np.ndarray, y: np.ndarray, kind: str, epochs: int = 500,
     labels y; x ends in a group column if the model may see it.  Every
     entry of x must be finite (ingest rejects non-finite cells)."""
     if not len(x):
-        raise DegenerateData("empty training split")
+        raise DataError("empty training split")
     if x.shape[1] == 0:
-        raise DegenerateData("no feature columns to train on")
+        raise DataError("no feature columns to train on")
     y = np.asarray(y, dtype=float)
 
     if kind == "logistic":
@@ -228,8 +227,8 @@ def _train_logistic(x: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> Log
         mean = x.mean(axis=0)
         scale = x.std(axis=0)
     if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
-        raise DegenerateData("feature values too large to standardize: a column's "
-                             "mean or spread overflows")
+        raise DataError("feature values too large to standardize: a column's "
+                    "mean or spread overflows")
     scale[scale == 0.0] = 1.0
     xs = x - mean
     xs /= scale

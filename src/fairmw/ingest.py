@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 
 from .domain import CONFIG_KEY, NEG, POS, Group, trial_seed_sequence
-from .errors import EmptyDataset, FormatError, SchemaError, utf8_lines
+from .errors import DataError, utf8_lines
 
 __all__ = [
     "DatasetSchema",
@@ -111,13 +111,13 @@ class DatasetSchema:
 
     def __post_init__(self):
         if self.label_column == self.group_column:
-            raise SchemaError("label and group columns must differ")
+            raise DataError("label and group columns must differ")
         features = () if self.feature_columns == "all-remaining" else self.feature_columns
         for role, column in (("label", self.label_column), ("group", self.group_column)):
             if column in features:
-                raise SchemaError(f"features: {column!r} is the {role} column")
+                raise DataError(f"features: {column!r} is the {role} column")
         if len(set(features)) < len(features):
-            raise SchemaError(f"features: {', '.join(features)} names a column twice")
+            raise DataError(f"features: {', '.join(features)} names a column twice")
 
 
 @dataclass
@@ -194,15 +194,15 @@ def load_dataset(path, schema: DatasetSchema
     """
     report = IngestReport(notes=list(schema.notes))
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(utf8_lines(fh, path, FormatError))
+        reader = csv.reader(utf8_lines(fh, path))
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
+            raise DataError(f"{path}: empty file, no header row") from None
         col = {name: i for i, name in enumerate(header)}
         for needed in (schema.label_column, schema.group_column):
             if needed not in col:
-                raise SchemaError(f"{path}: column {needed!r} not in header")
+                raise DataError(f"{path}: column {needed!r} not in header")
         if schema.feature_columns == "all-remaining":
             feature_names = list(dict.fromkeys(
                 h for h in header if h not in (schema.label_column, schema.group_column)))
@@ -210,16 +210,16 @@ def load_dataset(path, schema: DatasetSchema
             feature_names = list(schema.feature_columns)
             for name in feature_names:
                 if name not in col:
-                    raise SchemaError(f"{path}: feature column {name!r} not in header")
+                    raise DataError(f"{path}: feature column {name!r} not in header")
         filters = []
         for fcol, fop, fval in schema.filters:
             if fcol not in col:
-                raise SchemaError(f"{path}: filter column {fcol!r} not in header")
+                raise DataError(f"{path}: filter column {fcol!r} not in header")
             if fop not in ("==", "!="):
                 try:
                     float(fval)
                 except ValueError:
-                    raise SchemaError(
+                    raise DataError(
                         f"{path}: filter {fcol} {fop} {fval!r} needs a numeric value"
                     ) from None
             filters.append((col[fcol], _matcher(fop + fval)))
@@ -252,7 +252,7 @@ def load_dataset(path, schema: DatasetSchema
                 continue
             for name, idx in repeats:
                 if len({row[i].strip() for i in idx}) > 1:
-                    raise SchemaError(
+                    raise DataError(
                         f"{path}: duplicate column name {name!r} in header, and its "
                         f"columns differ on data row {report.rows_read}: "
                         f"{[row[i].strip() for i in idx]!r}")
@@ -282,7 +282,7 @@ def load_dataset(path, schema: DatasetSchema
                 code.append(first.setdefault(v, len(first)))
 
     if labels and POS not in labels:
-        raise SchemaError(
+        raise DataError(
             f"{path}: positive value {schema.positive_value!r} matched no row")
 
     features, report.encoding = _code_columns(path, feature_names, codes, seen)
@@ -305,8 +305,8 @@ def _code_columns(path, names: list[str], codes: list[list[int]],
             continue
         bad = np.flatnonzero(~np.isfinite(distinct))
         if bad.size:
-            raise SchemaError(f"{path}: feature column {name!r} holds "
-                              f"{list(first)[bad[0]]!r}, which is not a finite number")
+            raise DataError(f"{path}: feature column {name!r} holds "
+                            f"{list(first)[bad[0]]!r}, which is not a finite number")
         values.append(distinct)
         encoding.append((name, "numeric", ()))
     codes = tuple(np.array(code, dtype=np.intp) for code in codes)
@@ -319,7 +319,7 @@ def dataset_stats(group: np.ndarray, label: np.ndarray) -> DatasetStats:
     the rows' group and label columns."""
     n = len(group)
     if not n:
-        raise EmptyDataset("no rows")
+        raise DataError("no rows")
     neg_a, pos_a, neg_b, pos_b = np.bincount(
         2 * group.astype(np.intp) + label, minlength=4).tolist()
     n_a, n_b = neg_a + pos_a, neg_b + pos_b
@@ -334,7 +334,7 @@ def split_shuffle(n: int, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarr
     """Seeded permutation of range(n): the first floor(ratio*n) indices
     train, the rest are the test split, in that order."""
     if not n:
-        raise EmptyDataset("cannot split an empty dataset")
+        raise DataError("cannot split an empty dataset")
     CONFIG_KEY["data.split_ratio"].check(ratio, name="split ratio")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(n)
@@ -399,23 +399,23 @@ def load_preset(name_or_path) -> DatasetSchema:
         source = f"preset:{name}"
     else:
         with open(name_or_path, encoding="utf-8-sig") as fh:
-            text = "".join(utf8_lines(fh, name, SchemaError))
+            text = "".join(utf8_lines(fh, name))
         source = name
 
     # note lines accumulate; any other key may appear once.
     pairs, kv = [], {}
-    for lineno, key, value in parse_pairs(text, source, SchemaError):
+    for lineno, key, value in parse_pairs(text, source, DataError):
         if key not in _PRESET_KEYS and not key.startswith(("note.", "filter.")):
-            raise SchemaError(f"{source}:{lineno}: unknown key {key!r}")
+            raise DataError(f"{source}:{lineno}: unknown key {key!r}")
         if key in kv and key != "note":
-            raise SchemaError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise DataError(f"{source}:{lineno}: duplicate key {key!r}")
         pairs.append((key, value))
         kv[key] = value
 
     required = ("label.column", "label.positive", "group.column", "group.a")
     for key in required:
         if key not in kv:
-            raise SchemaError(f"{source}: missing required key {key!r}")
+            raise DataError(f"{source}: missing required key {key!r}")
 
     features: tuple[str, ...] | str = "all-remaining"
     if kv.get("features", "all-remaining") != "all-remaining":
@@ -426,8 +426,8 @@ def load_preset(name_or_path) -> DatasetSchema:
         if key.startswith("filter."):
             parts = value.split(None, 2)
             if len(parts) != 3 or parts[1] not in _FILTER_OPS:
-                raise SchemaError(f"{source}: bad filter {value!r} "
-                                  "(expected: column OP value)")
+                raise DataError(f"{source}: bad filter {value!r} "
+                                "(expected: column OP value)")
             filters.append((parts[0], parts[1], parts[2]))
     notes = tuple(v for k, v in pairs if k == "note" or k.startswith("note."))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Group, RunConfig, gamma
-from .errors import EngineMismatch
+from .errors import FairmwError
 from .engines import CELL_MAP, Trajectory
 from .estimators import smoothed_rates
 
@@ -71,7 +71,7 @@ def validate_bounds(traj: Trajectory, config: RunConfig,
     fairness-bound right-hand sides, which read the same cell sums.
     """
     if traj.engine != config.engine:
-        raise EngineMismatch(
+        raise FairmwError(
             f"trajectory from engine {traj.engine!r}, config says {config.engine!r}")
     eta = traj.eta
     g_eta = gamma(eta)

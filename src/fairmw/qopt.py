@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteInput
+from .errors import FairmwError
 
 __all__ = ["assemble_systems", "solve_q_batch"]
 
@@ -40,7 +40,7 @@ REG_WEIGHT = 1e-8
 def _require_finite(**arrays) -> None:
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteInput(f"non-finite entries in {name}")
+            raise FairmwError(f"non-finite entries in {name}")
 
 
 def assemble_systems(alpha_sums, p_hat, mu_a, mu_b, t_elapsed) -> np.ndarray:
@@ -70,10 +70,10 @@ def check_q(q: np.ndarray) -> np.ndarray:
     each group's pair summing to 1, both within 1e-12.  Returns q."""
     outside = ~((q >= -1e-12) & (q <= 1.0 + 1e-12))
     if outside.any():
-        raise ConfigError(f"q component {q[outside][0]} outside [0, 1]")
+        raise FairmwError(f"q component {q[outside][0]} outside [0, 1]")
     for z, name in ((0, "a"), (1, "b")):
         if np.any(np.abs(q[:, z] + q[:, z + 2] - 1.0) > 1e-12):
-            raise ConfigError(f"q_{name}_neg + q_{name}_pos must equal 1")
+            raise FairmwError(f"q_{name}_neg + q_{name}_pos must equal 1")
     return q
 
 

@@ -50,7 +50,7 @@ from fairmw.domain import (
     trial_seed_sequence,
 )
 from fairmw.engines import CELL_MAP, Trajectory
-from fairmw.errors import NonFiniteInput, SchemaError
+from fairmw.errors import DataError, FairmwError
 from fairmw.experts import LogisticExpert, train_builtin
 from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
 
@@ -88,7 +88,7 @@ class ConstraintSystem:
     def __post_init__(self):
         for name in ("a", "b", "lam"):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise NonFiniteInput(f"non-finite entries in {name}")
+                raise FairmwError(f"non-finite entries in {name}")
 
 
 def assemble_constraint_system(alpha_sums, p_hat, mu_a, mu_b, t_elapsed,
@@ -294,8 +294,8 @@ def encode_features(path, names, codes, seen, n):
             continue
         bad = np.flatnonzero(~np.isfinite(numeric))
         if bad.size:
-            raise SchemaError(f"{path}: feature column {name!r} holds "
-                              f"{values[code[bad[0]]]!r}, which is not a finite number")
+            raise DataError(f"{path}: feature column {name!r} holds "
+                            f"{values[code[bad[0]]]!r}, which is not a finite number")
         encoded.append(numeric.reshape(n, 1))
         encoding.append((name, "numeric", ()))
     return (np.hstack(encoded) if encoded else np.zeros((n, 0))), encoding

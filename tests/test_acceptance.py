@@ -27,7 +27,7 @@ from fairmw.cli import (
 )
 from fairmw.domain import RunConfig, trial_seed_sequence
 from fairmw.engines import run_trial
-from fairmw.errors import DomainError
+from fairmw.errors import FairmwError
 from fairmw.experts import ErrorProfile, SyntheticEnsemble
 from fairmw.ingest import dataset_stats, load_dataset, load_preset, split_shuffle, synth_stream
 from fairmw.metrics import gamma, validate_bounds
@@ -212,7 +212,7 @@ def test_criterion_7_gamma_checks():
         vals = [gamma(float(e)) for e in grid]
         assert all(x > y for x, y in zip(vals, vals[1:]))
         for bad in (0.0, 0.5):
-            with pytest.raises(DomainError):
+            with pytest.raises(FairmwError, match="gamma requires 0 < eta < 1/2"):
                 gamma(bad)
 
 

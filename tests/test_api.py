@@ -31,16 +31,18 @@ def test_readme_library_snippet_runs(capsys):
 
 def test_readme_config_table_lists_the_config_keys():
     # README's Config reference is one row per CONFIG_KEYS entry: the same
-    # names, raw defaults (— for none) and range text, in the same order.
+    # names, raw defaults (— for none), range text and mode (always for
+    # none), in the same order.
     from fairmw.domain import CONFIG_KEYS
 
     text = README.read_text(encoding="utf-8")
-    section = text[text.index("| Key | Default | Range | Meaning |"):]
+    section = text[text.index("| Key | Default | Range | Read when | Meaning |"):]
     rows = []
     for line in section.splitlines()[2:]:
         if not line.startswith("|"):
             break
-        names, default, range_text = (c.strip() for c in line.strip("|").split(" | ")[:3])
+        names, default, range_text, when = (c.strip() for c in line.strip("|").split(" | ")[:4])
         rows.append((tuple(re.findall(r"`([^`]+)`", names)),
-                     None if default == "—" else default.strip("`"), range_text))
-    assert rows == [(key.names, key.default, key.range) for key in CONFIG_KEYS]
+                     None if default == "—" else default.strip("`"), range_text,
+                     None if when == "always" else when.strip("`")))
+    assert rows == [(key.names, key.default, key.range, key.mode) for key in CONFIG_KEYS]

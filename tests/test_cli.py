@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,8 +20,9 @@ from fairmw.cli import (
     main,
     parse_config,
 )
+from fairmw.domain import CONFIG_KEY, CONFIG_KEYS
 from fairmw.engines import run_trial
-from fairmw.errors import ConfigError
+from fairmw.errors import ConfigError, DataError, FairmwError
 from fairmw.experts import LogisticExpert, train_builtin
 from fairmw.ingest import load_dataset, load_preset, split_shuffle
 
@@ -103,26 +105,53 @@ def test_build_spec_errors():
         build_spec(cfg_dict(eta="0.7"))
     with pytest.raises(ConfigError, match="stream.kind"):
         build_spec({"engine": "mw"})
-    with pytest.raises(ConfigError, match="conflicts with data"):
+    with pytest.raises(ConfigError, match="data.path: only read when stream.kind=dataset"):
         build_spec(cfg_dict(**{"data.path": "x.csv"}))
-    with pytest.raises(ConfigError, match="data.split_ratio: stream.kind=synthetic conflicts"):
+    with pytest.raises(ConfigError,
+                       match="data.split_ratio: only read when stream.kind=dataset"):
         build_spec(cfg_dict(**{"data.split_ratio": "0.5"}))
     with pytest.raises(ConfigError, match="expected an integer"):
         build_spec(cfg_dict(trials="two"))
-    # expert keys that the chosen experts.source would ignore
+
+
+def test_keys_of_an_inactive_mode_are_rejected():
+    # one accepted config per (stream.kind, experts.source) pair
     file_cfg = cfg_dict(**{"experts.source": "file", "experts.file": "p.csv",
                            "experts.profile.x": None, "experts.profile.y": None})
     builtin_cfg = {"engine": "mw", "stream.kind": "dataset", "data.path": "d.csv",
                    "data.preset": "adult"}
-    for key, value, cfg in (("experts.file", "p.csv", cfg_dict()),
-                            ("experts.file", "p.csv", builtin_cfg),
-                            ("experts.kinds", "logistic,stump", cfg_dict()),
-                            ("experts.include_group", "false", file_cfg),
-                            ("experts.epochs", "10", cfg_dict()),
-                            ("experts.profile.z", "0.1,0.1,0.1,0.1", file_cfg),
-                            ("experts.profile.z", "0.1,0.1,0.1,0.1", builtin_cfg)):
-        with pytest.raises(ConfigError, match=f"{key}: not read by experts.source="):
-            build_spec({**cfg, key: value})
+    bases = {("synthetic", "synthetic"): cfg_dict(), ("synthetic", "file"): file_cfg,
+             ("dataset", "builtin"): builtin_cfg,
+             ("dataset", "file"): {**builtin_cfg, "experts.source": "file",
+                                   "experts.file": "p.csv"},
+             ("dataset", "synthetic"): {**builtin_cfg, "experts.source": "synthetic",
+                                        "experts.profile.x": "0.1,0.1,0.1,0.1",
+                                        "experts.profile.y": "0.3,0.3,0.3,0.3"}}
+    values = {"stream.p": "0.5", "stream.mu_a": "0.4", "stream.mu_b": "0.6",
+              "data.path": "d.csv", "data.preset": "adult", "data.split_ratio": "0.5",
+              "experts.profile.z": "0.1,0.1,0.1,0.1", "experts.file": "p.csv",
+              "experts.kinds": "logistic,stump", "experts.include_group": "false",
+              "experts.epochs": "10"}
+    # the hand-picked cases that each named one experts.source
+    cases = [("experts.file", "p.csv", cfg_dict()),
+             ("experts.file", "p.csv", builtin_cfg),
+             ("experts.kinds", "logistic,stump", cfg_dict()),
+             ("experts.include_group", "false", file_cfg),
+             ("experts.epochs", "10", cfg_dict()),
+             ("experts.profile.z", "0.1,0.1,0.1,0.1", file_cfg),
+             ("experts.profile.z", "0.1,0.1,0.1,0.1", builtin_cfg)]
+    for (stream, source), cfg in bases.items():
+        spec = build_spec(cfg)
+        assert (spec.stream_kind, spec.experts_source) == (stream, source)
+        active = (f"stream.kind={stream}", f"experts.source={source}")
+        cases += [(name, values[name], cfg)
+                  for key in CONFIG_KEYS if key.mode and key.mode not in active
+                  for name in (n.replace("<name>", "z") for n in key.names)]
+    assert {name for name, _, _ in cases} == set(values)
+    for name, value, cfg in cases:
+        mode = CONFIG_KEY.get(name, CONFIG_KEY["experts.profile.<name>"]).mode
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: only read when {mode}")):
+            build_spec({**cfg, name: value})
 
 
 def run_main(tmp_path, text, *argv, sub="run", name="exp.cfg", out="out"):
@@ -316,15 +345,18 @@ def test_exit_code_3_on_data_errors(tmp_path, capsys):
     assert main(["stats", "--data", str(empty_csv), "--preset", "adult"]) == 3
 
 
-def test_exit_code_4_on_runtime_errors(tmp_path):
-    preds = write(tmp_path, "f1,f2\n1,0\n0,1\n1,1\n", "preds.csv")
-    cfg = write(tmp_path, (
-        "engine = mw\nhorizon = 5\neta = 0.2\ntrials = 1\n"
-        "stream.kind = synthetic\nstream.p = 0.5\n"
-        "stream.mu_a = 0.4\nstream.mu_b = 0.6\n"
-        "experts.source = file\nexperts.file = {}\n").format(preds))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--workers", "1"]) == 4
+@pytest.mark.parametrize("cls, code, prefix", [(FairmwError, 4, "runtime error"),
+                                               (ConfigError, 2, "config error"),
+                                               (DataError, 3, "data error")],
+                         ids=["FairmwError", "ConfigError", "DataError"])
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys, cls, code, prefix):
+    def failing(payload, workers):
+        raise cls("msg")
+
+    monkeypatch.setattr(cli, "execute_trials", failing)
+    assert (cls.code, cls.prefix) == (code, prefix)
+    assert run_main(tmp_path, SYNTH_MW, "--workers", "1")[0] == cls.code
+    assert capsys.readouterr().err == f"{cls.prefix}: msg\n"
 
 
 def test_out_of_memory_exits_4(tmp_path, monkeypatch, capsys):
@@ -747,6 +779,8 @@ MALFORMED = {
     "misspelt_preset_key": ("stats --data {d}/good.csv --preset {d}/typo.preset", 3),
     "stats_negative_seed": ("stats --data {d}/good.csv --preset {d}/good.preset --seed -1", 2),
     "prediction_file_wrong_length": ("run --config {d}/short_preds.cfg", 3),
+    # a synthetic-mode prediction file of three rows runs out at round 4 of 5
+    "prediction_file_shorter_than_horizon": ("run --config {d}/short_synthetic_preds.cfg", 4),
     # float() parses "nan": the logistic expert's weights went NaN and the run exited 0
     "non_finite_feature": ("run --config {d}/nan_feature.cfg", 3),
     # neither path builds a feature matrix, yet the columns are still checked
@@ -834,6 +868,10 @@ def write_malformed_inputs(d):
                  "engine = mw\ntrials = 1\nstream.kind = dataset\n"
                  f"data.path = {d}/good.csv\ndata.preset = {d}/good.preset\n"
                  f"experts.source = file\nexperts.file = {d}/short_preds.csv\n").encode(),
+             "short_synthetic_preds.cfg": (
+                 "engine = mw\nhorizon = 5\neta = 0.2\ntrials = 1\n"
+                 "stream.kind = synthetic\nstream.p = 0.5\nstream.mu_a = 0.4\nstream.mu_b = 0.6\n"
+                 f"experts.source = file\nexperts.file = {d}/short_preds.csv\n").encode(),
              "nan_feature.csv": census.replace("41,", "nan,").encode(),
              "nan_feature.cfg": (
                  "engine = mw\ntrials = 1\nstream.kind = dataset\n"
@@ -897,5 +935,6 @@ def test_malformed_inputs_exit_with_documented_code(tmp_path, capsys, case):
     assert code in (0, 2, 3, 4, 5)
     assert code == expected, err
     assert "Traceback" not in err
-    assert err.startswith({0: "", 2: "config error: ", 3: "data error: "}[expected]), err
+    assert err.startswith({0: "", 2: "config error: ", 3: "data error: ",
+                           4: "runtime error: "}[expected]), err
     assert (err == "") == (expected == 0), err

@@ -23,7 +23,7 @@ from fairmw.qopt import check_q
 from fairmw.cli import build_spec, parse_config, prepare_payload
 from fairmw.domain import trial_seed_sequence
 from fairmw.engines import CELL_MAP, Trajectory, run_trial
-from fairmw.errors import StreamExhausted
+from fairmw.errors import FairmwError
 from fairmw.estimators import smoothed_rates
 from fairmw.experts import ErrorProfile, MatrixEnsemble, SyntheticEnsemble
 from fairmw.ingest import synth_stream
@@ -293,7 +293,7 @@ def test_run_trial_empty_stream():
     # every horizon is >= 1, so an empty stream is one that runs out
     ens = SyntheticEnsemble([ErrorProfile(0.1, 0.1, 0.1, 0.1)] * 2)
     for engine in CELL_MAP:
-        with pytest.raises(StreamExhausted, match="stream has 0 examples"):
+        with pytest.raises(FairmwError, match="stream has 0 examples"):
             run_trial(config(engine=engine), stream_of([]), ens)
     with pytest.raises(TypeError):
         config(allow_empty=True)   # RunConfig has no such field
@@ -301,14 +301,14 @@ def test_run_trial_empty_stream():
 
 def test_run_trial_stream_too_short():
     ens = SyntheticEnsemble([ErrorProfile(0.1, 0.1, 0.1, 0.1)] * 2)
-    with pytest.raises(StreamExhausted):
+    with pytest.raises(FairmwError, match="stream has 2 examples, horizon 50"):
         run_trial(config(horizon=50), make_stream("A+ B-"), ens)
 
 
 def test_run_trial_prediction_file_too_short():
     ens = file_ensemble([[1, 0], [0, 1], [1, 1]])
     stream = make_stream("A+ B- A- B+ A+")
-    with pytest.raises(StreamExhausted):
+    with pytest.raises(FairmwError, match="ensemble covers 3 rounds, horizon 5"):
         run_trial(config(horizon=5), stream, ens)
 
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from fairmw.domain import Group, NEG, POS
-from fairmw.errors import (
-    ConfigError,
-    DegenerateData,
-    DomainError,
-    FormatError,
-    InvalidExpertCount,
-    StreamExhausted,
-)
+from fairmw.errors import ConfigError, DataError, FairmwError
 from fairmw.experts import (
     ErrorProfile,
     LogisticExpert,
@@ -31,7 +24,7 @@ def test_error_profile():
     assert p.rate(Group.B, NEG) == 0.3
     assert p.rate(Group.B, POS) == 0.4
     assert abs(p.max_cell_gap() - 0.2) < 1e-15
-    with pytest.raises(DomainError):
+    with pytest.raises(FairmwError, match=r"error rate 1\.1 outside \[0, 1\]"):
         ErrorProfile(1.1, 0.0, 0.0, 0.0)
 
 
@@ -61,7 +54,7 @@ def test_synthetic_ensemble_basics():
     preds = ens.round_predictions(1, Group.A, POS, np.random.default_rng(1))
     assert preds.shape == (2,)
     assert set(np.unique(preds)) <= {0, 1}
-    with pytest.raises(InvalidExpertCount):
+    with pytest.raises(FairmwError, match="need at least 2 experts, got 1"):
         SyntheticEnsemble([profiles[0]])
     with pytest.raises(ConfigError):
         SyntheticEnsemble(profiles, names=["same", "same"])
@@ -123,7 +116,7 @@ def test_load_prediction_file(tmp_path):
     assert ens.d == 2
     assert ens.num_rounds == 1
     assert ens.round_predictions(1, Group.A, POS).tolist() == [1, 0]
-    with pytest.raises(StreamExhausted):
+    with pytest.raises(FairmwError, match="prediction matrix has 1 rounds, round 2 requested"):
         ens.round_predictions(2, Group.A, POS)
 
 
@@ -132,29 +125,29 @@ def test_prediction_file_empty_body(tmp_path):
     path.write_text("f1,f2\n", encoding="utf-8")
     ens = load_prediction_file(path)
     assert ens.num_rounds == 0
-    with pytest.raises(StreamExhausted):
+    with pytest.raises(FairmwError, match="prediction matrix has 0 rounds, round 1 requested"):
         ens.round_predictions(1, Group.A, POS)
 
 
 def test_prediction_file_format_errors(tmp_path):
     bad_cell = tmp_path / "a.csv"
     bad_cell.write_text("f1,f2\n1,0\n0,2\n", encoding="utf-8")
-    with pytest.raises(FormatError, match=r"row 3.*column 2"):
+    with pytest.raises(DataError, match=r"row 3.*column 2"):
         load_prediction_file(bad_cell)
 
     ragged = tmp_path / "b.csv"
     ragged.write_text("f1,f2\n1,0,1\n", encoding="utf-8")
-    with pytest.raises(FormatError, match="row 2"):
+    with pytest.raises(DataError, match="row 2"):
         load_prediction_file(ragged)
 
     dup = tmp_path / "c.csv"
     dup.write_text("f1,f1\n1,0\n", encoding="utf-8")
-    with pytest.raises(FormatError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate"):
         load_prediction_file(dup)
 
     empty = tmp_path / "d.csv"
     empty.write_text("", encoding="utf-8")
-    with pytest.raises(FormatError, match="empty"):
+    with pytest.raises(DataError, match="empty"):
         load_prediction_file(empty)
 
     with pytest.raises(OSError):
@@ -164,9 +157,9 @@ def test_prediction_file_format_errors(tmp_path):
 def test_file_ensemble_needs_two_experts(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("f1\n1\n", encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="bad header"):
         load_prediction_file(path)
-    with pytest.raises(InvalidExpertCount):
+    with pytest.raises(FairmwError, match="need at least 2 experts, got 1"):
         MatrixEnsemble(["only"], np.zeros((1, 1), dtype=np.int8))
 
 
@@ -245,14 +238,14 @@ def test_logistic_rejects_test_row_outside_training_spread():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert model.predict(near).shape == (2,)
-        with pytest.raises(DegenerateData, match="feature column 0"):
+        with pytest.raises(DataError, match="feature column 0"):
             model.predict(np.array([[1.0, 0.5], [1e300, 0.5]]))
 
 
 def test_train_builtin_errors():
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DataError, match="empty training split"):
         train_builtin(np.empty((0, 2)), np.empty(0), "stump")
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DataError, match="no feature columns to train on"):
         train_builtin(np.empty((2, 0)), [1, 0], "logistic")
     x, _, y = separable_split()
     with pytest.raises(ConfigError):
@@ -341,9 +334,9 @@ def test_builtin_ensemble():
         preds = ens.round_predictions(t, g, label)
         assert preds.dtype == np.int8
         assert preds.tolist() == [reference_predict(m, x[t - 1]) for m in models]
-    with pytest.raises(StreamExhausted):
+    with pytest.raises(FairmwError, match=f"round {len(split) + 1} requested"):
         ens.round_predictions(len(split) + 1, *split[0])
-    with pytest.raises(InvalidExpertCount):
+    with pytest.raises(FairmwError, match="need at least 2 experts, got 1"):
         MatrixEnsemble(["m"], x[:, :1].astype(np.int8))
 
 

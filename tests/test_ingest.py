@@ -5,7 +5,7 @@ import pytest
 
 import scalar_reference
 from fairmw.domain import Group, NEG, POS, trial_seed_sequence
-from fairmw.errors import ConfigError, EmptyDataset, SchemaError
+from fairmw.errors import ConfigError, DataError
 from fairmw.ingest import (
     BUNDLED_PRESETS,
     DatasetSchema,
@@ -179,32 +179,32 @@ def test_group_b_value_restricts(tmp_path):
 
 def test_schema_errors(tmp_path):
     missing_col = write_csv(tmp_path, "age,income\n30,high\n", "a.csv")
-    with pytest.raises(SchemaError, match="'sex' not in header"):
+    with pytest.raises(DataError, match="'sex' not in header"):
         load_dataset(missing_col, BASIC)
 
     no_positive = write_csv(tmp_path, "age,sex,income\n30,Male,low\n", "b.csv")
-    with pytest.raises(SchemaError, match="matched no row"):
+    with pytest.raises(DataError, match="matched no row"):
         load_dataset(no_positive, BASIC)
 
     empty = write_csv(tmp_path, "", "c.csv")
-    with pytest.raises(SchemaError, match="empty file"):
+    with pytest.raises(DataError, match="empty file"):
         load_dataset(empty, BASIC)
 
-    with pytest.raises(SchemaError, match="columns must differ"):
+    with pytest.raises(DataError, match="columns must differ"):
         DatasetSchema(label_column="x", positive_value="1",
                       group_column="x", group_a_value="1")
     # a features list may not name the label or group column, nor a name twice
     for features, message in ((("age", "income"), "'income' is the label column"),
                               (("sex",), "'sex' is the group column"),
                               (("age", "zip", "age"), "age, zip, age names a column twice")):
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(DataError, match=message):
             DatasetSchema("income", "high", "sex", "Male", feature_columns=features)
 
     bad_feature = DatasetSchema(
         label_column="income", positive_value="high", group_column="sex",
         group_a_value="Male", feature_columns=("nope",))
     ok_file = write_csv(tmp_path, "age,sex,income\n30,Male,high\n", "d.csv")
-    with pytest.raises(SchemaError, match="feature column 'nope'"):
+    with pytest.raises(DataError, match="feature column 'nope'"):
         load_dataset(ok_file, bad_feature)
 
 
@@ -212,7 +212,7 @@ def test_duplicate_header_name(tmp_path):
     # the first x column used to be silently replaced by the second
     path = write_csv(tmp_path, "x,x,sex,income\n1,10,Male,high\n2,20,Female,low\n"
                                "3,30,Male,low\n")
-    with pytest.raises(SchemaError, match="duplicate column name 'x'"):
+    with pytest.raises(DataError, match="duplicate column name 'x'"):
         load_dataset(path, BASIC)
 
     # a repeated column that agrees on every row is one column
@@ -225,7 +225,7 @@ def test_duplicate_header_name(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
 def test_non_finite_numeric_feature(tmp_path, cell):
     path = write_csv(tmp_path, f"age,sex,income\n39,Male,high\n{cell},Female,low\n")
-    with pytest.raises(SchemaError, match=f"'age' holds '{cell}'"):
+    with pytest.raises(DataError, match=f"'age' holds '{cell}'"):
         load_dataset(path, BASIC)
 
 
@@ -274,7 +274,7 @@ def test_filter_needs_numeric_value(tmp_path):
         label_column="y", positive_value="1", group_column="g", group_a_value="a",
         filters=(("age", ">=", "young"),))
     path = write_csv(tmp_path, "age,g,y\n30,a,1\n")
-    with pytest.raises(SchemaError, match="needs a numeric value"):
+    with pytest.raises(DataError, match="needs a numeric value"):
         load_dataset(path, schema)
 
 
@@ -338,7 +338,7 @@ def test_dataset_stats():
     perm = rng.permutation(8)
     assert dataset_stats(group[perm], label[perm]) == stats
 
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DataError, match="no rows"):
         dataset_stats(*columns())
 
 
@@ -369,7 +369,7 @@ def test_split_shuffle():
         split_shuffle(1000, 0.0, seed=1)
     with pytest.raises(ConfigError):
         split_shuffle(1000, 1.0, seed=1)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DataError, match="cannot split an empty dataset"):
         split_shuffle(0, 0.5, seed=1)
 
 
@@ -474,17 +474,17 @@ def test_preset_from_path_and_errors(tmp_path):
     assert schema.filters == (("age", ">=", "21"),)
     assert schema.notes == ("hand-written",)
 
-    with pytest.raises((SchemaError, OSError)):
+    with pytest.raises((DataError, OSError), match="no-such-preset"):
         load_preset("no-such-preset")
 
     bad = tmp_path / "bad.preset"
     bad.write_text("label.column = y\njust words\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=r"bad\.preset:2"):
+    with pytest.raises(DataError, match=r"bad\.preset:2"):
         load_preset(bad)
 
     incomplete = tmp_path / "incomplete.preset"
     incomplete.write_text("label.column = y\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="missing required key"):
+    with pytest.raises(DataError, match="missing required key"):
         load_preset(incomplete)
 
     badfilter = tmp_path / "badfilter.preset"
@@ -492,7 +492,7 @@ def test_preset_from_path_and_errors(tmp_path):
         "label.column = y\nlabel.positive = 1\n"
         "group.column = g\ngroup.a = x\n"
         "filter.1 = age about 30\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="bad filter"):
+    with pytest.raises(DataError, match="bad filter"):
         load_preset(badfilter)
 
 
@@ -501,7 +501,7 @@ def test_preset_unknown_key_is_rejected(tmp_path):
     base = "label.column = y\nlabel.positive = 1\ngroup.column = g\ngroup.a = north\n"
     path = tmp_path / "typo.preset"
     path.write_text(base + "filtr.1 = age >= 40\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=r"typo\.preset:5: unknown key 'filtr\.1'"):
+    with pytest.raises(DataError, match=r"typo\.preset:5: unknown key 'filtr\.1'"):
         load_preset(path)
     # every known key family loads
     path.write_text(base + "name = all\nnote = a\nnote.source = b\ngroup.b = south\n"
@@ -522,7 +522,7 @@ def test_preset_repeated_key_is_rejected(tmp_path):
     for key, value in (("group.a", "south"), ("filter.1", "age >= 30")):
         path = tmp_path / "twice.preset"
         path.write_text(base + f"filter.1 = age >= 21\n{key} = {value}\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match=rf"twice\.preset:6: duplicate key '{key}'"):
+        with pytest.raises(DataError, match=rf"twice\.preset:6: duplicate key '{key}'"):
             load_preset(path)
     for name in BUNDLED_PRESETS:   # the bundled presets repeat only note
         load_preset(name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from fairmw.errors import ConfigError, NonFiniteInput
+from fairmw.errors import FairmwError
 from fairmw.qopt import REG_WEIGHT, assemble_systems, check_q, solve_q_batch
 from scalar_reference import ConstraintSystem, assemble_constraint_system, objective, solve_q
 
@@ -58,9 +58,9 @@ def test_assemble_row_values():
 
 
 def test_assemble_rejects_nonfinite():
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(FairmwError, match="non-finite entries in alpha_sums"):
         assemble_constraint_system([np.nan, 0, 0, 0], 0.5, 0.5, 0.5, 10)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(FairmwError, match="non-finite entries in a"):
         ConstraintSystem(np.full((3, 4), np.inf), np.zeros(3), np.ones(3))
 
 
@@ -330,24 +330,24 @@ def test_batch_rejects_nonfinite_and_infeasible_rows():
     good = np.zeros((4, 3, 4))
     bad = good.copy()
     bad[2, 2, 1] = np.inf
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(FairmwError, match="non-finite entries in A"):
         solve_q_batch(bad, np.zeros(3), np.ones(3))
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(FairmwError, match="non-finite entries in b"):
         solve_q_batch(good, np.array([0.0, np.nan, 0.0]), np.ones(3))
     sums = np.zeros((4, 4))
     sums[3, 1] = np.nan
     ones = np.full(4, 0.5)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(FairmwError, match="non-finite entries in alpha_sums"):
         assemble_systems(sums, ones, ones, ones, np.arange(1, 5))
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(FairmwError, match="non-finite entries in A"):
         assemble_systems(np.zeros((4, 4)), ones, ones, ones, np.arange(0, 4))  # t = 0
     q = solve_q_batch(good, np.zeros(3), np.ones(3))
     assert q.tolist() == [[0.5] * 4] * 4
     q[1] = (0.5, 1.2, 0.5, -0.2)
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(FairmwError, match="outside"):
         check_q(q)
     q[1] = (0.5, 0.5, 0.6, 0.5)
-    with pytest.raises(ConfigError, match="q_a_neg"):
+    with pytest.raises(FairmwError, match="q_a_neg"):
         check_q(q)
 
 
@@ -355,7 +355,7 @@ def test_check_q_validation():
     # rows in canonical cell order (A,-), (B,-), (A,+), (B,+)
     q = np.array([[0.5, 0.5, 0.5, 0.5], [0.3, 0.6, 0.7, 0.4]])
     assert check_q(q) is q
-    with pytest.raises(ConfigError, match="q_a_neg"):
+    with pytest.raises(FairmwError, match="q_a_neg"):
         check_q(np.array([[0.3, 0.5, 0.5, 0.5]]))   # group A does not normalize
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(FairmwError, match="outside"):
         check_q(np.array([[1.2, 0.5, -0.2, 0.5]]))
