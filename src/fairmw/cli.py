@@ -40,8 +40,8 @@ from .experts import (
     ErrorProfile,
     MatrixEnsemble,
     SyntheticEnsemble,
+    builtin_predictions,
     load_prediction_file,
-    train_builtin,
 )
 from .ingest import (
     dataset_stats,
@@ -241,16 +241,14 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
             ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[test_idx])
     else:  # builtin: every model predicts the test split once
         # The one feature matrix is written in split order, training rows then
-        # test rows; the coded columns go before the first model trains.
+        # test rows; the coded columns go before the first model trains, and
+        # logistic models standardize the matrix in place.
         x = features.matrix(np.concatenate((train_idx, test_idx)),
                             group if spec.include_group else None)
         del features
-        models = [train_builtin(x[:len(train_idx)], label[train_idx], kind, epochs=spec.epochs,
-                                seed=run.seed + 7919 * i)
-                  for i, kind in enumerate(spec.experts_kinds)]
         ensemble = MatrixEnsemble(
             [f"{kind}_{i}" for i, kind in enumerate(spec.experts_kinds)],
-            np.column_stack([m.predict(x[len(train_idx):]) for m in models]))
+            builtin_predictions(x, label[train_idx], spec.experts_kinds, spec.epochs, run.seed))
 
     epsilon = spec.epsilon
     if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:

@@ -12,10 +12,11 @@ identifiers), ``num_rounds`` (None when unlimited) and
   epsilon-fairness can be set exactly.
 * MatrixEnsemble — serves row t of a fixed (rounds, d) prediction matrix
   on round t.  A prediction file is one; so are builtin models (logistic /
-  stump), which ``train_builtin`` fits on the training split's (n, k)
-  feature matrix and label vector and which predict every test row once,
-  column-wise, before any trial runs.  In dataset mode the rows are keyed
-  to the test split and each trial permutes them with its stream.
+  stump), which ``builtin_predictions`` trains on the training rows of one
+  split-order (n, k) feature matrix and which predict every test row once,
+  column-wise, before any trial runs; ``train_builtin`` fits one model.
+  In dataset mode the rows are keyed to the test split and each trial
+  permutes them with its stream.
 
 Ensembles are immutable after construction; randomness comes only from
 the rng passed per call, so parallel trials stay independent.
@@ -31,6 +32,8 @@ import numpy as np
 from .domain import Group
 from .errors import ConfigError, DataError, FairmwError, utf8_lines
 
+BLOCK_ROWS = 1024   # rows per block of the column statistics and the standardization
+
 __all__ = [
     "ErrorProfile",
     "synthetic_predict",
@@ -38,6 +41,7 @@ __all__ = [
     "load_prediction_file",
     "MatrixEnsemble",
     "train_builtin",
+    "builtin_predictions",
     "LogisticExpert",
     "StumpExpert",
 ]
@@ -161,7 +165,13 @@ def load_prediction_file(path) -> MatrixEnsemble:
 
 
 class LogisticExpert:
-    """Logistic regression trained by full-batch gradient descent."""
+    """Logistic regression trained by full-batch gradient descent on
+    features standardized with the training rows' ``mean`` and ``scale``.
+
+    ``logits`` standardizes a copy of its rows.  Builtin set-up
+    (``builtin_predictions``) standardizes its one feature matrix in place
+    and reads ``standardized_logits`` instead.
+    """
 
     def __init__(self, weights: np.ndarray, bias: float, mean: np.ndarray, scale: np.ndarray):
         self.weights = weights
@@ -170,18 +180,18 @@ class LogisticExpert:
         self.scale = scale
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """Logit of every row of the (n, k) feature matrix x.
+        """Logit of every row of the raw (n, k) feature matrix x, which a
+        copy standardizes."""
+        z = np.array(x, dtype=float, order="C")
+        _standardize(z, self.mean, self.scale)
+        return self.standardized_logits(z)
+
+    def standardized_logits(self, z: np.ndarray) -> np.ndarray:
+        """Logit of every row of z, feature rows already standardized.
 
         A batched matmul of one row against the weights is bitwise the
         1-D ``z @ w`` of that row; a gemv over all rows is not.
         """
-        with np.errstate(over="ignore"):
-            z = x - self.mean
-            z /= self.scale   # in place: the same IEEE operations as (x - mean) / scale
-        far = np.isinf(z.min(axis=0, initial=0.0)) | np.isinf(z.max(axis=0, initial=0.0))
-        if far.any():
-            raise DataError(f"feature column {int(np.argmax(far))}: a test value "
-                            "is too far outside the training spread to standardize")
         return np.matmul(z[:, None, :], self.weights[:, None])[:, 0, 0] + self.bias
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -208,41 +218,118 @@ def train_builtin(x: np.ndarray, y: np.ndarray, kind: str, epochs: int = 500,
                   seed: int = 0):
     """Train one minimal expert on the (n, k) feature matrix x and the n
     labels y; x ends in a group column if the model may see it.  Every
-    entry of x must be finite (ingest rejects non-finite cells)."""
+    entry of x must be finite (ingest rejects non-finite cells).  A
+    logistic model trains on a standardized copy of x; the set-up of a
+    run (``builtin_predictions``) instead standardizes its one matrix in
+    place, once for every logistic model."""
+    _check_training(x)
+    y = np.asarray(y, dtype=float)
+    if kind == "stump":
+        return _train_stump(x, y)
+    if kind == "logistic":
+        z = np.array(x, dtype=float, order="C")
+        mean, scale = _column_stats(z)
+        _standardize(z, mean, scale)
+        return _fit_logistic(z, y, epochs, seed, mean, scale)
+    raise ConfigError(f"unknown builtin expert kind {kind!r}")
+
+
+def builtin_predictions(x: np.ndarray, y: np.ndarray, kinds, epochs: int,
+                        seed: int) -> np.ndarray:
+    """The (len(x) - len(y), len(kinds)) int8 predictions of the rows of x
+    after the first len(y), by one model per kind trained on those first
+    rows and their labels y; model i trains with seed ``seed + 7919 * i``.
+
+    x must be C-contiguous.  Stumps train and predict on the raw rows
+    first.  If any model is logistic, x is then standardized in place with
+    the training rows' mean and scale, and the logistic models train and
+    predict on it: no other array of x's size is made, unless x has one
+    column, whose spread numpy takes through a copy (``_column_stats``).
+    """
+    train, test = x[:len(y)], x[len(y):]
+    _check_training(train)
+    y = np.asarray(y, dtype=float)
+    out = np.empty((len(test), len(kinds)), dtype=np.int8)
+    for i, kind in enumerate(kinds):
+        if kind != "logistic":
+            out[:, i] = train_builtin(train, y, kind).predict(test)
+    if "logistic" in kinds:
+        mean, scale = _column_stats(train)
+        _standardize(x, mean, scale)
+        for i, kind in enumerate(kinds):
+            if kind == "logistic":
+                model = _fit_logistic(train, y, epochs, seed + 7919 * i, mean, scale)
+                out[:, i] = model.standardized_logits(test) > 0.0
+    return out
+
+
+def _check_training(x: np.ndarray) -> None:
     if not len(x):
         raise DataError("empty training split")
     if x.shape[1] == 0:
         raise DataError("no feature columns to train on")
-    y = np.asarray(y, dtype=float)
-
-    if kind == "logistic":
-        return _train_logistic(x, y, epochs, seed)
-    if kind == "stump":
-        return _train_stump(x, y)
-    raise ConfigError(f"unknown builtin expert kind {kind!r}")
 
 
-def _train_logistic(x: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> LogisticExpert:
+def _column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and the scale of the columns of the C-contiguous x, bitwise
+    ``x.mean(axis=0)`` and ``x.std(axis=0)`` with 1.0 where that is 0.
+
+    numpy sums axis 0 of such a matrix row by row, so the sums run over
+    blocks of rows, each headed by the running sum of the rows before it;
+    only a single column is one contiguous vector, which numpy sums
+    pairwise.  Overflowed entries stay inf or nan.
+    """
+    n = len(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0)
-        scale = x.std(axis=0)
+        if x.shape[1] == 1:
+            mean, scale = x.mean(axis=0), x.std(axis=0)
+        else:
+            mean = _row_sum(x, lambda block: block) / n
+            scale = np.sqrt(_row_sum(x, lambda block: np.square(d := block - mean, out=d)) / n)
+    scale[scale == 0.0] = 1.0
+    return mean, scale
+
+
+def _row_sum(x: np.ndarray, term) -> np.ndarray:
+    """The column sums of ``term(block)`` over x's blocks of BLOCK_ROWS rows."""
+    total = None
+    for start in range(0, len(x), BLOCK_ROWS):
+        block = term(x[start:start + BLOCK_ROWS])
+        total = block.sum(axis=0) if total is None else np.vstack((total, block)).sum(axis=0)
+    return total
+
+
+def _standardize(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> None:
+    """Set x to ``(x - mean) / scale`` in place, a block of rows at a time:
+    the same IEEE operations as that expression."""
     if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
         raise DataError("feature values too large to standardize: a column's "
-                    "mean or spread overflows")
-    scale[scale == 0.0] = 1.0
-    xs = x - mean
-    xs /= scale
+                        "mean or spread overflows")
+    with np.errstate(over="ignore"):
+        for start in range(0, len(x), BLOCK_ROWS):
+            block = x[start:start + BLOCK_ROWS]
+            block -= mean
+            block /= scale
+    # Training rows stay within sqrt(n) spreads of the mean, so only a test
+    # row can standardize past the largest double.
+    far = np.isinf(x.min(axis=0, initial=0.0)) | np.isinf(x.max(axis=0, initial=0.0))
+    if far.any():
+        raise DataError(f"feature column {int(np.argmax(far))}: a test value "
+                        "is too far outside the training spread to standardize")
+
+
+def _fit_logistic(z: np.ndarray, y: np.ndarray, epochs: int, seed: int,
+                  mean: np.ndarray, scale: np.ndarray) -> LogisticExpert:
+    """Gradient descent on the standardized training rows z."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    w = rng.normal(0.0, 0.01, size=xs.shape[1])
+    w = rng.normal(0.0, 0.01, size=z.shape[1])
     bias = 0.0
     lr = 0.1
-    n = xs.shape[0]
+    n = z.shape[0]
     for _ in range(epochs):
-        p = 1.0 / (1.0 + np.exp(-(xs @ w + bias)))
-        grad_w = xs.T @ (p - y) / n
-        grad_b = float(np.mean(p - y))
-        w -= lr * grad_w
-        bias -= lr * grad_b
+        residual = 1.0 / (1.0 + np.exp(-(z @ w + bias))) - y
+        w -= lr * (z.T @ residual / n)
+        bias -= lr * float(np.mean(residual))
     return LogisticExpert(w, bias, mean, scale)
 
 

@@ -156,7 +156,7 @@ class DatasetStats:
 @dataclass(frozen=True, eq=False)
 class FeatureColumns:
     """Row i of feature column j is its ``codes[j][i]``-th distinct cell, by
-    first occurrence.  ``values[j]`` holds a numeric column's distinct cells
+    first occurrence; each ``codes[j]`` is int32.  ``values[j]`` holds a numeric column's distinct cells
     as floats; a one-hot column has None there and ``widths[j]`` categories."""
 
     codes: tuple[np.ndarray, ...]
@@ -309,7 +309,7 @@ def _code_columns(path, names: list[str], codes: list[list[int]],
                             f"{list(first)[bad[0]]!r}, which is not a finite number")
         values.append(distinct)
         encoding.append((name, "numeric", ()))
-    codes = tuple(np.array(code, dtype=np.intp) for code in codes)
+    codes = tuple(np.array(code, dtype=np.int32) for code in codes)
     widths = tuple(len(cats) or 1 for _, _, cats in encoding)
     return FeatureColumns(codes, tuple(values), widths), encoding
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from fairmw import cli, ingest
+from fairmw import cli, experts, ingest
 from fairmw.cli import (
     ROUNDS_HEADER,
     _parse_sweep_values,
@@ -23,7 +23,7 @@ from fairmw.cli import (
 from fairmw.domain import CONFIG_KEY, CONFIG_KEYS
 from fairmw.engines import run_trial
 from fairmw.errors import ConfigError, DataError, FairmwError
-from fairmw.experts import LogisticExpert, train_builtin
+from fairmw.experts import LogisticExpert
 from fairmw.ingest import load_dataset, load_preset, split_shuffle
 
 SYNTH_MW = """\
@@ -473,9 +473,10 @@ def model_bits(model):
 @pytest.mark.parametrize("include_group", [True, False])
 def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
                                                          include_group):
-    # Writing the one matrix from coded columns in split order and
-    # standardizing in place change no byte of the matrices, the models or
-    # the predictions.
+    # Writing the one matrix from coded columns in split order, and
+    # standardizing it in place once with the training rows' block column
+    # statistics, change no byte of the matrices, the models or the
+    # predictions.
     spec = build_spec(parse_config(write(
         tmp_path, census_builtin_cfg(tmp_path, 1500, include_group, epochs=200))))
     reference, code_columns = [], ingest._code_columns
@@ -495,31 +496,40 @@ def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
     got = features.matrix(np.arange(len(label)))
     assert got.shape == x.shape and got.tobytes() == x.tobytes()
 
-    trained, predicted = [], []
+    # the split-order matrix as written, and the same array after set-up
+    raw, written, matrix = [], [], ingest.FeatureColumns.matrix
 
-    def recording(x_train, y, kind, epochs, seed):
-        model = train_builtin(x_train, y, kind, epochs=epochs, seed=seed)
-        trained.append((x_train.copy(), model))
+    def recording_matrix(self, rows, last=None):
+        out = matrix(self, rows, last)
+        raw.append(out.copy())
+        written.append(out)
+        return out
 
-        def predict(x_test, _predict=model.predict):
-            predicted.append(x_test.copy())
-            return _predict(x_test)
-
-        model.predict = predict
-        return model
-
-    monkeypatch.setattr(cli, "train_builtin", recording)
-    payload, _ = cli.prepare_payload(spec)
+    trained, fit_logistic, train_stump = [], experts._fit_logistic, experts._train_stump
+    with monkeypatch.context() as m:
+        m.setattr(ingest.FeatureColumns, "matrix", recording_matrix)
+        m.setattr(experts, "_fit_logistic",
+                  lambda *args: trained.append(fit_logistic(*args)) or trained[-1])
+        m.setattr(experts, "_train_stump",
+                  lambda *args: trained.append(train_stump(*args)) or trained[-1])
+        payload, _ = cli.prepare_payload(spec)
     train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, spec.run.seed)
     x_train, x_test, models, predictions = scalar_reference.builtin_payload(
         x, group, label, train_idx, test_idx, spec.experts_kinds, include_group,
         spec.epochs, spec.run.seed)
     assert x_train.shape[1] == x.shape[1] + include_group
-    assert len(trained) == len(predicted) == len(models) == 3
-    for (have_train, model), have_test, want in zip(trained, predicted, models):
-        assert have_train.shape == x_train.shape and have_train.tobytes() == x_train.tobytes()
-        assert have_test.shape == x_test.shape and have_test.tobytes() == x_test.tobytes()
-        assert model_bits(model) == model_bits(want)
+    (have,), (standardized,) = raw, written
+    have_train, have_test = have[:len(train_idx)], have[len(train_idx):]
+    assert have_train.shape == x_train.shape and have_train.tobytes() == x_train.tobytes()
+    assert have_test.shape == x_test.shape and have_test.tobytes() == x_test.tobytes()
+    # stumps train on the raw rows first, then the logistic models in order
+    kinds = spec.experts_kinds
+    want = ([m for m, kind in zip(models, kinds) if kind == "stump"]
+            + [m for m, kind in zip(models, kinds) if kind == "logistic"])
+    assert len(trained) == len(want) == 3
+    assert [model_bits(m) for m in trained] == [model_bits(m) for m in want]
+    mean, scale = want[-1].mean, want[-1].scale
+    assert standardized.tobytes() == ((np.vstack((x_train, x_test)) - mean) / scale).tobytes()
     matrix = payload.ensemble.matrix
     assert matrix.dtype == predictions.dtype and matrix.tobytes() == predictions.tobytes()
 
@@ -542,12 +552,13 @@ def test_builtin_run_does_not_import_numpy_ma(tmp_path):
 
 
 def test_builtin_setup_memory(tmp_path):
-    # Builtin set-up peaks where a logistic model standardizes its training
-    # rows beside the split-order matrix, at about 1.75 M for
-    # M = n (k + 1) 8, the bytes of the kept matrix with its group column.
-    # Gathering the split from a CSV-order matrix peaked at 2.2 M, and
-    # keeping the group-stacked matrix beside the training rows and
-    # standardizing through a temporary at 3.1 M.
+    # Builtin set-up peaks where features.matrix writes the split-order
+    # matrix beside the int32 coded columns, at about 1.17 M for
+    # M = n (k + 1) 8, the bytes of the kept matrix with its group column:
+    # the logistic models standardize that matrix in place, from column
+    # statistics summed in row blocks.  A standardized copy of the training
+    # rows peaked at 1.75 M, gathering the split from a CSV-order matrix at
+    # 2.2 M, and standardizing through a temporary at 3.1 M.
     spec = build_spec(parse_config(write(tmp_path, census_builtin_cfg(tmp_path, 20000,
                                                                      epochs=2))))
     np.random.default_rng(0)   # numpy.random is imported before tracing starts
@@ -561,7 +572,7 @@ def test_builtin_setup_memory(tmp_path):
     k = sum(len(cats) or 1 for _, _, cats in report["encoding"])
     M = report["rows_kept"] * (k + 1) * 8
     assert report["rows_kept"] > 18000 and k > 70
-    assert peak < 2.1 * M, peak / M
+    assert peak < 1.35 * M, peak / M
 
 
 def test_stats_and_file_experts_build_no_feature_matrix(tmp_path, capsys):

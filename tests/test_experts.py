@@ -6,11 +6,14 @@ import pytest
 from fairmw.domain import Group, NEG, POS
 from fairmw.errors import ConfigError, DataError, FairmwError
 from fairmw.experts import (
+    BLOCK_ROWS,
     ErrorProfile,
     LogisticExpert,
     MatrixEnsemble,
     SyntheticEnsemble,
+    _column_stats,
     _train_stump,
+    builtin_predictions,
     load_prediction_file,
     synthetic_predict,
     train_builtin,
@@ -240,6 +243,52 @@ def test_logistic_rejects_test_row_outside_training_spread():
         assert model.predict(near).shape == (2,)
         with pytest.raises(DataError, match="feature column 0"):
             model.predict(np.array([[1.0, 0.5], [1e300, 0.5]]))
+
+
+@pytest.mark.parametrize("rows", [700, BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
+def test_block_column_stats_match_numpy_bitwise(rows):
+    # numpy sums axis 0 of a C-contiguous matrix row by row, and a single
+    # column pairwise; the block sums must add in the same order
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows + 50, 6)) * 10.0 ** rng.integers(-8, 9, size=(rows + 50, 6))
+    x[:, 1] = 3.25
+    tiny = 1e-300 * rng.random(len(x))
+    x[:, 2] = np.where(rng.random(len(x)) < 0.1, 1e300, tiny)
+    x[:, 3] = np.where(rng.random(len(x)) < 0.5, -1e300, tiny)
+    x[:, 4] = np.where(rng.random(len(x)) < 0.5, 1e308, -1e308)
+    for train in (x[:rows], np.ascontiguousarray(x[:rows, :1])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, scale = _column_stats(train)
+        with np.errstate(all="ignore"):
+            want_mean, want_std = train.mean(axis=0), train.std(axis=0)
+        assert mean.tobytes() == want_mean.tobytes()
+        want_std[want_std == 0.0] = 1.0
+        assert scale.tobytes() == want_std.tobytes()
+        if train.shape[1] > 1:
+            assert scale[1] == 1.0 and x[:rows, 1].std() == 0.0
+            assert np.isinf(scale[2:5]).all()
+
+
+def test_builtin_predictions_data_errors():
+    y = np.array([0, 1, 0, 1])
+    huge = np.array([[1e308, 0.0], [-1e308, 1.0], [1e308, 1.0], [-1e308, 0.0], [1.0, 0.5]])
+    # training column 1 spreads about 1.1e-16, so 1e300 standardizes past
+    # the largest double
+    eps = 2.0 ** -52
+    far = np.array([[0.0, 1.0], [1.0, 1.0 + eps], [1.0, 1.0], [0.0, 1.0 + eps], [0.5, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="too large to standardize: a column's "
+                                            "mean or spread overflows"):
+            builtin_predictions(huge.copy(), y, ("stump", "logistic"), 5, 0)
+        with pytest.raises(DataError, match="feature column 1: a test value is too far "
+                                            "outside the training spread"):
+            builtin_predictions(far.copy(), y, ("logistic", "stump"), 5, 0)
+        # stumps alone never standardize
+        assert builtin_predictions(huge.copy(), y, ("stump", "stump"), 5, 0).shape == (1, 2)
+        with pytest.raises(DataError, match="empty training split"):
+            builtin_predictions(far.copy(), y[:0], ("logistic", "stump"), 5, 0)
 
 
 def test_train_builtin_errors():
