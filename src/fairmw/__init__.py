@@ -10,7 +10,7 @@ from .domain import (
 )
 from .engines import Trajectory, run_trial
 from .errors import FairmwError
-from .experts import ErrorProfile, SyntheticEnsemble, MatrixEnsemble, train_builtin
+from .experts import ErrorProfile, SyntheticEnsemble, MatrixEnsemble, builtin_predictions
 from .metrics import BoundReport, gamma, validate_bounds
 from .ingest import DatasetSchema, load_dataset, load_preset, dataset_stats, split_shuffle, synth_stream
 
@@ -29,7 +29,7 @@ __all__ = [
     "ErrorProfile",
     "SyntheticEnsemble",
     "MatrixEnsemble",
-    "train_builtin",
+    "builtin_predictions",
     "BoundReport",
     "gamma",
     "validate_bounds",

@@ -14,7 +14,7 @@ identifiers), ``num_rounds`` (None when unlimited) and
   on round t.  A prediction file is one; so are builtin models (logistic /
   stump), which ``builtin_predictions`` trains on the training rows of one
   split-order (n, k) feature matrix and which predict every test row once,
-  column-wise, before any trial runs; ``train_builtin`` fits one model.
+  column-wise, before any trial runs.
   In dataset mode the rows are keyed to the test split and each trial
   permutes them with its stream.
 
@@ -40,7 +40,6 @@ __all__ = [
     "SyntheticEnsemble",
     "load_prediction_file",
     "MatrixEnsemble",
-    "train_builtin",
     "builtin_predictions",
     "LogisticExpert",
     "StumpExpert",
@@ -166,12 +165,7 @@ def load_prediction_file(path) -> MatrixEnsemble:
 
 class LogisticExpert:
     """Logistic regression trained by full-batch gradient descent on
-    features standardized with the training rows' ``mean`` and ``scale``.
-
-    ``logits`` standardizes a copy of its rows.  Builtin set-up
-    (``builtin_predictions``) standardizes its one feature matrix in place
-    and reads ``standardized_logits`` instead.
-    """
+    features standardized with the training rows' ``mean`` and ``scale``."""
 
     def __init__(self, weights: np.ndarray, bias: float, mean: np.ndarray, scale: np.ndarray):
         self.weights = weights
@@ -179,23 +173,13 @@ class LogisticExpert:
         self.mean = mean
         self.scale = scale
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        """Logit of every row of the raw (n, k) feature matrix x, which a
-        copy standardizes."""
-        z = np.array(x, dtype=float, order="C")
-        _standardize(z, self.mean, self.scale)
-        return self.standardized_logits(z)
-
-    def standardized_logits(self, z: np.ndarray) -> np.ndarray:
+    def logits(self, z: np.ndarray) -> np.ndarray:
         """Logit of every row of z, feature rows already standardized.
 
         A batched matmul of one row against the weights is bitwise the
         1-D ``z @ w`` of that row; a gemv over all rows is not.
         """
         return np.matmul(z[:, None, :], self.weights[:, None])[:, 0, 0] + self.bias
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return (self.logits(x) > 0.0).astype(np.int8)
 
 
 class StumpExpert:
@@ -214,60 +198,41 @@ class StumpExpert:
         return (above if self.polarity > 0 else ~above).astype(np.int8)
 
 
-def train_builtin(x: np.ndarray, y: np.ndarray, kind: str, epochs: int = 500,
-                  seed: int = 0):
-    """Train one minimal expert on the (n, k) feature matrix x and the n
-    labels y; x ends in a group column if the model may see it.  Every
-    entry of x must be finite (ingest rejects non-finite cells).  A
-    logistic model trains on a standardized copy of x; the set-up of a
-    run (``builtin_predictions``) instead standardizes its one matrix in
-    place, once for every logistic model."""
-    _check_training(x)
-    y = np.asarray(y, dtype=float)
-    if kind == "stump":
-        return _train_stump(x, y)
-    if kind == "logistic":
-        z = np.array(x, dtype=float, order="C")
-        mean, scale = _column_stats(z)
-        _standardize(z, mean, scale)
-        return _fit_logistic(z, y, epochs, seed, mean, scale)
-    raise ConfigError(f"unknown builtin expert kind {kind!r}")
-
-
 def builtin_predictions(x: np.ndarray, y: np.ndarray, kinds, epochs: int,
                         seed: int) -> np.ndarray:
     """The (len(x) - len(y), len(kinds)) int8 predictions of the rows of x
     after the first len(y), by one model per kind trained on those first
     rows and their labels y; model i trains with seed ``seed + 7919 * i``.
+    A kind is "logistic" or "stump".
 
-    x must be C-contiguous.  Stumps train and predict on the raw rows
-    first.  If any model is logistic, x is then standardized in place with
-    the training rows' mean and scale, and the logistic models train and
-    predict on it: no other array of x's size is made, unless x has one
-    column, whose spread numpy takes through a copy (``_column_stats``).
+    x must be C-contiguous and finite (ingest rejects non-finite cells);
+    it ends in the group column if the models may see it.  Stumps train
+    and predict on the raw rows first.  If any model is logistic, x is then
+    standardized in place with the training rows' mean and scale, and the
+    logistic models train and predict on it: no other array of x's size is
+    made, unless x has one column, whose spread numpy takes through a copy
+    (``_column_stats``).
     """
     train, test = x[:len(y)], x[len(y):]
-    _check_training(train)
+    if not len(train):
+        raise DataError("empty training split")
+    if x.shape[1] == 0:
+        raise DataError("no feature columns to train on")
     y = np.asarray(y, dtype=float)
     out = np.empty((len(test), len(kinds)), dtype=np.int8)
     for i, kind in enumerate(kinds):
-        if kind != "logistic":
-            out[:, i] = train_builtin(train, y, kind).predict(test)
+        if kind == "stump":
+            out[:, i] = _train_stump(train, y).predict(test)
+        elif kind != "logistic":
+            raise ConfigError(f"unknown builtin expert kind {kind!r}")
     if "logistic" in kinds:
         mean, scale = _column_stats(train)
         _standardize(x, mean, scale)
         for i, kind in enumerate(kinds):
             if kind == "logistic":
                 model = _fit_logistic(train, y, epochs, seed + 7919 * i, mean, scale)
-                out[:, i] = model.standardized_logits(test) > 0.0
+                out[:, i] = model.logits(test) > 0.0
     return out
-
-
-def _check_training(x: np.ndarray) -> None:
-    if not len(x):
-        raise DataError("empty training split")
-    if x.shape[1] == 0:
-        raise DataError("no feature columns to train on")
 
 
 def _column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

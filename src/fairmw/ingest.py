@@ -16,7 +16,9 @@ two groups.  Rows may additionally be restricted by filter expressions
 non-numeric (for numeric comparisons) fails the filter and is dropped.
 When ``group.b`` is given, rows matching neither group expression are
 dropped, which is how a multi-valued attribute is restricted to two
-groups.  All drops are counted by reason in the IngestReport.
+groups.  All drops are counted in the IngestReport, each row under the
+first reason it meets: ragged_row, filtered, missing_label,
+missing_group, missing_feature, group_not_listed.
 
 Missing cells are the empty string or "?" after whitespace stripping;
 the only missing policy is drop_row.
@@ -31,7 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .domain import CONFIG_KEY, NEG, POS, Group, trial_seed_sequence
+from .domain import CONFIG_KEY, trial_seed_sequence
 from .errors import DataError, utf8_lines
 
 __all__ = [
@@ -128,9 +130,6 @@ class IngestReport:
     encoding: list = field(default_factory=list)  # (column, kind, categories)
     notes: list = field(default_factory=list)
 
-    def drop(self, reason: str) -> None:
-        self.drops[reason] = self.drops.get(reason, 0) + 1
-
     def to_dict(self) -> dict:
         return {
             "rows_read": self.rows_read,
@@ -190,7 +189,10 @@ def load_dataset(path, schema: DatasetSchema
     with category order fixed by first occurrence among kept rows, and the
     ordering is emitted in the report so downstream training is auditable.
     A column the schema reads may repeat in the header only if its cells
-    agree on every row.
+    agree on every row, and may not have an empty name.
+
+    The row scan only numbers the stripped cells of the columns the schema
+    reads; the drop rules then test each column's distinct cells once.
     """
     report = IngestReport(notes=list(schema.notes))
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -211,7 +213,6 @@ def load_dataset(path, schema: DatasetSchema
             for name in feature_names:
                 if name not in col:
                     raise DataError(f"{path}: feature column {name!r} not in header")
-        filters = []
         for fcol, fop, fval in schema.filters:
             if fcol not in col:
                 raise DataError(f"{path}: filter column {fcol!r} not in header")
@@ -222,33 +223,27 @@ def load_dataset(path, schema: DatasetSchema
                     raise DataError(
                         f"{path}: filter {fcol} {fop} {fval!r} needs a numeric value"
                     ) from None
-            filters.append((col[fcol], _matcher(fop + fval)))
-        read = {schema.label_column, schema.group_column, *feature_names,
-                *(fcol for fcol, _, _ in schema.filters)}
+        # every column the schema reads, once each: label, group, filters, features
+        read = list(dict.fromkeys((schema.label_column, schema.group_column,
+                                   *(fcol for fcol, _, _ in schema.filters), *feature_names)))
+        if "" in read:
+            raise DataError(f"{path}: header column {header.index('') + 1} has no name; "
+                            "list the feature columns in the preset's features key")
         repeats = [(name, [i for i, h in enumerate(header) if h == name])
                    for name in sorted(read) if header.count(name) > 1]
 
-        is_positive = _matcher(schema.positive_value)
-        is_group_a = _matcher(schema.group_a_value)
-        is_group_b = _matcher(schema.group_b_value) if schema.group_b_value else None
-
-        labels: list[int] = []
-        groups: list[int] = []
-        ncols = len(header)
-        label_i, group_i = col[schema.label_column], col[schema.group_column]
-        feat_i = [col[n] for n in feature_names]
+        ncols, ragged = len(header), 0
         # two indices or more, so a tuple of cells even with one feature or none
-        cells = operator.itemgetter(label_i, group_i, *feat_i)
-        # per feature column: each kept row's cell as the index of its first occurrence
-        codes: list[list[int]] = [[] for _ in feat_i]
-        seen: list[dict[str, int]] = [{} for _ in feat_i]
-
+        cells = operator.itemgetter(*(col[name] for name in read))
+        # per read column: each row's cell as the index of its first occurrence
+        codes: list[list[int]] = [[] for _ in read]
+        seen: list[dict[str, int]] = [{} for _ in read]
         for row in reader:
             if not row:
                 continue
             report.rows_read += 1
             if len(row) != ncols:
-                report.drop("ragged_row")
+                ragged += 1
                 continue
             for name, idx in repeats:
                 if len({row[i].strip() for i in idx}) > 1:
@@ -256,62 +251,84 @@ def load_dataset(path, schema: DatasetSchema
                         f"{path}: duplicate column name {name!r} in header, and its "
                         f"columns differ on data row {report.rows_read}: "
                         f"{[row[i].strip() for i in idx]!r}")
-            if any(not m(row[i].strip()) for i, m in filters):
-                report.drop("filtered")
-                continue
-            lcell, gcell, *feats = map(str.strip, cells(row))
-            if lcell in MISSING:
-                report.drop("missing_label")
-                continue
-            if gcell in MISSING:
-                report.drop("missing_group")
-                continue
-            if not MISSING.isdisjoint(feats):
-                report.drop("missing_feature")
-                continue
-            if is_group_a(gcell):
-                group = Group.A
-            elif is_group_b is not None and not is_group_b(gcell):
-                report.drop("group_not_listed")
-                continue
-            else:
-                group = Group.B
-            labels.append(POS if is_positive(lcell) else NEG)
-            groups.append(group)
-            for code, first, v in zip(codes, seen, feats):
-                code.append(first.setdefault(v, len(first)))
+            for code, first, cell in zip(codes, seen, cells(row)):
+                code.append(first.setdefault(cell.strip(), len(first)))
 
-    if labels and POS not in labels:
+    n = report.rows_read - ragged
+    column = {name: (np.array(code, dtype=np.int32), list(first))
+              for name, code, first in zip(read, codes, seen)}
+    del codes, seen
+
+    def hit(tests) -> np.ndarray:
+        """Rows where some (column, test) pair's test holds; each test runs
+        once per distinct cell of its column."""
+        out = np.zeros(n, dtype=bool)
+        for name, test in tests:
+            code, distinct = column[name]
+            out |= np.array([test(cell) for cell in distinct], dtype=bool)[code]
+        return out
+
+    missing = MISSING.__contains__
+    is_group_a = _matcher(schema.group_a_value)
+    is_group_b = _matcher(schema.group_b_value) if schema.group_b_value else None
+    drops = (
+        ("filtered", hit((fcol, lambda cell, m=_matcher(fop + fval): not m(cell))
+                         for fcol, fop, fval in schema.filters)),
+        ("missing_label", hit([(schema.label_column, missing)])),
+        ("missing_group", hit([(schema.group_column, missing)])),
+        ("missing_feature", hit((name, missing) for name in feature_names)),
+        ("group_not_listed", hit([(schema.group_column,
+                                   lambda cell: not (is_group_a(cell) or is_group_b(cell)))]
+                                 if is_group_b else [])),
+    )
+    keep = np.ones(n, dtype=bool)
+    report.drops = {"ragged_row": ragged} if ragged else {}
+    for reason, rows in drops:   # a row counts under the first reason it meets
+        if count := int(np.count_nonzero(rows & keep)):
+            report.drops[reason] = count
+        keep &= ~rows
+
+    # Group.B and POS are 1
+    group = hit([(schema.group_column, lambda cell: not is_group_a(cell))])[keep]
+    label = hit([(schema.label_column, _matcher(schema.positive_value))])[keep]
+    if len(label) and not label.any():
         raise DataError(
             f"{path}: positive value {schema.positive_value!r} matched no row")
 
-    features, report.encoding = _code_columns(path, feature_names, codes, seen)
-    report.rows_kept = len(labels)
-    return (features, np.array(groups, dtype=np.int8), np.array(labels, dtype=np.int8)), report
+    features, report.encoding = _code_columns(path, feature_names,
+                                              [column[name] for name in feature_names], keep)
+    report.rows_kept = len(label)
+    return (features, group.astype(np.int8), label.astype(np.int8)), report
 
 
-def _code_columns(path, names: list[str], codes: list[list[int]],
-                  seen: list[dict[str, int]]) -> tuple[FeatureColumns, list]:
-    """Classify each column: numeric when every distinct cell of ``seen[j]``
-    parses as a finite number, one-hot by first occurrence otherwise.
-    Column j's row i holds the ``codes[j][i]``-th distinct cell."""
-    values, encoding = [], []
-    for name, first in zip(names, seen):
+def _code_columns(path, names: list[str], columns: list[tuple[np.ndarray, list[str]]],
+                  keep: np.ndarray) -> tuple[FeatureColumns, list]:
+    """Code each column's kept rows by first occurrence among them.
+
+    In ``columns[j] = (code, distinct)``, row i's cell is
+    ``distinct[code[i]]``; ``keep`` masks the kept rows.  A column is
+    numeric when each of its kept distinct cells parses as a finite number,
+    one-hot otherwise."""
+    codes, values, encoding = [], [], []
+    for name, (code, distinct) in zip(names, columns):
+        used, first, inverse = np.unique(code[keep], return_index=True, return_inverse=True)
+        order = np.argsort(first)   # the kept distinct cells, by first occurrence
+        codes.append(np.argsort(order).astype(np.int32)[inverse])
+        cells = [distinct[i] for i in used[order]]
         try:
-            distinct = np.array([float(v) for v in first])
+            floats = np.array([float(v) for v in cells])
         except ValueError:
             values.append(None)
-            encoding.append((name, "one-hot", tuple(first)))
+            encoding.append((name, "one-hot", tuple(cells)))
             continue
-        bad = np.flatnonzero(~np.isfinite(distinct))
+        bad = np.flatnonzero(~np.isfinite(floats))
         if bad.size:
             raise DataError(f"{path}: feature column {name!r} holds "
-                            f"{list(first)[bad[0]]!r}, which is not a finite number")
-        values.append(distinct)
+                            f"{cells[bad[0]]!r}, which is not a finite number")
+        values.append(floats)
         encoding.append((name, "numeric", ()))
-    codes = tuple(np.array(code, dtype=np.int32) for code in codes)
     widths = tuple(len(cats) or 1 for _, _, cats in encoding)
-    return FeatureColumns(codes, tuple(values), widths), encoding
+    return FeatureColumns(tuple(codes), tuple(values), widths), encoding
 
 
 def dataset_stats(group: np.ndarray, label: np.ndarray) -> DatasetStats:

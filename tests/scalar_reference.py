@@ -51,7 +51,7 @@ from fairmw.domain import (
 )
 from fairmw.engines import CELL_MAP, Trajectory
 from fairmw.errors import DataError, FairmwError
-from fairmw.experts import LogisticExpert, train_builtin
+from fairmw.experts import LogisticExpert, _train_stump
 from fairmw.qopt import REG_WEIGHT, assemble_systems, solve_q_batch
 
 
@@ -277,6 +277,19 @@ def cell_trial(config, stream, ensemble, trial=0) -> Trajectory:
     return traj.finish()
 
 
+def recode_kept(columns, keep):
+    """``(codes, seen)`` of the kept rows of each ``(code, distinct)``
+    column, numbered by first occurrence among the kept rows: one cell at a
+    time, as a row scan that drops each row before numbering it would."""
+    codes, seen = [], []
+    for code, distinct in columns:
+        first = {}
+        codes.append([first.setdefault(distinct[c], len(first))
+                      for c, kept in zip(code.tolist(), keep.tolist()) if kept])
+        seen.append(first)
+    return codes, seen
+
+
 def encode_features(path, names, codes, seen, n):
     """Numeric columns pass through, the rest one-hot by first occurrence:
     one array per column, joined by ``np.hstack``."""
@@ -333,7 +346,7 @@ def builtin_payload(x, group, label, train_idx, test_idx, kinds, include_group,
         x = np.column_stack((x, group))
     x_train, y_train = x[train_idx], label[train_idx]
     models = [_train_logistic(x_train, y_train.astype(float), epochs, seed + 7919 * i)
-              if kind == "logistic" else train_builtin(x_train, y_train, kind)
+              if kind == "logistic" else _train_stump(x_train, y_train.astype(float))
               for i, kind in enumerate(kinds)]
     x_test = x[test_idx]
     return x_train, x_test, models, np.column_stack([_predict(m, x_test) for m in models])

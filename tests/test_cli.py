@@ -481,10 +481,11 @@ def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
         tmp_path, census_builtin_cfg(tmp_path, 1500, include_group, epochs=200))))
     reference, code_columns = [], ingest._code_columns
 
-    def encoding_reference(path, names, codes, seen):
+    def encoding_reference(path, names, columns, keep):
+        codes, seen = scalar_reference.recode_kept(columns, keep)
         reference.append(scalar_reference.encode_features(path, names, codes, seen,
-                                                          len(codes[0])))
-        return code_columns(path, names, codes, seen)
+                                                          int(keep.sum())))
+        return code_columns(path, names, columns, keep)
 
     with monkeypatch.context() as m:
         m.setattr(ingest, "_code_columns", encoding_reference)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fairmw import experts
 from fairmw.domain import Group, NEG, POS
 from fairmw.errors import ConfigError, DataError, FairmwError
 from fairmw.experts import (
@@ -16,7 +17,6 @@ from fairmw.experts import (
     builtin_predictions,
     load_prediction_file,
     synthetic_predict,
-    train_builtin,
 )
 
 
@@ -186,40 +186,55 @@ def with_group(x, group):
     return np.column_stack((x, group))
 
 
+def train(x, y, kind, test=None, epochs=500, seed=0):
+    """``(model, predictions)``: the one model that ``builtin_predictions``
+    trains on the rows x and labels y, and its predictions of the rows of
+    test (x itself by default)."""
+    models = []
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_fit_logistic", "_train_stump"):
+            m.setattr(experts, name, lambda *args, fit=getattr(experts, name):
+                      models.append(fit(*args)) or models[-1])
+        rows = np.vstack((x, x if test is None else test)).astype(float)
+        predictions = builtin_predictions(rows, y, (kind,), epochs, seed)[:, 0]
+    model, = models
+    return model, predictions
+
+
 def test_logistic_separable():
     x, _, y = separable_split()
-    model = train_builtin(x, y, "logistic")
-    predictions = model.predict(x)
+    _, predictions = train(x, y, "logistic")
     assert predictions.dtype == np.int8
     assert np.array_equal(predictions, y)
 
 
 def test_logistic_deterministic():
     x, group, y = separable_split()
-    m1 = train_builtin(with_group(x, group), y, "logistic", seed=9)
-    m2 = train_builtin(with_group(x, group), y, "logistic", seed=9)
+    m1, p1 = train(with_group(x, group), y, "logistic", seed=9)
+    m2, p2 = train(with_group(x, group), y, "logistic", seed=9)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
+    assert np.array_equal(p1, p2)
 
 
 def test_stump_all_positive_labels():
     x = with_group([0.3, 0.8, 0.1], [Group.A, Group.B, Group.A])
-    model = train_builtin(x, [1, 1, 1], "stump")
+    model, predictions = train(x, [1, 1, 1], "stump", test=[[123.0, 0.0], [-4.0, 1.0]])
     assert model.constant == 1
-    assert model.predict(np.array([[123.0, 0.0], [-4.0, 1.0]])).tolist() == [1, 1]
+    assert predictions.tolist() == [1, 1]
 
 
 def test_stump_constant_features_majority():
-    model = train_builtin(np.full((3, 1), 5.0), [1, 0, 1], "stump")
+    model, _ = train(np.full((3, 1), 5.0), [1, 0, 1], "stump")
     assert model.constant == 1
 
 
 def test_stump_learns_threshold():
     x = np.linspace(0, 1, 20)[:, None]
     y = (x[:, 0] > 0.5).astype(int)
-    model = train_builtin(x, y, "stump")
+    model, predictions = train(x, y, "stump")
     assert model.constant is None
-    assert np.array_equal(model.predict(x), y)
+    assert np.array_equal(predictions, y)
 
 
 @pytest.mark.parametrize("column", [(1e308, 1.5e308), (-1.5e308, -1e308)])
@@ -228,21 +243,21 @@ def test_stump_threshold_between_huge_neighbours(column):
     x = np.array(column)[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = train_builtin(x, [0, 1], "stump")
+        model, predictions = train(x, [0, 1], "stump")
     assert column[0] < model.threshold < column[1]
-    assert model.predict(x).tolist() == [0, 1]
+    assert predictions.tolist() == [0, 1]
 
 
 def test_logistic_rejects_test_row_outside_training_spread():
     # the training column's spread is about 1.6e-16, so 1e300 standardizes
     # past the largest double
-    model = train_builtin(np.array([[1.0, 0.0], [1.0 + 2.0 ** -52, 1.0]]), [0, 1], "logistic")
+    x = np.array([[1.0, 0.0], [1.0 + 2.0 ** -52, 1.0]])
     near = np.array([[1.0, 0.5], [1.0 + 2.0 ** -52, 1e300]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert model.predict(near).shape == (2,)
+        assert train(x, [0, 1], "logistic", test=near)[1].shape == (2,)
         with pytest.raises(DataError, match="feature column 0"):
-            model.predict(np.array([[1.0, 0.5], [1e300, 0.5]]))
+            train(x, [0, 1], "logistic", test=[[1.0, 0.5], [1e300, 0.5]])
 
 
 @pytest.mark.parametrize("rows", [700, BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
@@ -291,14 +306,14 @@ def test_builtin_predictions_data_errors():
             builtin_predictions(far.copy(), y[:0], ("logistic", "stump"), 5, 0)
 
 
-def test_train_builtin_errors():
+def test_builtin_predictions_input_errors():
     with pytest.raises(DataError, match="empty training split"):
-        train_builtin(np.empty((0, 2)), np.empty(0), "stump")
+        builtin_predictions(np.empty((0, 2)), np.empty(0), ("stump",), 5, 0)
     with pytest.raises(DataError, match="no feature columns to train on"):
-        train_builtin(np.empty((2, 0)), [1, 0], "logistic")
+        builtin_predictions(np.empty((3, 0)), [1, 0], ("logistic",), 5, 0)
     x, _, y = separable_split()
-    with pytest.raises(ConfigError):
-        train_builtin(x, y, "forest")
+    with pytest.raises(ConfigError, match="unknown builtin expert kind 'forest'"):
+        builtin_predictions(np.vstack((x, x)), y, ("stump", "forest"), 5, 0)
 
 
 def test_group_indicator_visibility():
@@ -308,12 +323,12 @@ def test_group_indicator_visibility():
     x = rng.uniform(size=(80, 1))
     y = group
     xg = with_group(x, group)
-    with_group_model = train_builtin(xg, y, "logistic")
+    _, with_group_predictions = train(xg, y, "logistic")
     assert np.array_equal(xg[:, -1], group)
-    assert np.sum(with_group_model.predict(xg) != y) == 0
+    assert np.sum(with_group_predictions != y) == 0
 
-    blind = train_builtin(x, y, "logistic")
-    assert np.sum(blind.predict(x) != y) > 10
+    _, blind_predictions = train(x, y, "logistic")
+    assert np.sum(blind_predictions != y) > 10
 
 
 def reference_logit(model, row):
@@ -355,16 +370,16 @@ def test_batched_predictions_match_per_row_reference(include_group):
     frame, group, label = census_frame()
     if include_group:
         frame = with_group(frame, group)
-    train, y_train, x = frame[:2100], label[:2100], frame[2100:]
+    train_rows, y_train, x = frame[:2100], label[:2100], frame[2100:]
     for kind in ("logistic", "stump"):
-        model = train_builtin(train, y_train, kind, epochs=50)
-        got = model.predict(x)
+        model, got = train(train_rows, y_train, kind, test=x, epochs=50)
         assert got.dtype == np.int8 and got.shape == (len(x),)
         assert got.tolist() == [reference_predict(model, row) for row in x], kind
         if kind == "logistic":
             want = np.array([reference_logit(model, row) for row in x])
-            assert np.array_equal(model.logits(x).view(np.int64), want.view(np.int64))
-    stump = train_builtin(train, y_train, "stump")
+            logits = model.logits((x - model.mean) / model.scale)
+            assert np.array_equal(logits.view(np.int64), want.view(np.int64))
+    stump, _ = train(train_rows, y_train, "stump", test=x)
     assert stump.constant is None
     flipped = type(stump)(stump.feature, stump.threshold, -stump.polarity)
     assert flipped.predict(x).tolist() == [reference_predict(flipped, row) for row in x]
@@ -373,9 +388,11 @@ def test_batched_predictions_match_per_row_reference(include_group):
 def test_builtin_ensemble():
     x, group, y = separable_split()
     x = with_group(x, group)
-    models = [train_builtin(x, y, "logistic"), train_builtin(x, y, "stump")]
-    ens = MatrixEnsemble(["logistic_0", "stump_1"],
-                         np.column_stack([m.predict(x) for m in models]))
+    (logistic, p_logistic), (stump, p_stump) = train(x, y, "logistic"), train(x, y, "stump")
+    models, predictions = [logistic, stump], np.column_stack((p_logistic, p_stump))
+    both = builtin_predictions(np.vstack((x, x)), y, ("logistic", "stump"), 500, 0)
+    assert both.tobytes() == predictions.tobytes()
+    ens = MatrixEnsemble(["logistic_0", "stump_1"], predictions)
     assert ens.d == 2
     assert ens.num_rounds == len(y)
     split = list(zip(group.tolist(), y.tolist()))

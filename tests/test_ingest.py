@@ -69,6 +69,24 @@ def test_missing_cells_drop_rows(tmp_path):
         "missing_label": 1, "missing_group": 1, "missing_feature": 1, "ragged_row": 1}
     assert x.shape == (1, 1) and len(group) == len(label) == 1
 
+    # a row that meets two reasons counts under the earlier one: ragged_row,
+    # filtered, missing_label, missing_group, missing_feature, group_not_listed
+    schema = DatasetSchema("income", "high", "sex", "Male", group_b_value="Female",
+                           filters=(("age", ">=", "18"),))
+    path = write_csv(tmp_path, (
+        "age,job,sex,income\n"
+        "39,tech,Male,high\n"
+        "17,tech,Male\n"        # ragged, under 18
+        "17,tech,Male,?\n"      # under 18, missing label
+        "40,tech,?,?\n"         # missing label and group
+        "40,?,,high\n"          # missing group and feature
+        "40,?,Other,high\n"     # missing feature, group not listed
+    ), "pairs.csv")
+    (x, _, _), report = load_matrix(path, schema)
+    assert report.drops == {"ragged_row": 1, "filtered": 1, "missing_label": 1,
+                            "missing_group": 1, "missing_feature": 1}
+    assert report.rows_kept == 1 and x.tolist() == [[39.0, 1.0]]
+
 
 def test_no_kept_rows_give_an_empty_feature_matrix(tmp_path):
     # every row dropped: the (0, k) matrix still has one column per feature
@@ -92,22 +110,32 @@ def test_one_and_no_feature_columns(tmp_path):
     assert report.drops == {} and report.encoding == []
 
 
+def coded(cells):
+    """A column's ``(code, distinct)``: each cell numbered by first occurrence."""
+    first = {}
+    code = [first.setdefault(cell, len(first)) for cell in cells]
+    return np.array(code, dtype=np.int32), list(first)
+
+
 def test_encoder_matches_copying_reference():
     # the matrix written straight from the coded columns holds the bytes of
-    # the per-column pieces joined by np.hstack, and zero kept rows still
-    # give a (0, k) matrix
+    # the per-column pieces joined by np.hstack; the kept rows are numbered
+    # by first occurrence among them, cells of dropped rows (the last row's
+    # inf and x) are left out, and zero kept rows still give a (0, k) matrix
     names = ["age", "job", "site", "hours"]
     rows = [("39", "tech", "A", "40"), ("-0.0", "admin", "A", "1e3"),
-            ("41", "tech", "A", "38.5"), ("7", "sales", "A", "40")]
-    columns = list(zip(*rows))
-    seen = [{v: i for i, v in enumerate(dict.fromkeys(c))} for c in columns]
-    codes = [[first[v] for v in c] for first, c in zip(seen, columns)]
-    for n, cells in ((4, (codes, seen)), (0, ([[]] * 4, [{}] * 4))):
-        features, encoding = _code_columns("f.csv", names, *cells)
-        want, want_encoding = scalar_reference.encode_features("f.csv", names, *cells, n)
+            ("41", "tech", "A", "38.5"), ("7", "sales", "A", "40"), ("inf", "clerk", "B", "x")]
+    columns = [coded(cells) for cells in zip(*rows)]
+    for keep in ([1, 1, 1, 1, 0], [0, 1, 1, 1, 0], [0, 0, 0, 0, 0]):
+        keep = np.array(keep, dtype=bool)
+        features, encoding = _code_columns("f.csv", names, columns, keep)
+        codes, seen = scalar_reference.recode_kept(columns, keep)
+        want, want_encoding = scalar_reference.encode_features(
+            "f.csv", names, codes, seen, int(keep.sum()))
         assert encoding == want_encoding
-        got = features.matrix(np.arange(n))
+        got = features.matrix(np.arange(keep.sum()))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert all(code.dtype == np.int32 for code in features.codes)
     assert got.shape == (0, 4)
     assert [kind for _, kind, _ in encoding] == ["numeric"] * 4
 
@@ -128,7 +156,8 @@ def test_matrix_in_any_row_order_matches_the_gathered_reference():
     codes = [[first[v] for v in c] for first, c in zip(seen, columns)]
     names = ["age", "job", "score", "country"]
     group = (rng.random(n) < 0.6).astype(np.int8)
-    features, encoding = _code_columns("f.csv", names, codes, seen)
+    features, encoding = _code_columns("f.csv", names, [coded(c) for c in columns],
+                                       np.ones(n, dtype=bool))
     x, want_encoding = scalar_reference.encode_features("f.csv", names, codes, seen, n)
     assert encoding == want_encoding and "-0.0" in seen[2]
     assert [kind for _, kind, _ in encoding] == ["numeric", "one-hot", "numeric", "one-hot"]
@@ -141,11 +170,11 @@ def test_matrix_in_any_row_order_matches_the_gathered_reference():
 
 
 def test_load_dataset_memory(tmp_path):
-    # Loading and then writing the kept rows' matrix peaks at about 1.25
+    # Loading and then writing the kept rows' matrix peaks at about 1.17
     # times the bytes of the matrix: the matrix beside the per-column cell
-    # codes.  Loading alone peaks at 0.6 times, in the row scan's lists.
-    # Encoding each column into its own array before np.hstack peaked at
-    # 2.4 times.
+    # codes.  Loading alone peaks at 0.56 times, in the row scan's lists of
+    # codes of every read column.  Encoding each column into its own array
+    # before np.hstack peaked at 2.4 times.
     path = tmp_path / "census.csv"
     scalar_reference.write_census_csv(path, 10000, seed=5)
     schema = load_preset("adult")
@@ -199,6 +228,18 @@ def test_schema_errors(tmp_path):
                               (("age", "zip", "age"), "age, zip, age names a column twice")):
         with pytest.raises(DataError, match=message):
             DatasetSchema("income", "high", "sex", "Male", feature_columns=features)
+
+    # an empty header name in a column the schema reads: a trailing comma on
+    # every line, or the unnamed index column of a pandas export
+    for text, position in (("age,sex,income,\n30,Male,high,\n", 4),
+                           (" ,age,sex,income\n0,30,Male,high\n", 1)):
+        with pytest.raises(DataError, match=f"header column {position} has no name; "
+                                            "list the feature columns"):
+            load_dataset(write_csv(tmp_path, text, "e.csv"), BASIC)
+    # the schema does not read it: the file loads
+    listed = DatasetSchema("income", "high", "sex", "Male", feature_columns=("age",))
+    (x, _, _), _ = load_matrix(write_csv(tmp_path, text, "e.csv"), listed)
+    assert x.tolist() == [[30.0]]
 
     bad_feature = DatasetSchema(
         label_column="income", positive_value="high", group_column="sex",
@@ -279,14 +320,19 @@ def test_filter_needs_numeric_value(tmp_path):
 
 
 def test_one_hot_first_occurrence(tmp_path):
+    # category order counts kept rows only, and a category or a non-finite
+    # number that only dropped rows hold is not encoded
     path = write_csv(tmp_path, (
         "job,score,sex,income\n"
+        "sales,9.0,Female,?\n"
         "tech,1.5,Male,high\n"
         "admin,2.0,Female,low\n"
+        "crafts,inf,Male,?\n"
         "tech,0.5,Male,low\n"
         "sales,3.0,Female,high\n"
     ))
     (x, _, _), report = load_matrix(path, BASIC)
+    assert report.drops == {"missing_label": 2} and len(x) == 4
     assert report.encoding == [
         ("job", "one-hot", ("tech", "admin", "sales")),
         ("score", "numeric", ()),
