@@ -28,7 +28,6 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,8 @@ from .experts import (
     load_prediction_file,
 )
 from .ingest import (
+    DatasetStats,
+    IngestReport,
     dataset_stats,
     load_dataset,
     load_preset,
@@ -92,24 +93,18 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentSpec:
-    """Fully validated experiment description (before data is touched)."""
+    """Fully validated experiment description (before data is touched).
+
+    ``value`` maps every CONFIG_KEYS name with no RunConfig field, but the
+    experts.profile.<name> family, to its parsed value (None: unset), with
+    stream.kind and experts.source resolved."""
 
     run: RunConfig
     raw: dict[str, str]                 # config echo, post-override
-    stream_kind: str                    # "synthetic" | "dataset"
-    stream_params: tuple[float, float, float] | None   # synthetic (p, mu_a, mu_b)
-    data_path: str | None
-    data_preset: str | None
-    split_ratio: float
-    experts_source: str                 # synthetic | file | builtin
     profiles: tuple[tuple[str, ErrorProfile], ...]
-    experts_file: str | None
-    experts_kinds: tuple[str, ...]
-    include_group: bool
-    epochs: int
-    epsilon: float | None               # fairness-bound plug-in override
+    value: dict[str, object]
 
 
 def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
@@ -168,17 +163,10 @@ def build_spec(cfg: dict[str, str], source: str = "<config>") -> ExperimentSpec:
         profiles.append((name[len("experts.profile."):], ErrorProfile(*take(name, profile))))
     if experts_source == "synthetic" and len(profiles) < 2:
         raise ConfigError("experts.source=synthetic needs at least 2 experts.profile.* keys")
-    stream_params = None
-    if stream_kind == "synthetic":
-        stream_params = tuple(map(take, ("stream.p", "stream.mu_a", "stream.mu_b")))
-
-    return ExperimentSpec(
-        run=run, raw=cfg, stream_kind=stream_kind, stream_params=stream_params,
-        data_path=take("data.path"), data_preset=take("data.preset"),
-        split_ratio=take("data.split_ratio"), experts_source=experts_source,
-        profiles=tuple(profiles), experts_file=take("experts.file"),
-        experts_kinds=take("experts.kinds"), include_group=take("experts.include_group"),
-        epochs=take("experts.epochs"), epsilon=take("epsilon"))
+    value = {name: take(name) for key in CONFIG_KEYS
+             if not key.field and key is not profile for name in key.names}
+    value.update({"stream.kind": stream_kind, "experts.source": experts_source})
+    return ExperimentSpec(run, cfg, tuple(profiles), value)
 
 
 def load_config(args) -> dict[str, str]:
@@ -201,42 +189,53 @@ def load_spec(args) -> ExperimentSpec:
 # Payload preparation (everything trials share, built once)
 
 
-@dataclass
+def load_split(data: str, preset: str, ratio: float, seed: int):
+    """Load a dataset CSV through its preset and split its kept rows:
+    ``features, group, label, report, stats, (train_idx, test_idx)``, where
+    ``stats`` are the DatasetStats of every kept row."""
+    (features, group, label), report = load_dataset(data, load_preset(preset))
+    stats = dataset_stats(group, label)
+    return features, group, label, report, stats, split_shuffle(len(label), ratio, seed)
+
+
+@dataclasses.dataclass
 class TrialPayload:
-    run: RunConfig
+    run: RunConfig                                      # eta resolved
     stream_params: tuple[float, float, float] | None    # synthetic (p, mu_a, mu_b)
     test_stream: tuple[np.ndarray, np.ndarray] | None   # dataset: test split's (group, label)
     ensemble: object
     epsilon: float | None
+    ingest_report: IngestReport | None                  # dataset mode only
+    data_stats: DatasetStats | None                     # of every kept row
 
 
-def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
-    """Resolve data, experts and the effective horizon; returns run info too."""
-    run = spec.run
-    info: dict = {"ingest_report": None, "data_stats": None}
-
-    test = None   # dataset mode: the test split's (group, label)
-    if spec.stream_kind == "dataset":
-        schema = load_preset(spec.data_preset)
-        (features, group, label), report = load_dataset(spec.data_path, schema)
-        info["ingest_report"] = report.to_dict()
-        info["data_stats"] = dataset_stats(group, label).to_dict()
-        train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, run.seed)
+def prepare_payload(spec: ExperimentSpec) -> TrialPayload:
+    """Resolve data, experts, the effective horizon and eta."""
+    run, value, epsilon = spec.run, spec.value, spec.value["epsilon"]
+    stream_params = test = report = stats = None
+    if value["stream.kind"] == "synthetic":
+        stream_params = tuple(value[n] for n in ("stream.p", "stream.mu_a", "stream.mu_b"))
+    else:
+        features, group, label, report, stats, (train_idx, test_idx) = load_split(
+            value["data.path"], value["data.preset"], value["data.split_ratio"], run.seed)
         # Trials read only group and label; only builtin experts read features.
         test = (group[test_idx], label[test_idx])
         if "horizon" not in spec.raw:
             run = dataclasses.replace(run, horizon=len(test_idx))
 
-    if spec.experts_source == "synthetic":
+    source = value["experts.source"]
+    if source == "synthetic":
         ensemble = SyntheticEnsemble([p for _, p in spec.profiles],
                                      [n for n, _ in spec.profiles])
-    elif spec.experts_source == "file":
-        ensemble = load_prediction_file(spec.experts_file)
-        if spec.stream_kind == "dataset":
+        if epsilon is None:
+            epsilon = max(p.max_cell_gap() for _, p in spec.profiles)
+    elif source == "file":
+        ensemble = load_prediction_file(value["experts.file"])
+        if test is not None:
             # One row per kept dataset row, in CSV order: key it to the test split.
             if ensemble.num_rounds != len(label):
                 raise DataError(
-                    f"{spec.experts_file}: {ensemble.num_rounds} prediction rows, but "
+                    f"{value['experts.file']}: {ensemble.num_rounds} prediction rows, but "
                     f"the dataset keeps {len(label)} rows (one row per kept row)")
             ensemble = MatrixEnsemble(ensemble.names, ensemble.matrix[test_idx])
     else:  # builtin: every model predicts the test split once
@@ -244,22 +243,18 @@ def prepare_payload(spec: ExperimentSpec) -> tuple[TrialPayload, dict]:
         # test rows; the coded columns go before the first model trains, and
         # logistic models standardize the matrix in place.
         x = features.matrix(np.concatenate((train_idx, test_idx)),
-                            group if spec.include_group else None)
+                            group if value["experts.include_group"] else None)
         del features
-        ensemble = MatrixEnsemble(
-            [f"{kind}_{i}" for i, kind in enumerate(spec.experts_kinds)],
-            builtin_predictions(x, label[train_idx], spec.experts_kinds, spec.epochs, run.seed))
+        kinds = value["experts.kinds"]
+        ensemble = MatrixEnsemble([f"{kind}_{i}" for i, kind in enumerate(kinds)],
+                                  builtin_predictions(x, label[train_idx], kinds,
+                                                      value["experts.epochs"], run.seed))
 
-    epsilon = spec.epsilon
-    if epsilon is None and spec.experts_source == "synthetic" and spec.profiles:
-        epsilon = max(p.max_cell_gap() for _, p in spec.profiles)
-
-    info["d"] = ensemble.d
-    info["experts"] = list(ensemble.names)
-    info["eta"] = run.eta if run.eta is not None else recommended_eta(run.horizon, ensemble.d)
+    if run.eta is None:
+        run = dataclasses.replace(run, eta=recommended_eta(run.horizon, ensemble.d))
     logger.info("prepared %s run: d=%d, horizon=%d, eta=%g",
-                run.engine, ensemble.d, run.horizon, info["eta"])
-    return TrialPayload(run, spec.stream_params, test, ensemble, epsilon), info
+                run.engine, ensemble.d, run.horizon, run.eta)
+    return TrialPayload(run, stream_params, test, ensemble, epsilon, report, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +405,8 @@ def _jsonsafe(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         return v if np.isfinite(v) else None
+    if dataclasses.is_dataclass(obj):
+        return _jsonsafe(dataclasses.asdict(obj))
     return obj
 
 
@@ -433,8 +430,7 @@ _AGG_KEYS = ("error_rate", "err_a", "err_b", "fpr_gap", "fnr_gap", "eer_gap",
              "regret_realized", "regret_expected", "min_bound_margin")
 
 
-def summary_doc(spec: ExperimentSpec, payload: TrialPayload, info: dict,
-                results: list[dict]) -> dict:
+def summary_doc(spec: ExperimentSpec, payload: TrialPayload, results: list[dict]) -> dict:
     run = payload.run
     agg = {k: _aggregate(results, k) for k in _AGG_KEYS}
     budget = {"fpr": run.fairness_budget[0], "fnr": run.fairness_budget[1]}
@@ -444,14 +440,14 @@ def summary_doc(spec: ExperimentSpec, payload: TrialPayload, info: dict,
     return {
         "engine": run.engine,
         "horizon": run.horizon,
-        "eta": info["eta"],
+        "eta": run.eta,
         "seed": run.seed,
         "trials": run.trials,
-        "d": info["d"],
-        "experts": info["experts"],
+        "d": payload.ensemble.d,
+        "experts": payload.ensemble.names,
         "config": dict(spec.raw),
-        "ingest_report": info["ingest_report"],
-        "data_stats": info["data_stats"],
+        "ingest_report": payload.ingest_report,
+        "data_stats": payload.data_stats,
         "trial_results": [r["summary"] for r in results],
         "aggregate": agg,
         "fairness_budget": budget,
@@ -480,31 +476,29 @@ def write_rounds_csv(path: Path, engine: str, sums: RoundSums) -> None:
 # Subcommands
 
 
-def _write_run(outdir: Path, spec: ExperimentSpec, payload: TrialPayload, info: dict,
-               results: list[dict], sums: RoundSums) -> None:
+def _run_experiment(spec: ExperimentSpec, workers: int, outdir: Path) -> None:
+    """Prepare, run and write one experiment's summary.json and rounds.csv."""
+    payload = prepare_payload(spec)
+    results, sums = execute_trials(payload, workers)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "summary.json", summary_doc(spec, payload, info, results))
+    _write_json(outdir / "summary.json", summary_doc(spec, payload, results))
     write_rounds_csv(outdir / "rounds.csv", payload.run.engine, sums)
+    logger.info("wrote %s and rounds.csv", outdir / "summary.json")
 
 
 def cmd_run(args) -> int:
-    spec = load_spec(args)
-    payload, info = prepare_payload(spec)
-    results, sums = execute_trials(payload, args.workers)
-    _write_run(Path(args.out), spec, payload, info, results, sums)
-    logger.info("wrote %s and rounds.csv", Path(args.out) / "summary.json")
+    _run_experiment(load_spec(args), args.workers, Path(args.out))
     return 0
 
 
 def cmd_validate_bounds(args) -> int:
-    spec = load_spec(args)
-    payload, info = prepare_payload(spec)
+    payload = prepare_payload(load_spec(args))
     results, _ = execute_trials(payload, args.workers)
     violations = [{"trial": r["trial"], "name": name, "margin": margin}
                   for r in results for name, margin in r["violations"]]
     doc = {
         "engine": payload.run.engine,
-        "eta": info["eta"],
+        "eta": payload.run.eta,
         "trials": payload.run.trials,
         "threshold": MARGIN_THRESHOLD,
         "ok": not violations,
@@ -533,14 +527,12 @@ def cmd_validate_bounds(args) -> int:
 def cmd_stats(args) -> int:
     CONFIG_KEY["data.split_ratio"].check(args.split_ratio, name="--split-ratio")
     CONFIG_KEY["seed"].check(args.seed, name="--seed")
-    schema = load_preset(args.preset)
-    (_, group, label), report = load_dataset(args.data, schema)
-    stats = dataset_stats(group, label)
-    _, test_idx = split_shuffle(len(label), args.split_ratio, args.seed)
+    _, _, label, report, stats, (_, test_idx) = load_split(args.data, args.preset,
+                                                           args.split_ratio, args.seed)
     doc = {
-        "stats": {**stats.to_dict(), "n_rounds": len(test_idx), "n_total": len(label)},
+        "stats": {**dataclasses.asdict(stats), "n_rounds": len(test_idx), "n_total": len(label)},
         "split_ratio": args.split_ratio,
-        "ingest_report": report.to_dict(),
+        "ingest_report": report,
     }
     print(json.dumps(_jsonsafe(doc), indent=2, sort_keys=True))
     return 0
@@ -563,18 +555,16 @@ def _parse_sweep_values(param: str, text: str) -> list[tuple[str, dict[str, str]
 
 def cmd_sweep(args) -> int:
     base = load_config(args)
-    values = _parse_sweep_values(args.param, args.values)
+    # every value's spec is built before any trial runs, so a bad value writes nothing
+    specs = [(label, build_spec({**base, **overrides},
+                                source=f"{args.config}[{args.param}={label}]"))
+             for label, overrides in _parse_sweep_values(args.param, args.values)]
     outroot = Path(args.out)
-    outroot.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for i, (label, overrides) in enumerate(values):
-        cfg = {**base, **overrides}
-        spec = build_spec(cfg, source=f"{args.config}[{args.param}={label}]")
-        payload, info = prepare_payload(spec)
-        results, sums = execute_trials(payload, args.workers)
-        sub = outroot / f"{args.param}_{i}"
-        _write_run(sub, spec, payload, info, results, sums)
-        manifest.append({"index": i, "value": label, "dir": sub.name})
+    for i, (label, spec) in enumerate(specs):
+        sub = f"{args.param}_{i}"
+        _run_experiment(spec, args.workers, outroot / sub)
+        manifest.append({"index": i, "value": label, "dir": sub})
         logger.info("sweep %s=%s done", args.param, label)
     _write_json(outroot / "sweep.json", {"parameter": args.param, "values": manifest})
     return 0

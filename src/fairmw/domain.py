@@ -4,8 +4,10 @@ Conventions used throughout the package:
 
 * groups: ``Group.A`` / ``Group.B``, iterated A before B;
 * labels: ints, ``NEG = 0`` and ``POS = 1``;
-* cells: (group, label) pairs in the canonical order
-  (A,-), (B,-), (A,+), (B,+) — the same order q vectors use;
+* cells: (group, label) pairs, indexed ``2 * group + label`` by trials,
+  ``Trajectory``, ``validate_bounds`` and ``dataset_stats``; only qopt's q
+  and A columns, and summary.json's ``q_final``, use the canonical order
+  (A,-), (B,-), (A,+), (B,+);
 * weights live in linear scale, floored at 1e-300.  When every entry of a
   (group, label) slice drops below 2**-512 the slice is rescaled by a power
   of two.  Multiplying a float by a power of two is exact in binary floating

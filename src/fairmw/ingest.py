@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -130,15 +130,6 @@ class IngestReport:
     encoding: list = field(default_factory=list)  # (column, kind, categories)
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_kept": self.rows_kept,
-            "drops": dict(sorted(self.drops.items())),
-            "encoding": [list(e) for e in self.encoding],
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
 class DatasetStats:
@@ -147,9 +138,6 @@ class DatasetStats:
     mu_a_pos: float | None
     mu_b_pos: float | None
     disparate_impact: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

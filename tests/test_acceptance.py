@@ -165,7 +165,7 @@ def test_criterion_5_fairness_direction():
         for engine in ("fairness_aware", "group_aware"):
             cfg = dict(base, engine=engine)
             spec = build_spec(cfg, source=f"synthetic_biased[{engine}]")
-            payload, _ = prepare_payload(spec)
+            payload = prepare_payload(spec)
             results, _ = execute_trials(payload, WORKERS)
             means[engine] = {k: _aggregate(results, k)["mean"]
                              for k in ("fpr_gap", "fnr_gap", "error_rate")}

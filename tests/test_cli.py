@@ -23,7 +23,7 @@ from fairmw.cli import (
 from fairmw.domain import CONFIG_KEY, CONFIG_KEYS
 from fairmw.engines import run_trial
 from fairmw.errors import ConfigError, DataError, FairmwError
-from fairmw.experts import LogisticExpert
+from fairmw.experts import LogisticExpert, MatrixEnsemble
 from fairmw.ingest import load_dataset, load_preset, split_shuffle
 
 SYNTH_MW = """\
@@ -80,10 +80,10 @@ def test_build_spec_happy_path():
     spec = build_spec(cfg_dict())
     assert spec.run.engine == "mw"
     assert spec.run.horizon == 50
-    assert spec.stream_kind == "synthetic"
+    assert spec.value["stream.kind"] == "synthetic"
     assert len(spec.profiles) == 2
     assert spec.profiles[0][0] == "x"
-    assert spec.epsilon is None
+    assert spec.value["epsilon"] is None
 
 
 def test_build_spec_errors():
@@ -142,7 +142,10 @@ def test_keys_of_an_inactive_mode_are_rejected():
              ("experts.profile.z", "0.1,0.1,0.1,0.1", builtin_cfg)]
     for (stream, source), cfg in bases.items():
         spec = build_spec(cfg)
-        assert (spec.stream_kind, spec.experts_source) == (stream, source)
+        assert (spec.value["stream.kind"], spec.value["experts.source"]) == (stream, source)
+        # every key with no RunConfig field but the profile family, and only those
+        assert set(spec.value) == {name for key in CONFIG_KEYS if not key.field
+                                   for name in key.names} - {"experts.profile.<name>"}
         active = (f"stream.kind={stream}", f"experts.source={source}")
         cases += [(name, values[name], cfg)
                   for key in CONFIG_KEYS if key.mode and key.mode not in active
@@ -315,15 +318,13 @@ def test_worker_pool_capped_at_trial_count(tmp_path, monkeypatch):
 def test_fairness_budget_verdicts():
     # each mean gap is held to its own budget, inclusively; an undefined
     # gap gets no verdict rather than a pass
-    info = {"eta": 0.2, "d": 2, "experts": ["x", "y"],
-            "ingest_report": None, "data_stats": None}
-
     def verdict(fpr_gap, fnr_gap, budget="0.05"):
         spec = build_spec(cfg_dict(**{"budget.fpr": budget, "budget.fnr": budget}))
-        payload = cli.TrialPayload(spec.run, None, None, None, None)
+        ensemble = MatrixEnsemble(["x", "y"], np.zeros((1, 2), dtype=np.int8))
+        payload = cli.TrialPayload(spec.run, None, None, ensemble, None, None, None)
         summary = dict.fromkeys(cli._AGG_KEYS)
         summary.update(fpr_gap=fpr_gap, fnr_gap=fnr_gap)
-        doc = cli.summary_doc(spec, payload, info, [{"summary": summary}])
+        doc = cli.summary_doc(spec, payload, [{"summary": summary}])
         return doc["fairness_budget"]["fpr_within"], doc["fairness_budget"]["fnr_within"]
 
     assert verdict(0.03, 0.04) == (True, True)
@@ -437,7 +438,7 @@ def test_dataset_payload_keeps_no_features(tmp_path):
                                         load_preset(str(tmp_path / "toy.preset")))
     _, test_idx = split_shuffle(len(label), 0.7, 3)
     for cfg_text in (text, builtin):
-        payload, _ = cli.prepare_payload(build_spec(parse_config(write(tmp_path, cfg_text))))
+        payload = cli.prepare_payload(build_spec(parse_config(write(tmp_path, cfg_text))))
         assert payload.stream_params is None
         test_group, test_label = payload.test_stream
         assert test_group.dtype == test_label.dtype == np.int8
@@ -489,7 +490,8 @@ def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
 
     with monkeypatch.context() as m:
         m.setattr(ingest, "_code_columns", encoding_reference)
-        (features, group, label), report = load_dataset(spec.data_path, load_preset("adult"))
+        (features, group, label), report = load_dataset(spec.value["data.path"],
+                                                        load_preset("adult"))
     (x, encoding), = reference
     assert report.encoding == encoding
     assert {kind for _, kind, _ in encoding} == {"numeric", "one-hot"}
@@ -513,18 +515,18 @@ def test_builtin_setup_matches_copying_reference_bitwise(tmp_path, monkeypatch,
                   lambda *args: trained.append(fit_logistic(*args)) or trained[-1])
         m.setattr(experts, "_train_stump",
                   lambda *args: trained.append(train_stump(*args)) or trained[-1])
-        payload, _ = cli.prepare_payload(spec)
-    train_idx, test_idx = split_shuffle(len(label), spec.split_ratio, spec.run.seed)
+        payload = cli.prepare_payload(spec)
+    kinds = spec.value["experts.kinds"]
+    train_idx, test_idx = split_shuffle(len(label), spec.value["data.split_ratio"], spec.run.seed)
     x_train, x_test, models, predictions = scalar_reference.builtin_payload(
-        x, group, label, train_idx, test_idx, spec.experts_kinds, include_group,
-        spec.epochs, spec.run.seed)
+        x, group, label, train_idx, test_idx, kinds, include_group,
+        spec.value["experts.epochs"], spec.run.seed)
     assert x_train.shape[1] == x.shape[1] + include_group
     (have,), (standardized,) = raw, written
     have_train, have_test = have[:len(train_idx)], have[len(train_idx):]
     assert have_train.shape == x_train.shape and have_train.tobytes() == x_train.tobytes()
     assert have_test.shape == x_test.shape and have_test.tobytes() == x_test.tobytes()
     # stumps train on the raw rows first, then the logistic models in order
-    kinds = spec.experts_kinds
     want = ([m for m, kind in zip(models, kinds) if kind == "stump"]
             + [m for m, kind in zip(models, kinds) if kind == "logistic"])
     assert len(trained) == len(want) == 3
@@ -565,14 +567,13 @@ def test_builtin_setup_memory(tmp_path):
     np.random.default_rng(0)   # numpy.random is imported before tracing starts
     tracemalloc.start()
     try:
-        _, info = cli.prepare_payload(spec)
+        report = cli.prepare_payload(spec).ingest_report
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    report = info["ingest_report"]
-    k = sum(len(cats) or 1 for _, _, cats in report["encoding"])
-    M = report["rows_kept"] * (k + 1) * 8
-    assert report["rows_kept"] > 18000 and k > 70
+    k = sum(len(cats) or 1 for _, _, cats in report.encoding)
+    M = report.rows_kept * (k + 1) * 8
+    assert report.rows_kept > 18000 and k > 70
     assert peak < 1.35 * M, peak / M
 
 
@@ -593,7 +594,7 @@ def test_stats_and_file_experts_build_no_feature_matrix(tmp_path, capsys):
         f"experts.source = file\nexperts.file = {tmp_path / 'preds.csv'}\n"))))
     np.random.default_rng(0)   # numpy.random is imported before tracing starts
     stats = ["stats", "--data", str(tmp_path / "census.csv"), "--preset", "adult"]
-    for call in (lambda: main(stats), lambda: cli.prepare_payload(spec)[0]):
+    for call in (lambda: main(stats), lambda: cli.prepare_payload(spec)):
         tracemalloc.start()
         try:
             assert call() is not None
@@ -660,6 +661,24 @@ def test_stats_output(tmp_path, capsys):
     assert doc["ingest_report"]["rows_kept"] == 40
 
 
+def test_stats_and_run_agree_on_one_csv(tmp_path, capsys):
+    # both load, report and split the CSV through one helper; stats' n_total
+    # counts the kept rows, as summary.json's data_stats.n_rounds does
+    code, outdir = run_main(tmp_path, census_builtin_cfg(tmp_path, 800, epochs=5),
+                            "--workers", "1")
+    assert code == 0
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert main(["stats", "--data", str(tmp_path / "census.csv"), "--preset", "adult",
+                 "--seed", "11"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ingest_report"] == summary["ingest_report"]
+    assert doc["ingest_report"]["drops"]["missing_feature"] > 0
+    for key in ("p", "mu_a_pos", "mu_b_pos", "disparate_impact"):
+        assert doc["stats"][key] == summary["data_stats"][key], key
+    assert doc["stats"]["n_total"] == summary["data_stats"]["n_rounds"]
+    assert doc["stats"]["n_rounds"] == summary["horizon"] < doc["stats"]["n_total"]
+
+
 def test_sweep(tmp_path):
     cfg = write(tmp_path, SYNTH_MW.replace("eta = 0.2\n", ""))
     outdir = tmp_path / "sweep"
@@ -680,6 +699,19 @@ def test_sweep_empty_values_is_config_error(tmp_path):
     cfg = write(tmp_path, SYNTH_MW)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                  "--workers", "1", "--param", "eta", "--values", ""]) == 2
+
+
+def test_sweep_checks_every_value_before_running(tmp_path, capsys):
+    # the bad second value used to exit 2 only after eta_0/ had run and
+    # been written
+    cfg = write(tmp_path, SYNTH_MW)
+    outdir = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(outdir), "--workers", "1",
+                 "--param", "eta", "--values", "0.2,0.7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eta: expected auto, or a number in (0, 0.5)"), err
+    assert err.rstrip().endswith("got 0.7"), err
+    assert not outdir.exists()
 
 
 def test_sweep_value_parsing():

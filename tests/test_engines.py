@@ -699,7 +699,7 @@ def golden_group_aware(tmp_path):
     """The golden group_aware case's config and ensemble, and its stream of
     a trial as ``fairmw run`` draws it."""
     (tmp_path / "exp.cfg").write_text(GOLDEN_CASES["group_aware"][0], encoding="utf-8")
-    payload, _ = prepare_payload(build_spec(parse_config(tmp_path / "exp.cfg")))
+    payload = prepare_payload(build_spec(parse_config(tmp_path / "exp.cfg")))
     cfg = payload.run
 
     def stream(trial):

@@ -588,7 +588,7 @@ def test_byte_order_mark_is_skipped_in_csv_and_presets(tmp_path, monkeypatch):
     (x0, group0, label0), report0 = load_matrix(tmp_path / "plain.csv", BASIC)
     assert group.tolist() == group0.tolist() == [Group.A, Group.B, Group.A]
     assert label.tolist() == label0.tolist()
-    assert x.tobytes() == x0.tobytes() and report.to_dict() == report0.to_dict()
+    assert x.tobytes() == x0.tobytes() and report == report0
 
     preset = "label.column = income\nlabel.positive = high\ngroup.column = sex\ngroup.a = Male\n"
     (tmp_path / "bom.preset").write_bytes(BOM + preset.encode())
